@@ -1,8 +1,9 @@
-"""Pure-Python impulse-polygon propagation kernel.
+"""Impulse-polygon propagation kernel: the one definition of the step.
 
-Fallback for environments without the compiled extension.  The arithmetic is
-operation-for-operation identical to _propagate_cy.pyx so both backends
-produce bitwise matching trajectories.
+Each step kicks the velocity toward the center by (m/r^3)*dt, then drifts the
+position by the new velocity times dt.  simulator.integrate and
+simulator.step both run this loop; the order of operations here fixes every
+trajectory bit.
 """
 
 from math import sqrt
@@ -11,7 +12,13 @@ import numpy as np
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
-    """See _propagate_cy.propagate_kernel."""
+    """Propagate `steps` kick-then-drift steps from (x, y, vx, vy).
+
+    Records every `record_every`-th state plus the initial one and returns
+    (t, x, y, vx, vy, collided).  collided is the 1-based step at which the
+    body came within `collision_radius` of the center (the arrays then end at
+    the last recorded state before it), or -1 if it never did.
+    """
     n_rec = steps // record_every + 1
     t_arr = np.empty(n_rec)
     x_arr = np.empty(n_rec)

@@ -9,36 +9,22 @@ The per-step swept triangles of this polygon have exactly equal areas
 (equivalently cross(p, v) is exactly conserved), which is what the
 diagnostics here measure, alongside the O(dt) drift of the vis-viva constant.
 
-The inner loop lives in a compiled extension (polyorbit._propagate_cy) when
-available, with a bitwise-identical pure-Python fallback selected at import.
-Set POLYORBIT_BACKEND=python to force the fallback.
+The step arithmetic is defined once, in polyorbit._propagate_py; both
+integrate() and step() run it, so a single step and a one-step trajectory
+agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _propagate_py as _kernel
 from .determination import CentralField, OrbitState
 from .errors import CollisionError, DomainError
 from .planar import PlanarVector
-
-if os.environ.get("POLYORBIT_BACKEND") == "python":
-    from . import _propagate_py as _kernel
-
-    _BACKEND = "python"
-else:
-    try:
-        from . import _propagate_cy as _kernel
-
-        _BACKEND = "cython"
-    except ImportError:
-        from . import _propagate_py as _kernel
-
-        _BACKEND = "python"
 
 #: Hard cap on the number of steps in a single run.
 MAX_STEPS = 10**8
@@ -50,8 +36,8 @@ CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
 
 def backend() -> str:
-    """Name of the active propagation kernel: 'cython' or 'python'."""
-    return _BACKEND
+    """Name of the propagation kernel; always 'python'."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -74,7 +60,7 @@ class SimConfig:
             raise DomainError(f"steps must be in [1, {MAX_STEPS}], got {self.steps}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
-        if self.collision_radius <= 0.0:
+        if not self.collision_radius > 0.0:
             raise DomainError("collision radius must be > 0")
 
 
@@ -151,14 +137,9 @@ class Trajectory:
 def step(state: OrbitState, field: CentralField, dt: float,
          collision_radius: float = DEFAULT_COLLISION_RADIUS) -> OrbitState:
     """One impulse-polygon step: center-directed kick, then straight drift."""
-    p, v = state.position, state.velocity
-    r = p.norm()
-    if r < collision_radius:
-        raise CollisionError(0, collision_radius)
-    f = field.m / (r * r * r) * dt
-    v_new = PlanarVector(v.x - f * p.x, v.y - f * p.y)
-    p_new = PlanarVector(p.x + v_new.x * dt, p.y + v_new.y * dt)
-    return OrbitState(position=p_new, velocity=v_new)
+    config = SimConfig(dt=dt, steps=1, collision_radius=collision_radius)
+    s = integrate(state, field, config).sample(1)
+    return OrbitState(position=s.position, velocity=s.velocity)
 
 
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:

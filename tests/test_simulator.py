@@ -38,6 +38,13 @@ def make_state(r0, v0, alpha_deg):
 
 CANONICAL = make_state(1.0, 1.0, 60.0)
 
+# A launch where a hypot/r*r*r step and the kernel's sqrt(r2)/r2*r step
+# differ in the last bit of vx.
+ROUNDING_SENSITIVE = OrbitState(
+    position=PlanarVector(-0.10255468462619409, 0.28669936474634045),
+    velocity=PlanarVector(-0.3122066137899723, -0.2561309219401078),
+)
+
 
 class TestStep:
     def test_single_step_hand_oracle(self):
@@ -64,12 +71,30 @@ class TestStep:
 
     def test_collision_radius(self):
         close = OrbitState(PlanarVector(1e-12, 0.0), PlanarVector(0.0, 1.0))
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as exc_info:
             step(close, UNIT_FIELD, 1e-3)
+        # same step index integrate(steps=1) reports
+        assert exc_info.value.step == 1
 
-    def test_matches_kernel(self):
-        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=1))
-        out = step(CANONICAL, UNIT_FIELD, 1e-3)
+    @pytest.mark.parametrize(
+        "dt, collision_radius",
+        [(-1e-3, 1e-9), (0.0, 1e-9), (1e-3, math.nan)],
+        ids=["negative-dt", "zero-dt", "nan-radius"],
+    )
+    def test_bad_inputs_rejected(self, dt, collision_radius):
+        with pytest.raises(DomainError):
+            step(CANONICAL, UNIT_FIELD, dt, collision_radius=collision_radius)
+
+    @pytest.mark.parametrize(
+        "state, m, dt",
+        [(CANONICAL, 1.0, 1e-3),
+         (ROUNDING_SENSITIVE, 3.3562627079848544, 0.007187745212957374)],
+        ids=["canonical", "rounding-sensitive"],
+    )
+    def test_matches_kernel(self, state, m, dt):
+        field = CentralField(m)
+        traj = integrate(state, field, SimConfig(dt=dt, steps=1))
+        out = step(state, field, dt)
         assert traj.x[1] == out.position.x
         assert traj.y[1] == out.position.y
         assert traj.vx[1] == out.velocity.x
@@ -121,11 +146,13 @@ class TestIntegrate:
     def test_step_cap(self):
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**9)
+        with pytest.raises(DomainError):
+            SimConfig(dt=1e-3, steps=1, collision_radius=math.nan)
 
 
 class TestBackends:
     def test_backend_reported(self):
-        assert backend() in ("cython", "python")
+        assert backend() == "python"
 
     def test_python_kernel_matches_active_backend(self):
         cfg = SimConfig(dt=1e-3, steps=5000)
