@@ -52,15 +52,40 @@ def _make_state(r0: float, v0: float, alpha0_deg: float) -> determination.OrbitS
     )
 
 
-def _apply_config(args: argparse.Namespace, keys: list[str]) -> None:
+# The type each --config key must have: the argparse type of its flag.
+# A JSON integer is accepted where a float is; a JSON bool never is.
+_CONFIG_TYPES = {
+    "m": float, "r0": float, "v0": float, "alpha0": float, "dt": float,
+    "steps": int, "decimate": int, "out": str,
+}
+
+
+def _config_value(key: str, value, parser: argparse.ArgumentParser):
+    kind = _CONFIG_TYPES[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:  # a JSON integer beyond the double range
+            pass
+    parser.error(f"--config: {key} must be {kind.__name__}, got {value!r}")
+
+
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  keys: list[str]) -> None:
     # --config supplies defaults; explicit flags win.
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        conf = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON
+        parser.error(f"--config: cannot read {args.config}: {exc}")
+    if not isinstance(conf, dict):
+        parser.error("--config: file must hold a JSON object")
     for key in keys:
         if getattr(args, key, None) is None and key in conf:
-            setattr(args, key, conf[key])
+            setattr(args, key, _config_value(key, conf[key], parser))
 
 
 def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, keys: list[str]) -> None:
@@ -70,7 +95,7 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, keys: li
 
 
 def _cmd_classify(args, parser) -> int:
-    _apply_config(args, ["m", "r0", "v0", "alpha0"])
+    _apply_config(args, parser, ["m", "r0", "v0", "alpha0"])
     _require(args, parser, ["m", "r0", "v0", "alpha0"])
     state = _make_state(args.r0, args.v0, args.alpha0)
     solution = determination.solve_orbit(state, determination.CentralField(args.m))
@@ -79,12 +104,11 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    _apply_config(args, ["m", "r0", "v0", "alpha0", "dt", "steps", "decimate", "out"])
+    _apply_config(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "decimate", "out"])
     _require(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "out"])
     state = _make_state(args.r0, args.v0, args.alpha0)
-    config = simulator.SimConfig(
-        dt=args.dt, steps=args.steps, record_every=args.decimate or 1
-    )
+    record_every = 1 if args.decimate is None else args.decimate
+    config = simulator.SimConfig(dt=args.dt, steps=args.steps, record_every=record_every)
     traj = simulator.integrate(state, determination.CentralField(args.m), config)
     with open(args.out, "w") as fh:
         traj.write_csv(fh)

@@ -29,10 +29,21 @@ from .planar import PlanarVector
 #: Hard cap on the number of steps in a single run.
 MAX_STEPS = 10**8
 
+#: Hard cap on the number of recorded samples (steps // record_every + 1);
+#: the kernel preallocates five float64 arrays of this length.
+MAX_SAMPLES = 10**7
+
 #: Default collision radius around the attractor.
 DEFAULT_COLLISION_RADIUS = 1e-9
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
+
+# One row of the CSV: eight values at 17 significant digits.
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+# Rows formatted and written per stream.write call.  Larger blocks save
+# little time and raise peak memory.
+_CSV_BLOCK_ROWS = 512
 
 
 def backend() -> str:
@@ -60,6 +71,12 @@ class SimConfig:
             raise DomainError(f"steps must be in [1, {MAX_STEPS}], got {self.steps}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
+        samples = self.steps // self.record_every + 1
+        if samples > MAX_SAMPLES:
+            raise DomainError(
+                f"{samples} recorded samples exceed the cap of {MAX_SAMPLES}; "
+                f"raise record_every"
+            )
         if not self.collision_radius > 0.0:
             raise DomainError("collision radius must be > 0")
 
@@ -123,15 +140,14 @@ class Trajectory:
 
     def write_csv(self, stream) -> None:
         """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema,
-        17 significant digits per value."""
+        17 significant digits per value, streamed in blocks of rows."""
         stream.write(CSV_HEADER + "\n")
-        r = self.r
-        v = self.speed
-        alpha = self.alpha
-        for i in range(len(self.t)):
-            row = (self.t[i], self.x[i], self.y[i], self.vx[i], self.vy[i],
-                   r[i], v[i], alpha[i])
-            stream.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        columns = (self.t, self.x, self.y, self.vx, self.vy,
+                   self.r, self.speed, self.alpha)
+        for start in range(0, len(self.t), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            rows = zip(*[col[start:stop].tolist() for col in columns])
+            stream.write("".join([_CSV_ROW % row for row in rows]))
 
 
 def step(state: OrbitState, field: CentralField, dt: float,

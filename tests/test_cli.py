@@ -109,6 +109,24 @@ class TestSimulate:
         assert json.loads(out)["max_swept_area_deviation"] is None
         assert len(out_path.read_text().splitlines()) == 22
 
+    def test_decimate_zero_numeric_error(self, capsys, tmp_path):
+        # 0 is not read as "no decimation"; SimConfig rejects it like -3
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run(capsys, self._args(out_path, ["--decimate", "0"]))
+        assert code == cli.EXIT_NUMERIC
+        assert "record_every" in err
+
+    def test_config_supplies_every_key(self, capsys, tmp_path):
+        conf = tmp_path / "run.json"
+        out_path = tmp_path / "traj.csv"
+        conf.write_text(json.dumps({
+            "m": 1, "r0": 1.0, "v0": 1, "alpha0": 60, "dt": 1e-3,
+            "steps": 20, "decimate": 2, "out": str(out_path),
+        }))
+        code, _, _ = run(capsys, ["simulate", "--config", str(conf)])
+        assert code == cli.EXIT_OK
+        assert len(out_path.read_text().splitlines()) == 12
+
     def test_collision_numeric_error(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         # starting inside the collision radius trips the guard immediately
@@ -119,6 +137,46 @@ class TestSimulate:
         ])
         assert code == cli.EXIT_NUMERIC
         assert "error:" in err
+
+
+class TestConfigValidation:
+    BASE = {"m": 1, "r0": 1, "v0": 1, "alpha0": 60, "dt": 1e-3, "steps": 20}
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", 10.5),
+        ("steps", True),
+        ("steps", "20"),
+        ("decimate", 2.0),
+        ("decimate", False),
+        ("m", "1"),
+        ("m", True),
+        ("m", None),
+        ("dt", [1e-3]),
+        ("alpha0", 10**400),
+        ("out", 3),
+    ], ids=["steps-float", "steps-bool", "steps-str", "decimate-float", "decimate-bool",
+            "m-str", "m-bool", "m-null", "dt-list", "alpha0-huge-int", "out-int"])
+    def test_bad_value_usage_error(self, capsys, tmp_path, key, value):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({**self.BASE, "out": str(tmp_path / "t.csv"),
+                                    key: value}))
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["simulate", "--config", str(conf)])
+        assert exc_info.value.code == cli.EXIT_USAGE
+        assert f"--config: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", b"\xff\xfe"],
+                             ids=["missing", "not-json", "not-object", "not-utf8"])
+    def test_bad_file_usage_error(self, capsys, tmp_path, content):
+        conf = tmp_path / "run.json"
+        if isinstance(content, bytes):
+            conf.write_bytes(content)
+        elif content is not None:
+            conf.write_text(content)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["classify", "--config", str(conf)])
+        assert exc_info.value.code == cli.EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
 
 
 class TestKepler3:

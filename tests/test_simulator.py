@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyorbit import (
     CentralField,
@@ -23,7 +25,7 @@ from polyorbit import (
     uniform_accel_displacement_sum,
 )
 from polyorbit import _propagate_py
-from polyorbit.simulator import CSV_HEADER
+from polyorbit.simulator import _CSV_BLOCK_ROWS, CSV_HEADER, MAX_SAMPLES, Trajectory
 
 UNIT_FIELD = CentralField(1.0)
 
@@ -148,6 +150,15 @@ class TestIntegrate:
             SimConfig(dt=1e-3, steps=10**9)
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=1, collision_radius=math.nan)
+
+    def test_sample_cap(self):
+        # only the config is built: integrate would preallocate 5 x 80 MB
+        SimConfig(dt=1e-3, steps=MAX_SAMPLES - 1)
+        with pytest.raises(DomainError, match="record_every"):
+            SimConfig(dt=1e-3, steps=MAX_SAMPLES)
+        with pytest.raises(DomainError):
+            SimConfig(dt=1e-3, steps=10**8)
+        SimConfig(dt=1e-3, steps=10**8, record_every=20)
 
 
 class TestBackends:
@@ -328,3 +339,49 @@ class TestCsvExport:
             traj.write_csv(buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+    # The per-value writer that write_csv replaced, kept as the byte oracle.
+    @staticmethod
+    def reference_csv(traj):
+        buf = io.StringIO()
+        buf.write(CSV_HEADER + "\n")
+        r, v, alpha = traj.r, traj.speed, traj.alpha
+        for i in range(len(traj.t)):
+            row = (traj.t[i], traj.x[i], traj.y[i], traj.vx[i], traj.vy[i],
+                   r[i], v[i], alpha[i])
+            buf.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        return buf.getvalue()
+
+    @staticmethod
+    def written_csv(traj):
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("rows", [
+        _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
+    ])
+    def test_matches_reference_across_blocks(self, rows):
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=rows - 1))
+        assert len(traj) == rows
+        assert self.written_csv(traj) == self.reference_csv(traj)
+
+    def test_matches_reference_decimated(self):
+        traj = integrate(CANONICAL, UNIT_FIELD,
+                         SimConfig(dt=1e-3, steps=3 * _CSV_BLOCK_ROWS, record_every=7))
+        assert self.written_csv(traj) == self.reference_csv(traj)
+
+    EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                   1e308, -1e308, math.inf, -math.inf, math.nan, 1.0, -0.1]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_edge_values(self, data):
+        n = data.draw(st.integers(1, 2 * _CSV_BLOCK_ROWS + 3))
+        value = st.one_of(st.sampled_from(self.EDGE_VALUES), st.floats())
+        cols = [np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+                for _ in range(5)]
+        traj = Trajectory(*cols, field=UNIT_FIELD,
+                          config=SimConfig(dt=1e-3, steps=max(n - 1, 1)))
+        with np.errstate(all="ignore"):  # r, v, alpha of inf/nan columns
+            assert self.written_csv(traj) == self.reference_csv(traj)
