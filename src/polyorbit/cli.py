@@ -31,7 +31,12 @@ EXIT_NUMERIC = 3
 
 
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    # Standard JSON has no NaN or Infinity; a non-finite result is a numeric error.
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from None
+    print(text)
 
 
 def _round_significant(x: float, figures: int) -> float:
@@ -110,7 +115,11 @@ def _cmd_simulate(args, parser) -> int:
     record_every = 1 if args.decimate is None else args.decimate
     config = simulator.SimConfig(dt=args.dt, steps=args.steps, record_every=record_every)
     traj = simulator.integrate(state, determination.CentralField(args.m), config)
-    with open(args.out, "w") as fh:
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        parser.error(f"--out: cannot write {args.out!r}: {exc}")
+    with fh:
         traj.write_csv(fh)
     _print_json(simulator.diagnostics(traj).as_dict())
     return EXIT_OK

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, NoSuchPointError, NotAnEllipseError
 from .planar import PlanarVector
 
@@ -24,6 +26,10 @@ CSC2_TOLERANCE = 1e-9
 #: |tangent_y| below which the tangent is treated as parallel to the directrix
 #: (the right-angle check is not applicable at such points).
 _PARALLEL_EPS = 1e-12
+
+#: Samples evaluated per NumPy pass in geometry_residuals.  Each pass holds a
+#: few dozen float64 arrays of this length, so memory is flat in n.
+_RESIDUAL_BLOCK = 1 << 16
 
 
 class ConicClass(Enum):
@@ -201,24 +207,24 @@ def conic_tangent(shape: ConicShape, theta: float) -> PlanarVector:
     return PlanarVector(dr * c - r * s, dr * s + r * c)
 
 
+def _sample_thetas(shape: ConicShape, n: int, start: int, stop: int) -> np.ndarray:
+    """Polar angles of samples start..stop-1 of n on the real branch."""
+    f_lim = _branch_anomaly_limit(shape)
+    i = np.arange(start, stop, dtype=np.float64)
+    if shape.eccentricity < 1.0:
+        # full closed curve, endpoint excluded; starts at periapsis (f = 0)
+        return -0.5 * math.pi + 2.0 * f_lim * i / n
+    return -0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1)
+
+
 def sample_points(shape: ConicShape, n: int) -> list[tuple[float, PlanarVector]]:
     """n points (theta, position) on the conic, restricted to the real branch."""
     if n < 3:
         raise DomainError(f"need at least 3 sample points, got {n}")
     if shape.eccentricity == 0.0:
         raise DomainError("sampling requires e > 0")
-    f_lim = _branch_anomaly_limit(shape)
-    out = []
-    if shape.eccentricity < 1.0:
-        # full closed curve, endpoint excluded; starts at periapsis (f = 0)
-        thetas = [-0.5 * math.pi + 2.0 * f_lim * i / n for i in range(n)]
-    else:
-        thetas = [
-            -0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1) for i in range(n)
-        ]
-    for theta in thetas:
-        out.append((theta, conic_point(shape, theta)))
-    return out
+    return [(theta, conic_point(shape, theta))
+            for theta in _sample_thetas(shape, n, 0, n).tolist()]
 
 
 @dataclass(frozen=True)
@@ -254,9 +260,102 @@ class ResidualReport:
         }
 
 
+def _require_finite(what: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"{what} at theta={theta[i]:g} is not finite: ({float(x[i])}, {float(y[i])})"
+        )
+
+
+def _require_nonzero(what: str, theta: np.ndarray, norm: np.ndarray) -> None:
+    if not norm.all():
+        i = int(np.argmin(norm))
+        raise DomainError(f"cannot normalize the zero {what} at theta={theta[i]:g}")
+
+
+def _block_max(what: str, residual: np.ndarray) -> float:
+    # np.max propagates NaN, where Python's max(0.0, nan) would drop it.
+    worst = float(np.max(residual, initial=0.0))
+    if math.isnan(worst):
+        raise DomainError(f"{what} residual is not a number")
+    return worst
+
+
+def _block_residuals(shape: ConicShape, theta: np.ndarray, focus2_y: float | None,
+                     focal_constant: float | None) -> tuple[float, float, float, int]:
+    """(focal, reflection, right-angle) maxima and the skipped count over the
+    samples at angles theta; the arithmetic of conic_point, conic_tangent and
+    PlanarVector, elementwise.
+    """
+    e, ell = shape.eccentricity, shape.semi_latus_rectum
+    aO = shape.focal_directrix_distance
+    s, c = np.sin(theta), np.cos(theta)
+    denom = 1.0 - e * s
+    if not (denom > 0.0).all():
+        i = int(np.argmin(denom > 0.0))
+        raise NoSuchPointError(
+            f"no point at theta={theta[i]:g}: 1 - e*sin(theta) = {denom[i]:g} <= 0 "
+            "(beyond the asymptote / open side of the branch)"
+        )
+    r = ell / denom
+    px, py = r * c, r * s
+    _require_finite("conic point", theta, px, py)
+    dr = e * c * r * r / ell
+    tx, ty = dr * c - r * s, dr * s + r * c
+    _require_finite("tangent", theta, tx, ty)
+    t_norm = np.hypot(tx, ty)
+    _require_nonzero("tangent", theta, t_norm)
+    tux, tuy = tx / t_norm, ty / t_norm
+    p_norm = np.hypot(px, py)
+    _require_nonzero("conic point", theta, p_norm)
+    pux, puy = px / p_norm, py / p_norm
+
+    kind = shape.conic_class
+    if kind is ConicClass.PARABOLA:
+        focal = np.abs(p_norm - (py + aO))
+        ray_x, ray_y = 0.0, 1.0  # incoming beam parallel to axis
+    else:
+        dx, dy = 0.0 - px, focus2_y - py
+        _require_finite("second-focus ray", theta, dx, dy)
+        d_norm = np.hypot(dx, dy)
+        _require_nonzero("second-focus ray", theta, d_norm)
+        if kind is ConicClass.ELLIPSE:
+            focal = np.abs(p_norm + d_norm - focal_constant)
+        else:
+            focal = np.abs(np.abs(d_norm - p_norm) - focal_constant)
+        ray_x, ray_y = dx / d_norm, dy / d_norm
+
+    # Reflection: the two rays make equal (unsigned) angles with the tangent.
+    sin1 = np.abs(tux * puy - tuy * pux)
+    sin2 = np.abs(tux * ray_y - tuy * ray_x)
+    reflection = np.abs(sin1 - sin2)
+
+    # Tangent meets the directrix at l; angle p-focus-l is right.  Samples
+    # whose tangent is parallel to the directrix (apsis line) are skipped.
+    keep = np.abs(tuy) >= _PARALLEL_EPS
+    skipped = len(theta) - int(np.count_nonzero(keep))
+    theta_k, px_k, py_k = theta[keep], px[keep], py[keep]
+    tux_k, tuy_k, pux_k, puy_k = tux[keep], tuy[keep], pux[keep], puy[keep]
+    lx = px_k + (-aO - py_k) / tuy_k * tux_k
+    ly = np.full_like(lx, -aO)
+    _require_finite("tangent-directrix intersection", theta_k, lx, ly)
+    l_norm = np.hypot(lx, ly)
+    _require_nonzero("tangent-directrix intersection", theta_k, l_norm)
+    right = np.abs(pux_k * (lx / l_norm) + puy_k * (ly / l_norm))
+
+    return (_block_max("focal", focal), _block_max("reflection", reflection),
+            _block_max("right-angle", right), skipped)
+
+
 def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     """Check the focal, reflection, and tangent-directrix right-angle
     properties at n sampled points; return the maximum residuals.
+
+    The samples are evaluated as NumPy arrays, _RESIDUAL_BLOCK at a time.
+    Any non-finite point, tangent, ray or intersection, a zero norm, or a
+    NaN residual raises DomainError.
     """
     if n < 10:
         raise DomainError(f"need at least 10 samples, got {n}")
@@ -264,54 +363,38 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     if e == 0.0:
         raise DomainError("residual checks require e > 0")
     ell = shape.semi_latus_rectum
-    aO = shape.focal_directrix_distance
     kind = shape.conic_class
 
-    # Second focus and the constant of the focal property, reconstructed
-    # from (e, ell) in the focus-centered frame (directrix at y = -aO,
-    # periapsis toward -y).
+    # Second focus (on the y axis) and the constant of the focal property,
+    # reconstructed from (e, ell) in the focus-centered frame (directrix at
+    # y = -aO, periapsis toward -y).
     if kind is ConicClass.ELLIPSE:
         semi_major = ell / (1.0 - e * e)
-        focus2 = PlanarVector(0.0, 2.0 * e * semi_major)
+        focus2_y = 2.0 * e * semi_major
         focal_constant = 2.0 * semi_major
     elif kind is ConicClass.HYPERBOLA:
         semi_major = ell / (e * e - 1.0)
-        focus2 = PlanarVector(0.0, -2.0 * e * semi_major)
+        focus2_y = -2.0 * e * semi_major
         focal_constant = 2.0 * semi_major
     else:
-        focus2 = None
+        focus2_y = None
         focal_constant = None
+    if focus2_y is not None and not math.isfinite(focus2_y):
+        raise DomainError(f"second focus is not finite: (0.0, {focus2_y})")
 
     focal_res = 0.0
     refl_res = 0.0
     right_res = 0.0
     skipped = 0
-    for theta, p in sample_points(shape, n):
-        r = p.norm()
-        t_hat = conic_tangent(shape, theta).unit()
-
-        if kind is ConicClass.PARABOLA:
-            focal_res = max(focal_res, abs(r - (p.y + aO)))
-            other_ray = PlanarVector(0.0, 1.0)  # incoming beam parallel to axis
-        elif kind is ConicClass.ELLIPSE:
-            focal_res = max(focal_res, abs(r + (focus2 - p).norm() - focal_constant))
-            other_ray = (focus2 - p).unit()
-        else:
-            focal_res = max(focal_res, abs(abs((focus2 - p).norm() - r) - focal_constant))
-            other_ray = (focus2 - p).unit()
-
-        # Reflection: the two rays make equal (unsigned) angles with the tangent.
-        sin1 = abs(t_hat.cross(p.unit()))
-        sin2 = abs(t_hat.cross(other_ray))
-        refl_res = max(refl_res, abs(sin1 - sin2))
-
-        # Tangent meets the directrix at l; angle p-focus-l is right.
-        if abs(t_hat.y) < _PARALLEL_EPS:
-            skipped += 1  # tangent parallel to directrix (apsis line)
-            continue
-        s = (-aO - p.y) / t_hat.y
-        intersection = PlanarVector(p.x + s * t_hat.x, -aO)
-        right_res = max(right_res, abs(p.unit().dot(intersection.unit())))
+    with np.errstate(all="ignore"):  # non-finite values are tested explicitly
+        for start in range(0, n, _RESIDUAL_BLOCK):
+            theta = _sample_thetas(shape, n, start, min(start + _RESIDUAL_BLOCK, n))
+            focal, refl, right, skip = _block_residuals(shape, theta, focus2_y,
+                                                        focal_constant)
+            focal_res = max(focal_res, focal)
+            refl_res = max(refl_res, refl)
+            right_res = max(right_res, right)
+            skipped += skip
 
     return ResidualReport(
         conic_class=kind,

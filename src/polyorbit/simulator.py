@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _propagate_py as _kernel
 from .determination import CentralField, OrbitState
-from .errors import CollisionError, DomainError
+from .errors import CollisionError, DegenerateOrbitError, DomainError
 from .planar import PlanarVector
 
 #: Hard cap on the number of steps in a single run.
@@ -261,6 +261,10 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
 
     q = h * h
     q0 = q[0]
+    if not q0 > 0.0:
+        raise DegenerateOrbitError(
+            f"radial trajectory (Q = {q0:g}): the drift and swept-area checks divide by Q"
+        )
     q_drift = float(np.max(np.abs(q - q0)) / q0)
 
     c = v2 - 2.0 * m / r

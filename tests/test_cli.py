@@ -71,6 +71,15 @@ class TestClassify:
         assert code == cli.EXIT_NUMERIC
         assert "error:" in err
 
+    def test_non_finite_result_numeric_error(self, capsys):
+        # the period overflows to inf, which standard JSON cannot hold
+        code, out, err = run(capsys, [
+            "classify", "--m", "1e150", "--r0", "1e300", "--v0", "1e-300", "--alpha0", "60",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert "not finite" in err
+
     def test_degenerate_orbit_numeric_error(self, capsys):
         # alpha0 = 0 / 180 would be radial motion with Q = 0
         code, _, err = run(capsys, [
@@ -126,6 +135,14 @@ class TestSimulate:
         code, _, _ = run(capsys, ["simulate", "--config", str(conf)])
         assert code == cli.EXIT_OK
         assert len(out_path.read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("out", ["missing-dir/x.csv", ""], ids=["missing-dir", "empty"])
+    def test_unwritable_out_usage_error(self, capsys, tmp_path, out):
+        out_path = tmp_path / out if out else out
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(self._args(out_path))
+        assert exc_info.value.code == cli.EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
 
     def test_collision_numeric_error(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
@@ -257,6 +274,13 @@ class TestGeometryCheck:
             "--samples", "100", "--tol", "0",
         ])
         assert code == cli.EXIT_CHECK_FAILED
+
+    def test_non_finite_geometry_numeric_error(self, capsys):
+        code, out, _ = run(capsys, [
+            "geometry-check", "--e", "0.5", "--ell", "1e300", "--samples", "100",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert "NaN" not in out and "Infinity" not in out
 
     def test_bad_shape_numeric_error(self, capsys):
         code, _, err = run(capsys, [

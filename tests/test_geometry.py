@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from polyorbit import (
     EllipseAxes,
     NoSuchPointError,
     NotAnEllipseError,
+    PlanarVector,
+    ResidualReport,
     axes_from_focal,
     classify_eccentricity,
     csc2_alpha,
@@ -22,10 +25,24 @@ from polyorbit import (
     radius_at_angle,
     sample_points,
 )
-from polyorbit.geometry import conic_point, conic_tangent
+from polyorbit import geometry
+from polyorbit.geometry import (
+    _PARALLEL_EPS,
+    _RESIDUAL_BLOCK,
+    _branch_anomaly_limit,
+    conic_point,
+    conic_tangent,
+)
 
 
 CANONICAL = ConicShape(eccentricity=0.5, semi_latus_rectum=0.75)  # aO = 1.5
+
+
+def scalar_thetas(shape, n):
+    f_lim = _branch_anomaly_limit(shape)
+    if shape.eccentricity < 1.0:
+        return [-0.5 * math.pi + 2.0 * f_lim * i / n for i in range(n)]
+    return [-0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1) for i in range(n)]
 
 
 class TestClassify:
@@ -188,6 +205,12 @@ class TestSamplePoints:
         with pytest.raises(DomainError):
             sample_points(CANONICAL, 2)
 
+    @pytest.mark.parametrize("e", [0.5, 1.0, 2.0])
+    def test_thetas_match_scalar_expression(self, e):
+        shape = ConicShape(e, 1.0)
+        thetas = [theta for theta, _ in sample_points(shape, 1000)]
+        assert thetas == scalar_thetas(shape, 1000)
+
 
 class TestPolarFormConsistency:
     @pytest.mark.parametrize("e,ell", [(0.3, 0.5), (0.5, 0.75), (1.0, 1.0), (2.0, 1.0)])
@@ -200,6 +223,87 @@ class TestPolarFormConsistency:
             assert csc2_alpha(shape, p.norm()) == pytest.approx(
                 1.0 / sin_a**2, abs=1e-9, rel=1e-9
             )
+
+
+# The per-sample loop that geometry_residuals replaced, kept as the oracle.
+def reference_residuals(shape, n):
+    if n < 10:
+        raise DomainError(f"need at least 10 samples, got {n}")
+    e = shape.eccentricity
+    if e == 0.0:
+        raise DomainError("residual checks require e > 0")
+    ell = shape.semi_latus_rectum
+    aO = shape.focal_directrix_distance
+    kind = shape.conic_class
+
+    if kind is ConicClass.ELLIPSE:
+        semi_major = ell / (1.0 - e * e)
+        focus2 = PlanarVector(0.0, 2.0 * e * semi_major)
+        focal_constant = 2.0 * semi_major
+    elif kind is ConicClass.HYPERBOLA:
+        semi_major = ell / (e * e - 1.0)
+        focus2 = PlanarVector(0.0, -2.0 * e * semi_major)
+        focal_constant = 2.0 * semi_major
+    else:
+        focus2 = None
+        focal_constant = None
+
+    focal_res = 0.0
+    refl_res = 0.0
+    right_res = 0.0
+    skipped = 0
+    points = [(theta, conic_point(shape, theta)) for theta in scalar_thetas(shape, n)]
+    for theta, p in points:
+        r = p.norm()
+        t_hat = conic_tangent(shape, theta).unit()
+
+        if kind is ConicClass.PARABOLA:
+            focal_res = max(focal_res, abs(r - (p.y + aO)))
+            other_ray = PlanarVector(0.0, 1.0)
+        elif kind is ConicClass.ELLIPSE:
+            focal_res = max(focal_res, abs(r + (focus2 - p).norm() - focal_constant))
+            other_ray = (focus2 - p).unit()
+        else:
+            focal_res = max(focal_res, abs(abs((focus2 - p).norm() - r) - focal_constant))
+            other_ray = (focus2 - p).unit()
+
+        sin1 = abs(t_hat.cross(p.unit()))
+        sin2 = abs(t_hat.cross(other_ray))
+        refl_res = max(refl_res, abs(sin1 - sin2))
+
+        if abs(t_hat.y) < _PARALLEL_EPS:
+            skipped += 1
+            continue
+        s = (-aO - p.y) / t_hat.y
+        intersection = PlanarVector(p.x + s * t_hat.x, -aO)
+        right_res = max(right_res, abs(p.unit().dot(intersection.unit())))
+
+    return ResidualReport(
+        conic_class=kind,
+        n_samples=n,
+        focal_residual=focal_res,
+        reflection_residual=refl_res,
+        right_angle_residual=right_res,
+        right_angle_skipped=skipped,
+    )
+
+
+def assert_matches_reference(shape, n):
+    # np.hypot and math.hypot may differ in the last bit.
+    tol = 1e-14 * max(1.0, shape.semi_latus_rectum)
+    try:
+        expected = reference_residuals(shape, n)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as exc_info:
+            geometry_residuals(shape, n)
+        assert type(exc_info.value) is type(exc)
+        return
+    got = geometry_residuals(shape, n)
+    assert got.conic_class is expected.conic_class
+    assert got.n_samples == expected.n_samples
+    assert got.right_angle_skipped == expected.right_angle_skipped
+    for field in ("focal_residual", "reflection_residual", "right_angle_residual"):
+        assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=0, abs=tol)
 
 
 class TestGeometryResiduals:
@@ -222,6 +326,38 @@ class TestGeometryResiduals:
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):
             geometry_residuals(CANONICAL, 5)
+
+    @pytest.mark.parametrize("e", [0.5, 1.0, 2.0], ids=["ellipse", "parabola", "hyperbola"])
+    @pytest.mark.parametrize("n", [
+        _RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK, _RESIDUAL_BLOCK + 1, 2 * _RESIDUAL_BLOCK + 1,
+    ])
+    def test_matches_reference_across_blocks(self, e, n):
+        assert_matches_reference(ConicShape(e, 0.75), n)
+
+    def test_blocks_cover_every_sample_once(self, monkeypatch):
+        seen = []
+        block_residuals = geometry._block_residuals
+
+        def spy(shape, theta, *args):
+            seen.append(theta.copy())
+            return block_residuals(shape, theta, *args)
+
+        monkeypatch.setattr(geometry, "_block_residuals", spy)
+        n = 2 * _RESIDUAL_BLOCK + 1
+        geometry_residuals(CANONICAL, n)
+        assert [len(theta) for theta in seen] == [_RESIDUAL_BLOCK, _RESIDUAL_BLOCK, 1]
+        assert np.concatenate(seen).tolist() == scalar_thetas(CANONICAL, n)
+
+    @pytest.mark.parametrize("e", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("ell", [1e-300, 1.0, 1e300])
+    def test_matches_reference_on_extreme_scales(self, e, ell):
+        assert_matches_reference(ConicShape(e, ell), 100)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_e=st.floats(-12.0, 12.0), log_ell=st.floats(-300.0, 300.0),
+           n=st.integers(10, 200))
+    def test_matches_reference_on_wide_shapes(self, log_e, log_ell, n):
+        assert_matches_reference(ConicShape(10.0**log_e, 10.0**log_ell), n)
 
 
 class TestConicShape:
