@@ -134,18 +134,25 @@ def _cmd_kepler3(args, parser) -> int:
         parser.error("--count must be at least 2")
     x_values = [0.5 * (16.0 / 0.5) ** (i / (count - 1)) for i in range(count)]
 
-    rows = []
-    ok = True
-    print("X,T_formula,T_simulated")
+    # Every orbit is set up, and its formula period checked, before the
+    # first one is integrated.
+    orbits = []
     for x in x_values:
-        c = -field.m / x
-        t_formula = 2.0 * math.pi * field.m / (-c) ** 1.5
+        # The e = 0.5 ellipse of semi-major axis x: C = -m/x, ell = 0.75 x.
+        pair = determination.ConservedPair(C=-field.m / x, Q=0.75 * x * field.m)
+        t_formula = determination.period(pair, field)
         r0 = 1.5 * x                      # apoapsis of the e = 0.5 ellipse
-        v0 = math.sqrt(c + 2.0 * field.m / r0)
+        v0 = math.sqrt(pair.C + 2.0 * field.m / r0)
         state = _make_state(r0, v0, 90.0)
         dt = 1e-5 * t_formula
         steps = int(math.ceil(1.7 * t_formula / dt))
-        traj = simulator.integrate(state, field, simulator.SimConfig(dt=dt, steps=steps))
+        orbits.append((x, t_formula, state, simulator.SimConfig(dt=dt, steps=steps)))
+
+    rows = []
+    ok = True
+    print("X,T_formula,T_simulated")
+    for x, t_formula, state, config in orbits:
+        traj = simulator.integrate(state, field, config)
         t_sim = simulator.diagnostics(traj).observed_period
         if t_sim is None:
             ok = False
@@ -167,6 +174,11 @@ def _cmd_shell_check(args, parser) -> int:
     spec = shell.ShellSpec(radius=args.a, total_mass=args.mass, g=args.g)
     computed = shell.shell_accel(spec, args.d, shell.RingDecomposition(args.rings))
     exact = shell.point_mass_accel(args.g * args.mass, args.d)
+    if not 0.0 < exact < math.inf:
+        raise DomainError(
+            f"the point-mass value gM/d^2 = {exact:g} is outside the double range, "
+            "so the relative error is undefined"
+        )
     rel_error = abs(computed - exact) / exact
     near_surface = args.d < 1.5 * args.a  # integrand peaks; tolerance not guaranteed
     out = {

@@ -107,6 +107,14 @@ def classify_orbit(pair: ConservedPair, field: CentralField) -> ConicClass:
     """Conic type from the conserved pair: sign of C, with QC + m^2 = 0 a circle."""
     m2 = field.m * field.m
     disc = pair.Q * pair.C + m2
+    # m^2 rounded to inf would pass every orbit as a circle; rounded to 0 it
+    # leaves QC alone, which still decides a hyperbola (QC > 0) but not an
+    # ellipse or a circle.
+    if not (math.isfinite(disc) and m2 < math.inf and (m2 > 0.0 or disc > 0.0)):
+        raise DomainError(
+            f"m^2 = {m2:g}, QC + m^2 = {disc:g}: m, C and Q are outside the "
+            "range where the conic type can be told in double precision"
+        )
     tau = CIRCLE_TOLERANCE * m2
     if disc < -tau:
         raise DomainError(
@@ -147,7 +155,16 @@ def period(pair: ConservedPair, field: CentralField) -> float:
     """Orbital period T = 2*pi*m / (-C)^(3/2) for bound orbits."""
     if pair.C >= 0.0:
         raise UnboundedOrbitError(f"period requires C < 0, got C={pair.C:g}")
-    return 2.0 * math.pi * field.m / (-pair.C) ** 1.5
+    try:
+        t = 2.0 * math.pi * field.m / (-pair.C) ** 1.5
+    except (OverflowError, ZeroDivisionError):  # (-C)^1.5 overflows or underflows to 0
+        t = math.nan
+    if not 0.0 < t < math.inf:
+        raise DomainError(
+            f"the period 2 pi m / (-C)^1.5 for m = {field.m:g}, C = {pair.C:g} "
+            "is not finite and > 0 in double precision"
+        )
+    return t
 
 
 def csc2_predicted(pair: ConservedPair, field: CentralField, r: float) -> float:
@@ -250,6 +267,11 @@ def solve_orbit(state: OrbitState, field: CentralField) -> OrbitSolution:
     """Classify the orbit and fill in every closed-form element."""
     pair = conserved_from_state(state, field)
     if pair.Q == 0.0:
+        if state.position.unit().cross(state.velocity.unit()) != 0.0:
+            raise DomainError(
+                f"Q = r^2 v^2 sin^2(alpha) underflows to 0 (r = {state.r:g}, "
+                f"v = {state.speed:g}); the launch is not radial"
+            )
         raise DegenerateOrbitError(
             "radial launch (alpha = 0 or 180 deg): motion is rectilinear, not a conic"
         )

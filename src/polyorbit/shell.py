@@ -29,6 +29,8 @@ class ShellSpec:
                           ("g", self.g)):
             if not math.isfinite(val) or val <= 0.0:
                 raise DomainError(f"{name} must be finite and > 0, got {val}")
+        if self.radius * self.radius == 0.0:  # surface_density divides by it
+            raise DomainError(f"radius^2 underflows to 0 for radius = {self.radius:g}")
 
     @property
     def surface_density(self) -> float:
@@ -72,12 +74,21 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     dtheta = math.pi / n
     theta = (np.arange(n) + 0.5) * dtheta
     width = a * dtheta
-    areas = 2.0 * math.pi * (a * np.sin(theta)) * width
-    cos_t = np.cos(theta)
-    s2 = d * d + a * a - 2.0 * a * d * cos_t
-    s = np.sqrt(s2)
-    axial = (d - a * cos_t) / s
-    return float(np.sum(shell.g * shell.surface_density * areas / s2 * axial))
+    # At extreme scales s2 or the products overflow or underflow; the sum is
+    # then inf or nan, which is rejected below.
+    with np.errstate(all="ignore"):
+        areas = 2.0 * math.pi * (a * np.sin(theta)) * width
+        cos_t = np.cos(theta)
+        s2 = d * d + a * a - 2.0 * a * d * cos_t
+        s = np.sqrt(s2)
+        axial = (d - a * cos_t) / s
+        total = float(np.sum(shell.g * shell.surface_density * areas / s2 * axial))
+    if not math.isfinite(total):
+        raise DomainError(
+            f"the ring sum is not finite for a = {a:g}, d = {d:g}: "
+            "the scales are outside the double range"
+        )
+    return total
 
 
 def sphere_accel(radius: float, total_mass: float, g: float, d: float,
@@ -105,4 +116,7 @@ def point_mass_accel(gm: float, d: float) -> float:
     """Inverse-square point-mass attraction gM / d^2."""
     if d <= 0.0:
         raise DomainError(f"distance must be > 0, got {d}")
-    return gm / (d * d)
+    d2 = d * d
+    if d2 == 0.0:
+        raise DomainError(f"d^2 underflows to 0 for d = {d:g}")
+    return gm / d2

@@ -226,11 +226,12 @@ def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, floa
     return float(t_star), float(r_star)
 
 
-def _apsis_events(traj: Trajectory) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+def _apsis_events(traj: Trajectory,
+                  r: np.ndarray) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     # Sign changes of the radial speed; returns (periapsis, apoapsis) event
-    # lists of refined (t, r) pairs.
-    r = traj.r
-    u = traj.radial_speed
+    # lists of refined (t, r) pairs.  r is traj.r, which the caller already
+    # holds; u is traj.radial_speed without a second hypot.
+    u = (traj.x * traj.vx + traj.y * traj.vy) / r
     n = len(r)
     peri: list[tuple[float, float]] = []
     apo: list[tuple[float, float]] = []
@@ -282,7 +283,7 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
         areas = swept_areas(traj)
         area_dev = float(np.max(np.abs(areas - areas[0])) / areas[0])
 
-    peri, apo = _apsis_events(traj)
+    peri, apo = _apsis_events(traj, r)
     observed_periapsis = min(rr for _, rr in peri) if peri else None
     observed_apoapsis = max(rr for _, rr in apo) if apo else None
     observed_period = None

@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyorbit import cli
 
@@ -79,6 +83,30 @@ class TestClassify:
         assert code == cli.EXIT_NUMERIC
         assert out == ""
         assert "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        # m^2 is inf, and (-C)^1.5 would overflow
+        ["--m", "1e300", "--r0", "1", "--v0", "1", "--alpha0", "60"],
+        # (-C)^1.5 underflows to 0
+        ["--m", "1e-300", "--r0", "1e-5", "--v0", "1e-150", "--alpha0", "1"],
+        # m^2 and QC underflow to 0: a "circle" with C = 0, then -m/C
+        ["--m", "1e-300", "--r0", "1e150", "--v0", "1e-300", "--alpha0", "1"],
+        # m^2 underflows: a "circle" with C > 0, then sqrt(Q / -C)
+        ["--m", "1e-300", "--r0", "1e5", "--v0", "1e-150", "--alpha0", "1"],
+    ], ids=["period-overflow", "period-underflow", "zero-c-circle", "negative-sqrt"])
+    def test_extreme_magnitudes_numeric_error(self, capsys, argv):
+        code, out, err = run(capsys, ["classify", *argv])
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_underflowing_q_is_not_called_radial(self, capsys):
+        code, _, err = run(capsys, [
+            "classify", "--m", "1e308", "--r0", "1e-308", "--v0", "1", "--alpha0", "60",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert "underflows" in err
+        assert "radial launch" not in err
 
     def test_degenerate_orbit_numeric_error(self, capsys):
         # alpha0 = 0 / 180 would be radial motion with Q = 0
@@ -212,6 +240,22 @@ class TestKepler3:
             cli.main(["kepler3", "--m", "1", "--count", "1"])
         assert exc_info.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("m, expected", [
+        ("1e300", cli.EXIT_NUMERIC),    # (-C)^1.5 overflows
+        ("1.7e308", cli.EXIT_NUMERIC),  # C = -m/X overflows
+        ("1e-300", cli.EXIT_NUMERIC),   # (-C)^1.5 underflows to 0
+        ("5e-324", cli.EXIT_NUMERIC),
+        ("0", cli.EXIT_NUMERIC),
+        ("1e200", cli.EXIT_OK),
+        ("1e-150", cli.EXIT_OK),
+    ])
+    def test_extreme_field_strength(self, capsys, m, expected):
+        code, out, err = run(capsys, ["kepler3", "--m", m, "--count", "2"])
+        assert code == expected
+        if expected == cli.EXIT_NUMERIC:
+            assert out == ""  # rejected before the first orbit is integrated
+            assert err.startswith("error:")
+
 
 class TestShellCheck:
     def test_passes_far_field(self, capsys):
@@ -238,6 +282,22 @@ class TestShellCheck:
         ])
         assert code == cli.EXIT_OK
         assert json.loads(out)["near_surface"] is True
+
+    @pytest.mark.parametrize("extra", [
+        ["--a", "1", "--d", "1e300"],        # gM/d^2 underflows to 0
+        ["--a", "1e-200", "--d", "1e-170"],  # a^2 underflows to 0
+        ["--a", "1e199", "--d", "1e200"],    # 2ad overflows
+        ["--a", "1e-161", "--d", "1e-160"],  # s^2 underflows to 0
+        ["--a", "1", "--d", "2", "--g", "1e308", "--mass", "10"],  # the sum overflows
+    ], ids=["point-mass-underflow", "radius-underflow", "ring-overflow",
+            "ring-underflow", "sum-overflow"])
+    def test_extreme_scales_numeric_error(self, capsys, extra):
+        argv = {"--a": "1", "--mass": "1", "--g": "1", "--rings": "100"}
+        argv.update(zip(extra[::2], extra[1::2]))
+        code, out, err = run(capsys, ["shell-check", *sum(argv.items(), ())])
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_inside_numeric_error(self, capsys):
         code, _, err = run(capsys, [
@@ -299,3 +359,53 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["frobnicate"])
         assert exc_info.value.code == cli.EXIT_USAGE
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+# Flag values: any float as Python prints it, powers of ten across and past
+# the double range, and text argparse may reject.
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-400, 400).map(lambda k: f"1e{k}"),
+    st.sampled_from(["0", "-0", "-1", "5e-324", "1.7e308", "nan", "inf", "-inf", "x", ""]),
+)
+
+
+def _flags(names, values):
+    # Each flag is present with a drawn value, or missing.
+    return st.tuples(*[st.one_of(st.none(), values) for _ in names]).map(
+        lambda drawn: [a for name, v in zip(names, drawn) if v is not None
+                       for a in (f"--{name}", v)])
+
+
+class TestFuzz:
+    """Any argv exits with a documented code, no traceback and strict JSON."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE, cli.EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()
+        if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flags(["m", "r0", "v0", "alpha0"], NUMBER))
+    def test_classify(self, flags):
+        self.check(["classify", *flags])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_flags(["a", "mass", "g", "d", "tol"], NUMBER),
+           st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x", ""])))
+    def test_shell_check(self, flags, rings):
+        self.check(["shell-check", *flags, "--rings", rings])

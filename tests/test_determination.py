@@ -200,6 +200,16 @@ class TestPeriod:
         with pytest.raises(UnboundedOrbitError):
             period(ConservedPair(0.0, 2.0), UNIT_FIELD)
 
+    @pytest.mark.parametrize("c, m", [
+        (-1e300, 1.0),     # (-C)^1.5 raises OverflowError
+        (-1e-300, 1.0),    # (-C)^1.5 underflows to 0
+        (-1e-200, 1e150),  # T overflows to inf
+        (-1e200, 1e-100),  # T underflows to 0
+    ], ids=["power-overflow", "power-underflow", "period-overflow", "period-underflow"])
+    def test_outside_double_range_rejected(self, c, m):
+        with pytest.raises(DomainError, match="period"):
+            period(ConservedPair(c, 1.0), CentralField(m))
+
     def test_kepler3_constant(self):
         # T^2 / X^3 = 4 pi^2 / m across orbits of one field
         m = 2.7

@@ -129,7 +129,11 @@ class TestSpecValidation:
             ShellSpec(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             ShellSpec(1.0, -1.0, 1.0)
+        with pytest.raises(DomainError):  # radius^2 underflows to 0
+            ShellSpec(1e-200, 1.0, 1.0)
 
     def test_point_mass_accel_domain(self):
         with pytest.raises(DomainError):
             point_mass_accel(1.0, 0.0)
+        with pytest.raises(DomainError):  # d^2 underflows to 0
+            point_mass_accel(1.0, 1e-200)

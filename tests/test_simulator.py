@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polyorbit import (
     uniform_accel_displacement_sum,
 )
 from polyorbit import _propagate_py
+from polyorbit._propagate_py import _RECORD_BLOCK
 from polyorbit.simulator import _CSV_BLOCK_ROWS, CSV_HEADER, MAX_SAMPLES, Trajectory
 
 UNIT_FIELD = CentralField(1.0)
@@ -127,10 +129,15 @@ class TestIntegrate:
         assert np.all(np.diff(r[k:]) > 0.0)
 
     def test_sample_times_accumulate(self):
-        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=0.5, steps=10))
-        assert np.all(np.diff(traj.t) > 0.0)
-        assert traj.t[0] == 0.0
-        assert traj.t[-1] == pytest.approx(5.0, rel=1e-14)
+        # 0.1 is inexact in binary, so the running sum drifts from k * dt
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=0.1, steps=30))
+        t = 0.0
+        running = [t]
+        for _ in range(30):
+            t = t + 0.1
+            running.append(t)
+        assert traj.t.tolist() == running
+        assert running[-1] != 30 * 0.1
 
     def test_decimation(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=100, record_every=10))
@@ -165,20 +172,120 @@ class TestBackends:
     def test_backend_reported(self):
         assert backend() == "python"
 
-    def test_python_kernel_matches_active_backend(self):
-        cfg = SimConfig(dt=1e-3, steps=5000)
-        traj = integrate(CANONICAL, UNIT_FIELD, cfg)
-        t, x, y, vx, vy, collided = _propagate_py.propagate_kernel(
-            CANONICAL.position.x, CANONICAL.position.y,
-            CANONICAL.velocity.x, CANONICAL.velocity.y,
-            1.0, cfg.dt, cfg.steps, 1, cfg.collision_radius,
-        )
-        assert collided == -1
-        # the two kernels are operation-identical; results match bitwise
-        assert np.array_equal(traj.x, x)
-        assert np.array_equal(traj.y, y)
-        assert np.array_equal(traj.vx, vx)
-        assert np.array_equal(traj.vy, vy)
+
+
+# The kernel before it buffered its records: one ndarray store per value and
+# t summed in the loop.  Kept verbatim as the bitwise oracle.
+def reference_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
+    n_rec = steps // record_every + 1
+    t_arr = np.empty(n_rec)
+    x_arr = np.empty(n_rec)
+    y_arr = np.empty(n_rec)
+    vx_arr = np.empty(n_rec)
+    vy_arr = np.empty(n_rec)
+
+    t = 0.0
+    idx = 1
+    t_arr[0] = 0.0
+    x_arr[0] = x
+    y_arr[0] = y
+    vx_arr[0] = vx
+    vy_arr[0] = vy
+
+    for k in range(1, steps + 1):
+        r2 = x * x + y * y
+        r = math.sqrt(r2)
+        if r < collision_radius:
+            return (t_arr[:idx], x_arr[:idx], y_arr[:idx],
+                    vx_arr[:idx], vy_arr[:idx], k)
+        f = m / (r2 * r) * dt
+        vx = vx - f * x
+        vy = vy - f * y
+        x = x + vx * dt
+        y = y + vy * dt
+        t = t + dt
+        if k % record_every == 0:
+            t_arr[idx] = t
+            x_arr[idx] = x
+            y_arr[idx] = y
+            vx_arr[idx] = vx
+            vy_arr[idx] = vy
+            idx += 1
+
+    return (t_arr[:idx], x_arr[:idx], y_arr[:idx], vx_arr[:idx], vy_arr[:idx], -1)
+
+
+def assert_same_bits(got, want):
+    assert got[5] == want[5]
+    for a, b in zip(got[:5], want[:5]):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+# Step counts around the buffer size, where a flush lands on the last step,
+# the step before it or the step after it.
+BLOCK_STEPS = [1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
+               2 * _RECORD_BLOCK + 1]
+
+# A near-radial fall: r decreases on every step up to about step 20 000, so
+# a radius just above r after step K - 1 makes the collision land on step K.
+INFALL = (1.0, 0.0, -0.05, 0.02, 1.0, 5e-5)
+
+
+class TestKernelOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.floats(0.3, 3.0), y=st.floats(-3.0, 3.0),
+        vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0),
+        m=st.floats(0.1, 10.0), dt=st.floats(1e-4, 1e-2),
+        steps=st.one_of(st.sampled_from(BLOCK_STEPS), st.integers(1, 3 * _RECORD_BLOCK)),
+        record_every=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 10**9)),
+        collision_radius=st.sampled_from([1e-9, 0.05, 0.3, 1.0]),
+    )
+    def test_matches_reference_kernel(self, x, y, vx, vy, m, dt, steps,
+                                      record_every, collision_radius):
+        args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
+        assert_same_bits(_propagate_py.propagate_kernel(*args), reference_kernel(*args))
+
+    @pytest.mark.parametrize("steps", BLOCK_STEPS)
+    @pytest.mark.parametrize("record_every", [1, 2, 7, 3 * _RECORD_BLOCK])
+    def test_matches_reference_around_block_edges(self, steps, record_every):
+        args = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 1e-3, steps, record_every, 1e-9)
+        got = _propagate_py.propagate_kernel(*args)
+        assert_same_bits(got, reference_kernel(*args))
+        assert len(got[0]) == steps // record_every + 1
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("collide_at", [
+        1, 2, 100, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
+        _RECORD_BLOCK + 1000, 2 * _RECORD_BLOCK + 1,
+    ])
+    def test_collision_matches_reference(self, collide_at, record_every):
+        # collide_at 100 and 4096 + 1000 stop inside a partly filled buffer
+        free = reference_kernel(*INFALL, collide_at - 1, 1, 1e-9)
+        x, y = free[1][-1], free[2][-1]
+        radius = math.sqrt(x * x + y * y) * (1.0 + 1e-12)
+        args = INFALL + (3 * _RECORD_BLOCK, record_every, radius)
+        got = _propagate_py.propagate_kernel(*args)
+        assert got[5] == collide_at
+        assert_same_bits(got, reference_kernel(*args))
+
+    def test_decimated_times_use_bounded_memory(self):
+        # 10^6 steps recorded every 10^4: t at every step would take 8 MB
+        tracemalloc.start()
+        try:
+            t = _propagate_py._sample_times(1e-3, 10**4, 101)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _RECORD_BLOCK
+        running = 0.0
+        expected = [running]
+        for k in range(1, 10**6 + 1):
+            running = running + 1e-3
+            if k % 10**4 == 0:
+                expected.append(running)
+        assert t.tolist() == expected
 
 
 class TestSweptAreas:
