@@ -36,17 +36,18 @@ def _flush(outs, bufs, idx):
         out[idx:idx + n] = np.frombuffer(pack(*buf))
 
 
-def _sample_times(dt, record_every, n):
+def _sample_times(dt, record_every, n, t0=0.0):
     """Times of the first n recorded states: t at steps 0, record_every, ...
 
-    Each is the running sum t = t + dt from t = 0.0 over every step, added in
+    Each is the running sum t = t + dt from t = t0 over every step, added in
     step order one block of steps at a time, so a decimated run never holds
-    the time of every step.
+    the time of every step.  A run restarted from a recorded state with t0 set
+    to its time continues the same running sum, bit for bit.
     """
     t = np.empty(n)
     last = (n - 1) * record_every          # step of the last recorded state
     block = np.empty(min(_RECORD_BLOCK, last + 1))
-    t_k0 = 0.0                             # time at step k0
+    t_k0 = t0                              # time at step k0
     k0 = 0
     while k0 <= last:
         seg = block[:last + 1 - k0]
@@ -62,8 +63,9 @@ def _sample_times(dt, record_every, n):
     return t
 
 
-def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
-    """Propagate `steps` kick-then-drift steps from (x, y, vx, vy).
+def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
+                     t0=0.0):
+    """Propagate `steps` kick-then-drift steps from (x, y, vx, vy) at time t0.
 
     Records every `record_every`-th state plus the initial one and returns
     (t, x, y, vx, vy, collided).  collided is the 1-based step at which the
@@ -110,5 +112,5 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius)
     _flush(outs, bufs, idx)
     idx += j
     x_arr, y_arr, vx_arr, vy_arr = (out[:idx] for out in outs)
-    return (_sample_times(dt, record_every, idx), x_arr, y_arr, vx_arr, vy_arr,
+    return (_sample_times(dt, record_every, idx, t0), x_arr, y_arr, vx_arr, vy_arr,
             collided)

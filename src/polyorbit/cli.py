@@ -8,9 +8,12 @@ the command line; the core works in radians.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -24,19 +27,27 @@ MOON_PERIOD = 2_358_720          # s (27.3 days)
 EARTH_SURFACE_GRAVITY = 9.8      # m/s^2
 EARTH_RADIUS = 6.367e6           # m
 
+# kepler3 records every 400th of its ~170k steps per orbit, 0.4% of a period;
+# diagnostics re-runs the steps around each turning point at full resolution,
+# so the periods it reports are those of a full record.
+KEPLER3_RECORD_EVERY = 400
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _print_json(obj: dict) -> None:
+def _json_text(obj: dict) -> str:
     # Standard JSON has no NaN or Infinity; a non-finite result is a numeric error.
     try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"result is not finite: {exc}") from None
-    print(text)
+
+
+def _print_json(obj: dict) -> None:
+    print(_json_text(obj))
 
 
 def _round_significant(x: float, figures: int) -> float:
@@ -115,14 +126,32 @@ def _cmd_simulate(args, parser) -> int:
     record_every = 1 if args.decimate is None else args.decimate
     config = simulator.SimConfig(dt=args.dt, steps=args.steps, record_every=record_every)
     traj = simulator.integrate(state, determination.CentralField(args.m), config)
-    try:
-        fh = open(args.out, "w")
-    except OSError as exc:
-        parser.error(f"--out: cannot write {args.out!r}: {exc}")
-    with fh:
-        traj.write_csv(fh)
-    _print_json(simulator.diagnostics(traj).as_dict())
+    # Every check runs before the export, so a failed run writes nothing.
+    report = _json_text(simulator.diagnostics(traj).as_dict())
+    _export_csv(traj, args.out, parser)
+    print(report)
     return EXIT_OK
+
+
+def _export_csv(traj: simulator.Trajectory, path: str, parser: argparse.ArgumentParser) -> None:
+    # Write to a temporary file beside `path`, then rename it over `path`:
+    # an export that fails leaves no partial file and any old `path` as it was.
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".polyorbit-")
+    except OSError as exc:
+        parser.error(f"--out: cannot write {path!r}: {exc}")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") would give
+            traj.write_csv(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        parser.error(f"--out: cannot write {path!r}: {exc}")
+    finally:
+        with contextlib.suppress(OSError):  # no file is left once renamed
+            os.unlink(tmp)
 
 
 def _cmd_kepler3(args, parser) -> int:
@@ -146,7 +175,8 @@ def _cmd_kepler3(args, parser) -> int:
         state = _make_state(r0, v0, 90.0)
         dt = 1e-5 * t_formula
         steps = int(math.ceil(1.7 * t_formula / dt))
-        orbits.append((x, t_formula, state, simulator.SimConfig(dt=dt, steps=steps)))
+        config = simulator.SimConfig(dt=dt, steps=steps, record_every=KEPLER3_RECORD_EVERY)
+        orbits.append((x, t_formula, state, config))
 
     rows = []
     ok = True

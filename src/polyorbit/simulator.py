@@ -88,6 +88,11 @@ class TrajectorySample:
     velocity: PlanarVector
 
 
+def _radial_speed(x, y, vx, vy, r):
+    # d|p|/dt = (p . v) / r, given r = |p|; positive when moving outward.
+    return (x * vx + y * vy) / r
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered simulated states with diagnostic accessors."""
@@ -125,7 +130,7 @@ class Trajectory:
     @property
     def radial_speed(self) -> np.ndarray:
         """Signed rate of change of r (positive when moving outward)."""
-        return (self.x * self.vx + self.y * self.vy) / self.r
+        return _radial_speed(self.x, self.y, self.vx, self.vy, self.r)
 
     @property
     def angular_momentum(self) -> np.ndarray:
@@ -158,16 +163,35 @@ def step(state: OrbitState, field: CentralField, dt: float,
     return OrbitState(position=s.position, velocity=s.velocity)
 
 
+def _run(field: CentralField, config: SimConfig, state: tuple, steps: int,
+         record_every: int, k0: int = 0) -> tuple:
+    """Run the kernel from state = (t, x, y, vx, vy) at step k0.
+
+    Returns the recorded (t, x, y, vx, vy) arrays.  Raises CollisionError
+    with the step counted from the start of the whole run, and DomainError
+    when a recorded value is not finite.
+    """
+    t0, x, y, vx, vy = state
+    with np.errstate(over="ignore"):  # a time past the double range is caught below
+        t, xs, ys, vxs, vys, collided = _kernel.propagate_kernel(
+            x, y, vx, vy, field.m, config.dt, steps, record_every,
+            config.collision_radius, t0=t0,
+        )
+    if collided >= 0:
+        raise CollisionError(k0 + collided, config.collision_radius)
+    rec = (t, xs, ys, vxs, vys)
+    if not all(np.isfinite(a).all() for a in rec):
+        raise DomainError(
+            "the simulated state left the double range (a recorded t, x, y, vx or vy "
+            "is not finite)"
+        )
+    return rec
+
+
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
     """Apply `config.steps` impulse-polygon steps, recording samples."""
-    t, x, y, vx, vy, collided = _kernel.propagate_kernel(
-        state.position.x, state.position.y,
-        state.velocity.x, state.velocity.y,
-        field.m, config.dt, config.steps, config.record_every,
-        config.collision_radius,
-    )
-    if collided >= 0:
-        raise CollisionError(collided, config.collision_radius)
+    start = (0.0, state.position.x, state.position.y, state.velocity.x, state.velocity.y)
+    t, x, y, vx, vy = _run(field, config, start, config.steps, config.record_every)
     return Trajectory(t=t, x=x, y=y, vx=vx, vy=vy, field=field, config=config)
 
 
@@ -226,35 +250,117 @@ def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, floa
     return float(t_star), float(r_star)
 
 
-def _apsis_events(traj: Trajectory,
-                  r: np.ndarray) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    # Sign changes of the radial speed; returns (periapsis, apoapsis) event
-    # lists of refined (t, r) pairs.  r is traj.r, which the caller already
-    # holds; u is traj.radial_speed without a second hypot.
-    u = (traj.x * traj.vx + traj.y * traj.vy) / r
-    n = len(r)
+def _state(rec: tuple, i: int) -> tuple:
+    # Recorded state i as the kernel's floats (t, x, y, vx, vy).
+    return tuple(float(a[i]) for a in rec)
+
+
+def _turning_points(traj: Trajectory, r: np.ndarray) -> tuple[list, list]:
+    """(periapsis, apoapsis) lists of the refined (t, r) turning points of
+    the full-resolution run, in time order; r is traj.r."""
     peri: list[tuple[float, float]] = []
     apo: list[tuple[float, float]] = []
-    sign_flip = np.nonzero(u[:-1] * u[1:] < 0.0)[0]
-    for k in sign_flip:
+    rec = (traj.t, traj.x, traj.y, traj.vx, traj.vy)
+    for is_peri, event in _apsis_events(traj, rec, r, 0, traj.config.record_every,
+                                        traj.config.steps, None):
+        (peri if is_peri else apo).append(event)
+    return peri, apo
+
+
+def _apsis_events(traj: Trajectory, rec: tuple, r: np.ndarray, k0: int, every: int,
+                  end: int, before: tuple | None):
+    """Yield (is_periapsis, (t, r)) for each refined turning point of r
+    whose radial-speed sign change (k, k+1) lies between steps k0 and end of
+    the run, in time order.
+
+    rec holds (t, x, y, vx, vy) recorded at steps k0, k0 + every, ... <= end,
+    and r their radii.  With every == 1 the sign changes are read off rec.
+    Otherwise every interval between recorded states whose radial speeds have
+    opposite signs, and the unrecorded tail up to `end`, is re-run from the
+    state that opens it, recording at most _RECORD_BLOCK + 1 states, and is
+    searched in turn; the intervals and the tail tile the run, so each
+    turning point belongs to exactly one of them.  A re-run continues the
+    arithmetic of the original run from a recorded state, so it repeats its
+    states and times bit for bit.  `before` is (step, state) of the latest
+    recorded state ahead of k0, or None when k0 == 0.
+
+    The turning points found are always among those of a full record, and
+    are all of them when the radial speed changes sign at most once within
+    each recorded interval and within the tail.  Cost: each level of
+    re-runs runs each step at most once, and refining a turning point at a
+    re-run's first or last state re-runs the step outside it.  With
+    R = record_every <= _RECORD_BLOCK there is one level, and the re-runs
+    take at most 2 * steps + R steps; a larger R adds a level for every
+    factor of _RECORD_BLOCK (at most three for MAX_STEPS), and about
+    2 * steps more each.  They hold O(_RECORD_BLOCK) samples per level.
+    """
+    u = _radial_speed(rec[1], rec[2], rec[3], rec[4], r)
+    if every > 1:
+        sign = np.sign(u)
+        opened = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0].tolist()
+        if k0 + (len(r) - 1) * every < end:
+            opened.append(len(r) - 1)
+        for i in opened:
+            start = k0 + i * every
+            steps = min(every, end - start)
+            sub_every = -(-steps // _kernel._RECORD_BLOCK)
+            sub = _run(traj.field, traj.config, _state(rec, i), steps, sub_every, start)
+            sub_before = (start - every, _state(rec, i - 1)) if i else before
+            yield from _apsis_events(traj, sub, np.hypot(sub[1], sub[2]), start, sub_every,
+                                     start + steps, sub_before)
+        return
+
+    last = traj.config.steps
+    for k in np.nonzero(u[:-1] * u[1:] < 0.0)[0]:
         is_peri = u[k] < 0.0
         if is_peri:
             j = k if r[k] < r[k + 1] else k + 1
         else:
             j = k if r[k] > r[k + 1] else k + 1
-        if not (1 <= j <= n - 2):
+        if not (1 <= k0 + j <= last - 1):
             continue
-        event = _parabolic_vertex(traj.t, r, j)
-        (peri if is_peri else apo).append(event)
-    return peri, apo
+        if 1 <= j <= len(r) - 2:
+            yield is_peri, _parabolic_vertex(rec[0], r, j)
+        else:
+            yield is_peri, _edge_vertex(traj, rec, j, k0, before)
+
+
+def _edge_vertex(traj: Trajectory, rec: tuple, j: int, k0: int,
+                 before: tuple) -> tuple[float, float]:
+    # A turning point at the first or last state of a re-run: re-run the one
+    # state just outside it, then refine on the three.
+    if j == 0:
+        step, state = before
+        gap = k0 - 1 - step
+        if gap:
+            state = _state(_run(traj.field, traj.config, state, gap, gap, step), -1)
+        three = [state, _state(rec, 0), _state(rec, 1)]
+    else:
+        nxt = _run(traj.field, traj.config, _state(rec, j), 1, 1, k0 + j)
+        three = [_state(rec, j - 1), _state(rec, j), _state(nxt, 1)]
+    t, x, y = np.array(three).T[:3]
+    return _parabolic_vertex(t, np.hypot(x, y), 1)
 
 
 def diagnostics(traj: Trajectory) -> DiagnosticsReport:
     """Measure conservation drift, the csc^2(alpha) residual against the
     conserved-pair prediction, and apsides/period from radial turning points.
+
+    The drift and residual maxima run over the recorded samples.  The
+    turning points are those of the full-resolution run even when the
+    trajectory is decimated: see _apsis_events.  An overflow or invalid
+    operation in any of it is a DomainError, not a NaN.
     """
     if len(traj) < 10:
         raise DomainError(f"need at least 10 samples, got {len(traj)}")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _diagnostics(traj)
+    except FloatingPointError as exc:
+        raise DomainError(f"diagnostics leave the double range: {exc}") from None
+
+
+def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
     m = traj.field.m
     r = traj.r
     v2 = traj.vx * traj.vx + traj.vy * traj.vy
@@ -263,6 +369,13 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
     q = h * h
     q0 = q[0]
     if not q0 > 0.0:
+        first = traj.sample(0)
+        p0, v0 = first.position, first.velocity
+        if min(p0.norm(), v0.norm()) > 0.0 and p0.unit().cross(v0.unit()) != 0.0:
+            raise DomainError(
+                f"Q = (x vy - y vx)^2 underflows to 0 (x vy - y vx = {h[0]:g}); the launch "
+                "is not radial, but the drift and swept-area checks divide by Q"
+            )
         raise DegenerateOrbitError(
             f"radial trajectory (Q = {q0:g}): the drift and swept-area checks divide by Q"
         )
@@ -283,7 +396,7 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
         areas = swept_areas(traj)
         area_dev = float(np.max(np.abs(areas - areas[0])) / areas[0])
 
-    peri, apo = _apsis_events(traj, r)
+    peri, apo = _turning_points(traj, r)
     observed_periapsis = min(rr for _, rr in peri) if peri else None
     observed_apoapsis = max(rr for _, rr in apo) if apo else None
     observed_period = None

@@ -2,13 +2,14 @@
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyorbit import cli
+from polyorbit import cli, simulator
 
 
 def run(capsys, argv):
@@ -172,6 +173,72 @@ class TestSimulate:
         assert exc_info.value.code == cli.EXIT_USAGE
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        # the state stays finite, but v^2 overflows in diagnostics
+        (["--m", "1e300", "--r0", "1"], "double range"),
+        # the first kick overflows and the state turns to nan
+        (["--m", "1e300", "--r0", "1e-5"], "not finite"),
+    ], ids=["diagnostics-overflow", "non-finite-state"])
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "traj.csv"
+        code, out, err = run(capsys, [
+            "simulate", *argv, "--v0", "1", "--alpha0", "60", "--dt", "1e-3",
+            "--steps", "100", "--out", str(out_path),
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert message in err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_run_leaves_old_file(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        out_path.write_text("old\n")
+        code, _, _ = run(capsys, [
+            "simulate", "--m", "1e300", "--r0", "1", "--v0", "1", "--alpha0", "60",
+            "--dt", "1e-3", "--steps", "100", "--out", str(out_path),
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out_path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["traj.csv"]
+
+    def test_export_that_fails_midway_leaves_old_file(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        out_path.write_text("old\n")
+
+        def fail_midway(traj, stream):
+            stream.write("t,x,y")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(simulator.Trajectory, "write_csv", fail_midway)
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(self._args(out_path))
+        assert exc_info.value.code == cli.EXIT_USAGE
+        assert "No space left" in capsys.readouterr().err
+        assert out_path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["traj.csv"]
+
+    def test_export_replaces_old_file_with_the_usual_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        out_path.write_text("old\n")
+        code, _, _ = run(capsys, self._args(out_path))
+        assert code == cli.EXIT_OK
+        assert out_path.read_text().startswith("t,x,y,vx,vy,r,v,alpha\n")
+        assert os.listdir(tmp_path) == ["traj.csv"]  # no temporary file is left
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_underflowing_q_is_not_called_radial(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run(capsys, [
+            "simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "1e-320",
+            "--dt", "1e-3", "--steps", "100", "--out", str(out_path),
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert "underflows" in err
+        assert "radial trajectory" not in err
+        assert not out_path.exists()
+
     def test_collision_numeric_error(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         # starting inside the collision radius trips the guard immediately
@@ -234,6 +301,17 @@ class TestKepler3:
         label, value = lines[-1].split(",")
         assert label == "slope"
         assert float(value) == pytest.approx(1.5, abs=5e-3)
+
+    @pytest.mark.parametrize("m", ["1", "0.7", "1.9"])
+    def test_sparse_record_prints_full_record_periods(self, capsys, monkeypatch, m):
+        # kepler3 records every KEPLER3_RECORD_EVERY-th step; the reference
+        # records every step and takes its periods from full-record diagnostics.
+        argv = ["kepler3", "--m", m, "--count", "3"]
+        assert cli.KEPLER3_RECORD_EVERY > 1
+        sparse = run(capsys, argv)
+        monkeypatch.setattr(cli, "KEPLER3_RECORD_EVERY", 1)
+        assert sparse == run(capsys, argv)
+        assert sparse[0] == cli.EXIT_OK
 
     def test_count_guard(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

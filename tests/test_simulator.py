@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyorbit import (
@@ -25,9 +25,16 @@ from polyorbit import (
     uniform_accel_displacement,
     uniform_accel_displacement_sum,
 )
-from polyorbit import _propagate_py
+from polyorbit import _propagate_py, simulator
 from polyorbit._propagate_py import _RECORD_BLOCK
-from polyorbit.simulator import _CSV_BLOCK_ROWS, CSV_HEADER, MAX_SAMPLES, Trajectory
+from polyorbit.simulator import (
+    _CSV_BLOCK_ROWS,
+    CSV_HEADER,
+    MAX_SAMPLES,
+    Trajectory,
+    _parabolic_vertex,
+    _turning_points,
+)
 
 UNIT_FIELD = CentralField(1.0)
 
@@ -152,6 +159,12 @@ class TestIntegrate:
             integrate(state, UNIT_FIELD, SimConfig(dt=1e-3, steps=10**4, collision_radius=0.05))
         assert exc_info.value.step > 0
 
+    def test_non_finite_state_rejected(self):
+        # the first kick m/r^3 * dt overflows to inf, and the state turns to nan
+        state = make_state(1e-5, 1.0, 60.0)
+        with pytest.raises(DomainError, match="not finite"):
+            integrate(state, CentralField(1e300), SimConfig(dt=1e-3, steps=100))
+
     def test_step_cap(self):
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**9)
@@ -270,6 +283,19 @@ class TestKernelOracle:
         assert got[5] == collide_at
         assert_same_bits(got, reference_kernel(*args))
 
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 2 * _RECORD_BLOCK + 3), dt=st.floats(1e-4, 1e-2),
+           record_every=st.sampled_from([1, 2, 7]))
+    def test_restart_from_a_state_continues_the_run(self, k, dt, record_every):
+        # From the state and time of step k, the kernel repeats the rest of
+        # the run bit for bit: t continues the same running sum.
+        steps = 2 * _RECORD_BLOCK + 3
+        full = _propagate_py.propagate_kernel(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
+        t0, x, y, vx, vy = (float(a[k]) for a in full[:5])
+        rest = _propagate_py.propagate_kernel(x, y, vx, vy, 1.0, dt, steps - k,
+                                              record_every, 1e-9, t0=t0)
+        assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1,))
+
     def test_decimated_times_use_bounded_memory(self):
         # 10^6 steps recorded every 10^4: t at every step would take 8 MB
         tracemalloc.start()
@@ -353,6 +379,30 @@ class TestDiagnostics:
         with pytest.raises(DomainError, match="radial"):
             diagnostics(traj)
 
+    def test_underflowing_q_is_not_called_radial(self):
+        # alpha0 = 1e-320 degrees: x vy - y vx = 1.7e-322, whose square is 0
+        traj = integrate(make_state(1.0, 1.0, 1e-320), UNIT_FIELD, SimConfig(dt=1e-3, steps=50))
+        with pytest.raises(DomainError, match="underflows") as exc_info:
+            diagnostics(traj)
+        assert "radial trajectory" not in str(exc_info.value)
+
+    def test_overflow_is_a_domain_error(self):
+        # the state stays finite, but v^2 and (x vy - y vx)^2 overflow; no
+        # RuntimeWarning may escape (pytest turns one into an error)
+        traj = integrate(CANONICAL, CentralField(1e300), SimConfig(dt=1e-3, steps=100))
+        with pytest.raises(DomainError, match="double range"):
+            diagnostics(traj)
+
+    @pytest.mark.parametrize("record_every", [7, 400, 5000])
+    def test_decimated_report_has_the_full_record_turning_points(self, record_every):
+        config = SimConfig(dt=1e-4, steps=130000)
+        full = diagnostics(integrate(CANONICAL, UNIT_FIELD, config)).as_dict()
+        decimated = SimConfig(dt=1e-4, steps=130000, record_every=record_every)
+        got = diagnostics(integrate(CANONICAL, UNIT_FIELD, decimated)).as_dict()
+        for key in ("observed_periapsis", "observed_apoapsis", "observed_period"):
+            assert got[key] == full[key] is not None
+        assert got["max_swept_area_deviation"] is None
+
     def test_json_field_names(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-4, steps=1000))
         d = diagnostics(traj).as_dict()
@@ -360,6 +410,184 @@ class TestDiagnostics:
             "max_swept_area_deviation", "Q_drift", "C_drift", "csc2_max_residual",
             "observed_periapsis", "observed_apoapsis", "observed_period",
         ]
+
+
+# The turning-point search before decimated runs were re-run, which reads the
+# sign changes off the recorded samples alone.  Kept verbatim as the oracle
+# for full-record trajectories.
+def reference_apsis_events(traj, r):
+    u = (traj.x * traj.vx + traj.y * traj.vy) / r
+    n = len(r)
+    peri = []
+    apo = []
+    sign_flip = np.nonzero(u[:-1] * u[1:] < 0.0)[0]
+    for k in sign_flip:
+        is_peri = u[k] < 0.0
+        if is_peri:
+            j = k if r[k] < r[k + 1] else k + 1
+        else:
+            j = k if r[k] > r[k + 1] else k + 1
+        if not (1 <= j <= n - 2):
+            continue
+        event = _parabolic_vertex(traj.t, r, j)
+        (peri if is_peri else apo).append(event)
+    return peri, apo
+
+
+def full_and_decimated(state, field, dt, steps, record_every):
+    full = integrate(state, field, SimConfig(dt=dt, steps=steps))
+    decimated = integrate(state, field, SimConfig(dt=dt, steps=steps, record_every=record_every))
+    return full, decimated
+
+
+def at_most_one_sign_change(u, every):
+    # Whether sign(u) changes at most once within each interval between
+    # states recorded every `every` steps, and within the tail.
+    changes = np.concatenate([[0], np.cumsum(np.sign(u[1:]) != np.sign(u[:-1]))])
+    bounds = list(range(0, len(u), every)) + [len(u) - 1]
+    return all(changes[b] - changes[a] <= 1 for a, b in zip(bounds, bounds[1:]))
+
+
+# CANONICAL with dt = 1e-3 over 12289 steps: the full-record sign changes of
+# the radial speed are at steps (k, k + 1) for k = 2068, 5206, 8347 and 11484,
+# and the refined turning points sit at j = 2068, 5207, 8347 and 11485.  With
+# a quarter of that dt over four times the steps, k = 8281, 20843, 33409 and
+# 45971, and j = 8281, 20844, 33409 and 45972.
+EDGE_DT = 1e-3
+EDGE_STEPS = 12289
+
+
+class TestDecimatedTurningPoints:
+    """diagnostics re-runs a decimated trajectory around each sign change of
+    its radial speed; the turning points must be those of a full record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.floats(0.5, 2.0), vx=st.floats(-1.5, 1.5), vy=st.floats(0.2, 1.5),
+        m=st.floats(0.5, 2.0), dt=st.floats(4e-3, 0.05), steps=st.integers(50, 3000),
+        record_every=st.one_of(st.sampled_from([2, 7]), st.integers(2, 600),
+                               st.integers(3001, 10**4)),
+    )
+    def test_subset_of_full_record_and_equal_when_sparse(self, x, vx, vy, m, dt, steps,
+                                                         record_every):
+        state = OrbitState(PlanarVector(x, 0.0), PlanarVector(vx, vy))
+        try:
+            full, decimated = full_and_decimated(state, CentralField(m), dt, steps, record_every)
+        except (CollisionError, DomainError):
+            assume(False)
+        got = _turning_points(decimated, decimated.r)
+        want = reference_apsis_events(full, full.r)
+        for found, every in zip(got, want):
+            remaining = iter(every)
+            assert all(event in remaining for event in found)  # an ordered subset
+        if at_most_one_sign_change(full.radial_speed, record_every):
+            assert got == want
+
+    def test_full_record_matches_reference(self):
+        full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=EDGE_DT, steps=EDGE_STEPS))
+        assert _turning_points(full, full.r) == reference_apsis_events(full, full.r)
+        assert [len(events) for events in reference_apsis_events(full, full.r)] == [2, 2]
+
+    @pytest.mark.parametrize("record_every", [2, 7, _RECORD_BLOCK, _RECORD_BLOCK + 1])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["steps%R=0", "steps%R=1"])
+    def test_matches_full_record(self, record_every, extra):
+        # A quarter of EDGE_DT puts the turning points about 12 560 steps
+        # apart, more than any record_every here.
+        dt = EDGE_DT / 4
+        steps = record_every * -(-4 * EDGE_STEPS // record_every) + extra
+        assert steps % record_every == extra
+        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
+        assert at_most_one_sign_change(full.radial_speed, record_every)
+        want = reference_apsis_events(full, full.r)
+        assert [len(events) for events in want] == [2, 2]
+        assert _turning_points(decimated, decimated.r) == want
+
+    @pytest.mark.parametrize("record_every", [2500, 3000])
+    def test_turning_point_in_first_interval(self, record_every):
+        # the apoapsis at step 2068 precedes the first recorded state after 0
+        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, EDGE_STEPS,
+                                             record_every)
+        assert at_most_one_sign_change(full.radial_speed, record_every)
+        got = _turning_points(decimated, decimated.r)
+        assert got == reference_apsis_events(full, full.r)
+        assert got[1][0][0] < decimated.t[1]
+
+    def test_turning_point_in_tail(self):
+        # The apoapsis sign change at step 8347 lies after the last recorded
+        # state (step 8346), in the unrecorded tail.
+        steps, record_every = 8350, 4173
+        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, steps, record_every)
+        assert at_most_one_sign_change(full.radial_speed, record_every)
+        got = _turning_points(decimated, decimated.r)
+        assert got == reference_apsis_events(full, full.r)
+        assert got[1][-1][0] > decimated.t[-1]
+
+    @pytest.mark.parametrize("record_every, dt, steps, edge", [
+        # j = 2068 opens the re-run from sample 1, then from sample 2
+        (2068, EDGE_DT, EDGE_STEPS, 0),
+        (1034, EDGE_DT, EDGE_STEPS, 0),
+        # j = 5207 closes the re-run from sample 40 (steps 5080 to 5207)
+        (127, EDGE_DT, EDGE_STEPS, 127),
+        # recorded states one step before or after a turning point
+        (2067, EDGE_DT, EDGE_STEPS, None),
+        (2069, EDGE_DT, EDGE_STEPS, None),
+        (2603, EDGE_DT, EDGE_STEPS, None),
+        (2604, EDGE_DT, EDGE_STEPS, None),
+        # j = 8281 opens a second-level re-run, which needs step 8280 from
+        # the first level's state before it; j = 20844 closes one
+        (8281, EDGE_DT / 4, 4 * EDGE_STEPS, 0),
+        (10422, EDGE_DT / 4, 4 * EDGE_STEPS, 3),
+    ])
+    def test_turning_point_next_to_a_recorded_state(self, monkeypatch, record_every, dt,
+                                                    steps, edge):
+        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
+        assert at_most_one_sign_change(full.radial_speed, record_every)
+        edges = []
+        refine = simulator._edge_vertex
+
+        def spy(traj, rec, j, k0, before):
+            edges.append(j)
+            return refine(traj, rec, j, k0, before)
+
+        monkeypatch.setattr(simulator, "_edge_vertex", spy)
+        assert _turning_points(decimated, decimated.r) == reference_apsis_events(full, full.r)
+        if edge is not None:
+            assert edge in edges
+
+    def test_reruns_call_the_kernel_as_traced(self, monkeypatch):
+        # A benchmark wraps simulator._kernel.propagate_kernel and reads the
+        # step count as args[6]: every call passes the first nine arguments
+        # by position and t0 by keyword.
+        calls = []
+        kernel = _propagate_py.propagate_kernel
+
+        def spy(*args, **kwargs):
+            calls.append((len(args), tuple(kwargs)))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
+        config = SimConfig(dt=EDGE_DT, steps=EDGE_STEPS, record_every=1000)
+        diagnostics(integrate(CANONICAL, UNIT_FIELD, config))
+        assert len(calls) > 1
+        assert set(calls) == {(9, ("t0",))}
+
+    def test_reruns_hold_bounded_memory(self):
+        # Record every 10^5 steps; the one sign change, an apoapsis near step
+        # 1.5e5, is re-run recording every 25th step, and those 25 steps at
+        # full resolution.  One full-resolution record of the interval would
+        # take 5 x 8 x 10^5 bytes = 4 MB.
+        dt = 2068 * EDGE_DT / 150_000
+        steps, record_every = 200_003, 10**5
+        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
+        tracemalloc.start()
+        try:
+            got = _turning_points(decimated, decimated.r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+        assert got == reference_apsis_events(full, full.r)
+        assert got[1]
 
 
 class TestTrajectoryConicAgreement:
