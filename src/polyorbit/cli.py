@@ -12,8 +12,8 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -134,24 +134,43 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _export_csv(traj: simulator.Trajectory, path: str, parser: argparse.ArgumentParser) -> None:
-    # Write to a temporary file beside `path`, then rename it over `path`:
-    # an export that fails leaves no partial file and any old `path` as it was.
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".polyorbit-")
+        try:
+            old = os.lstat(path)
+        except FileNotFoundError:
+            old = None
+        if old is None or _replaceable(old):
+            _replace_with_csv(traj, path, old)
+        else:
+            with open(path, "w") as fh:
+                traj.write_csv(fh)
     except OSError as exc:
         parser.error(f"--out: cannot write {path!r}: {exc}")
+
+
+def _replaceable(old: os.stat_result) -> bool:
+    # A new file renamed over `path` differs from the old one only in its
+    # inode if the old one is a regular file with one link and our owner and
+    # group.  A device, a FIFO, a symlink or a shared file is written through.
+    return (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+            and old.st_uid == os.geteuid() and old.st_gid == os.getegid())
+
+
+def _replace_with_csv(traj: simulator.Trajectory, path: str, old: os.stat_result | None) -> None:
+    # Write a new file beside `path`, then rename it over `path`: an export
+    # that fails leaves no partial file and an old `path` as it was.
+    tmp = os.path.join(os.path.dirname(path), f".polyorbit-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
     try:
         with os.fdopen(fd, "w") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") would give
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             traj.write_csv(fh)
         os.replace(tmp, path)
-    except OSError as exc:
-        parser.error(f"--out: cannot write {path!r}: {exc}")
-    finally:
-        with contextlib.suppress(OSError):  # no file is left once renamed
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
+        raise
 
 
 def _cmd_kepler3(args, parser) -> int:

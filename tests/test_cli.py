@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import stat
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -217,16 +219,68 @@ class TestSimulate:
         assert out_path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["traj.csv"]
 
-    def test_export_replaces_old_file_with_the_usual_mode(self, capsys, tmp_path):
+    def test_export_gives_a_new_file_the_usual_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, self._args(out_path))
+        assert code == cli.EXIT_OK
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_export_replaces_old_file_and_keeps_its_mode(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         out_path.write_text("old\n")
+        out_path.chmod(0o640)
         code, _, _ = run(capsys, self._args(out_path))
         assert code == cli.EXIT_OK
         assert out_path.read_text().startswith("t,x,y,vx,vy,r,v,alpha\n")
         assert os.listdir(tmp_path) == ["traj.csv"]  # no temporary file is left
-        umask = os.umask(0)
-        os.umask(umask)
-        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert out_path.stat().st_mode & 0o777 == 0o640
+
+    def test_export_through_symlink_keeps_the_link(self, capsys, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, self._args(link))
+        assert code == cli.EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("t,x,y,vx,vy,r,v,alpha\n")
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    def test_export_keeps_hard_links(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        out_path.write_text("old\n")
+        twin = tmp_path / "twin.csv"
+        os.link(out_path, twin)
+        code, _, _ = run(capsys, self._args(out_path))
+        assert code == cli.EXIT_OK
+        assert os.path.samefile(out_path, twin)
+        assert twin.read_text().startswith("t,x,y,vx,vy,r,v,alpha\n")
+
+    def test_export_to_devnull_writes_through_it(self, capsys, monkeypatch):
+        # No rename may land on the device; a stub stands in for os.replace so
+        # that a regression fails here instead of replacing the device.
+        def no_replace(src, dst):
+            raise AssertionError(f"renamed {src!r} over {dst!r}")
+
+        monkeypatch.setattr(cli.os, "replace", no_replace)
+        code, out, _ = run(capsys, self._args(os.devnull))
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["Q_drift"] < 1e-12
+
+    def test_export_to_fifo_writes_through_it(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, self._args(fifo))
+        reader.join(timeout=30)
+        assert code == cli.EXIT_OK
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received[0].startswith("t,x,y,vx,vy,r,v,alpha\n")
+        assert len(received[0].splitlines()) == 2002
 
     def test_underflowing_q_is_not_called_radial(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
