@@ -1,0 +1,120 @@
+"""The propagation kernel compiled from _kick_drift.c and called through ctypes.
+
+The first import compiles the C file into this package's __pycache__, the
+way the interpreter writes bytecode; later imports load the cached library.
+Its name carries a hash of the source, the compiler command, the flags and
+the platform, so a change to any of them builds a new one.  The C file uses
+no Python headers, so no build step or extension module is needed.
+
+Before the kernel is used, a short probe must match _propagate_py bit for
+bit.  When anything fails (no compiler, a failed compile, an unwritable
+cache, a load error or a probe mismatch) the import raises ImportError, and
+simulator falls back to _propagate_py.
+"""
+
+import ctypes
+import importlib.util
+import os
+import sysconfig
+
+import numpy as np
+
+from . import _propagate_py
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "_kick_drift.c")
+_CACHE = os.path.join(_HERE, "__pycache__")
+
+# Every step must round as the Python kernel does.  -ffp-contract=off stops
+# the compiler from fusing a multiply and an add into one FMA, which rounds
+# once instead of twice; -ffast-math or -march could reorder or fuse too.
+_FLAGS = ("-O2", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off")
+_LIBS = ("-lm",)
+
+# propagate_kernel arguments for the load-time probe: a launch on which a
+# hypot-based step and the kernel's sqrt(r2) / (r2 * r) step differ in the
+# last bit, and on which a fused multiply-add changes the result, with a
+# decimation and a start time t0 = 0.1.
+_PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
+          -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 64, 3, 1e-9, 0.1)
+
+
+def _library_path(cc: str) -> str:
+    """Path of the library built from _SOURCE with `cc`, compiled on a cache
+    miss; concurrent first imports each compile to their own temporary file
+    and rename it into place."""
+    with open(_SOURCE, "rb") as f:
+        key = f.read() + "\0".join((cc, *_FLAGS, *_LIBS, sysconfig.get_platform())).encode()
+    name = f"_kick_drift-{importlib.util.source_hash(key).hex()}.so"
+    path = os.path.join(_CACHE, name)
+    if os.path.exists(path):
+        return path
+
+    import shlex
+    import subprocess
+    import tempfile
+
+    os.makedirs(_CACHE, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=_CACHE)  # O_EXCL
+    os.close(fd)
+    try:
+        try:
+            subprocess.run([*shlex.split(cc), *_FLAGS, "-o", tmp, _SOURCE, *_LIBS],
+                           check=True, capture_output=True, timeout=300)
+        except subprocess.CalledProcessError as exc:
+            raise ImportError(f"{cc} could not compile {_SOURCE}:\n"
+                              f"{exc.stderr.decode(errors='replace')}") from exc
+        except subprocess.SubprocessError as exc:
+            raise ImportError(f"{cc} could not compile {_SOURCE}: {exc}") from exc
+        os.chmod(tmp, 0o755)  # mkstemp made it private; other users may load it
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _load():
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise ImportError("this Python names no C compiler (sysconfig CC)")
+    try:
+        lib = ctypes.CDLL(_library_path(cc))
+    except OSError as exc:
+        raise ImportError(f"the C kernel could not be built or loaded: {exc}") from exc
+    fn = lib.kick_drift
+    fn.restype = ctypes.c_int64
+    fn.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2 + [ctypes.c_double] * 2
+                   + [ctypes.c_void_p] * 5 + [ctypes.POINTER(ctypes.c_int64)])
+    return fn
+
+
+_kick_drift = _load()
+
+
+def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
+                     t0=0.0):
+    """Same arguments, results and bits as _propagate_py.propagate_kernel."""
+    if not (0 <= steps < 2**63 - 1 and record_every >= 1):
+        # the loop would write past the outputs, or ctypes would wrap steps
+        raise ValueError(f"need 0 <= steps < 2**63 - 1 and record_every >= 1, "
+                         f"got steps={steps}, record_every={record_every}")
+    n_rec = steps // record_every + 1
+    outs = [np.empty(n_rec) for _ in range(5)]
+    collided = ctypes.c_int64()
+    # ctypes wraps an int beyond int64 (c_int64(2**70) is 0); any
+    # record_every above steps records the initial state only.
+    n = _kick_drift(x, y, vx, vy, m, dt, steps, min(record_every, steps + 1),
+                    collision_radius, t0, *(out.ctypes.data for out in outs),
+                    ctypes.byref(collided))
+    return (*(out[:n] for out in outs), collided.value)
+
+
+def _probe() -> None:
+    got = propagate_kernel(*_PROBE)
+    want = _propagate_py.propagate_kernel(*_PROBE)
+    if got[5] != want[5] or any(a.tobytes() != b.tobytes() for a, b in zip(got[:5], want[:5])):
+        raise ImportError("the compiled kernel differs from _propagate_py on the load-time probe")
+
+
+_probe()

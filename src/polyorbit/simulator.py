@@ -9,20 +9,23 @@ The per-step swept triangles of this polygon have exactly equal areas
 (equivalently cross(p, v) is exactly conserved), which is what the
 diagnostics here measure, alongside the O(dt) drift of the vis-viva constant.
 
-The step arithmetic is defined once, in polyorbit._propagate_py; both
-integrate() and step() run it, so a single step and a one-step trajectory
-agree bitwise.
+The step arithmetic is written twice, with the same bits: in C
+(_kick_drift.c, loaded by polyorbit._propagate_c) and in Python
+(polyorbit._propagate_py, the fallback and the oracle).  integrate() and
+step() both run the kernel that loaded, so a single step and a one-step
+trajectory agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _propagate_py as _kernel
-from .determination import CentralField, OrbitState
+from . import _propagate_py
+from .determination import CentralField, OrbitState, conserved_from_state, period
 from .errors import CollisionError, DegenerateOrbitError, DomainError
 from .planar import PlanarVector
 
@@ -36,6 +39,10 @@ MAX_SAMPLES = 10**7
 #: Default collision radius around the attractor.
 DEFAULT_COLLISION_RADIUS = 1e-9
 
+# A diagnostics re-run records at most this many states after its first; a
+# longer interval is re-run decimated and searched again.
+_RERUN_BLOCK = 4096
+
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
 # One row of the CSV: eight values at 17 significant digits.
@@ -46,9 +53,21 @@ _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 _CSV_BLOCK_ROWS = 512
 
 
+def _load_kernel():
+    # The compiled kernel when it builds, loads and passes its probe.
+    try:
+        from . import _propagate_c
+    except ImportError:
+        return _propagate_py
+    return _propagate_c
+
+
+_kernel = _load_kernel()
+
+
 def backend() -> str:
-    """Name of the propagation kernel; always 'python'."""
-    return "python"
+    """Name of the propagation kernel in use: 'c' or 'python'."""
+    return "python" if _kernel is _propagate_py else "c"
 
 
 @dataclass(frozen=True)
@@ -77,8 +96,14 @@ class SimConfig:
                 f"{samples} recorded samples exceed the cap of {MAX_SAMPLES}; "
                 f"raise record_every"
             )
-        if not self.collision_radius > 0.0:
-            raise DomainError("collision radius must be > 0")
+        # The kernel divides by r^3 for r >= collision_radius: a radius whose
+        # cube underflows would let that divisor reach 0.
+        radius = self.collision_radius
+        if not radius * radius * radius >= sys.float_info.min:
+            raise DomainError(
+                f"collision radius must be > 0 with a cube of at least {sys.float_info.min:g}, "
+                f"got {radius}"
+            )
 
 
 @dataclass(frozen=True)
@@ -262,13 +287,24 @@ def _turning_points(traj: Trajectory, r: np.ndarray) -> tuple[list, list]:
     apo: list[tuple[float, float]] = []
     rec = (traj.t, traj.x, traj.y, traj.vx, traj.vy)
     for is_peri, event in _apsis_events(traj, rec, r, 0, traj.config.record_every,
-                                        traj.config.steps, None):
+                                        traj.config.steps, None, _quarter_period(traj)):
         (peri if is_peri else apo).append(event)
     return peri, apo
 
 
+def _quarter_period(traj: Trajectory) -> float:
+    """A quarter of the closed-form period of the orbit through the first
+    recorded state, or inf when that orbit is not bound."""
+    first = traj.sample(0)
+    try:
+        pair = conserved_from_state(OrbitState(first.position, first.velocity), traj.field)
+        return period(pair, traj.field) / 4.0
+    except DomainError:  # not bound, or the period leaves the double range
+        return math.inf
+
+
 def _apsis_events(traj: Trajectory, rec: tuple, r: np.ndarray, k0: int, every: int,
-                  end: int, before: tuple | None):
+                  end: int, before: tuple | None, quarter: float):
     """Yield (is_periapsis, (t, r)) for each refined turning point of r
     whose radial-speed sign change (k, k+1) lies between steps k0 and end of
     the run, in time order.
@@ -277,37 +313,43 @@ def _apsis_events(traj: Trajectory, rec: tuple, r: np.ndarray, k0: int, every: i
     and r their radii.  With every == 1 the sign changes are read off rec.
     Otherwise every interval between recorded states whose radial speeds have
     opposite signs, and the unrecorded tail up to `end`, is re-run from the
-    state that opens it, recording at most _RECORD_BLOCK + 1 states, and is
+    state that opens it, recording at most _RERUN_BLOCK + 1 states, and is
     searched in turn; the intervals and the tail tile the run, so each
-    turning point belongs to exactly one of them.  A re-run continues the
-    arithmetic of the original run from a recorded state, so it repeats its
-    states and times bit for bit.  `before` is (step, state) of the latest
-    recorded state ahead of k0, or None when k0 == 0.
+    turning point belongs to exactly one of them.  When an interval spans at
+    least `quarter`, a quarter of the closed-form period, it may hold two
+    turning points with the same sign at both ends, so every interval is
+    re-run.  A re-run continues the arithmetic of the original run from a
+    recorded state, so it repeats its states and times bit for bit.
+    `before` is (step, state) of the latest recorded state ahead of k0, or
+    None when k0 == 0.
 
     The turning points found are always among those of a full record, and
     are all of them when the radial speed changes sign at most once within
-    each recorded interval and within the tail.  Cost: each level of
-    re-runs runs each step at most once, and refining a turning point at a
-    re-run's first or last state re-runs the step outside it.  With
-    R = record_every <= _RECORD_BLOCK there is one level, and the re-runs
-    take at most 2 * steps + R steps; a larger R adds a level for every
-    factor of _RECORD_BLOCK (at most three for MAX_STEPS), and about
-    2 * steps more each.  They hold O(_RECORD_BLOCK) samples per level.
+    each interval shorter than `quarter` and within the tail.  Cost: each
+    level of re-runs runs each step at most once, and refining a turning
+    point at a re-run's first or last state re-runs the step outside it.
+    With R = record_every <= _RERUN_BLOCK there is one level, and the
+    re-runs take at most 2 * steps + R steps; a larger R adds a level for
+    every factor of _RERUN_BLOCK (at most three for MAX_STEPS), and about
+    2 * steps more each.  They hold O(_RERUN_BLOCK) samples per level.
     """
     u = _radial_speed(rec[1], rec[2], rec[3], rec[4], r)
     if every > 1:
-        sign = np.sign(u)
-        opened = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0].tolist()
+        if every * traj.config.dt >= quarter:
+            opened = list(range(len(r) - 1))
+        else:
+            sign = np.sign(u)
+            opened = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0].tolist()
         if k0 + (len(r) - 1) * every < end:
             opened.append(len(r) - 1)
         for i in opened:
             start = k0 + i * every
             steps = min(every, end - start)
-            sub_every = -(-steps // _kernel._RECORD_BLOCK)
+            sub_every = -(-steps // _RERUN_BLOCK)
             sub = _run(traj.field, traj.config, _state(rec, i), steps, sub_every, start)
             sub_before = (start - every, _state(rec, i - 1)) if i else before
             yield from _apsis_events(traj, sub, np.hypot(sub[1], sub[2]), start, sub_every,
-                                     start + steps, sub_before)
+                                     start + steps, sub_before, quarter)
         return
 
     last = traj.config.steps

@@ -149,6 +149,20 @@ class TestSimulate:
         assert json.loads(out)["max_swept_area_deviation"] is None
         assert len(out_path.read_text().splitlines()) == 22
 
+    def test_interval_longer_than_an_orbit_keeps_the_period(self, capsys, tmp_path):
+        # With --decimate 100000 one recorded interval spans 16 orbits and
+        # holds many turning points, so every interval is re-run.
+        periods = []
+        for every in ("1000", "100000"):
+            code, out, _ = run(capsys, [
+                "simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
+                "--dt", "1e-3", "--steps", "1000000", "--decimate", every,
+                "--out", str(tmp_path / "traj.csv"),
+            ])
+            assert code == cli.EXIT_OK
+            periods.append(json.loads(out)["observed_period"])
+        assert periods[1] == periods[0] == pytest.approx(6.278, abs=1e-3)
+
     def test_decimate_zero_numeric_error(self, capsys, tmp_path):
         # 0 is not read as "no decimation"; SimConfig rejects it like -3
         out_path = tmp_path / "traj.csv"
@@ -366,6 +380,21 @@ class TestKepler3:
         monkeypatch.setattr(cli, "KEPLER3_RECORD_EVERY", 1)
         assert sparse == run(capsys, argv)
         assert sparse[0] == cli.EXIT_OK
+
+    def test_reruns_only_around_turning_points(self, capsys, monkeypatch):
+        # A recorded interval is 0.004 of a period: diagnostics re-runs the
+        # intervals around the turning points and the tail, not every one.
+        calls = []
+        kernel = simulator._kernel.propagate_kernel
+
+        def spy(*args, **kwargs):
+            calls.append(args[6])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
+        code, _, _ = run(capsys, ["kepler3", "--m", "1", "--count", "6"])
+        assert code == cli.EXIT_OK
+        assert (len(calls), sum(calls)) == (36, 1_031_994)
 
     def test_count_guard(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,14 +1,22 @@
 """Tests for the impulse-polygon simulator and its diagnostics."""
 
+import importlib
 import io
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import polyorbit
 from polyorbit import (
     CentralField,
     CollisionError,
@@ -29,6 +37,7 @@ from polyorbit import _propagate_py, simulator
 from polyorbit._propagate_py import _RECORD_BLOCK
 from polyorbit.simulator import (
     _CSV_BLOCK_ROWS,
+    _RERUN_BLOCK,
     CSV_HEADER,
     MAX_SAMPLES,
     Trajectory,
@@ -48,6 +57,9 @@ def make_state(r0, v0, alpha_deg):
 
 
 CANONICAL = make_state(1.0, 1.0, 60.0)
+
+# Radii the kernel may be given: SimConfig rejects any whose cube underflows.
+RADII = [1e-9, 0.05, 0.3, 1.0, math.nextafter(sys.float_info.min ** (1 / 3), math.inf)]
 
 # A launch where a hypot/r*r*r step and the kernel's sqrt(r2)/r2*r step
 # differ in the last bit of vx.
@@ -165,6 +177,24 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="not finite"):
             integrate(state, CentralField(1e300), SimConfig(dt=1e-3, steps=100))
 
+    def test_radius_whose_cube_underflows_rejected(self, kernel):
+        # r^2 * r underflows to 0 at r = 1e-110: the Python kernel raised
+        # ZeroDivisionError there, and the C kernel would divide to inf.
+        launch = OrbitState(PlanarVector(1e-110, 0.0), PlanarVector(0.0, 1e-300))
+        with pytest.raises(DomainError, match="cube"):
+            integrate(launch, UNIT_FIELD, SimConfig(dt=1e-3, steps=10, collision_radius=1e-200))
+        # The smallest radius accepted: that launch collides, and one just
+        # outside it divides by about float_info.min, with the same bits.
+        smallest = RADII[-1]
+        with pytest.raises(CollisionError):
+            integrate(launch, UNIT_FIELD, SimConfig(dt=1e-3, steps=10, collision_radius=smallest))
+        outside = OrbitState(PlanarVector(2 * smallest, 0.0), PlanarVector(0.0, 1e-300))
+        traj = integrate(outside, UNIT_FIELD,
+                         SimConfig(dt=1e-3, steps=10, collision_radius=smallest))
+        want = _propagate_py.propagate_kernel(2 * smallest, 0.0, 0.0, 1e-300, 1.0, 1e-3, 10, 1,
+                                              smallest)
+        assert_same_bits((traj.t, traj.x, traj.y, traj.vx, traj.vy, -1), want)
+
     def test_step_cap(self):
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**9)
@@ -181,10 +211,101 @@ class TestIntegrate:
         SimConfig(dt=1e-3, steps=10**8, record_every=20)
 
 
+def compiler_present() -> bool:
+    cc = sysconfig.get_config_var("CC")
+    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
+# Where a compiler is present the C kernel must load: its tests fail with
+# the ImportError rather than skip.
+requires_c = pytest.mark.skipif(not compiler_present(),
+                                reason="no C compiler (sysconfig CC) to build the C kernel")
+
+
+def c_kernel():
+    return importlib.import_module("polyorbit._propagate_c")
+
+
+KERNELS = [pytest.param(lambda: _propagate_py, id="python"),
+           pytest.param(c_kernel, id="c", marks=requires_c)]
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request, monkeypatch):
+    """Each kernel in turn, installed as the one simulator runs."""
+    module = request.param()
+    monkeypatch.setattr(simulator, "_kernel", module)
+    return module
+
+
 class TestBackends:
     def test_backend_reported(self):
-        assert backend() == "python"
+        if compiler_present():
+            assert simulator._kernel is c_kernel()  # an import error says why not
+            assert backend() == "c"
+        else:
+            assert backend() == "python"
+            assert simulator._kernel is _propagate_py
 
+    @requires_c
+    def test_concurrent_first_imports_build_one_library(self, tmp_path):
+        # Four interpreters import a copy of the package with an empty
+        # cache at once: each compiles to its own temporary file and renames
+        # it over the same library name.
+        shutil.copytree(os.path.dirname(polyorbit.__file__), tmp_path / "polyorbit",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        probe = "import polyorbit; print(polyorbit.backend())"
+        procs = [subprocess.Popen([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                                  stdout=subprocess.PIPE, text=True) for _ in range(4)]
+        try:
+            outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()  # a no-op for those that have exited
+                proc.wait()
+        assert [proc.returncode for proc in procs] == [0] * 4
+        assert outs == ["c\n"] * 4
+        cached = [p.name for p in (tmp_path / "polyorbit" / "__pycache__").iterdir()
+                  if not p.name.endswith(".pyc")]
+        assert len(cached) == 1 and cached[0].endswith(".so")
+
+    # A compiler that cannot run, one that fails, a cache that cannot be
+    # written to, and a library that fails its probe.
+    @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
+                                         "probe-mismatch"])
+    def test_failed_load_falls_back_to_python(self, monkeypatch, failure):
+        config = SimConfig(dt=1e-3, steps=13000, record_every=7)
+        want = integrate(CANONICAL, UNIT_FIELD, config)
+        with monkeypatch.context() as patch:
+            # a fresh import of the C kernel, built anew for any other compiler
+            patch.delitem(sys.modules, "polyorbit._propagate_c", raising=False)
+            patch.delattr(polyorbit, "_propagate_c", raising=False)
+            cc = {"no-compiler": "/nonexistent/cc", "compile-error": "false",
+                  "unwritable-cache": "true"}.get(failure)
+            if cc is not None:
+                config_var = sysconfig.get_config_var
+                patch.setattr(sysconfig, "get_config_var",
+                              lambda name: cc if name == "CC" else config_var(name))
+            if failure == "unwritable-cache":
+                def refuse(*args, **kwargs):
+                    raise PermissionError("read-only cache")
+                patch.setattr("tempfile.mkstemp", refuse)
+            if failure == "probe-mismatch":
+                run = _propagate_py.propagate_kernel
+
+                def off_by_one_bit(*args, **kwargs):
+                    t, *rest = run(*args, **kwargs)
+                    return (np.nextafter(t, np.inf), *rest)
+                patch.setattr(_propagate_py, "propagate_kernel", off_by_one_bit)
+            fallback = simulator._load_kernel()
+        assert fallback is _propagate_py
+        monkeypatch.setattr(simulator, "_kernel", fallback)
+        assert backend() == "python"
+        got = integrate(CANONICAL, UNIT_FIELD, config)
+        for name in ("t", "x", "y", "vx", "vy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert diagnostics(got) == diagnostics(want)
 
 
 # The kernel before it buffered its records: one ndarray store per value and
@@ -245,8 +366,20 @@ BLOCK_STEPS = [1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
 INFALL = (1.0, 0.0, -0.05, 0.02, 1.0, 5e-5)
 
 
+# TestCKernelOracle inherits TestKernelOracle's Hypothesis tests to run them
+# on the other kernel; their examples may be shared between the two.
+INHERITED = settings(deadline=None, suppress_health_check=[HealthCheck.differing_executors])
+
+
 class TestKernelOracle:
-    @settings(max_examples=60, deadline=None)
+    """The Python kernel against the per-value kernel it replaced;
+    TestCKernelOracle runs the same tests on the C kernel."""
+
+    @staticmethod
+    def propagate(*args, **kwargs):
+        return _propagate_py.propagate_kernel(*args, **kwargs)
+
+    @settings(INHERITED, max_examples=60)
     @given(
         x=st.floats(0.3, 3.0), y=st.floats(-3.0, 3.0),
         vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0),
@@ -258,13 +391,13 @@ class TestKernelOracle:
     def test_matches_reference_kernel(self, x, y, vx, vy, m, dt, steps,
                                       record_every, collision_radius):
         args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
-        assert_same_bits(_propagate_py.propagate_kernel(*args), reference_kernel(*args))
+        assert_same_bits(self.propagate(*args), reference_kernel(*args))
 
     @pytest.mark.parametrize("steps", BLOCK_STEPS)
     @pytest.mark.parametrize("record_every", [1, 2, 7, 3 * _RECORD_BLOCK])
     def test_matches_reference_around_block_edges(self, steps, record_every):
         args = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 1e-3, steps, record_every, 1e-9)
-        got = _propagate_py.propagate_kernel(*args)
+        got = self.propagate(*args)
         assert_same_bits(got, reference_kernel(*args))
         assert len(got[0]) == steps // record_every + 1
 
@@ -279,21 +412,20 @@ class TestKernelOracle:
         x, y = free[1][-1], free[2][-1]
         radius = math.sqrt(x * x + y * y) * (1.0 + 1e-12)
         args = INFALL + (3 * _RECORD_BLOCK, record_every, radius)
-        got = _propagate_py.propagate_kernel(*args)
+        got = self.propagate(*args)
         assert got[5] == collide_at
         assert_same_bits(got, reference_kernel(*args))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(INHERITED, max_examples=40)
     @given(k=st.integers(0, 2 * _RECORD_BLOCK + 3), dt=st.floats(1e-4, 1e-2),
            record_every=st.sampled_from([1, 2, 7]))
     def test_restart_from_a_state_continues_the_run(self, k, dt, record_every):
         # From the state and time of step k, the kernel repeats the rest of
         # the run bit for bit: t continues the same running sum.
         steps = 2 * _RECORD_BLOCK + 3
-        full = _propagate_py.propagate_kernel(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
+        full = self.propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
         t0, x, y, vx, vy = (float(a[k]) for a in full[:5])
-        rest = _propagate_py.propagate_kernel(x, y, vx, vy, 1.0, dt, steps - k,
-                                              record_every, 1e-9, t0=t0)
+        rest = self.propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9, t0=t0)
         assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1,))
 
     def test_decimated_times_use_bounded_memory(self):
@@ -312,6 +444,49 @@ class TestKernelOracle:
             if k % 10**4 == 0:
                 expected.append(running)
         assert t.tolist() == expected
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@requires_c
+class TestCKernelOracle(TestKernelOracle):
+    @staticmethod
+    def propagate(*args, **kwargs):
+        return c_kernel().propagate_kernel(*args, **kwargs)
+
+    # exercises _propagate_py._sample_times, which the C kernel does not use
+    test_decimated_times_use_bounded_memory = None
+
+    @pytest.mark.parametrize("steps, record_every", [
+        (-1, 1), (5, -10), (5, 0), (2**64 + 5, 2**64 + 1),
+    ])
+    def test_rejects_sizes_the_loop_cannot_hold(self, steps, record_every):
+        # the C loop would write past the outputs, or ctypes would wrap steps
+        # to 5 and record_every to 1
+        with pytest.raises(ValueError, match="steps"):
+            self.propagate(1.0, 0.0, 0.0, 1.0, 1.0, 1e-3, steps, record_every, 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.one_of(st.floats(0.3, 3.0), finite), y=st.one_of(st.floats(-3.0, 3.0), finite),
+        vx=st.one_of(st.floats(-2.0, 2.0), finite), vy=st.one_of(st.floats(-2.0, 2.0), finite),
+        m=st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e308)),
+        dt=st.one_of(st.floats(1e-4, 1e-2), st.floats(5e-324, 1e308)),
+        steps=st.one_of(st.sampled_from([0] + BLOCK_STEPS), st.integers(0, 3 * _RECORD_BLOCK)),
+        record_every=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 10**9),
+                               st.integers(2**63, 2**70)),
+        collision_radius=st.sampled_from(RADII),
+        t0=st.one_of(st.just(0.0), st.floats(-1e3, 1e3), finite),
+    )
+    def test_matches_python_kernel(self, x, y, vx, vy, m, dt, steps, record_every,
+                                   collision_radius, t0):
+        # Launches far outside the double range's middle overflow to inf and
+        # nan within a few steps; both kernels must carry the same bits.
+        args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
+        with np.errstate(over="ignore"):  # the Python kernel's time sum may overflow
+            want = _propagate_py.propagate_kernel(*args, t0=t0)
+        assert_same_bits(self.propagate(*args, t0=t0), want)
 
 
 class TestSweptAreas:
@@ -488,7 +663,7 @@ class TestDecimatedTurningPoints:
         assert _turning_points(full, full.r) == reference_apsis_events(full, full.r)
         assert [len(events) for events in reference_apsis_events(full, full.r)] == [2, 2]
 
-    @pytest.mark.parametrize("record_every", [2, 7, _RECORD_BLOCK, _RECORD_BLOCK + 1])
+    @pytest.mark.parametrize("record_every", [2, 7, _RERUN_BLOCK, _RERUN_BLOCK + 1])
     @pytest.mark.parametrize("extra", [0, 1], ids=["steps%R=0", "steps%R=1"])
     def test_matches_full_record(self, record_every, extra):
         # A quarter of EDGE_DT puts the turning points about 12 560 steps
@@ -559,7 +734,7 @@ class TestDecimatedTurningPoints:
         # step count as args[6]: every call passes the first nine arguments
         # by position and t0 by keyword.
         calls = []
-        kernel = _propagate_py.propagate_kernel
+        kernel = simulator._kernel.propagate_kernel
 
         def spy(*args, **kwargs):
             calls.append((len(args), tuple(kwargs)))
