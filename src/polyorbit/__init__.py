@@ -59,7 +59,6 @@ from .simulator import (
     DiagnosticsReport,
     SimConfig,
     Trajectory,
-    TrajectorySample,
     backend,
     diagnostics,
     integrate,

@@ -57,6 +57,9 @@ def _round_significant(x: float, figures: int) -> float:
 
 
 def _make_state(r0: float, v0: float, alpha0_deg: float) -> determination.OrbitState:
+    # A negative v0 would reverse the launch, as alpha0 + 180 deg would.
+    if not (r0 > 0.0 and v0 > 0.0):
+        raise DomainError(f"launch distance and speed must be > 0, got r0={r0}, v0={v0}")
     if not (0.0 < alpha0_deg < 180.0):
         raise DomainError(
             f"launch angle must lie strictly between 0 and 180 degrees, got {alpha0_deg}"

@@ -22,7 +22,7 @@ from .errors import (
     UnboundedOrbitError,
     UnreachableRadiusError,
 )
-from .geometry import ConicClass, ConicShape
+from .geometry import ConicClass, ConicShape, csc2_quadratic
 from .planar import PlanarVector
 
 #: |QC + m^2| below this multiple of m^2 classifies as a circle.
@@ -49,17 +49,6 @@ class OrbitState:
     @property
     def speed(self) -> float:
         return self.velocity.norm()
-
-    @property
-    def sin_alpha(self) -> float:
-        """sin of the angle between the radial ray and the velocity."""
-        return abs(self.position.cross(self.velocity)) / (self.r * self.speed)
-
-    @property
-    def alpha(self) -> float:
-        """Angle between radius and velocity, in (0, pi)."""
-        cos_a = self.position.dot(self.velocity) / (self.r * self.speed)
-        return math.acos(max(-1.0, min(1.0, cos_a)))
 
 
 @dataclass(frozen=True)
@@ -174,16 +163,16 @@ def csc2_predicted(pair: ConservedPair, field: CentralField, r: float) -> float:
     r_min, r_max = apsides(pair, field)
     hi = math.inf if r_max is None else r_max
     slack = 1e-12 * max(r_min, 1.0)
-    if r < r_min - slack or r > hi + slack:
+    if not r_min - slack <= r <= hi + slack:
         raise DomainError(
             f"radius {r:g} is outside the apsidal range [{r_min:g}, {hi:g}]"
         )
-    return (pair.C / pair.Q) * r * r + (2.0 * field.m / pair.Q) * r
+    return csc2_quadratic(pair.C / pair.Q, 2.0 * field.m / pair.Q, r)
 
 
 def speed_at_radius(pair: ConservedPair, field: CentralField, r: float) -> float:
     """Orbital speed at radius r: v = sqrt(C + 2m/r)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be > 0, got {r}")
     v2 = pair.C + 2.0 * field.m / r
     if v2 < 0.0:
@@ -263,11 +252,20 @@ class OrbitSolution:
         }
 
 
+def is_radial(state: OrbitState) -> bool:
+    """Whether the velocity lies along the radius (alpha = 0 or 180 deg).
+
+    Decided on the unit vectors, so that a Q = r^2 v^2 sin^2(alpha) that
+    underflows to 0 at extreme r or v is not taken for a radial launch.
+    """
+    return state.position.unit().cross(state.velocity.unit()) == 0.0
+
+
 def solve_orbit(state: OrbitState, field: CentralField) -> OrbitSolution:
     """Classify the orbit and fill in every closed-form element."""
     pair = conserved_from_state(state, field)
     if pair.Q == 0.0:
-        if state.position.unit().cross(state.velocity.unit()) != 0.0:
+        if not is_radial(state):
             raise DomainError(
                 f"Q = r^2 v^2 sin^2(alpha) underflows to 0 (r = {state.r:g}, "
                 f"v = {state.speed:g}); the launch is not radial"

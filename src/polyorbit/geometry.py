@@ -65,9 +65,8 @@ class ConicShape:
     semi_latus_rectum: float
 
     def __post_init__(self):
-        e, ell = self.eccentricity, self.semi_latus_rectum
-        if not math.isfinite(e) or e < 0.0:
-            raise DomainError(f"eccentricity must be finite and >= 0, got {e}")
+        classify_eccentricity(self.eccentricity)
+        ell = self.semi_latus_rectum
         if not math.isfinite(ell) or ell <= 0.0:
             raise DomainError(f"semi-latus rectum must be finite and > 0, got {ell}")
 
@@ -108,25 +107,37 @@ class EllipseAxes:
             )
 
 
-def radius_at_angle(shape: ConicShape, theta: float) -> float:
-    """Focal radius at polar angle theta: r = ell / (1 - e*sin(theta))."""
-    e = shape.eccentricity
+def _polar_form(shape: ConicShape, theta, s, c) -> tuple:
+    """(r, x, y, dr/dtheta) at polar angle theta, given s = sin(theta) and
+    c = cos(theta): r = ell / (1 - e*s), the point (r*c, r*s) and
+    dr/dtheta = e*c*r^2/ell.  theta, s and c are floats, or arrays elementwise.
+    """
+    e, ell = shape.eccentricity, shape.semi_latus_rectum
     if e == 0.0:
         raise DomainError("polar form requires e > 0 (a circle has no directrix)")
-    denom = 1.0 - e * math.sin(theta)
-    if denom <= 0.0:
+    denom = 1.0 - e * s
+    on_branch = denom > 0.0  # False for a NaN
+    if not np.all(on_branch):
+        i = int(np.argmin(on_branch))
+        theta, denom = np.ravel(theta)[i], np.ravel(denom)[i]
         raise NoSuchPointError(
             f"no point at theta={theta:g}: 1 - e*sin(theta) = {denom:g} <= 0 "
             "(beyond the asymptote / open side of the branch)"
         )
-    return shape.semi_latus_rectum / denom
+    r = ell / denom
+    return r, r * c, r * s, e * c * r * r / ell
 
 
-def radial_range(shape: ConicShape) -> tuple[float, float]:
-    """[r_min, r_max] attained on the conic; r_max is inf for e >= 1."""
-    r_min = shape.periapsis
-    r_max = shape.apoapsis
-    return r_min, math.inf if r_max is None else r_max
+def radius_at_angle(shape: ConicShape, theta: float) -> float:
+    """Focal radius at polar angle theta: r = ell / (1 - e*sin(theta))."""
+    return _polar_form(shape, theta, math.sin(theta), math.cos(theta))[0]
+
+
+def csc2_quadratic(a, b, r):
+    """The tangent-angle law csc^2(alpha) = a*r^2 + b*r at radius r, a float
+    or an array: a = C/Q and b = 2m/Q from the conserved pair, or
+    a = (e^2 - 1)/ell^2 and b = 2/ell from the conic's shape."""
+    return a * r * r + b * r
 
 
 def csc2_alpha(shape: ConicShape, r: float) -> float:
@@ -138,13 +149,14 @@ def csc2_alpha(shape: ConicShape, r: float) -> float:
     e, ell = shape.eccentricity, shape.semi_latus_rectum
     if e == 0.0:
         raise DomainError("csc^2(alpha) formula requires e > 0")
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be > 0, got {r}")
-    value = (e * e - 1.0) / (ell * ell) * r * r + 2.0 * r / ell
-    if value < 1.0 - CSC2_TOLERANCE:
-        lo, hi = radial_range(shape)
+    value = csc2_quadratic((e * e - 1.0) / (ell * ell), 2.0 / ell, r)
+    if not value >= 1.0 - CSC2_TOLERANCE:
+        hi = shape.apoapsis
         raise DomainError(
-            f"radius {r:g} is outside the conic's radial range [{lo:g}, {hi:g}]"
+            f"radius {r:g} is outside the conic's radial range "
+            f"[{shape.periapsis:g}, {math.inf if hi is None else hi:g}]"
         )
     return value
 
@@ -194,17 +206,8 @@ def _branch_anomaly_limit(shape: ConicShape) -> float:
 
 def conic_point(shape: ConicShape, theta: float) -> PlanarVector:
     """Point on the conic at polar angle theta, focus-centered frame."""
-    r = radius_at_angle(shape, theta)
-    return PlanarVector(r * math.cos(theta), r * math.sin(theta))
-
-
-def conic_tangent(shape: ConicShape, theta: float) -> PlanarVector:
-    """Analytic tangent dP/dtheta at polar angle theta (not normalized)."""
-    e, ell = shape.eccentricity, shape.semi_latus_rectum
-    r = radius_at_angle(shape, theta)
-    dr = e * math.cos(theta) * r * r / ell
-    c, s = math.cos(theta), math.sin(theta)
-    return PlanarVector(dr * c - r * s, dr * s + r * c)
+    _, x, y, _ = _polar_form(shape, theta, math.sin(theta), math.cos(theta))
+    return PlanarVector(x, y)
 
 
 def _sample_thetas(shape: ConicShape, n: int, start: int, stop: int) -> np.ndarray:
@@ -286,23 +289,13 @@ def _block_max(what: str, residual: np.ndarray) -> float:
 def _block_residuals(shape: ConicShape, theta: np.ndarray, focus2_y: float | None,
                      focal_constant: float | None) -> tuple[float, float, float, int]:
     """(focal, reflection, right-angle) maxima and the skipped count over the
-    samples at angles theta; the arithmetic of conic_point, conic_tangent and
-    PlanarVector, elementwise.
+    samples at angles theta; the arithmetic of conic_point, the analytic
+    tangent dP/dtheta and PlanarVector, elementwise.
     """
-    e, ell = shape.eccentricity, shape.semi_latus_rectum
     aO = shape.focal_directrix_distance
     s, c = np.sin(theta), np.cos(theta)
-    denom = 1.0 - e * s
-    if not (denom > 0.0).all():
-        i = int(np.argmin(denom > 0.0))
-        raise NoSuchPointError(
-            f"no point at theta={theta[i]:g}: 1 - e*sin(theta) = {denom[i]:g} <= 0 "
-            "(beyond the asymptote / open side of the branch)"
-        )
-    r = ell / denom
-    px, py = r * c, r * s
+    r, px, py, dr = _polar_form(shape, theta, s, c)
     _require_finite("conic point", theta, px, py)
-    dr = e * c * r * r / ell
     tx, ty = dr * c - r * s, dr * s + r * c
     _require_finite("tangent", theta, tx, ty)
     t_norm = np.hypot(tx, ty)

@@ -48,18 +48,24 @@ class RingDecomposition:
             raise DomainError(f"need at least 1 ring, got {self.n_rings}")
 
 
+def _ring_area(a, theta, w, sin):
+    # 2*pi*x*w with x = a*sin(theta): sin is math.sin, or np.sin for an array
+    # of theta.  sin(theta) stays a temporary, which NumPy reuses in place.
+    return 2.0 * math.pi * (a * sin(theta)) * w
+
+
 def ring_area(a: float, theta: float, w: float) -> float:
     """Thin-ring surface area 2*pi*x*w, with x = a*sin(theta) the distance
     from the ring to the axis."""
-    if a <= 0.0:
-        raise DomainError(f"sphere radius must be > 0, got {a}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"sphere radius must be finite and > 0, got {a}")
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
     if not (0.0 < w < a):
         raise DomainError(
             f"thin-ring approximation needs 0 < w < a, got w={w}, a={a}"
         )
-    return 2.0 * math.pi * (a * math.sin(theta)) * w
+    return _ring_area(a, theta, w, math.sin)
 
 
 def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
@@ -77,7 +83,8 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which is rejected below.
     with np.errstate(all="ignore"):
-        areas = 2.0 * math.pi * (a * np.sin(theta)) * width
+        # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
+        areas = _ring_area(a, theta, width, np.sin)
         cos_t = np.cos(theta)
         s2 = d * d + a * a - 2.0 * a * d * cos_t
         s = np.sqrt(s2)

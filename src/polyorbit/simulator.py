@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _propagate_py
-from .determination import CentralField, OrbitState, conserved_from_state, period
+from .determination import CentralField, OrbitState, conserved_from_state, is_radial, period
 from .errors import CollisionError, DegenerateOrbitError, DomainError
+from .geometry import csc2_quadratic
 from .planar import PlanarVector
 
 #: Hard cap on the number of steps in a single run.
@@ -106,13 +107,6 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    position: PlanarVector
-    velocity: PlanarVector
-
-
 def _radial_speed(x, y, vx, vy, r):
     # d|p|/dt = (p . v) / r, given r = |p|; positive when moving outward.
     return (x * vx + y * vy) / r
@@ -137,9 +131,9 @@ class Trajectory:
     def is_decimated(self) -> bool:
         return self.config.record_every > 1
 
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(self.t[i]),
+    def state(self, i: int) -> OrbitState:
+        """Recorded state i as an OrbitState."""
+        return OrbitState(
             position=PlanarVector(float(self.x[i]), float(self.y[i])),
             velocity=PlanarVector(float(self.vx[i]), float(self.vy[i])),
         )
@@ -184,8 +178,7 @@ def step(state: OrbitState, field: CentralField, dt: float,
          collision_radius: float = DEFAULT_COLLISION_RADIUS) -> OrbitState:
     """One impulse-polygon step: center-directed kick, then straight drift."""
     config = SimConfig(dt=dt, steps=1, collision_radius=collision_radius)
-    s = integrate(state, field, config).sample(1)
-    return OrbitState(position=s.position, velocity=s.velocity)
+    return integrate(state, field, config).state(1)
 
 
 def _run(field: CentralField, config: SimConfig, state: tuple, steps: int,
@@ -295,9 +288,8 @@ def _turning_points(traj: Trajectory, r: np.ndarray) -> tuple[list, list]:
 def _quarter_period(traj: Trajectory) -> float:
     """A quarter of the closed-form period of the orbit through the first
     recorded state, or inf when that orbit is not bound."""
-    first = traj.sample(0)
     try:
-        pair = conserved_from_state(OrbitState(first.position, first.velocity), traj.field)
+        pair = conserved_from_state(traj.state(0), traj.field)
         return period(pair, traj.field) / 4.0
     except DomainError:  # not bound, or the period leaves the double range
         return math.inf
@@ -411,9 +403,7 @@ def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
     q = h * h
     q0 = q[0]
     if not q0 > 0.0:
-        first = traj.sample(0)
-        p0, v0 = first.position, first.velocity
-        if min(p0.norm(), v0.norm()) > 0.0 and p0.unit().cross(v0.unit()) != 0.0:
+        if not is_radial(traj.state(0)):
             raise DomainError(
                 f"Q = (x vy - y vx)^2 underflows to 0 (x vy - y vx = {h[0]:g}); the launch "
                 "is not radial, but the drift and swept-area checks divide by Q"
@@ -429,7 +419,7 @@ def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
     c_drift = float(np.max(np.abs(c - c0)) / c_scale)
 
     csc2_obs = r * r * v2 / q
-    csc2_pred = (c0 / q0) * r * r + (2.0 * m / q0) * r
+    csc2_pred = csc2_quadratic(c0 / q0, 2.0 * m / q0, r)
     csc2_res = float(np.max(np.abs(csc2_obs - csc2_pred)))
 
     if traj.is_decimated:

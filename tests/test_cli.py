@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
 import stat
+import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -18,6 +20,45 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The exit code and stdout of each command, pinned as the first 16 hex digits
+# of the stdout's sha256, as printed with Python 3.11.7 and NumPy 2.4.6 by
+# either kernel.  Another NumPy may round a sin, cos or hypot differently: CI
+# prints the versions before the tests run.
+GOLDEN_STDOUT = [
+    ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "0afb703e29cedfb3"),
+    ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "098a99303fa209c3"),
+    ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "15340902f23c7f5b"),
+    ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "f1bbee9c1b69aa11"),
+    ("shell-check --a 1 --mass 1 --g 1 --d 2.0 --rings 1000000", 0, "e4102e584f4afcaa"),
+    ("shell-check --a 1 --mass 1 --g 1 --d 2 --rings 3", 1, "db6a193b8e246b0d"),
+    ("kepler3 --m 1.0 --count 6", 0, "47967a238eb4c80a"),
+]
+
+# The same for a 200k-step simulate, and the sha256 of the CSV it writes.
+GOLDEN_SIMULATE = ("simulate --m 1 --r0 1 --v0 1 --alpha0 60.0 --dt 1e-4 --steps 200000",
+                   "c5bd2c0451c90c0e",
+                   "959b3218397ca2939ef5e624f10d0797d6ea8a8f495fa6d60321356f3fcfe224")
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, code, digest", GOLDEN_STDOUT,
+                             ids=[argv for argv, _, _ in GOLDEN_STDOUT])
+    def test_stdout(self, capsys, argv, code, digest):
+        got_code, out, _ = run(capsys, argv.split())
+        assert (got_code, _digest(out)) == (code, digest)
+
+    def test_simulate_stdout_and_csv(self, capsys, tmp_path):
+        argv, digest, csv_digest = GOLDEN_SIMULATE
+        out_path = tmp_path / "traj.csv"
+        code, out, _ = run(capsys, [*argv.split(), "--out", str(out_path)])
+        assert (code, _digest(out)) == (cli.EXIT_OK, digest)
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
 
 
 class TestClassify:
@@ -117,6 +158,29 @@ class TestClassify:
             "classify", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "180",
         ])
         assert code == cli.EXIT_NUMERIC
+
+
+class TestLaunchState:
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    @pytest.mark.parametrize("key", ["r0", "v0"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_negative_launch_distance_or_speed_numeric_error(self, capsys, tmp_path, command,
+                                                              key, via_config):
+        # A negative v0 reverses the launch, as an alpha0 of 240 deg would.
+        launch = {"m": 1, "r0": 1, "v0": 1, "alpha0": 60, key: -1}
+        out_path = tmp_path / "traj.csv"
+        extra = ["--dt", "1e-3", "--steps", "100", "--out", str(out_path)]
+        if via_config:
+            conf = tmp_path / "run.json"
+            conf.write_text(json.dumps(launch))
+            argv = [command, "--config", str(conf)]
+        else:
+            argv = [command, *[a for k, v in launch.items() for a in (f"--{k}", str(v))]]
+        code, out, err = run(capsys, argv + extra if command == "simulate" else argv)
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert "must be > 0" in err
+        assert not out_path.exists()
 
 
 class TestSimulate:
@@ -542,6 +606,19 @@ def _flags(names, values):
                        for a in (f"--{name}", v)])
 
 
+# Counts up to 2000, so that a simulate run on the Python kernel stays short.
+COUNT = st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x", ""]))
+
+
+def _replaced(base, values, optional=()):
+    # Flags with the values of an argv that runs, some of them replaced by
+    # drawn values: drawing every flag independently almost never reaches a
+    # simulate run, which needs six valid values.
+    keys = [*base, *optional]
+    return st.dictionaries(st.sampled_from(keys), values).map(
+        lambda drawn: [a for name, v in {**base, **drawn}.items() for a in (f"--{name}", v)])
+
+
 class TestFuzz:
     """Any argv exits with a documented code, no traceback and strict JSON."""
 
@@ -566,7 +643,19 @@ class TestFuzz:
         self.check(["classify", *flags])
 
     @settings(max_examples=300, deadline=None)
-    @given(_flags(["a", "mass", "g", "d", "tol"], NUMBER),
-           st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x", ""])))
+    @given(_flags(["a", "mass", "g", "d", "tol"], NUMBER), COUNT)
     def test_shell_check(self, flags, rings):
         self.check(["shell-check", *flags, "--rings", rings])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_replaced({"e": "0.5", "ell": "0.75", "tol": "1e-9"}, NUMBER),
+           _replaced({"samples": "2000"}, COUNT))
+    def test_geometry_check(self, flags, samples):
+        self.check(["geometry-check", *flags, *samples])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_replaced({"m": "1", "r0": "1", "v0": "1", "alpha0": "60", "dt": "1e-3"}, NUMBER),
+           _replaced({"steps": "2000"}, COUNT, optional=["decimate"]))
+    def test_simulate(self, flags, counts):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(["simulate", *flags, *counts, "--out", os.path.join(tmp, "traj.csv")])

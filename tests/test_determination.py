@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from polyorbit import (
     CentralField,
     ConicClass,
+    ConicShape,
     ConservedPair,
     DegenerateOrbitError,
     DomainError,
+    NoSuchPointError,
     OrbitState,
     PlanarVector,
     UnboundedOrbitError,
@@ -25,6 +27,8 @@ from polyorbit import (
     energy_area,
     energy_area_quadrature,
     period,
+    radius_at_angle,
+    ring_area,
     solve_orbit,
     speed_at_radius,
     speed_squared_change,
@@ -278,6 +282,20 @@ class TestSpeedAtRadius:
     def test_unreachable_rejected(self):
         with pytest.raises(UnreachableRadiusError):
             speed_at_radius(ConservedPair(-1.0, 0.75), UNIT_FIELD, 10.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: radius_at_angle(ConicShape(0.5, 0.75), math.nan), NoSuchPointError),
+    (lambda: csc2_alpha(ConicShape(0.5, 0.75), math.nan), DomainError),
+    (lambda: csc2_alpha(ConicShape(0.5, 0.75), math.inf), DomainError),
+    (lambda: csc2_predicted(ConservedPair(-1.0, 0.75), UNIT_FIELD, math.nan), DomainError),
+    (lambda: speed_at_radius(ConservedPair(-1.0, 0.75), UNIT_FIELD, math.nan), DomainError),
+    (lambda: ring_area(math.inf, 0.0, 0.1), DomainError),
+], ids=["radius_at_angle-nan", "csc2_alpha-nan", "csc2_alpha-inf", "csc2_predicted-nan",
+        "speed_at_radius-nan", "ring_area-inf"])
+def test_no_input_gives_a_silent_nan(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestEnergyArea:

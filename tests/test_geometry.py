@@ -31,7 +31,6 @@ from polyorbit.geometry import (
     _RESIDUAL_BLOCK,
     _branch_anomaly_limit,
     conic_point,
-    conic_tangent,
 )
 
 
@@ -43,6 +42,36 @@ def scalar_thetas(shape, n):
     if shape.eccentricity < 1.0:
         return [-0.5 * math.pi + 2.0 * f_lim * i / n for i in range(n)]
     return [-0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1) for i in range(n)]
+
+
+# Oracles: radius_at_angle and conic_point written out on math.sin/math.cos,
+# apart from the polar form geometry shares with its array path, and the
+# analytic tangent, which only tests use.
+def reference_radius_at_angle(shape, theta):
+    e = shape.eccentricity
+    if e == 0.0:
+        raise DomainError("polar form requires e > 0 (a circle has no directrix)")
+    denom = 1.0 - e * math.sin(theta)
+    if denom <= 0.0:
+        raise NoSuchPointError(
+            f"no point at theta={theta:g}: 1 - e*sin(theta) = {denom:g} <= 0 "
+            "(beyond the asymptote / open side of the branch)"
+        )
+    return shape.semi_latus_rectum / denom
+
+
+def reference_conic_point(shape, theta):
+    r = reference_radius_at_angle(shape, theta)
+    return PlanarVector(r * math.cos(theta), r * math.sin(theta))
+
+
+def conic_tangent(shape, theta):
+    """Analytic tangent dP/dtheta at polar angle theta (not normalized)."""
+    e, ell = shape.eccentricity, shape.semi_latus_rectum
+    r = reference_radius_at_angle(shape, theta)
+    dr = e * math.cos(theta) * r * r / ell
+    c, s = math.cos(theta), math.sin(theta)
+    return PlanarVector(dr * c - r * s, dr * s + r * c)
 
 
 class TestClassify:
@@ -89,6 +118,13 @@ class TestRadiusAtAngle:
     def test_circle_rejected(self):
         with pytest.raises(DomainError):
             radius_at_angle(ConicShape(0.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("e,ell", [(0.3, 0.5), (1.0, 1e-300), (2.0, 1e300), (1e6, 1.0)])
+    def test_matches_reference_bitwise(self, e, ell):
+        shape = ConicShape(e, ell)
+        for theta in scalar_thetas(shape, 101):
+            assert radius_at_angle(shape, theta) == reference_radius_at_angle(shape, theta)
+            assert conic_point(shape, theta) == reference_conic_point(shape, theta)
 
 
 class TestCsc2Alpha:
@@ -252,7 +288,7 @@ def reference_residuals(shape, n):
     refl_res = 0.0
     right_res = 0.0
     skipped = 0
-    points = [(theta, conic_point(shape, theta)) for theta in scalar_thetas(shape, n)]
+    points = [(theta, reference_conic_point(shape, theta)) for theta in scalar_thetas(shape, n)]
     for theta, p in points:
         r = p.norm()
         t_hat = conic_tangent(shape, theta).unit()
