@@ -1,10 +1,10 @@
 /* The kick-then-drift loop of _propagate_py.propagate_kernel in plain C.
  *
- * Same operations in the same order as the Python loop, so with IEEE double
- * arithmetic, correctly rounded sqrt and no contraction of a multiply and an
- * add into one fused operation (-ffp-contract=off) every state is bitwise
- * that of the Python kernel.  t is the running sum t = t + dt from t0, as
- * _propagate_py._sample_times rebuilds it.
+ * The same statements in the same order as the Python loop, so with IEEE
+ * double arithmetic, correctly rounded sqrt and no contraction of a multiply
+ * and an add into one fused operation (-ffp-contract=off) every state is
+ * bitwise that of the Python kernel.  t is the running sum t = t + dt from
+ * t0 in both.
  *
  * The caller allocates the five outputs with steps / record_every + 1
  * entries and passes record_every <= steps + 1.  Returns the number of

@@ -70,7 +70,10 @@ class ConservedPair:
     Q: float
 
     def __post_init__(self):
-        if self.Q < 0.0:
+        # an infinite C or Q is left to classify_orbit, which names the range
+        if math.isnan(self.C):
+            raise DomainError(f"C must be a number, got {self.C}")
+        if not self.Q >= 0.0:
             raise DomainError(f"Q is a square and must be >= 0, got {self.Q}")
 
     @property

@@ -128,9 +128,16 @@ def _polar_form(shape: ConicShape, theta, s, c) -> tuple:
     return r, r * c, r * s, e * c * r * r / ell
 
 
+def _polar_point(shape: ConicShape, theta: float) -> tuple:
+    # _polar_form at one angle: math.sin(+-inf) would raise a bare ValueError
+    if math.isinf(theta):
+        raise NoSuchPointError(f"no point at theta={theta:g}: the angle is infinite")
+    return _polar_form(shape, theta, math.sin(theta), math.cos(theta))
+
+
 def radius_at_angle(shape: ConicShape, theta: float) -> float:
     """Focal radius at polar angle theta: r = ell / (1 - e*sin(theta))."""
-    return _polar_form(shape, theta, math.sin(theta), math.cos(theta))[0]
+    return _polar_point(shape, theta)[0]
 
 
 def csc2_quadratic(a, b, r):
@@ -206,7 +213,7 @@ def _branch_anomaly_limit(shape: ConicShape) -> float:
 
 def conic_point(shape: ConicShape, theta: float) -> PlanarVector:
     """Point on the conic at polar angle theta, focus-centered frame."""
-    _, x, y, _ = _polar_form(shape, theta, math.sin(theta), math.cos(theta))
+    _, x, y, _ = _polar_point(shape, theta)
     return PlanarVector(x, y)
 
 

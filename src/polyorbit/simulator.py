@@ -190,11 +190,10 @@ def _run(field: CentralField, config: SimConfig, state: tuple, steps: int,
     when a recorded value is not finite.
     """
     t0, x, y, vx, vy = state
-    with np.errstate(over="ignore"):  # a time past the double range is caught below
-        t, xs, ys, vxs, vys, collided = _kernel.propagate_kernel(
-            x, y, vx, vy, field.m, config.dt, steps, record_every,
-            config.collision_radius, t0=t0,
-        )
+    t, xs, ys, vxs, vys, collided = _kernel.propagate_kernel(
+        x, y, vx, vy, field.m, config.dt, steps, record_every,
+        config.collision_radius, t0=t0,
+    )
     if collided >= 0:
         raise CollisionError(k0 + collided, config.collision_radius)
     rec = (t, xs, ys, vxs, vys)

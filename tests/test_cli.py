@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyorbit import cli, simulator
+from polyorbit import _propagate_py, cli, simulator
 
 
 def run(capsys, argv):
@@ -59,6 +60,17 @@ class TestGoldenBytes:
         code, out, _ = run(capsys, [*argv.split(), "--out", str(out_path)])
         assert (code, _digest(out)) == (cli.EXIT_OK, digest)
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+
+    # The commands that run a kernel, on the Python kernel: the tests above
+    # run the C kernel wherever a compiler is present.
+    def test_kepler3_on_the_python_kernel(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        argv, code, digest = next(case for case in GOLDEN_STDOUT if case[0].startswith("kepler3"))
+        self.test_stdout(capsys, argv, code, digest)
+
+    def test_simulate_on_the_python_kernel(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        self.test_simulate_stdout_and_csv(capsys, tmp_path)
 
 
 class TestClassify:
@@ -610,6 +622,19 @@ def _flags(names, values):
 COUNT = st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x", ""]))
 
 
+# kepler3 integrates count orbits of about 170k steps each.
+KEPLER3_COUNT = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["1.5", "x", ""]))
+
+# --config values of every JSON type, integers past 2**63 among them; no
+# integer from 2001 to 2**63 - 1, so that no drawn steps makes a long run.
+JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2000), st.integers(2**63, 2**1100),
+    st.integers(-2**1100, -2**63), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
 def _replaced(base, values, optional=()):
     # Flags with the values of an argv that runs, some of them replaced by
     # drawn values: drawing every flag independently almost never reaches a
@@ -619,11 +644,24 @@ def _replaced(base, values, optional=()):
         lambda drawn: [a for name, v in {**base, **drawn}.items() for a in (f"--{name}", v)])
 
 
+def _strict_json(text):
+    json.loads(text, parse_constant=_reject_constant)
+
+
+def _finite_csv(text):
+    # kepler3's table: a header, a row per orbit and the fitted slope
+    header, *rows = text.splitlines()
+    assert header == "X,T_formula,T_simulated" and rows[-1].startswith("slope,")
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.removeprefix("slope,").split(","))
+
+
 class TestFuzz:
-    """Any argv exits with a documented code, no traceback and strict JSON."""
+    """Any argv exits with a documented code, no traceback and strict JSON
+    (kepler3: a table of finite numbers)."""
 
     @staticmethod
-    def check(argv):
+    def check(argv, parse=_strict_json):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -633,7 +671,7 @@ class TestFuzz:
         assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_USAGE, cli.EXIT_NUMERIC)
         assert "Traceback" not in err.getvalue()
         if code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            parse(out.getvalue())
         else:
             assert out.getvalue() == ""
 
@@ -659,3 +697,25 @@ class TestFuzz:
     def test_simulate(self, flags, counts):
         with tempfile.TemporaryDirectory() as tmp:
             self.check(["simulate", *flags, *counts, "--out", os.path.join(tmp, "traj.csv")])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_replaced({"m": "1"}, NUMBER), _replaced({"count": "2"}, KEPLER3_COUNT))
+    def test_kepler3(self, m, count):
+        self.check(["kepler3", *m, *count], parse=_finite_csv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["classify", "simulate"]),
+           st.dictionaries(st.sampled_from(["m", "r0", "v0", "alpha0", "dt", "steps",
+                                            "decimate", "out"]), JSON_VALUE))
+    def test_config(self, command, drawn):
+        # A config that runs, some of its values replaced by drawn ones; out
+        # stays inside the temporary directory unless it is not a string.
+        with tempfile.TemporaryDirectory() as tmp:
+            conf = {"m": 1, "r0": 1, "v0": 1, "alpha0": 60, "dt": 1e-3, "steps": 2000,
+                    "out": os.path.join(tmp, "traj.csv")}
+            conf.update((key, value) for key, value in drawn.items()
+                        if not (key == "out" and isinstance(value, str)))
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(conf, fh)
+            self.check([command, "--config", path])

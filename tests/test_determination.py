@@ -291,8 +291,12 @@ class TestSpeedAtRadius:
     (lambda: csc2_predicted(ConservedPair(-1.0, 0.75), UNIT_FIELD, math.nan), DomainError),
     (lambda: speed_at_radius(ConservedPair(-1.0, 0.75), UNIT_FIELD, math.nan), DomainError),
     (lambda: ring_area(math.inf, 0.0, 0.1), DomainError),
+    (lambda: speed_at_radius(ConservedPair(math.nan, 0.75), UNIT_FIELD, 1.0), DomainError),
+    (lambda: apsides(ConservedPair(math.nan, 0.75), UNIT_FIELD), DomainError),
+    (lambda: period(ConservedPair(-1.0, math.nan), UNIT_FIELD), DomainError),
 ], ids=["radius_at_angle-nan", "csc2_alpha-nan", "csc2_alpha-inf", "csc2_predicted-nan",
-        "speed_at_radius-nan", "ring_area-inf"])
+        "speed_at_radius-nan", "ring_area-inf", "speed_at_radius-nan-C", "apsides-nan-C",
+        "period-nan-Q"])
 def test_no_input_gives_a_silent_nan(call, error):
     with pytest.raises(error):
         call()

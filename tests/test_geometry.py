@@ -119,6 +119,13 @@ class TestRadiusAtAngle:
         with pytest.raises(DomainError):
             radius_at_angle(ConicShape(0.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [radius_at_angle, conic_point])
+    def test_infinite_angle_has_no_point(self, at, theta):
+        # math.sin(+-inf) would raise a bare ValueError; such an angle names no point
+        with pytest.raises(NoSuchPointError, match=f"no point at theta={theta:g}"):
+            at(CANONICAL, theta)
+
     @pytest.mark.parametrize("e,ell", [(0.3, 0.5), (1.0, 1e-300), (2.0, 1e300), (1e6, 1.0)])
     def test_matches_reference_bitwise(self, e, ell):
         shape = ConicShape(e, ell)

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyorbit
@@ -34,7 +34,6 @@ from polyorbit import (
     uniform_accel_displacement_sum,
 )
 from polyorbit import _propagate_py, simulator
-from polyorbit._propagate_py import _RECORD_BLOCK
 from polyorbit.simulator import (
     _CSV_BLOCK_ROWS,
     _RERUN_BLOCK,
@@ -147,7 +146,7 @@ class TestIntegrate:
         k = int(np.argmin(r))
         assert np.all(np.diff(r[k:]) > 0.0)
 
-    def test_sample_times_accumulate(self):
+    def test_sample_times_accumulate(self, kernel):
         # 0.1 is inexact in binary, so the running sum drifts from k * dt
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=0.1, steps=30))
         t = 0.0
@@ -308,47 +307,6 @@ class TestBackends:
         assert diagnostics(got) == diagnostics(want)
 
 
-# The kernel before it buffered its records: one ndarray store per value and
-# t summed in the loop.  Kept verbatim as the bitwise oracle.
-def reference_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
-    n_rec = steps // record_every + 1
-    t_arr = np.empty(n_rec)
-    x_arr = np.empty(n_rec)
-    y_arr = np.empty(n_rec)
-    vx_arr = np.empty(n_rec)
-    vy_arr = np.empty(n_rec)
-
-    t = 0.0
-    idx = 1
-    t_arr[0] = 0.0
-    x_arr[0] = x
-    y_arr[0] = y
-    vx_arr[0] = vx
-    vy_arr[0] = vy
-
-    for k in range(1, steps + 1):
-        r2 = x * x + y * y
-        r = math.sqrt(r2)
-        if r < collision_radius:
-            return (t_arr[:idx], x_arr[:idx], y_arr[:idx],
-                    vx_arr[:idx], vy_arr[:idx], k)
-        f = m / (r2 * r) * dt
-        vx = vx - f * x
-        vy = vy - f * y
-        x = x + vx * dt
-        y = y + vy * dt
-        t = t + dt
-        if k % record_every == 0:
-            t_arr[idx] = t
-            x_arr[idx] = x
-            y_arr[idx] = y
-            vx_arr[idx] = vx
-            vy_arr[idx] = vy
-            idx += 1
-
-    return (t_arr[:idx], x_arr[:idx], y_arr[:idx], vx_arr[:idx], vy_arr[:idx], -1)
-
-
 def assert_same_bits(got, want):
     assert got[5] == want[5]
     for a, b in zip(got[:5], want[:5]):
@@ -356,92 +314,107 @@ def assert_same_bits(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-# Step counts around the buffer size, where a flush lands on the last step,
-# the step before it or the step after it.
-BLOCK_STEPS = [1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
-               2 * _RECORD_BLOCK + 1]
+def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
+    """The Python kernel's run rebuilt from one-step runs, each from the state
+    and time the one before it reached: the oracle for which states a run
+    records and at which step a collision stops it."""
+    state = (0.0, x, y, vx, vy)
+    recorded = [state]
+    collided = -1
+    for k in range(1, steps + 1):
+        one = _propagate_py.propagate_kernel(*state[1:], m, dt, 1, 1, collision_radius,
+                                             t0=state[0])
+        if one[5] == 1:
+            collided = k
+            break
+        state = tuple(float(a[1]) for a in one[:5])
+        if k % record_every == 0:
+            recorded.append(state)
+    return (*(np.array(values) for values in zip(*recorded)), collided)
+
+
+# Run lengths of the grids: the shortest runs, and runs of a few thousand
+# steps whose last step falls on, before or after a multiple of 4096.
+BLOCK_STEPS = [1, 2, 4095, 4096, 4097, 8193]
 
 # A near-radial fall: r decreases on every step up to about step 20 000, so
 # a radius just above r after step K - 1 makes the collision land on step K.
 INFALL = (1.0, 0.0, -0.05, 0.02, 1.0, 5e-5)
 
+# Steps on which the grids place a collision.
+COLLIDE_AT = [1, 2, 100, 4095, 4096, 4097, 5096, 8193]
 
-# TestCKernelOracle inherits TestKernelOracle's Hypothesis tests to run them
-# on the other kernel; their examples may be shared between the two.
-INHERITED = settings(deadline=None, suppress_health_check=[HealthCheck.differing_executors])
+
+def collision_radius_at(collide_at):
+    # A radius just above r after step collide_at - 1 of INFALL.
+    free = _propagate_py.propagate_kernel(*INFALL, collide_at - 1, 1, 1e-9)
+    x, y = free[1][-1], free[2][-1]
+    return math.sqrt(x * x + y * y) * (1.0 + 1e-12)
 
 
 class TestKernelOracle:
-    """The Python kernel against the per-value kernel it replaced;
-    TestCKernelOracle runs the same tests on the C kernel."""
+    """The Python kernel, the oracle of the C kernel, against its own
+    one-step runs; and a restart and bounded memory on both kernels."""
 
-    @staticmethod
-    def propagate(*args, **kwargs):
-        return _propagate_py.propagate_kernel(*args, **kwargs)
-
-    @settings(INHERITED, max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(
         x=st.floats(0.3, 3.0), y=st.floats(-3.0, 3.0),
         vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0),
         m=st.floats(0.1, 10.0), dt=st.floats(1e-4, 1e-2),
-        steps=st.one_of(st.sampled_from(BLOCK_STEPS), st.integers(1, 3 * _RECORD_BLOCK)),
+        steps=st.integers(0, 2000),
         record_every=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 10**9)),
         collision_radius=st.sampled_from([1e-9, 0.05, 0.3, 1.0]),
     )
     def test_matches_reference_kernel(self, x, y, vx, vy, m, dt, steps,
                                       record_every, collision_radius):
         args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
-        assert_same_bits(self.propagate(*args), reference_kernel(*args))
+        assert_same_bits(_propagate_py.propagate_kernel(*args), stepwise(*args))
 
     @pytest.mark.parametrize("steps", BLOCK_STEPS)
-    @pytest.mark.parametrize("record_every", [1, 2, 7, 3 * _RECORD_BLOCK])
+    @pytest.mark.parametrize("record_every", [1, 2, 7, 12288])
     def test_matches_reference_around_block_edges(self, steps, record_every):
         args = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 1e-3, steps, record_every, 1e-9)
-        got = self.propagate(*args)
-        assert_same_bits(got, reference_kernel(*args))
+        got = _propagate_py.propagate_kernel(*args)
+        assert_same_bits(got, stepwise(*args))
         assert len(got[0]) == steps // record_every + 1
 
     @pytest.mark.parametrize("record_every", [1, 7])
-    @pytest.mark.parametrize("collide_at", [
-        1, 2, 100, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
-        _RECORD_BLOCK + 1000, 2 * _RECORD_BLOCK + 1,
-    ])
+    @pytest.mark.parametrize("collide_at", COLLIDE_AT)
     def test_collision_matches_reference(self, collide_at, record_every):
-        # collide_at 100 and 4096 + 1000 stop inside a partly filled buffer
-        free = reference_kernel(*INFALL, collide_at - 1, 1, 1e-9)
-        x, y = free[1][-1], free[2][-1]
-        radius = math.sqrt(x * x + y * y) * (1.0 + 1e-12)
-        args = INFALL + (3 * _RECORD_BLOCK, record_every, radius)
-        got = self.propagate(*args)
+        args = INFALL + (12288, record_every, collision_radius_at(collide_at))
+        got = _propagate_py.propagate_kernel(*args)
         assert got[5] == collide_at
-        assert_same_bits(got, reference_kernel(*args))
+        assert_same_bits(got, stepwise(*args))
 
-    @settings(INHERITED, max_examples=40)
-    @given(k=st.integers(0, 2 * _RECORD_BLOCK + 3), dt=st.floats(1e-4, 1e-2),
+    @pytest.mark.parametrize("load", KERNELS)
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 8195), dt=st.floats(1e-4, 1e-2),
            record_every=st.sampled_from([1, 2, 7]))
-    def test_restart_from_a_state_continues_the_run(self, k, dt, record_every):
+    def test_restart_from_a_state_continues_the_run(self, load, k, dt, record_every):
         # From the state and time of step k, the kernel repeats the rest of
         # the run bit for bit: t continues the same running sum.
-        steps = 2 * _RECORD_BLOCK + 3
-        full = self.propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
+        propagate = load().propagate_kernel
+        steps = 8195
+        full = propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
         t0, x, y, vx, vy = (float(a[k]) for a in full[:5])
-        rest = self.propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9, t0=t0)
+        rest = propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9, t0=t0)
         assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1,))
 
-    def test_decimated_times_use_bounded_memory(self):
-        # 10^6 steps recorded every 10^4: t at every step would take 8 MB
+    def test_decimated_times_use_bounded_memory(self, kernel):
+        # 10^5 steps recorded every 10^3: a record of every step would take
+        # 5 x 8 x 10^5 bytes = 4 MB, the 101 recorded states 4 kB
         tracemalloc.start()
         try:
-            t = _propagate_py._sample_times(1e-3, 10**4, 101)
+            t = kernel.propagate_kernel(1.0, 0.0, 0.5, 0.8, 1.0, 1e-3, 10**5, 10**3, 1e-9)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * _RECORD_BLOCK
+        assert peak < 64 * 1024
         running = 0.0
         expected = [running]
-        for k in range(1, 10**6 + 1):
+        for k in range(1, 10**5 + 1):
             running = running + 1e-3
-            if k % 10**4 == 0:
+            if k % 10**3 == 0:
                 expected.append(running)
         assert t.tolist() == expected
 
@@ -450,13 +423,28 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @requires_c
-class TestCKernelOracle(TestKernelOracle):
+class TestCKernelOracle:
+    """The C kernel against the Python kernel, bit for bit."""
+
     @staticmethod
     def propagate(*args, **kwargs):
         return c_kernel().propagate_kernel(*args, **kwargs)
 
-    # exercises _propagate_py._sample_times, which the C kernel does not use
-    test_decimated_times_use_bounded_memory = None
+    @pytest.mark.parametrize("steps", BLOCK_STEPS)
+    @pytest.mark.parametrize("record_every", [1, 2, 7, 12288])
+    def test_matches_reference_around_block_edges(self, steps, record_every):
+        args = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 1e-3, steps, record_every, 1e-9)
+        got = self.propagate(*args)
+        assert_same_bits(got, _propagate_py.propagate_kernel(*args))
+        assert len(got[0]) == steps // record_every + 1
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("collide_at", COLLIDE_AT)
+    def test_collision_matches_reference(self, collide_at, record_every):
+        args = INFALL + (12288, record_every, collision_radius_at(collide_at))
+        got = self.propagate(*args)
+        assert got[5] == collide_at
+        assert_same_bits(got, _propagate_py.propagate_kernel(*args))
 
     @pytest.mark.parametrize("steps, record_every", [
         (-1, 1), (5, -10), (5, 0), (2**64 + 5, 2**64 + 1),
@@ -473,7 +461,7 @@ class TestCKernelOracle(TestKernelOracle):
         vx=st.one_of(st.floats(-2.0, 2.0), finite), vy=st.one_of(st.floats(-2.0, 2.0), finite),
         m=st.one_of(st.floats(0.1, 10.0), st.floats(5e-324, 1e308)),
         dt=st.one_of(st.floats(1e-4, 1e-2), st.floats(5e-324, 1e308)),
-        steps=st.one_of(st.sampled_from([0] + BLOCK_STEPS), st.integers(0, 3 * _RECORD_BLOCK)),
+        steps=st.one_of(st.sampled_from([0] + BLOCK_STEPS), st.integers(0, 12288)),
         record_every=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 10**9),
                                st.integers(2**63, 2**70)),
         collision_radius=st.sampled_from(RADII),
@@ -484,9 +472,8 @@ class TestCKernelOracle(TestKernelOracle):
         # Launches far outside the double range's middle overflow to inf and
         # nan within a few steps; both kernels must carry the same bits.
         args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
-        with np.errstate(over="ignore"):  # the Python kernel's time sum may overflow
-            want = _propagate_py.propagate_kernel(*args, t0=t0)
-        assert_same_bits(self.propagate(*args, t0=t0), want)
+        assert_same_bits(self.propagate(*args, t0=t0),
+                         _propagate_py.propagate_kernel(*args, t0=t0))
 
 
 class TestSweptAreas:
