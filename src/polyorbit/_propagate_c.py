@@ -1,20 +1,25 @@
-"""The propagation kernel compiled from _kick_drift.c and called through ctypes.
+"""The two hot loops compiled from _kick_drift.c and called through ctypes.
 
-The first import compiles the C file into this package's __pycache__, the
-way the interpreter writes bytecode; later imports load the cached library.
-Its name carries a hash of the source, the compiler command, the flags and
-the platform, so a change to any of them builds a new one.  The C file uses
-no Python headers, so no build step or extension module is needed.
+One library holds both: kick_drift, the propagation kernel, and csv_rows,
+the CSV row formatter.  The first import compiles the C file into this
+package's __pycache__, the way the interpreter writes bytecode; later
+imports load the cached library.  Its name carries a hash of the source,
+the compiler command, the flags and the platform, so a change to any of
+them builds a new one.  The C file uses no Python headers, so no build step
+or extension module is needed.
 
-Before the kernel is used, a short probe must match _propagate_py bit for
-bit.  When anything fails (no compiler, a failed compile, an unwritable
-cache, a load error or a probe mismatch) the import raises ImportError, and
-simulator falls back to _propagate_py.
+Before the library is used, a short probe of each loop must match
+_propagate_py: the kernel bit for bit, the formatter byte for byte.  When
+anything fails (no compiler, a failed compile, an unwritable cache, a load
+error or a probe mismatch) the import raises ImportError, and simulator
+falls back to _propagate_py for both loops.
 """
 
 import ctypes
 import importlib.util
+import math
 import os
+import struct
 import sysconfig
 
 import numpy as np
@@ -37,6 +42,22 @@ _LIBS = ("-lm",)
 # decimation and a start time t0 = 0.1.
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
           -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 64, 3, 1e-9, 0.1)
+
+# format_rows values for the load-time probe, eight columns of four rows:
+# 17th-digit ties that round to even (down, then up, at 1e15 and at 1e14,
+# with both signs), +-0, subnormals, +-inf, NaN of both signs and +-DBL_MAX.
+_PROBE_VALUES = (
+    1000000000000000.25, 1000000000000000.75, -1000000000000000.25, -1000000000000000.75,
+    100000000000000.125, 100000000000000.375, -100000000000000.625, 2251799813685247.75,
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308,
+    math.inf, -math.inf, math.nan, struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0],
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1 / 3, 1e16, 1.5e-5,
+    123.0, 1e22, 9.999999999999999e-5, 2.5, -7e-300, 6.02214076e23, 1e-7, 4.35,
+)
+
+# The longest row csv_rows writes: eight values of at most 24 characters
+# ("-2.2250738585072014e-308"), each followed by a comma or the newline.
+_ROW_BYTES = 8 * 25
 
 
 def _library_path(cc: str) -> str:
@@ -82,14 +103,17 @@ def _load():
         lib = ctypes.CDLL(_library_path(cc))
     except OSError as exc:
         raise ImportError(f"the C kernel could not be built or loaded: {exc}") from exc
-    fn = lib.kick_drift
-    fn.restype = ctypes.c_int64
-    fn.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2 + [ctypes.c_double] * 2
-                   + [ctypes.c_void_p] * 5 + [ctypes.POINTER(ctypes.c_int64)])
-    return fn
+    kick_drift, csv_rows = lib.kick_drift, lib.csv_rows
+    kick_drift.restype = ctypes.c_int64
+    kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
+                           + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
+                           + [ctypes.POINTER(ctypes.c_int64)])
+    csv_rows.restype = ctypes.c_int64
+    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p]
+    return kick_drift, csv_rows
 
 
-_kick_drift = _load()
+_kick_drift, _csv_rows = _load()
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -110,11 +134,34 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     return (*(out[:n] for out in outs), collided.value)
 
 
+def format_rows(columns, start, stop):
+    """Same arguments and text as _propagate_py.format_rows."""
+    # csv_rows reads rows [start, stop) of each column through a pointer
+    n = len(columns[0])
+    if len(columns) != 8 or not all(
+            isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+            and col.flags.c_contiguous and len(col) == n for col in columns):
+        raise ValueError("need 8 contiguous 1-D float64 columns of one length")
+    start, stop, _ = slice(start, stop).indices(n)
+    if start >= stop:
+        return ""
+    out = ctypes.create_string_buffer((stop - start) * _ROW_BYTES)
+    size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
+                     start, stop, out)
+    if size < 0:  # newlocale fails for "C" only when out of memory
+        raise MemoryError("csv_rows could not make the C numeric locale")
+    return str(memoryview(out)[:size], "ascii")
+
+
 def _probe() -> None:
     got = propagate_kernel(*_PROBE)
     want = _propagate_py.propagate_kernel(*_PROBE)
     if got[5] != want[5] or any(a.tobytes() != b.tobytes() for a, b in zip(got[:5], want[:5])):
         raise ImportError("the compiled kernel differs from _propagate_py on the load-time probe")
+    columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
+    if format_rows(columns, 0, 5) != _propagate_py.format_rows(columns, 0, 5):
+        raise ImportError("the compiled CSV formatter differs from _propagate_py on the "
+                          "load-time probe")
 
 
 _probe()

@@ -1,18 +1,24 @@
-"""Impulse-polygon propagation kernel in Python: the fallback and the oracle.
+"""The two hot loops of polyorbit in Python: the fallback and the oracle.
 
-Each step kicks the velocity toward the center by (m/r^3)*dt, then drifts the
-position by the new velocity times dt.  simulator.integrate and
-simulator.step run this loop, or _kick_drift.c when it loads; the two are
-written statement for statement alike, and the order of operations fixes
-every trajectory bit.  The tests check the C kernel against this one.
+propagate_kernel is the impulse-polygon kernel.  Each step kicks the
+velocity toward the center by (m/r^3)*dt, then drifts the position by the
+new velocity times dt.  simulator.integrate and simulator.step run this
+loop, or kick_drift in _kick_drift.c when it loads; the two are written
+statement for statement alike, and the order of operations fixes every
+trajectory bit.  Recorded values are stored through memoryviews of the
+float64 outputs, which take a Python float without a NumPy scalar
+conversion.
 
-Recorded values are stored through memoryviews of the float64 outputs,
-which take a Python float without a NumPy scalar conversion.
+format_rows formats the rows of Trajectory.write_csv, or csv_rows in the
+same C library when it loads.  The tests check both C loops against these.
 """
 
 from math import sqrt
 
 import numpy as np
+
+# One CSV row: eight values at 17 significant digits.
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -59,3 +65,10 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
             vy_out[n] = vy
             n += 1
     return (*(out[:n] for out in outs), collided)
+
+
+def format_rows(columns, start, stop):
+    """Rows [start, stop) of the eight equal-length float64 columns as CSV
+    text, each value printed with %.17g; start and stop slice as in Python."""
+    rows = zip(*[col[start:stop].tolist() for col in columns])
+    return "".join([_CSV_ROW % row for row in rows])

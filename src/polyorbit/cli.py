@@ -32,6 +32,10 @@ EARTH_RADIUS = 6.367e6           # m
 # so the periods it reports are those of a full record.
 KEPLER3_RECORD_EVERY = 400
 
+# kepler3 integrates --count orbits of about 170k steps each: 1000 orbits
+# are about 1.7e8 steps, and a larger count is a usage error (exit 2).
+KEPLER3_MAX_COUNT = 1000
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -181,8 +185,8 @@ def _cmd_kepler3(args, parser) -> int:
     spaced semi-major axes; fit log T against log X."""
     field = determination.CentralField(args.m)
     count = args.count
-    if count < 2:
-        parser.error("--count must be at least 2")
+    if not 2 <= count <= KEPLER3_MAX_COUNT:
+        parser.error(f"--count must be in [2, {KEPLER3_MAX_COUNT}], got {count}")
     x_values = [0.5 * (16.0 / 0.5) ** (i / (count - 1)) for i in range(count)]
 
     # Every orbit is set up, and its formula period checked, before the
@@ -222,7 +226,14 @@ def _cmd_kepler3(args, parser) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _require_tolerance(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    # A NaN tolerance would pass every check: residual > nan is False.
+    if not args.tol >= 0.0:
+        parser.error(f"--tol must be >= 0, got {args.tol}")
+
+
 def _cmd_shell_check(args, parser) -> int:
+    _require_tolerance(args, parser)
     spec = shell.ShellSpec(radius=args.a, total_mass=args.mass, g=args.g)
     computed = shell.shell_accel(spec, args.d, shell.RingDecomposition(args.rings))
     exact = shell.point_mass_accel(args.g * args.mass, args.d)
@@ -286,6 +297,7 @@ def _cmd_moon_check(args, parser) -> int:
 
 
 def _cmd_geometry_check(args, parser) -> int:
+    _require_tolerance(args, parser)
     shape = geometry.ConicShape(eccentricity=args.e, semi_latus_rectum=args.ell)
     report = geometry.geometry_residuals(shape, args.samples)
     _print_json(report.as_dict())

@@ -9,11 +9,12 @@ The per-step swept triangles of this polygon have exactly equal areas
 (equivalently cross(p, v) is exactly conserved), which is what the
 diagnostics here measure, alongside the O(dt) drift of the vis-viva constant.
 
-The step arithmetic is written twice, with the same bits: in C
-(_kick_drift.c, loaded by polyorbit._propagate_c) and in Python
-(polyorbit._propagate_py, the fallback and the oracle).  integrate() and
-step() both run the kernel that loaded, so a single step and a one-step
-trajectory agree bitwise.
+The two hot loops, the step and the CSV row formatter, are each written
+twice, with the same bits and bytes: in C (one library built from
+_kick_drift.c, loaded by polyorbit._propagate_c) and in Python
+(polyorbit._propagate_py, the fallback and the oracle).  integrate(),
+step() and Trajectory.write_csv run the module that loaded, so a single
+step and a one-step trajectory agree bitwise.
 """
 
 from __future__ import annotations
@@ -46,16 +47,13 @@ _RERUN_BLOCK = 4096
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
-# One row of the CSV: eight values at 17 significant digits.
-_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
-
 # Rows formatted and written per stream.write call.  Larger blocks save
 # little time and raise peak memory.
 _CSV_BLOCK_ROWS = 512
 
 
 def _load_kernel():
-    # The compiled kernel when it builds, loads and passes its probe.
+    # The compiled loops when they build, load and pass their probes.
     try:
         from . import _propagate_c
     except ImportError:
@@ -67,7 +65,7 @@ _kernel = _load_kernel()
 
 
 def backend() -> str:
-    """Name of the propagation kernel in use: 'c' or 'python'."""
+    """Name of the propagation kernel and CSV formatter in use: 'c' or 'python'."""
     return "python" if _kernel is _propagate_py else "c"
 
 
@@ -164,14 +162,21 @@ class Trajectory:
 
     def write_csv(self, stream) -> None:
         """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema,
-        17 significant digits per value, streamed in blocks of rows."""
+        17 significant digits per value, streamed in blocks of rows.
+
+        Raises DomainError, before writing anything, unless t, x, y, vx and
+        vy are 1-D and of one length."""
+        stored = (self.t, self.x, self.y, self.vx, self.vy)
+        shapes = [np.shape(col) for col in stored]
+        if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
+            raise DomainError(f"t, x, y, vx and vy must be 1-D and of one length, "
+                              f"got shapes {shapes}")
+        n = shapes[0][0]
+        columns = [np.ascontiguousarray(col, dtype=np.float64)
+                   for col in (*stored, self.r, self.speed, self.alpha)]
         stream.write(CSV_HEADER + "\n")
-        columns = (self.t, self.x, self.y, self.vx, self.vy,
-                   self.r, self.speed, self.alpha)
-        for start in range(0, len(self.t), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            rows = zip(*[col[start:stop].tolist() for col in columns])
-            stream.write("".join([_CSV_ROW % row for row in rows]))
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            stream.write(_kernel.format_rows(columns, start, start + _CSV_BLOCK_ROWS))
 
 
 def step(state: OrbitState, field: CentralField, dt: float,

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import locale
 import math
 import os
 import stat
@@ -71,6 +72,21 @@ class TestGoldenBytes:
     def test_simulate_on_the_python_kernel(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         self.test_simulate_stdout_and_csv(capsys, tmp_path)
+
+    # printf's decimal point follows LC_NUMERIC, CPython's % does not; the
+    # C formatter switches to the "C" locale while it formats.  CI installs
+    # the locale; elsewhere the test runs where de_DE.UTF-8 is installed.
+    def test_simulate_csv_under_a_comma_decimal_locale(self, capsys, tmp_path):
+        previous = locale.setlocale(locale.LC_NUMERIC)
+        try:
+            locale.setlocale(locale.LC_NUMERIC, "de_DE.UTF-8")
+        except locale.Error:
+            pytest.skip("the de_DE.UTF-8 locale is not installed")
+        try:
+            assert locale.localeconv()["decimal_point"] == ","
+            self.test_simulate_stdout_and_csv(capsys, tmp_path)
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, previous)
 
 
 class TestClassify:
@@ -477,6 +493,16 @@ class TestKepler3:
             cli.main(["kepler3", "--m", "1", "--count", "1"])
         assert exc_info.value.code == cli.EXIT_USAGE
 
+    # Counts past the cap are refused before any orbit is set up; 10**20
+    # used to build a list of 10**20 semi-major axes.
+    @pytest.mark.parametrize("count", [str(cli.KEPLER3_MAX_COUNT + 1), "100000000000000000000"])
+    def test_count_cap(self, capsys, count):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["kepler3", "--m", "1", "--count", count])
+        assert exc_info.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--count" in err
+
     @pytest.mark.parametrize("m, expected", [
         ("1e300", cli.EXIT_NUMERIC),    # (-C)^1.5 overflows
         ("1.7e308", cli.EXIT_NUMERIC),  # C = -m/X overflows
@@ -542,6 +568,20 @@ class TestShellCheck:
             "--d", "0.5", "--rings", "100",
         ])
         assert code == cli.EXIT_NUMERIC
+
+
+# A NaN tolerance used to pass every check (residual > nan is False).
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "10"],
+    ["geometry-check", "--e", "0.5", "--ell", "1.0", "--samples", "100"],
+], ids=["shell-check", "geometry-check"])
+def test_tolerance_not_at_least_zero_usage_error(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([*argv, "--tol", tol])
+    assert exc_info.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "--tol" in err
 
 
 class TestMoonCheck:

@@ -6,10 +6,12 @@ import math
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,9 +272,9 @@ class TestBackends:
         assert len(cached) == 1 and cached[0].endswith(".so")
 
     # A compiler that cannot run, one that fails, a cache that cannot be
-    # written to, and a library that fails its probe.
+    # written to, and a library whose kernel or CSV formatter fails its probe.
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
-                                         "probe-mismatch"])
+                                         "probe-mismatch", "format-probe-mismatch"])
     def test_failed_load_falls_back_to_python(self, monkeypatch, failure):
         config = SimConfig(dt=1e-3, steps=13000, record_every=7)
         want = integrate(CANONICAL, UNIT_FIELD, config)
@@ -297,6 +299,12 @@ class TestBackends:
                     t, *rest = run(*args, **kwargs)
                     return (np.nextafter(t, np.inf), *rest)
                 patch.setattr(_propagate_py, "propagate_kernel", off_by_one_bit)
+            if failure == "format-probe-mismatch":
+                format_rows = _propagate_py.format_rows
+
+                def signed_nan(*args):
+                    return format_rows(*args).replace("nan", "-nan")
+                patch.setattr(_propagate_py, "format_rows", signed_nan)
             fallback = simulator._load_kernel()
         assert fallback is _propagate_py
         monkeypatch.setattr(simulator, "_kernel", fallback)
@@ -862,21 +870,43 @@ class TestCsvExport:
         traj.write_csv(buf)
         return buf.getvalue()
 
+    def assert_matches_reference(self, traj):
+        # write_csv on the Python formatter, and on the C one wherever a
+        # compiler is present (an import error fails the test).
+        want = self.reference_csv(traj)
+        for module in [_propagate_py, *([c_kernel()] if compiler_present() else [])]:
+            with mock.patch.object(simulator, "_kernel", module):
+                assert self.written_csv(traj) == want, module.__name__
+
     @pytest.mark.parametrize("rows", [
         _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
     ])
     def test_matches_reference_across_blocks(self, rows):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=rows - 1))
         assert len(traj) == rows
-        assert self.written_csv(traj) == self.reference_csv(traj)
+        self.assert_matches_reference(traj)
 
     def test_matches_reference_decimated(self):
         traj = integrate(CANONICAL, UNIT_FIELD,
                          SimConfig(dt=1e-3, steps=3 * _CSV_BLOCK_ROWS, record_every=7))
-        assert self.written_csv(traj) == self.reference_csv(traj)
+        self.assert_matches_reference(traj)
+
+    # glibc prints a NaN with its sign bit set as "-nan"; CPython as "nan".
+    NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
 
     EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-                   1e308, -1e308, math.inf, -math.inf, math.nan, 1.0, -0.1]
+                   2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, math.inf, -math.inf, math.nan, NEGATIVE_NAN,
+                   1.0, -0.1]
+
+    # Doubles whose 18-digit decimal ends in 5 at the 18th digit, so %.17g
+    # rounds a tie (to even): k/4 with odd k in [4e15, 9e15), as
+    # 1000000000000000.25, and k/8 with odd k in [8e14, 8e15), as
+    # 100000000000000.125.  Each k is below 2**53, so k/4 and k/8 are exact.
+    TIES = st.one_of(
+        st.integers(2 * 10**15, 9 * 10**15 // 2 - 1).map(lambda j: (2 * j + 1) / 4),
+        st.integers(4 * 10**14, 4 * 10**15 - 1).map(lambda j: (2 * j + 1) / 8),
+    )
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -884,11 +914,61 @@ class TestCsvExport:
         n = data.draw(st.integers(1, 2 * _CSV_BLOCK_ROWS + 3))
         # A small drawn pool tiled over the 5 x n cells by a drawn seed:
         # drawing every cell would exceed Hypothesis's data budget.
-        value = st.one_of(st.sampled_from(self.EDGE_VALUES), st.floats())
+        tie = st.tuples(self.TIES, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+        value = st.one_of(st.sampled_from(self.EDGE_VALUES), tie, st.floats())
         pool = np.array(data.draw(st.lists(value, min_size=1, max_size=64)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cols = list(pool[rng.integers(0, len(pool), size=(5, n))])
         traj = Trajectory(*cols, field=UNIT_FIELD,
                           config=SimConfig(dt=1e-3, steps=max(n - 1, 1)))
         with np.errstate(all="ignore"):  # r, v, alpha of inf/nan columns
-            assert self.written_csv(traj) == self.reference_csv(traj)
+            self.assert_matches_reference(traj)
+
+    def test_ties_round_to_even(self, kernel):
+        # The 17th digit of each value is followed by exactly 5.
+        assert kernel.format_rows([np.array([1000000000000000.25, 1000000000000000.75,
+                                             -100000000000000.125])] * 8, 0, 3) == (
+            ",".join(["1000000000000000.2"] * 8) + "\n"
+            + ",".join(["1000000000000000.8"] * 8) + "\n"
+            + ",".join(["-100000000000000.12"] * 8) + "\n")
+
+    @pytest.mark.parametrize("t_len, other_len", [(5, 3), (3, 5)])
+    def test_columns_of_unequal_length_rejected_before_writing(self, kernel, t_len, other_len):
+        # zip used to drop the rows past the shortest column without a word.
+        cols = [np.arange(t_len, dtype=float)] + [np.ones(other_len)] * 4
+        traj = Trajectory(*cols, field=UNIT_FIELD, config=SimConfig(dt=1e-3, steps=4))
+        buf = io.StringIO()
+        with pytest.raises(DomainError, match="one length"):
+            traj.write_csv(buf)
+        assert buf.getvalue() == ""
+
+    def test_columns_of_other_dtypes_write_their_float64_values(self, kernel):
+        cols = [np.array([1, 2**60 + 1]), np.array([0.1, -2.5], dtype=np.float32),
+                np.array([0.5, 0.25])[::-1], np.ones(2), np.zeros(2)]
+        traj = Trajectory(*cols, field=UNIT_FIELD, config=SimConfig(dt=1e-3, steps=1))
+        with np.errstate(all="ignore"):
+            as_float64 = Trajectory(*(np.array(col, dtype=np.float64) for col in cols),
+                                    field=UNIT_FIELD, config=traj.config)
+            assert self.written_csv(traj) == self.reference_csv(as_float64)
+
+    @requires_c
+    @pytest.mark.parametrize("start, stop", [
+        (0, 3), (0, 1000), (2, 3), (3, 3), (4, 2), (-2, 100), (-100, 1), (7, 9),
+    ])
+    def test_c_formatter_slices_rows_as_python(self, start, stop):
+        columns = [np.arange(5.0) * (k + 1) / 3 for k in range(8)]
+        assert (c_kernel().format_rows(columns, start, stop)
+                == _propagate_py.format_rows(columns, start, stop))
+
+    @requires_c
+    @pytest.mark.parametrize("columns", [
+        [np.ones(3)] * 7,
+        [np.ones(3)] * 7 + [np.ones(4)],
+        [np.ones(3)] * 7 + [np.ones(3, dtype=np.float32)],
+        [np.ones(3)] * 7 + [np.ones(6)[::2]],
+        [np.ones(3)] * 7 + [np.ones((3, 1))],
+        [np.ones(3)] * 7 + [[1.0, 1.0, 1.0]],
+    ], ids=["seven", "unequal", "float32", "strided", "2-d", "list"])
+    def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            c_kernel().format_rows(columns, 0, 3)
