@@ -8,9 +8,12 @@
  * t0 in both.
  *
  * csv_rows is the row formatter of _propagate_py.format_rows: each value is
- * printed with "%.17g", which glibc rounds exactly (ties to even) as CPython
- * does, under the "C" numeric locale whatever the process locale is, and a
- * NaN of either sign is written "nan" as CPython writes it.
+ * printed as "%.17g" prints it, the exact decimal value rounded to 17
+ * significant digits, ties to even, as glibc and CPython both do.  The
+ * digits come from an integer fast path (digits17); the values it cannot
+ * settle, and zeros and infinities, go to snprintf under the "C" numeric
+ * locale whatever the process locale is.  A NaN of either sign is written
+ * "nan" as CPython writes it.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -68,14 +71,155 @@ int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt
 #define CSV_COLUMNS 8
 /* The longest "%.17g" of a double, as "-2.2250738585072014e-308". */
 #define CSV_VALUE_MAX 24
+#define TEN_TO_16 UINT64_C(10000000000000000)
+#define TEN_TO_17 UINT64_C(100000000000000000)
+#define TOP_BIT (UINT64_C(1) << 63)
+#define EIGHT_DIGITS ((UINT64_C(1) << 57) / 10000000 + 1)  /* 2^57 / 10^7, rounded up */
+#define DIGIT_MASK ((UINT64_C(1) << 57) - 1)
+
+/* The high 64 bits of a * b, and the low 64 bits in *lo, from 32-bit halves:
+ * ISO C has no 128-bit integer. */
+static uint64_t mul_64x64(uint64_t a, uint64_t b, uint64_t *lo)
+{
+    uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xFFFFFFFFu) + (p10 & 0xFFFFFFFFu);
+
+    *lo = mid << 32 | (p00 & 0xFFFFFFFFu);
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* floor(n c) for an irrational c close enough to num / 2^shift: as in Ryu,
+ * (78913, 18) gives floor(n log10 2) for |n| <= 1650 and (1217359, 19)
+ * floor(n log2 5) for |n| <= 3528.  For n < 0, n c is not an integer, so
+ * floor(n c) = -floor(-n c) - 1. */
+static int floor_mul(int n, int num, int shift)
+{
+    return n >= 0 ? (n * num) >> shift : -((-n * num) >> shift) - 1;
+}
+
+/* The 17 significant digits of f * 2^e, 2^63 <= f < 2^64, rounded to
+ * nearest: returns d, 10^16 <= d < 10^17, and sets *x to the decimal
+ * exponent, so the value rounds to d * 10^(*x - 16).  Returns 0 where it
+ * cannot settle the rounding: a tie, a near-tie, or a power of ten outside
+ * the table.
+ *
+ * pow10 holds, for q = q_min .. q_max, the two 64-bit words (high first) of
+ * m, 2^127 <= m < 2^128, with 10^q = (m + t) * 2^b, 0 <= t < 1 and
+ * b = floor(q log2 10) - 127: m is exact for 0 <= q <= 55 and truncated
+ * otherwise.  f * m is exact in 192 bits, so it is below f * (m + t) by
+ * less than f < 2^64, less than one unit of its middle word.
+ */
+static uint64_t digits17(uint64_t f, int e, const uint64_t *pow10, int q_min, int q_max,
+                         int *x)
+{
+    int k = floor_mul(e + 63, 78913, 18);  /* floor(log10(2^(e + 63))): X or X - 1 */
+
+    for (;;) {
+        int q = 16 - k;
+        if (q < q_min || q > q_max)
+            return 0;
+        const uint64_t *m = pow10 + 2 * (q - q_min);
+        /* f * m * 2^(e + b) = f * 2^e * 10^q has its integer part in the
+         * top word shifted right by r: 3 <= r <= 10 while it lies in
+         * [10^16, 10^18) */
+        int b = q + floor_mul(q, 1217359, 19) - 127;
+        int r = -(e + b) - 128;
+        uint64_t low, middle, low_high = mul_64x64(f, m[1], &low);
+        uint64_t top = mul_64x64(f, m[0], &middle);
+        middle += low_high;
+        top += middle < low_high;
+        uint64_t d = top >> r;
+        if (d >= TEN_TO_17) {  /* f * 2^e >= 10^(k + 1): X is k + 1 */
+            k++;
+            continue;
+        }
+        /* w is the fraction's top 64 bits.  The bits below them and the
+         * table error add less than 2 units of 2^-64, so the exact fraction
+         * lies in [w, w + 2) units and one half, 2^63 units, can lie there
+         * only when w is 2^63 - 1 or 2^63. */
+        uint64_t w = top << (64 - r) | middle >> r;
+        if (w - (TOP_BIT - 1) <= 1)
+            return 0;
+        d += w > TOP_BIT;
+        if (d == TEN_TO_17) {  /* 10^17 is 10^16 at the next exponent */
+            d = TEN_TO_16;
+            k++;
+        }
+        *x = k;
+        return d;
+    }
+}
+
+/* Writes v, rounded to d * 10^(x - 16), as "%.17g" does: fixed notation for
+ * -4 <= x < 17, else exponent notation with at least two exponent digits,
+ * with trailing zeros and a bare point removed.  Returns the end of the
+ * text. */
+static char *write_g(char *p, int negative, uint64_t d, int x)
+{
+    /* The first digit, then two runs of eight: each run y < 10^8 as the
+     * fixed-point fraction y / 10^7 * 2^57, rounded up, whose integer part
+     * is the next digit before the rest is multiplied by 10.  Rounding up
+     * adds less than 10^8 units, 10^15 after seven products, below the
+     * 2^57 / 10^7 units that keep any digit from changing. */
+    char s[17];
+    uint32_t high = (uint32_t)(d / 100000000u);
+    uint64_t middle = high % 100000000u * EIGHT_DIGITS, low = d % 100000000u * EIGHT_DIGITS;
+    s[0] = (char)('0' + high / 100000000u);
+    for (int i = 1; i <= 8; i++) {
+        s[i] = (char)('0' + (middle >> 57));
+        s[i + 8] = (char)('0' + (low >> 57));
+        middle = (middle & DIGIT_MASK) * 10;
+        low = (low & DIGIT_MASK) * 10;
+    }
+    size_t n = 17;  /* the digits up to the last non-zero one; s[0] is not '0' */
+    while (s[n - 1] == '0')
+        n--;
+
+    if (negative)
+        *p++ = '-';
+    if (x < -4 || x >= 17) {
+        *p++ = s[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, s + 1, n - 1);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        unsigned a = (unsigned)(x < 0 ? -x : x);
+        if (a >= 100)
+            *p++ = (char)('0' + a / 100);
+        *p++ = (char)('0' + a / 10 % 10);
+        *p++ = (char)('0' + a % 10);
+    } else if (x >= 0) {
+        size_t whole = (size_t)x + 1;
+        memcpy(p, s, whole);
+        p += whole;
+        if (n > whole) {
+            *p++ = '.';
+            memcpy(p, s + whole, n - whole);
+            p += n - whole;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)(-x - 1));
+        p += -x - 1;
+        memcpy(p, s, n);
+        p += n;
+    }
+    return p;
+}
 
 /* Writes rows [start, stop) of the eight columns cols[0..7] to out as CSV
  * lines, eight values joined by commas and ended by a newline, with no
  * terminating NUL.  out must hold (stop - start) * 8 * (CSV_VALUE_MAX + 1)
- * bytes.  Returns the number of bytes written, or -1 when the "C" locale
- * cannot be made.
+ * bytes; pow10, q_min and q_max are digits17's table.  Returns the number of
+ * bytes written, or -1 when the "C" locale cannot be made.
  */
-int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *out)
+int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *out,
+                 const uint64_t *pow10, int q_min, int q_max)
 {
     locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
     if (c_numeric == (locale_t)0)
@@ -86,7 +230,23 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     for (int64_t i = start; i < stop; i++) {
         for (int j = 0; j < CSV_COLUMNS; j++) {
             double v = cols[j][i];
-            if (isnan(v)) {
+            uint64_t bits, d = 0;
+            int x = 0;
+            memcpy(&bits, &v, sizeof bits);
+            if (isfinite(v) && v != 0) {
+                /* v = f * 2^e with the top bit of f set */
+                int biased = (int)(bits >> 52 & 0x7FF);
+                uint64_t f = (bits & 0xFFFFFFFFFFFFFu) << 11;
+                int e = biased ? biased - 1086 : -1085;
+                if (biased)
+                    f |= TOP_BIT;
+                for (; !(f & TOP_BIT); f <<= 1)  /* a subnormal */
+                    e--;
+                d = digits17(f, e, pow10, q_min, q_max, &x);
+            }
+            if (d) {
+                p = write_g(p, (int)(bits >> 63), d, x);
+            } else if (isnan(v)) {
                 memcpy(p, "nan", 3);
                 p += 3;
             } else {

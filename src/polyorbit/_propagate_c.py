@@ -6,7 +6,8 @@ package's __pycache__, the way the interpreter writes bytecode; later
 imports load the cached library.  Its name carries a hash of the source,
 the compiler command, the flags and the platform, so a change to any of
 them builds a new one.  The C file uses no Python headers, so no build step
-or extension module is needed.
+or extension module is needed.  csv_rows is passed a table of powers of ten
+that the import builds from exact integers, so no table is committed.
 
 Before the library is used, a short probe of each loop must match
 _propagate_py: the kernel bit for bit, the formatter byte for byte.  When
@@ -43,9 +44,14 @@ _LIBS = ("-lm",)
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
           -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 64, 3, 1e-9, 0.1)
 
-# format_rows values for the load-time probe, eight columns of four rows:
+# format_rows values for the load-time probe, eight columns of five rows:
 # 17th-digit ties that round to even (down, then up, at 1e15 and at 1e14,
-# with both signs), +-0, subnormals, +-inf, NaN of both signs and +-DBL_MAX.
+# with both signs), +-0, subnormals, +-inf, NaN of both signs and +-DBL_MAX;
+# then values that csv_rows prints without snprintf, in fixed and exponent
+# notation: 10 (whose exponent is first estimated as 0), 1e-14 and 1e98
+# (whose 17 digits round up to 10^17) and a subnormal; and
+# 1.3076622631878654e65, 3.7e-20 units past a tie at its 17th digit, which
+# goes to snprintf.
 _PROBE_VALUES = (
     1000000000000000.25, 1000000000000000.75, -1000000000000000.25, -1000000000000000.75,
     100000000000000.125, 100000000000000.375, -100000000000000.625, 2251799813685247.75,
@@ -53,7 +59,13 @@ _PROBE_VALUES = (
     math.inf, -math.inf, math.nan, struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0],
     1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1 / 3, 1e16, 1.5e-5,
     123.0, 1e22, 9.999999999999999e-5, 2.5, -7e-300, 6.02214076e23, 1e-7, 4.35,
+    10.0, -0.00012345678901234567, 12345678901234568.0, 1e17, -1e-14, 1e98,
+    1.3076622631878654e65, -2.2250738585072014e-308 / 3,
 )
+
+# The powers of ten csv_rows scales by: 10^(16 - k) for the decimal
+# exponents k from -324 (5e-324) to 308 (DBL_MAX).
+_POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 
 # The longest row csv_rows writes: eight values of at most 24 characters
 # ("-2.2250738585072014e-308"), each followed by a comma or the newline.
@@ -95,6 +107,23 @@ def _library_path(cc: str) -> str:
     return path
 
 
+def _pow10_table():
+    """For q = _POW10_MIN .. _POW10_MAX, the two 64-bit words, high first, of
+    10^q's 128-bit mantissa rounded down: the m with 2^127 <= m < 2^128 and
+    m <= 10^q / 2^b < m + 1 for an integer b.  Exact for 0 <= q <= 55."""
+    raw = bytearray()
+    n = 10 ** -_POW10_MIN
+    for q in range(_POW10_MIN, _POW10_MAX + 1):
+        if q < 0:  # 10^q = 1 / n
+            m = (1 << (n.bit_length() + 127)) // n
+            n //= 10
+        else:  # 10^q = n
+            m = (n << 128) >> n.bit_length()
+            n *= 10
+        raw += m.to_bytes(16, "big")
+    return np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+
+
 def _load():
     cc = sysconfig.get_config_var("CC")
     if not cc:
@@ -109,11 +138,13 @@ def _load():
                            + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
                            + [ctypes.POINTER(ctypes.c_int64)])
     csv_rows.restype = ctypes.c_int64
-    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p]
+    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
+                         ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
     return kick_drift, csv_rows
 
 
 _kick_drift, _csv_rows = _load()
+_POW10 = _pow10_table()
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -147,7 +178,7 @@ def format_rows(columns, start, stop):
         return ""
     out = ctypes.create_string_buffer((stop - start) * _ROW_BYTES)
     size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                     start, stop, out)
+                     start, stop, out, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
     if size < 0:  # newlocale fails for "C" only when out of memory
         raise MemoryError("csv_rows could not make the C numeric locale")
     return str(memoryview(out)[:size], "ascii")
@@ -159,7 +190,12 @@ def _probe() -> None:
     if got[5] != want[5] or any(a.tobytes() != b.tobytes() for a, b in zip(got[:5], want[:5])):
         raise ImportError("the compiled kernel differs from _propagate_py on the load-time probe")
     columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
-    if format_rows(columns, 0, 5) != _propagate_py.format_rows(columns, 0, 5):
+    rows = len(columns[0])
+    try:
+        same = format_rows(columns, 0, rows) == _propagate_py.format_rows(columns, 0, rows)
+    except UnicodeDecodeError:  # a broken csv_rows can write bytes that are not ASCII
+        same = False
+    if not same:
         raise ImportError("the compiled CSV formatter differs from _propagate_py on the "
                           "load-time probe")
 

@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", type=float, help="initial speed")
     p.add_argument("--alpha0", type=float, help="launch angle in degrees, in (0, 180)")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, parser=p)
 
     p = sub.add_parser("simulate", help="run the impulse-polygon simulator, export CSV")
     p.add_argument("--m", type=float)
@@ -330,12 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimate", type=int, help="record every k-th sample")
     p.add_argument("--out", help="trajectory CSV output path")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("kepler3", help="period vs semi-major-axis scaling scan")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=_cmd_kepler3)
+    p.set_defaults(func=_cmd_kepler3, parser=p)
 
     p = sub.add_parser("shell-check", help="ring-sum shell attraction vs point mass")
     p.add_argument("--a", type=float, required=True, help="shell radius")
@@ -344,26 +344,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True, help="distance of the test point")
     p.add_argument("--rings", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_shell_check)
+    p.set_defaults(func=_cmd_shell_check, parser=p)
 
     p = sub.add_parser("moon-check", help="moon/earth inverse-square regression")
-    p.set_defaults(func=_cmd_moon_check)
+    p.set_defaults(func=_cmd_moon_check, parser=p)
 
     p = sub.add_parser("geometry-check", help="conic property residuals")
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--ell", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_geometry_check)
+    p.set_defaults(func=_cmd_geometry_check, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # A handler's usage errors print its own subcommand's usage.
+        return args.func(args, args.parser)
     except (DomainError, CollisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

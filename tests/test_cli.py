@@ -584,6 +584,23 @@ def test_tolerance_not_at_least_zero_usage_error(capsys, argv, tol):
     assert out == "" and "--tol" in err
 
 
+# A usage error found by a handler or in a --config file printed the
+# top-level usage, not the usage of the subcommand that was run.
+@pytest.mark.parametrize("argv, usage", [
+    (["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "10",
+      "--tol", "nan"], "shell-check"),
+    (["kepler3", "--m", "1", "--count", "1001"], "kepler3"),
+    (["simulate", "--config", "{missing}"], "simulate"),
+], ids=["shell-check", "kepler3", "config"])
+def test_usage_error_prints_the_subcommand_usage(capsys, tmp_path, argv, usage):
+    argv = [arg.format(missing=tmp_path / "missing.json") for arg in argv]
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv)
+    assert exc_info.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: polyorbit {usage} [-h]")
+
+
 class TestMoonCheck:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, ["moon-check"])

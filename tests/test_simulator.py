@@ -908,6 +908,73 @@ class TestCsvExport:
         st.integers(4 * 10**14, 4 * 10**15 - 1).map(lambda j: (2 * j + 1) / 8),
     )
 
+    # The ends of both tie families, values inside them, and the largest
+    # k/4 tie, (2**53 - 1) / 4, with both signs.
+    TIE_VALUES = [sign * value for sign in (1.0, -1.0) for value in [
+        (4 * 10**15 + 1) / 4, (4 * 10**15 + 3) / 4, (9 * 10**15 - 1) / 4, (2**53 - 1) / 4,
+        (8 * 10**14 + 1) / 8, (8 * 10**14 + 3) / 8, 123456789012345.625, (8 * 10**15 - 1) / 8,
+    ]]
+
+    # A value for each branch of the fast path in csv_rows (digits17 and
+    # write_g in _kick_drift.c), X being the decimal exponent of the
+    # rounded value, and the branch it reaches.
+    BRANCH_VALUES = [
+        123.456, -2.5, 4.35,           # fixed notation, 0 <= X < 17
+        12345678901234568.0,           # fixed, X = 16: 17 digits and no point
+        0.1, -0.00012345678901234567,  # fixed with X < 0: "0." and -X - 1 zeros
+        1e-7, -9.999999999999999e-5,   # exponent notation, X < -4
+        1e17, 6.02214076e23, -1e22,    # exponent notation, X >= 17
+        1.7976931348623157e308, 1e-300,  # three exponent digits
+        5e-324, -2.2250738585072014e-308 / 3,  # subnormal: f is shifted up to 2^63
+        10.0, 1000.0,                  # 10^X, first estimated as X - 1: scaled again
+        1e-14, 1e98,                   # the 17 digits round up to 10^17: X + 1
+        1.3076622631878654e65,         # 1/2 + 3.7e-20 units past 17 digits: snprintf
+        1000000000000000.25,           # an exact tie: snprintf
+    ]
+
+    # The double nearest each power of ten from 1e-322 to 1e308 and the three
+    # on either side, of both signs: where the exponent is first estimated
+    # one low, and where the 17 digits round up to 10^17.
+    NEAR_POWERS_OF_TEN = [sign * value for sign in (1.0, -1.0) for value in (
+        np.array([float(f"1e{k}") for k in range(-322, 309)]).view(np.int64)[:, None]
+        + np.arange(-3, 4)).view(np.float64).ravel().tolist()]
+
+    @staticmethod
+    def percent_17g_case(values):
+        """The values, repeated to whole rows of eight, and "%.17g" of each."""
+        values = np.resize(np.array(values, dtype=np.float64), 8 * -(-len(values) // 8))
+        return values, ["%.17g" % value for value in values.tolist()]
+
+    @staticmethod
+    def assert_prints_percent_17g(kernel, values, want):
+        # format_rows of the values, eight to a row, must print want; a
+        # failure shows the first five values that differ
+        columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 8).T]
+        text = kernel.format_rows(columns, 0, len(columns[0]))
+        got = text.replace("\n", ",").split(",")[:-1]
+        assert text.count("\n") == len(columns[0]) and len(got) == len(want)
+        assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+
+    # Plain cases that fail in seconds where the Hypothesis test below would
+    # take minutes to shrink a wrong digit.
+    @pytest.mark.parametrize("values", [EDGE_VALUES, TIE_VALUES, BRANCH_VALUES,
+                                        NEAR_POWERS_OF_TEN],
+                             ids=["edge", "ties", "branches", "near-powers-of-ten"])
+    def test_format_rows_prints_percent_17g(self, kernel, values):
+        self.assert_prints_percent_17g(kernel, *self.percent_17g_case(values))
+
+    @pytest.fixture(scope="class")
+    def random_bits_and_ties(self):
+        rng = np.random.default_rng(20241018)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+        ties = np.concatenate([(2 * rng.integers(2 * 10**15, 9 * 10**15 // 2, size=2**14) + 1) / 4,
+                               (2 * rng.integers(4 * 10**14, 4 * 10**15, size=2**14) + 1) / 8])
+        return self.percent_17g_case(np.concatenate([bits.view(np.float64), ties, -ties]))
+
+    def test_format_rows_prints_percent_17g_of_random_bits_and_ties(self, kernel,
+                                                                    random_bits_and_ties):
+        self.assert_prints_percent_17g(kernel, *random_bits_and_ties)
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_matches_reference_on_edge_values(self, data):
