@@ -31,6 +31,10 @@ _PARALLEL_EPS = 1e-12
 #: few dozen float64 arrays of this length, so memory is flat in n.
 _RESIDUAL_BLOCK = 1 << 16
 
+#: Hard cap on the number of samples in geometry_residuals: its memory is
+#: flat in n, but its time is not (10^7 samples take about 3 s).
+MAX_RESIDUAL_SAMPLES = 10**7
+
 
 class ConicClass(Enum):
     """Conic type, ordered by increasing eccentricity."""
@@ -357,8 +361,8 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     Any non-finite point, tangent, ray or intersection, a zero norm, or a
     NaN residual raises DomainError.
     """
-    if n < 10:
-        raise DomainError(f"need at least 10 samples, got {n}")
+    if not 10 <= n <= MAX_RESIDUAL_SAMPLES:
+        raise DomainError(f"the sample count must be in [10, {MAX_RESIDUAL_SAMPLES}], got {n}")
     e = shape.eccentricity
     if e == 0.0:
         raise DomainError("residual checks require e > 0")

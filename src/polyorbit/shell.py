@@ -15,6 +15,13 @@ import numpy as np
 
 from .errors import DomainError, OutsideOnlyError
 
+#: Hard cap on the number of rings: shell_accel holds one float64 term per
+#: ring (80 MB at the cap).
+MAX_RINGS = 10**7
+
+# Rings evaluated per block: each temporary of a block is 512 kB.
+_RING_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ShellSpec:
@@ -44,8 +51,8 @@ class RingDecomposition:
     n_rings: int
 
     def __post_init__(self):
-        if self.n_rings < 1:
-            raise DomainError(f"need at least 1 ring, got {self.n_rings}")
+        if not 1 <= self.n_rings <= MAX_RINGS:
+            raise DomainError(f"the ring count must be in [1, {MAX_RINGS}], got {self.n_rings}")
 
 
 def _ring_area(a, theta, w, sin):
@@ -70,7 +77,12 @@ def ring_area(a: float, theta: float, w: float) -> float:
 
 def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     """Axial attraction of the shell on an external point at distance d,
-    summed over the ring decomposition with the midpoint rule."""
+    summed over the ring decomposition with the midpoint rule.
+
+    The rings are evaluated _RING_BLOCK at a time into one array of terms,
+    which a single np.sum adds: NumPy's pairwise summation order depends on
+    the whole length, so a sum of block sums would change the last bits.
+    """
     a = shell.radius
     if d <= a:
         raise OutsideOnlyError(
@@ -78,18 +90,23 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
         )
     n = rings.n_rings
     dtheta = math.pi / n
-    theta = (np.arange(n) + 0.5) * dtheta
     width = a * dtheta
+    scale = shell.g * shell.surface_density
+    terms = np.empty(n)
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which is rejected below.
     with np.errstate(all="ignore"):
-        # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
-        areas = _ring_area(a, theta, width, np.sin)
-        cos_t = np.cos(theta)
-        s2 = d * d + a * a - 2.0 * a * d * cos_t
-        s = np.sqrt(s2)
-        axial = (d - a * cos_t) / s
-        total = float(np.sum(shell.g * shell.surface_density * areas / s2 * axial))
+        for start in range(0, n, _RING_BLOCK):
+            stop = min(start + _RING_BLOCK, n)
+            theta = (np.arange(start, stop) + 0.5) * dtheta
+            # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
+            areas = _ring_area(a, theta, width, np.sin)
+            cos_t = np.cos(theta)
+            s2 = d * d + a * a - 2.0 * a * d * cos_t
+            s = np.sqrt(s2)
+            axial = (d - a * cos_t) / s
+            np.multiply(scale * areas / s2, axial, out=terms[start:stop])
+        total = float(np.sum(terms))
     if not math.isfinite(total):
         raise DomainError(
             f"the ring sum is not finite for a = {a:g}, d = {d:g}: "

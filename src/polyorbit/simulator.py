@@ -110,6 +110,12 @@ def _radial_speed(x, y, vx, vy, r):
     return (x * vx + y * vy) / r
 
 
+def _alpha(x, y, vx, vy, r, v):
+    # The angle between position and velocity, given r = |p| and v = |v|.
+    cos_a = (x * vx + y * vy) / (r * v)
+    return np.arccos(np.clip(cos_a, -1.0, 1.0))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-ordered simulated states with diagnostic accessors."""
@@ -157,12 +163,15 @@ class Trajectory:
     @property
     def alpha(self) -> np.ndarray:
         """Angle between position and velocity per sample, radians."""
-        cos_a = (self.x * self.vx + self.y * self.vy) / (self.r * self.speed)
-        return np.arccos(np.clip(cos_a, -1.0, 1.0))
+        return _alpha(self.x, self.y, self.vx, self.vy, self.r, self.speed)
 
     def write_csv(self, stream) -> None:
         """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema,
         17 significant digits per value, streamed in blocks of rows.
+
+        Each block's r, v and alpha are derived from its float64 x, y, vx
+        and vy, so no full-length column is built; on float64 columns they
+        are the bits of the r, speed and alpha properties.
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""
@@ -172,11 +181,14 @@ class Trajectory:
             raise DomainError(f"t, x, y, vx and vy must be 1-D and of one length, "
                               f"got shapes {shapes}")
         n = shapes[0][0]
-        columns = [np.ascontiguousarray(col, dtype=np.float64)
-                   for col in (*stored, self.r, self.speed, self.alpha)]
         stream.write(CSV_HEADER + "\n")
         for start in range(0, n, _CSV_BLOCK_ROWS):
-            stream.write(_kernel.format_rows(columns, start, start + _CSV_BLOCK_ROWS))
+            t, x, y, vx, vy = (np.ascontiguousarray(col[start:start + _CSV_BLOCK_ROWS],
+                                                    dtype=np.float64) for col in stored)
+            r = np.hypot(x, y)
+            v = np.hypot(vx, vy)
+            columns = [t, x, y, vx, vy, r, v, _alpha(x, y, vx, vy, r, v)]
+            stream.write(_kernel.format_rows(columns, 0, len(t)))
 
 
 def step(state: OrbitState, field: CentralField, dt: float,

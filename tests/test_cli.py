@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyorbit import _propagate_py, cli, simulator
+from polyorbit import _propagate_py, cli, geometry, shell, simulator
 
 
 def run(capsys, argv):
@@ -569,6 +569,19 @@ class TestShellCheck:
         ])
         assert code == cli.EXIT_NUMERIC
 
+    # Counts past the cap are refused before any ring is allocated: 10**13
+    # used to end in a MemoryError traceback with exit 1, 10**20 in a
+    # ValueError one.
+    @pytest.mark.parametrize("rings", [str(shell.MAX_RINGS + 1), "10000000000000",
+                                       "100000000000000000000"])
+    def test_ring_cap_numeric_error(self, capsys, rings):
+        code, out, err = run(capsys, [
+            "shell-check", "--a", "1", "--mass", "1", "--g", "1",
+            "--d", "2", "--rings", rings,
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == "" and err.startswith("error: the ring count")
+
 
 # A NaN tolerance used to pass every check (residual > nan is False).
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -642,6 +655,17 @@ class TestGeometryCheck:
         ])
         assert code == cli.EXIT_NUMERIC
 
+    # Counts past the cap are refused before the first block: 10**13 samples
+    # used to run 1.5e8 blocks.
+    @pytest.mark.parametrize("samples", [str(geometry.MAX_RESIDUAL_SAMPLES + 1),
+                                         "10000000000000"])
+    def test_sample_cap_numeric_error(self, capsys, samples):
+        code, out, err = run(capsys, [
+            "geometry-check", "--e", "0.5", "--ell", "1.0", "--samples", samples,
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == "" and err.startswith("error: the sample count")
+
 
 class TestParser:
     def test_no_command_usage_error(self):
@@ -675,8 +699,12 @@ def _flags(names, values):
                        for a in (f"--{name}", v)])
 
 
-# Counts up to 2000, so that a simulate run on the Python kernel stays short.
-COUNT = st.one_of(st.integers(-2, 2000).map(str), st.sampled_from(["1.5", "x", ""]))
+# Counts up to 2000, so that a simulate run on the Python kernel stays short,
+# and counts past every cap (steps, rings, geometry samples), which must be
+# refused before any work or allocation; a decimate past the cap records
+# only the initial state.
+COUNT = st.one_of(st.integers(-2, 2000).map(str), st.integers(10**8 + 1, 2**1100).map(str),
+                  st.sampled_from(["1.5", "x", ""]))
 
 
 # kepler3 integrates count orbits of about 170k steps each.
@@ -738,7 +766,10 @@ class TestFuzz:
         self.check(["classify", *flags])
 
     @settings(max_examples=300, deadline=None)
-    @given(_flags(["a", "mass", "g", "d", "tol"], NUMBER), COUNT)
+    @given(st.one_of(_flags(["a", "mass", "g", "d", "tol"], NUMBER),
+                     _replaced({"a": "1", "mass": "1", "g": "1", "d": "2"}, NUMBER,
+                               optional=["tol"])),
+           COUNT)
     def test_shell_check(self, flags, rings):
         self.check(["shell-check", *flags, "--rings", rings])
 

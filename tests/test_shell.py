@@ -1,9 +1,12 @@
 """Tests for the ring-sum shell-attraction quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyorbit import (
     DomainError,
@@ -15,8 +18,47 @@ from polyorbit import (
     shell_accel,
     sphere_accel,
 )
+from polyorbit.shell import _RING_BLOCK, _ring_area
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
+
+
+# The whole-array shell_accel that the blocked one replaced, kept as the
+# bit-for-bit oracle.
+def reference_shell_accel(shell, d, rings):
+    a = shell.radius
+    if d <= a:
+        raise OutsideOnlyError(
+            f"point must lie outside the shell: d={d:g} <= a={a:g}"
+        )
+    n = rings.n_rings
+    dtheta = math.pi / n
+    theta = (np.arange(n) + 0.5) * dtheta
+    width = a * dtheta
+    # At extreme scales s2 or the products overflow or underflow; the sum is
+    # then inf or nan, which is rejected below.
+    with np.errstate(all="ignore"):
+        # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
+        areas = _ring_area(a, theta, width, np.sin)
+        cos_t = np.cos(theta)
+        s2 = d * d + a * a - 2.0 * a * d * cos_t
+        s = np.sqrt(s2)
+        axial = (d - a * cos_t) / s
+        total = float(np.sum(shell.g * shell.surface_density * areas / s2 * axial))
+    if not math.isfinite(total):
+        raise DomainError(
+            f"the ring sum is not finite for a = {a:g}, d = {d:g}: "
+            "the scales are outside the double range"
+        )
+    return total
+
+
+def outcome(accel, *args):
+    # The result's bits, or the type and message of the error raised.
+    try:
+        return accel(*args).hex()
+    except DomainError as exc:
+        return type(exc), str(exc)
 
 
 class TestRingArea:
@@ -87,6 +129,51 @@ class TestShellAccel:
     def test_on_surface_rejected(self):
         with pytest.raises(OutsideOnlyError):
             shell_accel(UNIT_SHELL, 1.0, RingDecomposition(100))
+
+
+class TestBlockedRingSum:
+    """shell_accel evaluates the rings _RING_BLOCK at a time; its sum keeps
+    every bit of the whole-array one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
+                                   2 * _RING_BLOCK + 1, 10**6])
+    @pytest.mark.parametrize("d", [1.01, 2.0, 100.0])
+    def test_matches_reference_across_blocks(self, n, d):
+        args = (ShellSpec(1.5, 2.0, 0.7), 1.5 * d, RingDecomposition(n))
+        assert shell_accel(*args).hex() == reference_shell_accel(*args).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_a=st.floats(-160.0, 200.0), log_excess=st.floats(-6.0, 6.0),
+           log_mass=st.floats(-300.0, 300.0), log_g=st.floats(-300.0, 300.0),
+           n=st.integers(1, 3 * _RING_BLOCK))
+    def test_matches_reference_on_drawn_shells(self, log_a, log_excess, log_mass, log_g, n):
+        try:
+            spec = ShellSpec(10.0**log_a, 10.0**log_mass, 10.0**log_g)
+        except DomainError:  # a^2 underflows to 0
+            assume(False)
+        args = (spec, spec.radius * (1.0 + 10.0**log_excess), RingDecomposition(n))
+        assert outcome(shell_accel, *args) == outcome(reference_shell_accel, *args)
+
+    @pytest.mark.parametrize("spec, d", [
+        (ShellSpec(1e199, 1.0, 1.0), 1e200),      # 2ad overflows
+        (ShellSpec(1e-161, 1.0, 1.0), 1e-160),    # s^2 underflows to 0
+        (ShellSpec(1.0, 10.0, 1e308), 2.0),       # the sum overflows
+    ], ids=["ring-overflow", "ring-underflow", "sum-overflow"])
+    def test_same_error_at_extreme_scales(self, spec, d):
+        args = (spec, d, RingDecomposition(_RING_BLOCK + 1))
+        got = outcome(shell_accel, *args)
+        assert got[0] is DomainError and got == outcome(reference_shell_accel, *args)
+
+    def test_memory_is_one_term_per_ring(self):
+        # 10^6 rings: the 8 MB of terms and one block's temporaries; the
+        # whole-array version peaked at 56 MB
+        tracemalloc.start()
+        try:
+            shell_accel(UNIT_SHELL, 2.0, RingDecomposition(10**6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024
 
 
 class TestSphereAccel:

@@ -878,13 +878,34 @@ class TestCsvExport:
             with mock.patch.object(simulator, "_kernel", module):
                 assert self.written_csv(traj) == want, module.__name__
 
+    # write_csv derives r, v and alpha block by block; the reference takes
+    # them from the whole-array properties.
     @pytest.mark.parametrize("rows", [
-        _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
+        1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
     ])
     def test_matches_reference_across_blocks(self, rows):
-        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=rows - 1))
+        full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=2 * _CSV_BLOCK_ROWS))
+        traj = Trajectory(*(col[:rows] for col in (full.t, full.x, full.y, full.vx, full.vy)),
+                          field=UNIT_FIELD, config=full.config)
         assert len(traj) == rows
         self.assert_matches_reference(traj)
+
+    def test_export_memory_is_one_block(self):
+        # 200k rows: the whole-array r, v and alpha columns took 4.8 MB and
+        # peaked at 8 MB; a block of rows and its text take well under 1 MB
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-4, steps=199_999))
+
+        class NullSink:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            traj.write_csv(NullSink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_matches_reference_decimated(self):
         traj = integrate(CANONICAL, UNIT_FIELD,
