@@ -40,9 +40,10 @@ _LIBS = ("-lm",)
 # propagate_kernel arguments for the load-time probe: a launch on which a
 # hypot-based step and the kernel's sqrt(r2) / (r2 * r) step differ in the
 # last bit, and on which a fused multiply-add changes the result, with a
-# decimation and a start time t0 = 0.1.
+# decimation and a start time t0 = 0.1.  Its one window, at step 13, ends
+# with a NaN state 15 past the last step.
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
-          -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 64, 3, 1e-9, 0.1)
+          -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 14, 3, 1e-9, 0.1)
 
 # format_rows values for the load-time probe, eight columns of five rows:
 # 17th-digit ties that round to even (down, then up, at 1e15 and at 1e14,
@@ -136,7 +137,8 @@ def _load():
     kick_drift.restype = ctypes.c_int64
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
                            + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
-                           + [ctypes.POINTER(ctypes.c_int64)])
+                           + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p,
+                              ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p])
     csv_rows.restype = ctypes.c_int64
     csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
                          ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
@@ -148,7 +150,7 @@ _POW10 = _pow10_table()
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
-                     t0=0.0):
+                     t0=0.0, max_windows=None):
     """Same arguments, results and bits as _propagate_py.propagate_kernel."""
     if not (0 <= steps < 2**63 - 1 and record_every >= 1):
         # the loop would write past the outputs, or ctypes would wrap steps
@@ -156,13 +158,26 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
                          f"got steps={steps}, record_every={record_every}")
     n_rec = steps // record_every + 1
     outs = [np.empty(n_rec) for _ in range(5)]
-    collided = ctypes.c_int64()
+    collided, count = ctypes.c_int64(), ctypes.c_int64()
     # ctypes wraps an int beyond int64 (c_int64(2**70) is 0); any
     # record_every above steps records the initial state only.
-    n = _kick_drift(x, y, vx, vy, m, dt, steps, min(record_every, steps + 1),
-                    collision_radius, t0, *(out.ctypes.data for out in outs),
-                    ctypes.byref(collided))
-    return (*(out[:n] for out in outs), collided.value)
+    args = (x, y, vx, vy, m, dt, steps, min(record_every, steps + 1), collision_radius, t0,
+            *(out.ctypes.data for out in outs), ctypes.byref(collided))
+    last = np.empty(5)
+    # Room for one window per 1024 steps, plus 16; a run with more is repeated
+    # once with room for all of them, or for the max_windows + 1 it keeps.
+    kept = steps if max_windows is None else max_windows + 1
+    cap = min(steps // 1024 + 16, kept)
+    while True:
+        window_k = np.empty(cap, dtype=np.int64)
+        window_states = np.empty((cap, 4, 5))
+        n = _kick_drift(*args, cap, window_k.ctypes.data, window_states.ctypes.data,
+                        ctypes.byref(count), last.ctypes.data)
+        if count.value <= cap or cap == kept:
+            break
+        cap = min(count.value, kept)  # the repeat has the same bits
+    w = min(count.value, cap)
+    return (*(out[:n] for out in outs), collided.value, (window_k[:w], window_states[:w], last))
 
 
 def format_rows(columns, start, stop):
@@ -187,7 +202,8 @@ def format_rows(columns, start, stop):
 def _probe() -> None:
     got = propagate_kernel(*_PROBE)
     want = _propagate_py.propagate_kernel(*_PROBE)
-    if got[5] != want[5] or any(a.tobytes() != b.tobytes() for a, b in zip(got[:5], want[:5])):
+    if got[5] != want[5] or any(a.tobytes() != b.tobytes()
+                                for a, b in zip((*got[:5], *got[6]), (*want[:5], *want[6]))):
         raise ImportError("the compiled kernel differs from _propagate_py on the load-time probe")
     columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
     rows = len(columns[0])

@@ -28,8 +28,8 @@ EARTH_SURFACE_GRAVITY = 9.8      # m/s^2
 EARTH_RADIUS = 6.367e6           # m
 
 # kepler3 records every 400th of its ~170k steps per orbit, 0.4% of a period;
-# diagnostics re-runs the steps around each turning point at full resolution,
-# so the periods it reports are those of a full record.
+# the kernel keeps the states around each turning point, so the periods
+# diagnostics reports are those of a full record.
 KEPLER3_RECORD_EVERY = 400
 
 # kepler3 integrates --count orbits of about 170k steps each: 1000 orbits

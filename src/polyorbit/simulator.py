@@ -15,6 +15,10 @@ _kick_drift.c, loaded by polyorbit._propagate_c) and in Python
 (polyorbit._propagate_py, the fallback and the oracle).  integrate(),
 step() and Trajectory.write_csv run the module that loaded, so a single
 step and a one-step trajectory agree bitwise.
+
+The kernel also returns the four states around each step where the radial
+speed changes sign, so diagnostics() reads the turning points of every step
+off them, whatever record_every is, and runs no kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _propagate_py
-from .determination import CentralField, OrbitState, conserved_from_state, is_radial, period
+from .determination import CentralField, OrbitState, is_radial
 from .errors import CollisionError, DegenerateOrbitError, DomainError
 from .geometry import csc2_quadratic
 from .planar import PlanarVector
@@ -35,15 +39,15 @@ from .planar import PlanarVector
 MAX_STEPS = 10**8
 
 #: Hard cap on the number of recorded samples (steps // record_every + 1);
-#: the kernel preallocates five float64 arrays of this length.
+#: the kernel preallocates five float64 arrays of this length.  Each window
+#: the kernel returns around a turning point counts as four more samples.
 MAX_SAMPLES = 10**7
 
 #: Default collision radius around the attractor.
 DEFAULT_COLLISION_RADIUS = 1e-9
 
-# A diagnostics re-run records at most this many states after its first; a
-# longer interval is re-run decimated and searched again.
-_RERUN_BLOCK = 4096
+_LEFT_THE_DOUBLE_RANGE = ("the simulated state left the double range (a recorded t, x, y, vx "
+                          "or vy is not finite)")
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
@@ -74,7 +78,8 @@ class SimConfig:
     """Fixed-step simulation parameters.
 
     record_every > 1 decimates the stored trajectory (disables the exact
-    swept-area check, which is defined per elementary step).
+    swept-area check, which is defined per elementary step); the turning
+    points still come from every step.
     """
 
     dt: float
@@ -105,11 +110,6 @@ class SimConfig:
             )
 
 
-def _radial_speed(x, y, vx, vy, r):
-    # d|p|/dt = (p . v) / r, given r = |p|; positive when moving outward.
-    return (x * vx + y * vy) / r
-
-
 def _alpha(x, y, vx, vy, r, v):
     # The angle between position and velocity, given r = |p| and v = |v|.
     cos_a = (x * vx + y * vy) / (r * v)
@@ -118,7 +118,12 @@ def _alpha(x, y, vx, vy, r, v):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered simulated states with diagnostic accessors."""
+    """Time-ordered simulated states with diagnostic accessors.
+
+    windows is the kernel's record of the states around each turning point
+    and of the last state (see _propagate_py.propagate_kernel); diagnostics()
+    refuses a Trajectory built without it.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -127,6 +132,7 @@ class Trajectory:
     vy: np.ndarray
     field: CentralField
     config: SimConfig
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -149,11 +155,6 @@ class Trajectory:
     @property
     def speed(self) -> np.ndarray:
         return np.hypot(self.vx, self.vy)
-
-    @property
-    def radial_speed(self) -> np.ndarray:
-        """Signed rate of change of r (positive when moving outward)."""
-        return _radial_speed(self.x, self.y, self.vx, self.vy, self.r)
 
     @property
     def angular_momentum(self) -> np.ndarray:
@@ -198,35 +199,27 @@ def step(state: OrbitState, field: CentralField, dt: float,
     return integrate(state, field, config).state(1)
 
 
-def _run(field: CentralField, config: SimConfig, state: tuple, steps: int,
-         record_every: int, k0: int = 0) -> tuple:
-    """Run the kernel from state = (t, x, y, vx, vy) at step k0.
+def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
+    """Apply `config.steps` impulse-polygon steps, recording samples.
 
-    Returns the recorded (t, x, y, vx, vy) arrays.  Raises CollisionError
-    with the step counted from the start of the whole run, and DomainError
-    when a recorded value is not finite.
+    Raises CollisionError, DomainError for a recorded value that is not
+    finite, and DomainError past MAX_SAMPLES, counting 4 per window.
     """
-    t0, x, y, vx, vy = state
-    t, xs, ys, vxs, vys, collided = _kernel.propagate_kernel(
-        x, y, vx, vy, field.m, config.dt, steps, record_every,
-        config.collision_radius, t0=t0,
+    max_windows = (MAX_SAMPLES - (config.steps // config.record_every + 1)) // 4
+    t, x, y, vx, vy, collided, windows = _kernel.propagate_kernel(
+        state.position.x, state.position.y, state.velocity.x, state.velocity.y,
+        field.m, config.dt, config.steps, config.record_every, config.collision_radius,
+        t0=0.0, max_windows=max_windows,
     )
     if collided >= 0:
-        raise CollisionError(k0 + collided, config.collision_radius)
-    rec = (t, xs, ys, vxs, vys)
-    if not all(np.isfinite(a).all() for a in rec):
-        raise DomainError(
-            "the simulated state left the double range (a recorded t, x, y, vx or vy "
-            "is not finite)"
-        )
-    return rec
-
-
-def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
-    """Apply `config.steps` impulse-polygon steps, recording samples."""
-    start = (0.0, state.position.x, state.position.y, state.velocity.x, state.velocity.y)
-    t, x, y, vx, vy = _run(field, config, start, config.steps, config.record_every)
-    return Trajectory(t=t, x=x, y=y, vx=vx, vy=vy, field=field, config=config)
+        raise CollisionError(collided, config.collision_radius)
+    if not all(np.isfinite(a).all() for a in (t, x, y, vx, vy)):
+        raise DomainError(_LEFT_THE_DOUBLE_RANGE)
+    if len(windows[0]) > max_windows:
+        raise DomainError(f"{len(t)} recorded samples and over {max_windows} turning-point "
+                          f"windows of 4 states exceed the cap of {MAX_SAMPLES} samples")
+    return Trajectory(t=t, x=x, y=y, vx=vx, vy=vy, field=field, config=config,
+                      windows=windows)
 
 
 def swept_areas(traj: Trajectory) -> np.ndarray:
@@ -284,112 +277,36 @@ def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, floa
     return float(t_star), float(r_star)
 
 
-def _state(rec: tuple, i: int) -> tuple:
-    # Recorded state i as the kernel's floats (t, x, y, vx, vy).
-    return tuple(float(a[i]) for a in rec)
-
-
-def _turning_points(traj: Trajectory, r: np.ndarray) -> tuple[list, list]:
+def _turning_points(traj: Trajectory) -> tuple[list, list]:
     """(periapsis, apoapsis) lists of the refined (t, r) turning points of
-    the full-resolution run, in time order; r is traj.r."""
+    the full-resolution run, in time order.
+
+    The search on a full record, on the kernel's windows of states k - 1 ..
+    k + 2: the radial speed u = (x vx + y vy) / r turns where u[k] * u[k + 1]
+    < 0, and the vertex j of k and k + 1 is refined when 1 <= j <= steps - 1.
+    Dividing by r > 0 never flips a sign, so each such k has a window.  A run
+    that left the double range after its last recorded state is refused.
+    """
+    ks, states, end_state = traj.windows
+    if not np.isfinite(end_state).all():
+        raise DomainError(_LEFT_THE_DOUBLE_RANGE)
+    t, x, y, vx, vy = np.moveaxis(states, 2, 0)
+    r = np.hypot(x, y)
+    u = (x * vx + y * vy) / r
+    last = traj.config.steps
     peri: list[tuple[float, float]] = []
     apo: list[tuple[float, float]] = []
-    rec = (traj.t, traj.x, traj.y, traj.vx, traj.vy)
-    for is_peri, event in _apsis_events(traj, rec, r, 0, traj.config.record_every,
-                                        traj.config.steps, None, _quarter_period(traj)):
-        (peri if is_peri else apo).append(event)
-    return peri, apo
-
-
-def _quarter_period(traj: Trajectory) -> float:
-    """A quarter of the closed-form period of the orbit through the first
-    recorded state, or inf when that orbit is not bound."""
-    try:
-        pair = conserved_from_state(traj.state(0), traj.field)
-        return period(pair, traj.field) / 4.0
-    except DomainError:  # not bound, or the period leaves the double range
-        return math.inf
-
-
-def _apsis_events(traj: Trajectory, rec: tuple, r: np.ndarray, k0: int, every: int,
-                  end: int, before: tuple | None, quarter: float):
-    """Yield (is_periapsis, (t, r)) for each refined turning point of r
-    whose radial-speed sign change (k, k+1) lies between steps k0 and end of
-    the run, in time order.
-
-    rec holds (t, x, y, vx, vy) recorded at steps k0, k0 + every, ... <= end,
-    and r their radii.  With every == 1 the sign changes are read off rec.
-    Otherwise every interval between recorded states whose radial speeds have
-    opposite signs, and the unrecorded tail up to `end`, is re-run from the
-    state that opens it, recording at most _RERUN_BLOCK + 1 states, and is
-    searched in turn; the intervals and the tail tile the run, so each
-    turning point belongs to exactly one of them.  When an interval spans at
-    least `quarter`, a quarter of the closed-form period, it may hold two
-    turning points with the same sign at both ends, so every interval is
-    re-run.  A re-run continues the arithmetic of the original run from a
-    recorded state, so it repeats its states and times bit for bit.
-    `before` is (step, state) of the latest recorded state ahead of k0, or
-    None when k0 == 0.
-
-    The turning points found are always among those of a full record, and
-    are all of them when the radial speed changes sign at most once within
-    each interval shorter than `quarter` and within the tail.  Cost: each
-    level of re-runs runs each step at most once, and refining a turning
-    point at a re-run's first or last state re-runs the step outside it.
-    With R = record_every <= _RERUN_BLOCK there is one level, and the
-    re-runs take at most 2 * steps + R steps; a larger R adds a level for
-    every factor of _RERUN_BLOCK (at most three for MAX_STEPS), and about
-    2 * steps more each.  They hold O(_RERUN_BLOCK) samples per level.
-    """
-    u = _radial_speed(rec[1], rec[2], rec[3], rec[4], r)
-    if every > 1:
-        if every * traj.config.dt >= quarter:
-            opened = list(range(len(r) - 1))
-        else:
-            sign = np.sign(u)
-            opened = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0].tolist()
-        if k0 + (len(r) - 1) * every < end:
-            opened.append(len(r) - 1)
-        for i in opened:
-            start = k0 + i * every
-            steps = min(every, end - start)
-            sub_every = -(-steps // _RERUN_BLOCK)
-            sub = _run(traj.field, traj.config, _state(rec, i), steps, sub_every, start)
-            sub_before = (start - every, _state(rec, i - 1)) if i else before
-            yield from _apsis_events(traj, sub, np.hypot(sub[1], sub[2]), start, sub_every,
-                                     start + steps, sub_before, quarter)
-        return
-
-    last = traj.config.steps
-    for k in np.nonzero(u[:-1] * u[1:] < 0.0)[0]:
-        is_peri = u[k] < 0.0
-        if is_peri:
-            j = k if r[k] < r[k + 1] else k + 1
-        else:
-            j = k if r[k] > r[k + 1] else k + 1
-        if not (1 <= k0 + j <= last - 1):
+    for k, tw, rw, uw in zip(ks.tolist(), t, r, u):
+        if not uw[1] * uw[2] < 0.0:
             continue
-        if 1 <= j <= len(r) - 2:
-            yield is_peri, _parabolic_vertex(rec[0], r, j)
+        is_peri = uw[1] < 0.0
+        if is_peri:
+            i = 1 if rw[1] < rw[2] else 2
         else:
-            yield is_peri, _edge_vertex(traj, rec, j, k0, before)
-
-
-def _edge_vertex(traj: Trajectory, rec: tuple, j: int, k0: int,
-                 before: tuple) -> tuple[float, float]:
-    # A turning point at the first or last state of a re-run: re-run the one
-    # state just outside it, then refine on the three.
-    if j == 0:
-        step, state = before
-        gap = k0 - 1 - step
-        if gap:
-            state = _state(_run(traj.field, traj.config, state, gap, gap, step), -1)
-        three = [state, _state(rec, 0), _state(rec, 1)]
-    else:
-        nxt = _run(traj.field, traj.config, _state(rec, j), 1, 1, k0 + j)
-        three = [_state(rec, j - 1), _state(rec, j), _state(nxt, 1)]
-    t, x, y = np.array(three).T[:3]
-    return _parabolic_vertex(t, np.hypot(x, y), 1)
+            i = 1 if rw[1] > rw[2] else 2
+        if 1 <= k - 1 + i <= last - 1:  # window state i is step k - 1 + i
+            (peri if is_peri else apo).append(_parabolic_vertex(tw, rw, i))
+    return peri, apo
 
 
 def diagnostics(traj: Trajectory) -> DiagnosticsReport:
@@ -398,9 +315,11 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
 
     The drift and residual maxima run over the recorded samples.  The
     turning points are those of the full-resolution run even when the
-    trajectory is decimated: see _apsis_events.  An overflow or invalid
+    trajectory is decimated: see _turning_points.  An overflow or invalid
     operation in any of it is a DomainError, not a NaN.
     """
+    if traj.windows is None:
+        raise DomainError("the trajectory has no turning-point windows; build it with integrate()")
     if len(traj) < 10:
         raise DomainError(f"need at least 10 samples, got {len(traj)}")
     try:
@@ -444,7 +363,7 @@ def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
         areas = swept_areas(traj)
         area_dev = float(np.max(np.abs(areas - areas[0])) / areas[0])
 
-    peri, apo = _turning_points(traj, r)
+    peri, apo = _turning_points(traj)
     observed_periapsis = min(rr for _, rr in peri) if peri else None
     observed_apoapsis = max(rr for _, rr in apo) if apo else None
     observed_period = None

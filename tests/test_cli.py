@@ -243,7 +243,7 @@ class TestSimulate:
 
     def test_interval_longer_than_an_orbit_keeps_the_period(self, capsys, tmp_path):
         # With --decimate 100000 one recorded interval spans 16 orbits and
-        # holds many turning points, so every interval is re-run.
+        # holds many turning points; the kernel's windows hold them all.
         periods = []
         for every in ("1000", "100000"):
             code, out, _ = run(capsys, [
@@ -254,6 +254,20 @@ class TestSimulate:
             assert code == cli.EXIT_OK
             periods.append(json.loads(out)["observed_period"])
         assert periods[1] == periods[0] == pytest.approx(6.278, abs=1e-3)
+
+    def test_windows_past_the_sample_cap_numeric_error(self, capsys, monkeypatch, tmp_path):
+        # 13 recorded samples and 4 windows of 4 states: 29 samples
+        out_path = tmp_path / "traj.csv"
+        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
+                "--dt", "1e-3", "--steps", "12289", "--decimate", "1000", "--out", str(out_path)]
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 29)
+        assert run(capsys, argv)[0] == cli.EXIT_OK
+        out_path.unlink()
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 28)
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_NUMERIC
+        assert "over 3 turning-point windows" in err and out == ""
+        assert not out_path.exists()
 
     def test_decimate_zero_numeric_error(self, capsys, tmp_path):
         # 0 is not read as "no decimation"; SimConfig rejects it like -3
@@ -474,8 +488,8 @@ class TestKepler3:
         assert sparse[0] == cli.EXIT_OK
 
     def test_reruns_only_around_turning_points(self, capsys, monkeypatch):
-        # A recorded interval is 0.004 of a period: diagnostics re-runs the
-        # intervals around the turning points and the tail, not every one.
+        # One kernel call per orbit: the kernel returns the states around
+        # each turning point, so diagnostics re-runs nothing.
         calls = []
         kernel = simulator._kernel.propagate_kernel
 
@@ -486,7 +500,7 @@ class TestKepler3:
         monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
         code, _, _ = run(capsys, ["kepler3", "--m", "1", "--count", "6"])
         assert code == cli.EXIT_OK
-        assert (len(calls), sum(calls)) == (36, 1_031_994)
+        assert (len(calls), sum(calls)) == (6, 1_020_000)
 
     def test_count_guard(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -2,6 +2,7 @@
 
 import importlib
 import io
+import json
 import math
 import os
 import shlex
@@ -35,10 +36,9 @@ from polyorbit import (
     uniform_accel_displacement,
     uniform_accel_displacement_sum,
 )
-from polyorbit import _propagate_py, simulator
+from polyorbit import _propagate_py, cli, simulator
 from polyorbit.simulator import (
     _CSV_BLOCK_ROWS,
-    _RERUN_BLOCK,
     CSV_HEADER,
     MAX_SAMPLES,
     Trajectory,
@@ -194,7 +194,7 @@ class TestIntegrate:
                          SimConfig(dt=1e-3, steps=10, collision_radius=smallest))
         want = _propagate_py.propagate_kernel(2 * smallest, 0.0, 0.0, 1e-300, 1.0, 1e-3, 10, 1,
                                               smallest)
-        assert_same_bits((traj.t, traj.x, traj.y, traj.vx, traj.vy, -1), want)
+        assert_same_bits((traj.t, traj.x, traj.y, traj.vx, traj.vy, -1, traj.windows), want)
 
     def test_step_cap(self):
         with pytest.raises(DomainError):
@@ -210,6 +210,32 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**8)
         SimConfig(dt=1e-3, steps=10**8, record_every=20)
+
+    def test_windows_past_the_sample_cap_are_not_held(self, kernel, monkeypatch):
+        # COARSE turns every 4.5 steps: 200 000 steps hold 44 444 windows,
+        # 7.5 MB, but past a cap of 10 000 samples the kernel keeps 2001.
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 10_000)
+        launch = OrbitState(PlanarVector(*COARSE[:2]), PlanarVector(*COARSE[2:4]))
+        config = SimConfig(dt=COARSE[5], steps=200_000, record_every=100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="2001 recorded samples and over 1999 "):
+                integrate(launch, CentralField(COARSE[4]), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    def test_windows_count_toward_the_sample_cap(self, kernel, monkeypatch):
+        # 13 recorded samples and 4 windows of 4 states: 29 samples
+        config = SimConfig(dt=1e-3, steps=12289, record_every=1000)
+        traj = integrate(CANONICAL, UNIT_FIELD, config)
+        assert (len(traj), len(traj.windows[0])) == (13, 4)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 29)
+        integrate(CANONICAL, UNIT_FIELD, config)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 28)
+        with pytest.raises(DomainError, match="over 3 turning-point windows"):
+            integrate(CANONICAL, UNIT_FIELD, config)
 
 
 def compiler_present() -> bool:
@@ -272,9 +298,11 @@ class TestBackends:
         assert len(cached) == 1 and cached[0].endswith(".so")
 
     # A compiler that cannot run, one that fails, a cache that cannot be
-    # written to, and a library whose kernel or CSV formatter fails its probe.
+    # written to, and a library whose kernel records, kernel windows or CSV
+    # formatter fail their probe.
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
-                                         "probe-mismatch", "format-probe-mismatch"])
+                                         "probe-mismatch", "window-probe-mismatch",
+                                         "format-probe-mismatch"])
     def test_failed_load_falls_back_to_python(self, monkeypatch, failure):
         config = SimConfig(dt=1e-3, steps=13000, record_every=7)
         want = integrate(CANONICAL, UNIT_FIELD, config)
@@ -299,6 +327,14 @@ class TestBackends:
                     t, *rest = run(*args, **kwargs)
                     return (np.nextafter(t, np.inf), *rest)
                 patch.setattr(_propagate_py, "propagate_kernel", off_by_one_bit)
+            if failure == "window-probe-mismatch":
+                run = _propagate_py.propagate_kernel
+
+                def window_off_by_one_bit(*args, **kwargs):
+                    *rest, (k, states, last) = run(*args, **kwargs)
+                    assert len(k)  # the probe yields a window
+                    return (*rest, (k, np.nextafter(states, np.inf), last))
+                patch.setattr(_propagate_py, "propagate_kernel", window_off_by_one_bit)
             if failure == "format-probe-mismatch":
                 format_rows = _propagate_py.format_rows
 
@@ -316,17 +352,33 @@ class TestBackends:
 
 
 def assert_same_bits(got, want):
+    """The records, the collision step and, where either gives them, the
+    windows of two kernel results, bit for bit."""
     assert got[5] == want[5]
     for a, b in zip(got[:5], want[:5]):
         assert a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()
+    if len(got) > 6 or len(want) > 6:
+        (k, states, last), (want_k, want_states, want_last) = got[6], want[6]
+        assert k.dtype == want_k.dtype == np.int64
+        assert k.tobytes() == want_k.tobytes()
+        assert states.dtype == want_states.dtype == np.float64
+        assert states.shape == want_states.shape == (len(k), 4, 5)
+        assert states.tobytes() == want_states.tobytes()
+        assert last.dtype == want_last.dtype == np.float64
+        assert last.shape == want_last.shape == (5,)
+        assert last.tobytes() == want_last.tobytes()
 
 
 def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
     """The Python kernel's run rebuilt from one-step runs, each from the state
     and time the one before it reached: the oracle for which states a run
-    records and at which step a collision stops it."""
+    records, at which step a collision stops it, where its radial speed
+    turns (a window at each k where x vx + y vy at k and at k + 1 are
+    non-zero with opposite signs, holding the states k - 1 .. k + 2 of the
+    run, NaN where the run has none) and which state it reaches last."""
     state = (0.0, x, y, vx, vy)
+    run = [state]
     recorded = [state]
     collided = -1
     for k in range(1, steps + 1):
@@ -336,9 +388,18 @@ def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
             collided = k
             break
         state = tuple(float(a[1]) for a in one[:5])
+        run.append(state)
         if k % record_every == 0:
             recorded.append(state)
-    return (*(np.array(values) for values in zip(*recorded)), collided)
+    d = [x * vx + y * vy for _, x, y, vx, vy in run]
+    turns = [k for k in range(len(run) - 1)
+             if d[k] < 0.0 < d[k + 1] or d[k] > 0.0 > d[k + 1]]
+    outside = (math.nan,) * 5
+    states = [[run[i] if 0 <= i < len(run) else outside for i in range(k - 1, k + 3)]
+              for k in turns]
+    windows = (np.array(turns, dtype=np.int64),
+               np.array(states, dtype=np.float64).reshape(-1, 4, 5), np.array(run[-1]))
+    return (*(np.array(values) for values in zip(*recorded)), collided, windows)
 
 
 # Run lengths of the grids: the shortest runs, and runs of a few thousand
@@ -351,6 +412,26 @@ INFALL = (1.0, 0.0, -0.05, 0.02, 1.0, 5e-5)
 
 # Steps on which the grids place a collision.
 COLLIDE_AT = [1, 2, 100, 4095, 4096, 4097, 5096, 8193]
+
+
+# A coarse launch whose radial speed turns between steps k and k + 1 for
+# k = 0, 3, 11, 17, 21, 23, 26 and 27: runs of 1 and 28 steps end with a
+# window at their last step, whose state k + 2 is NaN, and 0 starts one
+# whose state k - 1 is NaN; 26 and 27 are adjacent windows.
+TURNING = (0.7671199842634375, 0.0, 0.29279256832891765, 1.2182445723937887,
+           6.77740972197304, 0.08644851775242246)
+
+# Run lengths of the window grids on TURNING.
+TURNING_STEPS = [1, 2, 27, 28, 29, 60]
+
+# The CANONICAL launch at a coarse dt, which turns about every 105 steps:
+# 3000 steps overflow the C kernel's first window buffer.
+MANY_TURNS = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 0.03)
+
+
+# A bound orbit about 9 steps long, whose radial speed turns about every 4.5
+# steps for at least 4 million steps.
+COARSE = (1.0, 0.0, -0.02338395238913534, 0.8385802412427391, 1.0, 0.5077498637989705)
 
 
 def collision_radius_at(collide_at):
@@ -394,19 +475,53 @@ class TestKernelOracle:
         assert got[5] == collide_at
         assert_same_bits(got, stepwise(*args))
 
+    @pytest.mark.parametrize("steps", TURNING_STEPS)
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_windows_match_reference(self, steps, record_every):
+        args = TURNING + (steps, record_every, 1e-9)
+        got = _propagate_py.propagate_kernel(*args)
+        assert_same_bits(got, stepwise(*args))
+        assert got[6][0].tolist() == [k for k in (0, 3, 11, 17, 21, 23, 26, 27) if k < steps]
+
+    @pytest.mark.parametrize("max_windows", [0, 3, 7, 8, None])
+    def test_windows_past_max_windows_keep_one_more(self, max_windows):
+        args = TURNING + (60, 7, 1e-9)
+        got = _propagate_py.propagate_kernel(*args, max_windows=max_windows)
+        want = stepwise(*args)
+        (k, states, last), kept = want[6], 8 if max_windows is None else max_windows + 1
+        assert_same_bits(got, want[:6] + ((k[:kept], states[:kept], last),))
+
+    def test_windows_stop_at_a_collision(self):
+        # r after step 28 of TURNING is below r at every step before it, so
+        # a radius just above it stops the run on step 29: the window at 27
+        # has no state 29.
+        free = _propagate_py.propagate_kernel(*TURNING, 28, 1, 1e-9)
+        radius = math.hypot(free[1][-1], free[2][-1]) * (1.0 + 1e-12)
+        args = TURNING + (60, 1, radius)
+        got = _propagate_py.propagate_kernel(*args)
+        assert got[5] == 29
+        assert got[6][0].tolist()[-1] == 27 and np.isnan(got[6][1][-1, 3]).all()
+        assert_same_bits(got, stepwise(*args))
+
     @pytest.mark.parametrize("load", KERNELS)
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(0, 8195), dt=st.floats(1e-4, 1e-2),
            record_every=st.sampled_from([1, 2, 7]))
     def test_restart_from_a_state_continues_the_run(self, load, k, dt, record_every):
         # From the state and time of step k, the kernel repeats the rest of
-        # the run bit for bit: t continues the same running sum.
+        # the run bit for bit: t continues the same running sum, and the
+        # windows are those from step k on, without the state before k.
         propagate = load().propagate_kernel
         steps = 8195
         full = propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
         t0, x, y, vx, vy = (float(a[k]) for a in full[:5])
         rest = propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9, t0=t0)
-        assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1,))
+        turns, states, last = full[6]
+        later = turns >= k
+        want_states = states[later]
+        want_states[turns[later] == k, 0] = math.nan
+        windows = (turns[later] - k, want_states, last)
+        assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1, windows))
 
     def test_decimated_times_use_bounded_memory(self, kernel):
         # 10^5 steps recorded every 10^3: a record of every step would take
@@ -453,6 +568,48 @@ class TestCKernelOracle:
         got = self.propagate(*args)
         assert got[5] == collide_at
         assert_same_bits(got, _propagate_py.propagate_kernel(*args))
+
+    @pytest.mark.parametrize("steps", TURNING_STEPS)
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_windows_match_python_kernel(self, steps, record_every):
+        args = TURNING + (steps, record_every, 1e-9)
+        assert_same_bits(self.propagate(*args), _propagate_py.propagate_kernel(*args))
+
+    def test_windows_stop_at_a_collision(self):
+        free = _propagate_py.propagate_kernel(*TURNING, 28, 1, 1e-9)
+        args = TURNING + (60, 1, math.hypot(free[1][-1], free[2][-1]) * (1.0 + 1e-12))
+        got = self.propagate(*args)
+        assert got[5] == 29
+        assert_same_bits(got, _propagate_py.propagate_kernel(*args))
+
+    @pytest.mark.parametrize("max_windows", [0, 3, 7, 8, None])
+    def test_windows_past_max_windows_match_python_kernel(self, max_windows):
+        args = TURNING + (60, 7, 1e-9)
+        assert_same_bits(self.propagate(*args, max_windows=max_windows),
+                         _propagate_py.propagate_kernel(*args, max_windows=max_windows))
+
+    # MANY_TURNS turns 29 times in 3000 steps, and the first buffer holds 18:
+    # the run is repeated with room for the 29, or for max_windows + 1, or,
+    # when the first buffer already holds max_windows + 1, not at all.
+    @pytest.mark.parametrize("max_windows, capacities", [
+        (None, [18, 29]), (28, [18, 29]), (20, [18, 21]), (17, [18]), (10, [11]),
+    ])
+    def test_windows_past_the_buffer_repeat_the_run_once(self, monkeypatch, max_windows,
+                                                        capacities):
+        module = c_kernel()
+        calls = []
+        kick_drift = module._kick_drift
+
+        def spy(*args):
+            calls.append(args[16])  # the window buffer's capacity
+            return kick_drift(*args)
+
+        monkeypatch.setattr(module, "_kick_drift", spy)
+        args = MANY_TURNS + (3000, 7, 1e-9)
+        got = self.propagate(*args, max_windows=max_windows)
+        assert_same_bits(got, _propagate_py.propagate_kernel(*args, max_windows=max_windows))
+        assert len(got[6][0]) == capacities[-1]
+        assert calls == capacities
 
     @pytest.mark.parametrize("steps, record_every", [
         (-1, 1), (5, -10), (5, 0), (2**64 + 5, 2**64 + 1),
@@ -563,6 +720,22 @@ class TestDiagnostics:
         with pytest.raises(DomainError, match="double range"):
             diagnostics(traj)
 
+    def test_state_leaving_the_double_range_after_the_last_record_rejected(self, kernel):
+        # A straight fall in steps of exactly 2^430 lands on x = 0 at step
+        # 64, where r = 2^-60 makes the kick m / r^3 * dt overflow, so every
+        # state from step 65 on is not finite; recorded every 2nd step, a
+        # run of 65 steps ends one step after its last recorded state.
+        launch = OrbitState(PlanarVector(2.0**436, 2.0**-60), PlanarVector(-(2.0**60), 0.0))
+        field = CentralField(2.0**474)
+        for steps in (64, 65):
+            config = SimConfig(dt=2.0**370, steps=steps, record_every=2, collision_radius=1e-19)
+            traj = integrate(launch, field, config)
+            assert len(traj) == 33 and np.isfinite(traj.x).all()
+            if steps == 64:
+                assert diagnostics(traj).observed_period is None
+        with pytest.raises(DomainError, match="left the double range"):
+            diagnostics(traj)
+
     @pytest.mark.parametrize("record_every", [7, 400, 5000])
     def test_decimated_report_has_the_full_record_turning_points(self, record_every):
         config = SimConfig(dt=1e-4, steps=130000)
@@ -582,9 +755,9 @@ class TestDiagnostics:
         ]
 
 
-# The turning-point search before decimated runs were re-run, which reads the
-# sign changes off the recorded samples alone.  Kept verbatim as the oracle
-# for full-record trajectories.
+# The turning-point search on a full record, which reads the sign changes
+# off every recorded sample: the oracle for the turning points that
+# diagnostics reads off the kernel's windows.
 def reference_apsis_events(traj, r):
     u = (traj.x * traj.vx + traj.y * traj.vy) / r
     n = len(r)
@@ -610,14 +783,6 @@ def full_and_decimated(state, field, dt, steps, record_every):
     return full, decimated
 
 
-def at_most_one_sign_change(u, every):
-    # Whether sign(u) changes at most once within each interval between
-    # states recorded every `every` steps, and within the tail.
-    changes = np.concatenate([[0], np.cumsum(np.sign(u[1:]) != np.sign(u[:-1]))])
-    bounds = list(range(0, len(u), every)) + [len(u) - 1]
-    return all(changes[b] - changes[a] <= 1 for a, b in zip(bounds, bounds[1:]))
-
-
 # CANONICAL with dt = 1e-3 over 12289 steps: the full-record sign changes of
 # the radial speed are at steps (k, k + 1) for k = 2068, 5206, 8347 and 11484,
 # and the refined turning points sit at j = 2068, 5207, 8347 and 11485.  With
@@ -626,10 +791,37 @@ def at_most_one_sign_change(u, every):
 EDGE_DT = 1e-3
 EDGE_STEPS = 12289
 
+# A launch whose radial speed, recorded every 3rd step, changes sign twice
+# within one recorded interval: before the kernel recorded windows, the
+# decimated run found 1 of the full record's 2 periapsides.
+TWO_TURNS_IN_AN_INTERVAL = (
+    OrbitState(PlanarVector(1.2427403968116277, 0.0),
+               PlanarVector(0.5251474112177319, 0.2392631544392536)),
+    CentralField(1.341881246088198), 0.03531294176979037, 1887, 3,
+)
+
 
 class TestDecimatedTurningPoints:
-    """diagnostics re-runs a decimated trajectory around each sign change of
-    its radial speed; the turning points must be those of a full record."""
+    """diagnostics reads the turning points of a decimated trajectory off the
+    kernel's windows; they must be those of a full record."""
+
+    def test_two_turns_in_one_recorded_interval(self):
+        full, decimated = full_and_decimated(*TWO_TURNS_IN_AN_INTERVAL)
+        want = reference_apsis_events(full, full.r)
+        assert len(want[0]) == 2
+        assert _turning_points(decimated) == want
+        assert diagnostics(decimated).observed_period == diagnostics(full).observed_period
+
+    def test_simulate_prints_the_full_record_period(self, capsys, tmp_path):
+        # One orbit takes about 73 steps, and the radial speed changes sign
+        # twice within some intervals of 5 steps.
+        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "0.32", "--alpha0", "57",
+                "--dt", "0.03", "--steps", "2000", "--out", str(tmp_path / "x.csv")]
+        periods = []
+        for every in ("5", "1"):
+            assert cli.main(argv + ["--decimate", every]) == cli.EXIT_OK
+            periods.append(json.loads(capsys.readouterr().out)["observed_period"])
+        assert periods == [2.2052200453368025] * 2
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -638,47 +830,36 @@ class TestDecimatedTurningPoints:
         record_every=st.one_of(st.sampled_from([2, 7]), st.integers(2, 600),
                                st.integers(3001, 10**4)),
     )
-    def test_subset_of_full_record_and_equal_when_sparse(self, x, vx, vy, m, dt, steps,
-                                                         record_every):
+    def test_equals_full_record_on_every_draw(self, x, vx, vy, m, dt, steps, record_every):
         state = OrbitState(PlanarVector(x, 0.0), PlanarVector(vx, vy))
         try:
             full, decimated = full_and_decimated(state, CentralField(m), dt, steps, record_every)
         except (CollisionError, DomainError):
             assume(False)
-        got = _turning_points(decimated, decimated.r)
-        want = reference_apsis_events(full, full.r)
-        for found, every in zip(got, want):
-            remaining = iter(every)
-            assert all(event in remaining for event in found)  # an ordered subset
-        if at_most_one_sign_change(full.radial_speed, record_every):
-            assert got == want
+        assert _turning_points(decimated) == reference_apsis_events(full, full.r)
 
     def test_full_record_matches_reference(self):
         full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=EDGE_DT, steps=EDGE_STEPS))
-        assert _turning_points(full, full.r) == reference_apsis_events(full, full.r)
+        assert _turning_points(full) == reference_apsis_events(full, full.r)
         assert [len(events) for events in reference_apsis_events(full, full.r)] == [2, 2]
 
-    @pytest.mark.parametrize("record_every", [2, 7, _RERUN_BLOCK, _RERUN_BLOCK + 1])
+    @pytest.mark.parametrize("record_every", [2, 7, 4096, 4097])
     @pytest.mark.parametrize("extra", [0, 1], ids=["steps%R=0", "steps%R=1"])
     def test_matches_full_record(self, record_every, extra):
-        # A quarter of EDGE_DT puts the turning points about 12 560 steps
-        # apart, more than any record_every here.
         dt = EDGE_DT / 4
         steps = record_every * -(-4 * EDGE_STEPS // record_every) + extra
         assert steps % record_every == extra
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
-        assert at_most_one_sign_change(full.radial_speed, record_every)
         want = reference_apsis_events(full, full.r)
         assert [len(events) for events in want] == [2, 2]
-        assert _turning_points(decimated, decimated.r) == want
+        assert _turning_points(decimated) == want
 
     @pytest.mark.parametrize("record_every", [2500, 3000])
     def test_turning_point_in_first_interval(self, record_every):
         # the apoapsis at step 2068 precedes the first recorded state after 0
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, EDGE_STEPS,
                                              record_every)
-        assert at_most_one_sign_change(full.radial_speed, record_every)
-        got = _turning_points(decimated, decimated.r)
+        got = _turning_points(decimated)
         assert got == reference_apsis_events(full, full.r)
         assert got[1][0][0] < decimated.t[1]
 
@@ -687,77 +868,87 @@ class TestDecimatedTurningPoints:
         # state (step 8346), in the unrecorded tail.
         steps, record_every = 8350, 4173
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, steps, record_every)
-        assert at_most_one_sign_change(full.radial_speed, record_every)
-        got = _turning_points(decimated, decimated.r)
+        got = _turning_points(decimated)
         assert got == reference_apsis_events(full, full.r)
         assert got[1][-1][0] > decimated.t[-1]
 
-    @pytest.mark.parametrize("record_every, dt, steps, edge", [
-        # j = 2068 opens the re-run from sample 1, then from sample 2
-        (2068, EDGE_DT, EDGE_STEPS, 0),
-        (1034, EDGE_DT, EDGE_STEPS, 0),
-        # j = 5207 closes the re-run from sample 40 (steps 5080 to 5207)
-        (127, EDGE_DT, EDGE_STEPS, 127),
+    @pytest.mark.parametrize("record_every, dt, steps", [
+        # turning points on a recorded state, at j = 2068 and 5207
+        (2068, EDGE_DT, EDGE_STEPS),
+        (1034, EDGE_DT, EDGE_STEPS),
+        (127, EDGE_DT, EDGE_STEPS),
         # recorded states one step before or after a turning point
-        (2067, EDGE_DT, EDGE_STEPS, None),
-        (2069, EDGE_DT, EDGE_STEPS, None),
-        (2603, EDGE_DT, EDGE_STEPS, None),
-        (2604, EDGE_DT, EDGE_STEPS, None),
-        # j = 8281 opens a second-level re-run, which needs step 8280 from
-        # the first level's state before it; j = 20844 closes one
-        (8281, EDGE_DT / 4, 4 * EDGE_STEPS, 0),
-        (10422, EDGE_DT / 4, 4 * EDGE_STEPS, 3),
+        (2067, EDGE_DT, EDGE_STEPS),
+        (2069, EDGE_DT, EDGE_STEPS),
+        (2603, EDGE_DT, EDGE_STEPS),
+        (2604, EDGE_DT, EDGE_STEPS),
+        # the same at a quarter of the dt, at j = 8281 and 20844
+        (8281, EDGE_DT / 4, 4 * EDGE_STEPS),
+        (10422, EDGE_DT / 4, 4 * EDGE_STEPS),
     ])
-    def test_turning_point_next_to_a_recorded_state(self, monkeypatch, record_every, dt,
-                                                    steps, edge):
+    def test_turning_point_next_to_a_recorded_state(self, record_every, dt, steps):
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
-        assert at_most_one_sign_change(full.radial_speed, record_every)
-        edges = []
-        refine = simulator._edge_vertex
+        assert _turning_points(decimated) == reference_apsis_events(full, full.r)
 
-        def spy(traj, rec, j, k0, before):
-            edges.append(j)
-            return refine(traj, rec, j, k0, before)
+    @pytest.mark.parametrize("steps", [1, 4, 18, 28])
+    def test_turning_point_at_the_ends_of_the_run(self, steps):
+        # On TURNING the vertex of the window at 0 is step 0 and that of the
+        # window at 17 is step 18, so runs of 1 and 18 steps end on a vertex
+        # with no neighbour on one side, which the full record skips; a run
+        # of 4 steps ends one step after its vertex at 3, and one of 28
+        # steps ends with the adjacent windows at 26 and 27.
+        state = OrbitState(PlanarVector(*TURNING[:2]), PlanarVector(*TURNING[2:4]))
+        field, dt = CentralField(TURNING[4]), TURNING[5]
+        full = integrate(state, field, SimConfig(dt=dt, steps=steps))
+        assert _turning_points(full) == reference_apsis_events(full, full.r)
 
-        monkeypatch.setattr(simulator, "_edge_vertex", spy)
-        assert _turning_points(decimated, decimated.r) == reference_apsis_events(full, full.r)
-        if edge is not None:
-            assert edge in edges
+    def test_hand_built_trajectory_without_windows_rejected(self):
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=EDGE_STEPS))
+        bare = Trajectory(t=traj.t, x=traj.x, y=traj.y, vx=traj.vx, vy=traj.vy,
+                          field=traj.field, config=traj.config)
+        assert bare.windows is None
+        with pytest.raises(DomainError, match="windows"):
+            diagnostics(bare)
 
     def test_reruns_call_the_kernel_as_traced(self, monkeypatch):
-        # A benchmark wraps simulator._kernel.propagate_kernel and reads the
-        # step count as args[6]: every call passes the first nine arguments
-        # by position and t0 by keyword.
+        # A benchmark wraps simulator._kernel.propagate_kernel, reads the
+        # step count as args[6] and the first six results: integrate makes
+        # one call with the first nine arguments by position and t0 by
+        # keyword, which returns seven results, and diagnostics makes none.
         calls = []
         kernel = simulator._kernel.propagate_kernel
 
         def spy(*args, **kwargs):
-            calls.append((len(args), tuple(kwargs)))
-            return kernel(*args, **kwargs)
+            result = kernel(*args, **kwargs)
+            calls.append((len(args), tuple(kwargs), len(result)))
+            return result
 
         monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
         config = SimConfig(dt=EDGE_DT, steps=EDGE_STEPS, record_every=1000)
-        diagnostics(integrate(CANONICAL, UNIT_FIELD, config))
-        assert len(calls) > 1
-        assert set(calls) == {(9, ("t0",))}
+        traj = integrate(CANONICAL, UNIT_FIELD, config)
+        assert calls == [(9, ("t0", "max_windows"), 7)]
+        assert diagnostics(traj).observed_period is not None
+        assert len(calls) == 1
 
-    def test_reruns_hold_bounded_memory(self):
-        # Record every 10^5 steps; the one sign change, an apoapsis near step
-        # 1.5e5, is re-run recording every 25th step, and those 25 steps at
-        # full resolution.  One full-resolution record of the interval would
-        # take 5 x 8 x 10^5 bytes = 4 MB.
+    def test_decimated_diagnostics_hold_bounded_memory(self):
+        # About 1.3 orbits recorded every 20 000th step, 11 samples: one
+        # full-resolution record of the run would take 5 x 8 x 200 003
+        # bytes = 8 MB; the windows and the samples take a few kB.
         dt = 2068 * EDGE_DT / 150_000
-        steps, record_every = 200_003, 10**5
-        full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
+        steps, record_every = 200_003, 20_000
+        config = SimConfig(dt=dt, steps=steps, record_every=record_every)
         tracemalloc.start()
         try:
-            got = _turning_points(decimated, decimated.r)
+            decimated = integrate(CANONICAL, UNIT_FIELD, config)
+            got = diagnostics(decimated)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 10**6
-        assert got == reference_apsis_events(full, full.r)
-        assert got[1]
+        assert peak < 256 * 1024
+        full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=dt, steps=steps))
+        want = reference_apsis_events(full, full.r)
+        assert _turning_points(decimated) == want
+        assert want[1] and got.observed_apoapsis == max(r for _, r in want[1])
 
 
 class TestTrajectoryConicAgreement:
