@@ -103,8 +103,10 @@ int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt
 #define TEN_TO_16 UINT64_C(10000000000000000)
 #define TEN_TO_17 UINT64_C(100000000000000000)
 #define TOP_BIT (UINT64_C(1) << 63)
-#define EIGHT_DIGITS ((UINT64_C(1) << 57) / 10000000 + 1)  /* 2^57 / 10^7, rounded up */
-#define DIGIT_MASK ((UINT64_C(1) << 57) - 1)
+/* The bytes csv_rows may write past the end of out's last row: write_g's
+ * copies write up to 35 bytes from a value's start, 10 past the
+ * CSV_VALUE_MAX + 1 that a row of out holds for a value and its comma. */
+#define CSV_SLACK 16
 
 /* The high 64 bits of a * b, and the low 64 bits in *lo, from 32-bit halves:
  * ISO C has no 128-bit integer. */
@@ -180,72 +182,79 @@ static uint64_t digits17(uint64_t f, int e, const uint64_t *pow10, int q_min, in
     }
 }
 
+/* "00" .. "99": the two digits of each n < 100 at DIGIT_PAIRS + 2 * n. */
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The eight digits of y < 10^8, from four pairs. */
+static void write_8_digits(char *s, uint32_t y)
+{
+    uint32_t high = y / 10000u, low = y % 10000u;
+    memcpy(s, DIGIT_PAIRS + 2 * (high / 100u), 2);
+    memcpy(s + 2, DIGIT_PAIRS + 2 * (high % 100u), 2);
+    memcpy(s + 4, DIGIT_PAIRS + 2 * (low / 100u), 2);
+    memcpy(s + 6, DIGIT_PAIRS + 2 * (low % 100u), 2);
+}
+
 /* Writes v, rounded to d * 10^(x - 16), as "%.17g" does: fixed notation for
  * -4 <= x < 17, else exponent notation with at least two exponent digits,
  * with trailing zeros and a bare point removed.  Returns the end of the
- * text. */
+ * text.  The copies have fixed sizes, so they may write past the end of the
+ * text, up to 35 bytes from p (see CSV_SLACK); the next value overwrites
+ * those bytes.
+ */
 static char *write_g(char *p, int negative, uint64_t d, int x)
 {
-    /* The first digit, then two runs of eight: each run y < 10^8 as the
-     * fixed-point fraction y / 10^7 * 2^57, rounded up, whose integer part
-     * is the next digit before the rest is multiplied by 10.  Rounding up
-     * adds less than 10^8 units, 10^15 after seven products, below the
-     * 2^57 / 10^7 units that keep any digit from changing. */
-    char s[17];
+    /* The 17 digits, then 16 '0's that the fixed-size copies below may read. */
+    char s[33];
     uint32_t high = (uint32_t)(d / 100000000u);
-    uint64_t middle = high % 100000000u * EIGHT_DIGITS, low = d % 100000000u * EIGHT_DIGITS;
     s[0] = (char)('0' + high / 100000000u);
-    for (int i = 1; i <= 8; i++) {
-        s[i] = (char)('0' + (middle >> 57));
-        s[i + 8] = (char)('0' + (low >> 57));
-        middle = (middle & DIGIT_MASK) * 10;
-        low = (low & DIGIT_MASK) * 10;
-    }
+    write_8_digits(s + 1, high % 100000000u);
+    write_8_digits(s + 9, (uint32_t)(d % 100000000u));
+    memset(s + 17, '0', 16);
     size_t n = 17;  /* the digits up to the last non-zero one; s[0] is not '0' */
-    while (s[n - 1] == '0')
-        n--;
+    if (s[16] == '0')
+        while (s[n - 1] == '0')
+            n--;
 
-    if (negative)
-        *p++ = '-';
+    *p = '-';
+    p += negative;
     if (x < -4 || x >= 17) {
-        *p++ = s[0];
-        if (n > 1) {
-            *p++ = '.';
-            memcpy(p, s + 1, n - 1);
-            p += n - 1;
-        }
-        *p++ = 'e';
-        *p++ = x < 0 ? '-' : '+';
+        p[0] = s[0];
+        p[1] = '.';
+        memcpy(p + 2, s + 1, 16);
+        p += n > 1 ? n + 1 : 1;  /* no bare point */
         unsigned a = (unsigned)(x < 0 ? -x : x);
-        if (a >= 100)
-            *p++ = (char)('0' + a / 100);
-        *p++ = (char)('0' + a / 10 % 10);
-        *p++ = (char)('0' + a % 10);
-    } else if (x >= 0) {
-        size_t whole = (size_t)x + 1;
-        memcpy(p, s, whole);
-        p += whole;
-        if (n > whole) {
-            *p++ = '.';
-            memcpy(p, s + whole, n - whole);
-            p += n - whole;
+        p[0] = 'e';
+        p[1] = x < 0 ? '-' : '+';
+        if (a >= 100) {
+            p[2] = (char)('0' + a / 100);
+            memcpy(p + 3, DIGIT_PAIRS + 2 * (a % 100), 2);
+            return p + 5;
         }
-    } else {
-        *p++ = '0';
-        *p++ = '.';
-        memset(p, '0', (size_t)(-x - 1));
-        p += -x - 1;
-        memcpy(p, s, n);
-        p += n;
+        memcpy(p + 2, DIGIT_PAIRS + 2 * a, 2);
+        return p + 4;
     }
-    return p;
+    if (x >= 0) {
+        size_t whole = (size_t)x + 1;
+        memcpy(p, s, 17);
+        p[whole] = '.';
+        memcpy(p + whole + 1, s + whole, 16);
+        return p + (n > whole ? n + 1 : whole);
+    }
+    memcpy(p, "0.000", 5);  /* "0." and -x - 1 zeros */
+    p += 1 - x;
+    memcpy(p, s, 17);
+    return p + n;
 }
 
 /* Writes rows [start, stop) of the eight columns cols[0..7] to out as CSV
  * lines, eight values joined by commas and ended by a newline, with no
  * terminating NUL.  out must hold (stop - start) * 8 * (CSV_VALUE_MAX + 1)
- * bytes; pow10, q_min and q_max are digits17's table.  Returns the number of
- * bytes written, or -1 when the "C" locale cannot be made.
+ * + CSV_SLACK bytes; pow10, q_min and q_max are digits17's table.  Returns
+ * the number of bytes of text, or -1 when the "C" locale cannot be made.
  */
 int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *out,
                  const uint64_t *pow10, int q_min, int q_max)

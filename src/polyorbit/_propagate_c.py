@@ -69,8 +69,10 @@ _PROBE_VALUES = (
 _POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 
 # The longest row csv_rows writes: eight values of at most 24 characters
-# ("-2.2250738585072014e-308"), each followed by a comma or the newline.
+# ("-2.2250738585072014e-308"), each followed by a comma or the newline; and
+# the bytes its fixed-size copies may write past the last row (CSV_SLACK).
 _ROW_BYTES = 8 * 25
+_SLACK = 16
 
 
 def _library_path(cc: str) -> str:
@@ -140,7 +142,7 @@ def _load():
                            + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p,
                               ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p])
     csv_rows.restype = ctypes.c_int64
-    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
+    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
     return kick_drift, csv_rows
 
@@ -191,12 +193,12 @@ def format_rows(columns, start, stop):
     start, stop, _ = slice(start, stop).indices(n)
     if start >= stop:
         return ""
-    out = ctypes.create_string_buffer((stop - start) * _ROW_BYTES)
+    out = np.empty((stop - start) * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
     size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                     start, stop, out, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
+                     start, stop, out.ctypes.data, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
     if size < 0:  # newlocale fails for "C" only when out of memory
         raise MemoryError("csv_rows could not make the C numeric locale")
-    return str(memoryview(out)[:size], "ascii")
+    return str(out.data[:size], "ascii")
 
 
 def _probe() -> None:

@@ -51,9 +51,14 @@ _LEFT_THE_DOUBLE_RANGE = ("the simulated state left the double range (a recorded
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
-# Rows formatted and written per stream.write call.  Larger blocks save
-# little time and raise peak memory.
-_CSV_BLOCK_ROWS = 512
+# Rows formatted and written per stream.write call: 2048 rows of the seed-0
+# CSV are 0.3 MB of text.  Larger blocks save little time and raise peak
+# memory.
+_CSV_BLOCK_ROWS = 2048
+
+# Samples per block of the drift and residual maxima of diagnostics: about
+# ten temporaries of 64 kB each, which stay in cache.
+_DIAGNOSTICS_BLOCK = 8192
 
 
 def _load_kernel():
@@ -116,13 +121,16 @@ def _alpha(x, y, vx, vy, r, v):
     return np.arccos(np.clip(cos_a, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered simulated states with diagnostic accessors.
 
     windows is the kernel's record of the states around each turning point
     and of the last state (see _propagate_py.propagate_kernel); diagnostics()
     refuses a Trajectory built without it.
+
+    Trajectories compare and hash by identity: == between two of them is
+    `is`, whatever their arrays hold.  Compare the arrays to compare runs.
     """
 
     t: np.ndarray
@@ -237,8 +245,12 @@ def swept_areas(traj: Trajectory) -> np.ndarray:
         )
     if len(traj) < 2:
         raise DomainError("need at least 2 samples")
-    cross = traj.x[:-1] * traj.vy[1:] - traj.y[:-1] * traj.vx[1:]
-    return 0.5 * np.abs(cross) * traj.config.dt
+    return _swept(traj.x[:-1], traj.y[:-1], traj.vx[1:], traj.vy[1:], traj.config.dt)
+
+
+def _swept(x, y, vx_next, vy_next, dt):
+    # the areas (1/2)|cross(p_k, v_{k+1})| * dt of swept_areas
+    return 0.5 * np.abs(x * vy_next - y * vx_next) * dt
 
 
 @dataclass(frozen=True)
@@ -267,6 +279,10 @@ class DiagnosticsReport:
 
 def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, float]:
     # Three-point parabolic refinement of an extremum of r(t) around index j.
+    # The vertex is kept only where it lies between t[j - 1] and t[j + 1] at
+    # a positive radius; elsewhere the parabola extrapolates (on a coarse
+    # orbit, 17 steps away and below r = 0), and the sample itself is
+    # reported.
     h = t[j] - t[j - 1]
     denom = r[j - 1] - 2.0 * r[j] + r[j + 1]
     if denom == 0.0:
@@ -274,6 +290,8 @@ def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, floa
     delta = 0.5 * (r[j - 1] - r[j + 1]) / denom
     t_star = t[j] + delta * h
     r_star = r[j] - 0.25 * (r[j - 1] - r[j + 1]) * delta
+    if not (abs(delta) <= 1.0 and r_star > 0.0):
+        return float(t[j]), float(r[j])
     return float(t_star), float(r_star)
 
 
@@ -330,38 +348,61 @@ def diagnostics(traj: Trajectory) -> DiagnosticsReport:
 
 
 def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
+    # The drift, residual and swept-area maxima, _DIAGNOSTICS_BLOCK samples
+    # at a time: the same elementwise expressions, q0, c0 and first area as
+    # on whole arrays, and a maximum of absolute values is exact in any
+    # order.  As on whole arrays, q0 is checked only once every sample's r,
+    # v^2 and Q are formed, so an overflow among them is reported first.
     m = traj.field.m
-    r = traj.r
-    v2 = traj.vx * traj.vx + traj.vy * traj.vy
-    h = traj.angular_momentum
+    dt = traj.config.dt
+    n = len(traj)
+    # per block: max |q - q0|, |c - c0|, |csc2_obs - csc2_pred| and |area - area0|
+    q_max, c_max, csc2_max, area_max = [], [], [], []
+    for start in range(0, n, _DIAGNOSTICS_BLOCK):
+        stop = min(start + _DIAGNOSTICS_BLOCK, n)
+        x, y, vx, vy = (col[start:stop] for col in (traj.x, traj.y, traj.vx, traj.vy))
+        r = np.hypot(x, y)
+        v2 = vx * vx + vy * vy
+        h = x * vy - y * vx
+        q = h * h
+        if start == 0:
+            q0, h0, r0 = q[0], h[0], r[0]
+        if not q0 > 0.0:
+            continue
+        c = v2 - 2.0 * m / r
+        if start == 0:
+            c0 = c[0]
+        csc2_obs = r * r * v2 / q
+        csc2_pred = csc2_quadratic(c0 / q0, 2.0 * m / q0, r)
+        q_max.append(np.max(np.abs(q - q0)))
+        c_max.append(np.max(np.abs(c - c0)))
+        csc2_max.append(np.max(np.abs(csc2_obs - csc2_pred)))
+        # area k takes state k and the velocity of k + 1; the last state has none
+        areas_stop = min(stop, n - 1)
+        if not traj.is_decimated and start < areas_stop:
+            areas = _swept(x[:areas_stop - start], y[:areas_stop - start],
+                           traj.vx[start + 1:areas_stop + 1], traj.vy[start + 1:areas_stop + 1], dt)
+            if start == 0:
+                area0 = areas[0]
+            area_max.append(np.max(np.abs(areas - area0)))
 
-    q = h * h
-    q0 = q[0]
     if not q0 > 0.0:
         if not is_radial(traj.state(0)):
             raise DomainError(
-                f"Q = (x vy - y vx)^2 underflows to 0 (x vy - y vx = {h[0]:g}); the launch "
+                f"Q = (x vy - y vx)^2 underflows to 0 (x vy - y vx = {h0:g}); the launch "
                 "is not radial, but the drift and swept-area checks divide by Q"
             )
         raise DegenerateOrbitError(
             f"radial trajectory (Q = {q0:g}): the drift and swept-area checks divide by Q"
         )
-    q_drift = float(np.max(np.abs(q - q0)) / q0)
-
-    c = v2 - 2.0 * m / r
-    c0 = c[0]
-    c_scale = max(abs(c0), 2.0 * m / r[0])
-    c_drift = float(np.max(np.abs(c - c0)) / c_scale)
-
-    csc2_obs = r * r * v2 / q
-    csc2_pred = csc2_quadratic(c0 / q0, 2.0 * m / q0, r)
-    csc2_res = float(np.max(np.abs(csc2_obs - csc2_pred)))
-
+    q_drift = float(np.max(q_max) / q0)
+    c_scale = max(abs(c0), 2.0 * m / r0)
+    c_drift = float(np.max(c_max) / c_scale)
+    csc2_res = float(np.max(csc2_max))
     if traj.is_decimated:
         area_dev = None  # exactness check needs every elementary step
     else:
-        areas = swept_areas(traj)
-        area_dev = float(np.max(np.abs(areas - areas[0])) / areas[0])
+        area_dev = float(np.max(area_max) / area0)
 
     peri, apo = _turning_points(traj)
     observed_periapsis = min(rr for _, rr in peri) if peri else None

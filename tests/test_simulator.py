@@ -1,5 +1,6 @@
 """Tests for the impulse-polygon simulator and its diagnostics."""
 
+import ctypes
 import importlib
 import io
 import json
@@ -23,6 +24,7 @@ import polyorbit
 from polyorbit import (
     CentralField,
     CollisionError,
+    DegenerateOrbitError,
     DomainError,
     OrbitState,
     PlanarVector,
@@ -37,8 +39,11 @@ from polyorbit import (
     uniform_accel_displacement_sum,
 )
 from polyorbit import _propagate_py, cli, simulator
+from polyorbit.determination import is_radial
+from polyorbit.geometry import csc2_quadratic
 from polyorbit.simulator import (
     _CSV_BLOCK_ROWS,
+    _DIAGNOSTICS_BLOCK,
     CSV_HEADER,
     MAX_SAMPLES,
     Trajectory,
@@ -754,6 +759,180 @@ class TestDiagnostics:
             "observed_periapsis", "observed_apoapsis", "observed_period",
         ]
 
+    def test_coarse_orbit_periapsis_is_not_negative(self, capsys, tmp_path):
+        # About 9 steps an orbit: the parabola through one window's samples
+        # put its vertex 17 steps away, at r = -0.44387334731944783.
+        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "0.8389062106290952",
+                "--alpha0", "91.59728861639225", "--dt", "0.5077498637989705",
+                "--steps", "20000", "--decimate", "100", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert 0.0 <= report["observed_periapsis"] <= report["observed_apoapsis"]
+
+    @pytest.mark.parametrize("r, want", [
+        # the vertex lies between the samples: refined
+        ([2.0, 1.0, 2.0], (1.0, 1.0)),
+        ([3.0, 1.0, 2.0], (1.1666666666666667, 0.9583333333333334)),
+        ([1.0, 2.0, 1.5], (1.1666666666666667, 2.0208333333333335)),
+        # one sample farther out (|delta| > 1): the sample
+        ([4.0, 2.0, 1.0], (1.0, 2.0)),
+        ([1.0, 1.5, 1.75], (1.0, 1.5)),
+        # between the samples, but below r = 0: the sample
+        ([10.0, 0.1, 1.0], (1.0, 0.1)),
+        # three equal samples: the sample
+        ([1.0, 1.0, 1.0], (1.0, 1.0)),
+    ])
+    def test_parabolic_vertex_does_not_extrapolate(self, r, want):
+        assert _parabolic_vertex(np.array([0.0, 1.0, 2.0]), np.array(r), 1) == want
+
+    def test_trajectories_compare_by_identity(self):
+        config = SimConfig(dt=1e-3, steps=100)
+        a, b = integrate(CANONICAL, UNIT_FIELD, config), integrate(CANONICAL, UNIT_FIELD, config)
+        assert (a == b) is False and a != b
+        assert a == a and len({a, b, a}) == 2
+
+
+# The whole-array body of diagnostics that the blocked one replaced, kept
+# as the bit-for-bit oracle.
+def reference_diagnostics_body(traj):
+    m = traj.field.m
+    r = traj.r
+    v2 = traj.vx * traj.vx + traj.vy * traj.vy
+    h = traj.angular_momentum
+
+    q = h * h
+    q0 = q[0]
+    if not q0 > 0.0:
+        if not is_radial(traj.state(0)):
+            raise DomainError(
+                f"Q = (x vy - y vx)^2 underflows to 0 (x vy - y vx = {h[0]:g}); the launch "
+                "is not radial, but the drift and swept-area checks divide by Q"
+            )
+        raise DegenerateOrbitError(
+            f"radial trajectory (Q = {q0:g}): the drift and swept-area checks divide by Q"
+        )
+    q_drift = float(np.max(np.abs(q - q0)) / q0)
+
+    c = v2 - 2.0 * m / r
+    c0 = c[0]
+    c_scale = max(abs(c0), 2.0 * m / r[0])
+    c_drift = float(np.max(np.abs(c - c0)) / c_scale)
+
+    csc2_obs = r * r * v2 / q
+    csc2_pred = csc2_quadratic(c0 / q0, 2.0 * m / q0, r)
+    csc2_res = float(np.max(np.abs(csc2_obs - csc2_pred)))
+
+    if traj.is_decimated:
+        area_dev = None
+    else:
+        areas = swept_areas(traj)
+        area_dev = float(np.max(np.abs(areas - areas[0])) / areas[0])
+
+    peri, apo = _turning_points(traj)
+    return simulator.DiagnosticsReport(
+        max_swept_area_deviation=area_dev,
+        Q_drift=q_drift,
+        C_drift=c_drift,
+        csc2_max_residual=csc2_res,
+        observed_periapsis=min(rr for _, rr in peri) if peri else None,
+        observed_apoapsis=max(rr for _, rr in apo) if apo else None,
+        observed_period=float(np.mean(np.diff([tt for tt, _ in peri]))) if len(peri) >= 2 else None,
+    )
+
+
+def diagnostics_outcome(traj, body=None):
+    """The bits of each field of diagnostics(traj), run with `body` in place
+    of the blocked one when given, or the type and message of its error."""
+    try:
+        with mock.patch.object(simulator, "_diagnostics", body or simulator._diagnostics):
+            report = diagnostics(traj).as_dict()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return {key: None if value is None else value.hex() for key, value in report.items()}
+
+
+def with_columns(traj, **columns):
+    """traj with some of t, x, y, vx and vy replaced, and its windows."""
+    fields = {name: getattr(traj, name) for name in ("t", "x", "y", "vx", "vy")}
+    return Trajectory(**{**fields, **columns}, field=traj.field, config=traj.config,
+                      windows=traj.windows)
+
+
+B = _DIAGNOSTICS_BLOCK
+
+
+class TestBlockedDiagnostics:
+    """diagnostics takes its maxima _DIAGNOSTICS_BLOCK samples at a time;
+    its report and its errors are those of the whole-array version."""
+
+    def assert_matches_reference(self, traj):
+        got = diagnostics_outcome(traj)
+        assert got == diagnostics_outcome(traj, reference_diagnostics_body)
+        return got
+
+    @pytest.mark.parametrize("samples", [10, B - 1, B, B + 1, 2 * B + 1, 3 * B])
+    def test_matches_reference_across_blocks(self, samples):
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=5e-4, steps=samples - 1))
+        assert len(traj) == samples
+        got = self.assert_matches_reference(traj)
+        assert got["max_swept_area_deviation"] is not None
+
+    @pytest.mark.parametrize("samples", [B, B + 1, 2 * B + 1])
+    def test_matches_reference_decimated(self, samples):
+        config = SimConfig(dt=1e-4, steps=7 * (samples - 1), record_every=7)
+        traj = integrate(CANONICAL, UNIT_FIELD, config)
+        assert len(traj) == samples
+        assert self.assert_matches_reference(traj)["max_swept_area_deviation"] is None
+
+    @pytest.mark.parametrize("at", [0, B - 1, B, 2 * B])
+    def test_largest_deviation_in_any_block(self, at):
+        # a kick to one sample sets every maximum there, in whichever block
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=5e-4, steps=2 * B))
+        vx = traj.vx.copy()
+        vx[at] *= 1.5
+        self.assert_matches_reference(with_columns(traj, vx=vx))
+
+    def test_radial_launch(self):
+        radial = OrbitState(PlanarVector(1.0, 0.0), PlanarVector(0.5, 0.0))
+        traj = integrate(radial, UNIT_FIELD, SimConfig(dt=1e-5, steps=B + 5))
+        got = self.assert_matches_reference(traj)
+        assert got[0] is DegenerateOrbitError and "radial" in got[1]
+
+    def test_underflowing_q(self):
+        traj = integrate(make_state(1.0, 1.0, 1e-320), UNIT_FIELD,
+                         SimConfig(dt=1e-5, steps=B + 5))
+        got = self.assert_matches_reference(traj)
+        assert got[0] is DomainError and "underflows" in got[1]
+
+    def test_overflow(self):
+        traj = integrate(CANONICAL, CentralField(1e300), SimConfig(dt=1e-3, steps=B + 5))
+        got = self.assert_matches_reference(traj)
+        assert got[0] is DomainError and "double range" in got[1]
+
+    @pytest.mark.parametrize("launch", [CANONICAL, OrbitState(PlanarVector(1.0, 0.0),
+                                                              PlanarVector(0.5, 0.0))],
+                             ids=["canonical", "radial"])
+    def test_overflow_in_a_later_block(self, launch):
+        # v^2 overflows only in the last block; on a radial launch that
+        # overflow is reported before the radial launch, as on whole arrays
+        traj = integrate(launch, UNIT_FIELD, SimConfig(dt=1e-5, steps=2 * B))
+        vx = traj.vx.copy()
+        vx[-1] = 1e200
+        got = self.assert_matches_reference(with_columns(traj, vx=vx))
+        assert got[0] is DomainError and "double range" in got[1]
+
+    def test_memory_is_one_block(self):
+        # 200k samples: the whole-array version made about ten 1.6 MB
+        # temporaries at once
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-4, steps=199_999))
+        tracemalloc.start()
+        try:
+            diagnostics(traj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
 
 # The turning-point search on a full record, which reads the sign changes
 # off every recorded sample: the oracle for the turning points that
@@ -1016,6 +1195,37 @@ class TestUniformAccel:
         )
 
 
+def exponent_and_digits(value):
+    """The decimal exponent X and the significant digit count of
+    "%.17g" % value, read off "%.16e", which rounds alike."""
+    mantissa, exponent = ("%.16e" % value).split("e")
+    return int(exponent), len(mantissa.lstrip("-").replace(".", "").rstrip("0"))
+
+
+def every_exponent():
+    # the doubles nearest 1, 2.5, 4.94... and 9.87... times 10^X that keep X
+    kept = []
+    for x in range(-324, 309):
+        for mantissa in ("1", "2.5", "4.9406564584124654", "9.8765432109876543"):
+            value = float(f"{mantissa}e{x}")
+            if 0.0 < value < math.inf and exponent_and_digits(value)[0] == x:
+                kept.append(value)
+    return kept
+
+
+def every_digit_count():
+    # the doubles nearest the first n digits of 12345678912345678 at a
+    # spread of exponents, where "%.17g" keeps those n digits
+    kept = []
+    for n in range(1, 18):
+        digits = "12345678912345678"[:n]
+        for x in (-310, -300, -20, -5, -4, -1, 0, 3, 15, 16, 17, 22, 300):
+            value = float(f"{digits[0]}.{digits[1:]}e{x}")
+            if exponent_and_digits(value)[1] == n:
+                kept.append(value)
+    return kept
+
+
 class TestCsvExport:
     def test_header_and_shape(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=10))
@@ -1070,9 +1280,12 @@ class TestCsvExport:
                 assert self.written_csv(traj) == want, module.__name__
 
     # write_csv derives r, v and alpha block by block; the reference takes
-    # them from the whole-array properties.
+    # them from the whole-array properties.  Row counts at the block edges,
+    # and at the edges of the 512-row blocks it used before, now inside
+    # the first block.
     @pytest.mark.parametrize("rows", [
-        1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
+        1, 511, 512, 513, 1025,
+        _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
     ])
     def test_matches_reference_across_blocks(self, rows):
         full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=2 * _CSV_BLOCK_ROWS))
@@ -1151,6 +1364,15 @@ class TestCsvExport:
         np.array([float(f"1e{k}") for k in range(-322, 309)]).view(np.int64)[:, None]
         + np.arange(-3, 4)).view(np.float64).ravel().tolist()]
 
+    # For every decimal exponent X from -324 (5e-324) to 308 (DBL_MAX), the
+    # doubles nearest a few mantissas times 10^X that keep X, of both signs.
+    EXPONENT_VALUES = [sign * value for sign in (1.0, -1.0) for value in every_exponent()]
+
+    # For each digit count from 1 to 17, doubles whose "%.17g" has that
+    # many significant digits, in fixed and in exponent notation, of both
+    # signs.
+    DIGIT_COUNT_VALUES = [sign * value for sign in (1.0, -1.0) for value in every_digit_count()]
+
     @staticmethod
     def percent_17g_case(values):
         """The values, repeated to whole rows of eight, and "%.17g" of each."""
@@ -1170,10 +1392,49 @@ class TestCsvExport:
     # Plain cases that fail in seconds where the Hypothesis test below would
     # take minutes to shrink a wrong digit.
     @pytest.mark.parametrize("values", [EDGE_VALUES, TIE_VALUES, BRANCH_VALUES,
-                                        NEAR_POWERS_OF_TEN],
-                             ids=["edge", "ties", "branches", "near-powers-of-ten"])
+                                        NEAR_POWERS_OF_TEN, EXPONENT_VALUES, DIGIT_COUNT_VALUES],
+                             ids=["edge", "ties", "branches", "near-powers-of-ten",
+                                  "every-exponent", "every-digit-count"])
     def test_format_rows_prints_percent_17g(self, kernel, values):
         self.assert_prints_percent_17g(kernel, *self.percent_17g_case(values))
+
+    def test_percent_17g_cases_cover_every_exponent_and_digit_count(self):
+        exponents = {exponent_and_digits(v)[0] for v in self.EXPONENT_VALUES}
+        assert exponents == set(range(-324, 309))
+        counts = {(digits, -4 <= x < 17, v < 0.0)
+                  for v in self.DIGIT_COUNT_VALUES for x, digits in [exponent_and_digits(v)]}
+        assert counts == {(digits, fixed, negative) for digits in range(1, 18)
+                          for fixed in (False, True) for negative in (False, True)}
+
+    # The longest "%.17g" text, and the value whose text write_g copies
+    # reach farthest past: a 17-digit integer, whose 16 digits past its
+    # point are copied though it has no point.
+    LONGEST = -2.2250738585072014e-308
+    FARTHEST = -12345678901234568.0
+
+    @pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest"])
+    def test_format_rows_prints_percent_17g_to_the_end_of_a_block(self, kernel, last):
+        # every other value of the block takes the most room a value can
+        values = np.full(8 * _CSV_BLOCK_ROWS, self.LONGEST)
+        values[-1] = last
+        assert len("%.17g" % self.LONGEST) == 24
+        self.assert_prints_percent_17g(kernel, *self.percent_17g_case(values))
+
+    @requires_c
+    @pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_csv_rows_writes_nothing_past_its_slack_percent_17g(self, last, rows):
+        # csv_rows may write past its text, but not past rows * _ROW_BYTES
+        # + _SLACK bytes; a guard of 0xAA bytes follows those here
+        module = c_kernel()
+        columns = [np.full(rows, self.LONGEST) for _ in range(7)] + [np.full(rows, last)]
+        size = rows * module._ROW_BYTES + module._SLACK
+        out = np.full(size + 64, 0xAA, dtype=np.uint8)
+        written = module._csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
+                                   0, rows, out.ctypes.data, module._POW10.ctypes.data,
+                                   module._POW10_MIN, module._POW10_MAX)
+        assert bytes(out[:written]).decode() == _propagate_py.format_rows(columns, 0, rows)
+        assert (out[size:] == 0xAA).all()
 
     @pytest.fixture(scope="class")
     def random_bits_and_ties(self):
