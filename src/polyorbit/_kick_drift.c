@@ -1,4 +1,4 @@
-/* The two hot loops of polyorbit in plain C, built into one library.
+/* The four hot loops of polyorbit in plain C, built into one library.
  *
  * kick_drift is the kick-then-drift loop of _propagate_py.propagate_kernel.
  * The same statements in the same order as the Python loop, so with IEEE
@@ -14,6 +14,12 @@
  * settle, and zeros and infinities, go to snprintf under the "C" numeric
  * locale whatever the process locale is.  A NaN of either sign is written
  * "nan" as CPython writes it.
+ *
+ * ring_terms and conic_residuals are the NumPy loops of shell._ring_terms
+ * and geometry._sample_residuals, written the same way: one C statement per
+ * NumPy expression, in its order.  They call libm's sin, cos and hypot,
+ * which NumPy's float64 loops call too; the load-time probe in
+ * _propagate_c checks that, and binds the NumPy loops where it fails.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -297,4 +303,120 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     uselocale(previous);
     freelocale(c_numeric);
     return p - out;
+}
+
+/* shell._ring_terms: terms[i] is the axial pull of ring i of n, the ring at
+ * polar angle (i + 0.5) * dtheta. */
+void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t n,
+                double *terms)
+{
+    const double two_pi = 2.0 * 3.141592653589793;  /* 2.0 * math.pi */
+    const double d2_a2 = d * d + a * a, two_a_d = 2.0 * a * d;
+
+    for (int64_t i = 0; i < n; i++) {
+        double theta = ((double)i + 0.5) * dtheta;
+        double area = two_pi * (a * sin(theta)) * width;  /* shell._ring_area */
+        double cos_t = cos(theta);
+        double s2 = d2_a2 - two_a_d * cos_t;
+        double s = sqrt(s2);
+        double axial = (d - a * cos_t) / s;
+        terms[i] = scale * area / s2 * axial;
+    }
+}
+
+/* The values of geometry.ConicClass. */
+enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
+
+/* geometry._PARALLEL_EPS */
+#define PARALLEL_EPS 1e-12
+
+/* geometry._block_residuals over the samples i = start .. stop - 1 at polar
+ * angles theta0 + span * i / div (geometry._sample_thetas): writes the
+ * focal, reflection and right-angle maxima to maxima[0..2] and the count of
+ * samples whose tangent is parallel to the directrix to *skipped, and
+ * returns 0.  Returns 1, the block flagged, where any check of
+ * _block_residuals could fail: 1 - e sin(theta) is not > 0, a point,
+ * tangent, ray or intersection is not finite, a norm is zero or a residual
+ * is NaN.  Its outputs are then not written; _block_residuals reruns the
+ * block and raises its error.  focus2_y and focal_constant are unused for a
+ * parabola.
+ */
+int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
+                    double focal_constant, double theta0, double span, double div,
+                    int64_t start, int64_t stop, double *maxima, int64_t *skipped)
+{
+    double focal_max = 0.0, reflection_max = 0.0, right_max = 0.0;
+    int64_t skip = 0;
+
+    for (int64_t i = start; i < stop; i++) {
+        double theta = theta0 + span * (double)i / div;
+        double s = sin(theta), c = cos(theta);
+        /* _polar_form */
+        double denom = 1.0 - e * s;
+        if (!(denom > 0.0))
+            return 1;
+        double r = ell / denom;
+        double px = r * c, py = r * s, dr = e * c * r * r / ell;
+        if (!(isfinite(px) && isfinite(py)))
+            return 1;
+        double tx = dr * c - r * s, ty = dr * s + r * c;
+        if (!(isfinite(tx) && isfinite(ty)))
+            return 1;
+        double t_norm = hypot(tx, ty);
+        if (t_norm == 0.0)
+            return 1;
+        double tux = tx / t_norm, tuy = ty / t_norm;
+        double p_norm = hypot(px, py);
+        if (p_norm == 0.0)
+            return 1;
+        double pux = px / p_norm, puy = py / p_norm;
+
+        double focal, ray_x = 0.0, ray_y = 1.0;  /* a parabola's beam is parallel to the axis */
+        if (kind == CONIC_PARABOLA) {
+            focal = fabs(p_norm - (py + aO));
+        } else {
+            double dx = 0.0 - px, dy = focus2_y - py;
+            if (!(isfinite(dx) && isfinite(dy)))
+                return 1;
+            double d_norm = hypot(dx, dy);
+            if (d_norm == 0.0)
+                return 1;
+            if (kind == CONIC_ELLIPSE)
+                focal = fabs(p_norm + d_norm - focal_constant);
+            else
+                focal = fabs(fabs(d_norm - p_norm) - focal_constant);
+            ray_x = dx / d_norm;
+            ray_y = dy / d_norm;
+        }
+        double sin1 = fabs(tux * puy - tuy * pux);
+        double sin2 = fabs(tux * ray_y - tuy * ray_x);
+        double reflection = fabs(sin1 - sin2);
+        if (isnan(focal) || isnan(reflection))
+            return 1;
+        if (focal > focal_max)
+            focal_max = focal;
+        if (reflection > reflection_max)
+            reflection_max = reflection;
+
+        if (!(fabs(tuy) >= PARALLEL_EPS)) {
+            skip++;
+            continue;
+        }
+        double lx = px + (-aO - py) / tuy * tux, ly = -aO;
+        if (!(isfinite(lx) && isfinite(ly)))
+            return 1;
+        double l_norm = hypot(lx, ly);
+        if (l_norm == 0.0)
+            return 1;
+        double right = fabs(pux * (lx / l_norm) + puy * (ly / l_norm));
+        if (isnan(right))
+            return 1;
+        if (right > right_max)
+            right_max = right;
+    }
+    maxima[0] = focal_max;
+    maxima[1] = reflection_max;
+    maxima[2] = right_max;
+    *skipped = skip;
+    return 0;
 }

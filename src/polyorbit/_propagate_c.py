@@ -1,7 +1,8 @@
-"""The two hot loops compiled from _kick_drift.c and called through ctypes.
+"""The four hot loops compiled from _kick_drift.c and called through ctypes.
 
-One library holds both: kick_drift, the propagation kernel, and csv_rows,
-the CSV row formatter.  The first import compiles the C file into this
+One library holds them: kick_drift, the propagation kernel; csv_rows, the
+CSV row formatter; ring_terms, the shell's ring sum; and conic_residuals,
+the conic residual samples.  The first import compiles the C file into this
 package's __pycache__, the way the interpreter writes bytecode; later
 imports load the cached library.  Its name carries a hash of the source,
 the compiler command, the flags and the platform, so a change to any of
@@ -13,7 +14,11 @@ Before the library is used, a short probe of each loop must match
 _propagate_py: the kernel bit for bit, the formatter byte for byte.  When
 anything fails (no compiler, a failed compile, an unwritable cache, a load
 error or a probe mismatch) the import raises ImportError, and simulator
-falls back to _propagate_py for both loops.
+falls back to _propagate_py for all four loops.  The ring and residual
+loops call libm's sin, cos and hypot where NumPy calls its own float64
+loops; when their probe differs from NumPy's, this module binds
+_propagate_py's ring_terms and conic_residuals, and the kernel and
+formatter stay in C.
 """
 
 import ctypes
@@ -25,7 +30,7 @@ import sysconfig
 
 import numpy as np
 
-from . import _propagate_py
+from . import _propagate_py, geometry
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kick_drift.c")
@@ -73,6 +78,12 @@ _POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 # the bytes its fixed-size copies may write past the last row (CSV_SLACK).
 _ROW_BYTES = 8 * 25
 _SLACK = 16
+
+# ring_terms arguments for the load-time probe: (a, d, n) of three shells,
+# 384 angles in all; and conic_residuals shapes (e, ell) and sample counts
+# for an ellipse, a parabola and a hyperbola, 300 angles in all.
+_RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1))
+_RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
 
 
 def _library_path(cc: str) -> str:
@@ -136,6 +147,7 @@ def _load():
     except OSError as exc:
         raise ImportError(f"the C kernel could not be built or loaded: {exc}") from exc
     kick_drift, csv_rows = lib.kick_drift, lib.csv_rows
+    ring_terms, conic_residuals = lib.ring_terms, lib.conic_residuals
     kick_drift.restype = ctypes.c_int64
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
                            + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
@@ -144,10 +156,16 @@ def _load():
     csv_rows.restype = ctypes.c_int64
     csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
                          ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
-    return kick_drift, csv_rows
+    ring_terms.restype = None
+    ring_terms.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64, ctypes.c_void_p]
+    conic_residuals.restype = ctypes.c_int
+    conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 5
+                                + [ctypes.c_int64] * 2
+                                + [ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)])
+    return kick_drift, csv_rows, ring_terms, conic_residuals
 
 
-_kick_drift, _csv_rows = _load()
+_kick_drift, _csv_rows, _ring_terms, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
@@ -201,6 +219,28 @@ def format_rows(columns, start, stop):
     return str(out.data[:size], "ascii")
 
 
+def ring_terms(a, d, dtheta, width, scale, terms):
+    """Same arguments and bits as shell._ring_terms."""
+    # ring_terms writes len(terms) doubles through a pointer
+    if not (isinstance(terms, np.ndarray) and terms.dtype == np.float64 and terms.ndim == 1
+            and terms.flags.c_contiguous and terms.flags.writeable):
+        raise ValueError("need a writable contiguous 1-D float64 array of terms")
+    _ring_terms(a, d, dtheta, width, scale, len(terms), terms.ctypes.data)
+
+
+def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
+    """Same arguments, results, bits and errors as geometry._sample_residuals:
+    a block that conic_residuals flags goes to it."""
+    e, ell = shape.eccentricity, shape.semi_latus_rectum
+    theta0, span, div = geometry._theta_grid(shape, n)
+    maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
+    if _conic_residuals(e, ell, shape.focal_directrix_distance, shape.conic_class.value,
+                        focus2_y or 0.0, focal_constant or 0.0, theta0, span, div, start, stop,
+                        maxima, ctypes.byref(skipped)):
+        return _propagate_py.conic_residuals(shape, n, start, stop, focus2_y, focal_constant)
+    return (*maxima, skipped.value)
+
+
 def _probe() -> None:
     got = propagate_kernel(*_PROBE)
     want = _propagate_py.propagate_kernel(*_PROBE)
@@ -218,4 +258,26 @@ def _probe() -> None:
                           "load-time probe")
 
 
+def _trig_probe_matches() -> bool:
+    """Whether ring_terms and conic_residuals give _propagate_py's bits on
+    the probe: they do unless NumPy's sin, cos or hypot is not libm's."""
+    for a, d, n in _RING_PROBE:
+        args = (a, d, math.pi / n, a * math.pi / n, 0.3)
+        got, want = np.empty(n), np.empty(n)
+        ring_terms(*args, got)
+        _propagate_py.ring_terms(*args, want)
+        if got.tobytes() != want.tobytes():
+            return False
+    for e, ell, n in _RESIDUAL_PROBE:
+        shape = geometry.ConicShape(e, ell)
+        focus2_y, focal_constant = geometry._second_focus(shape)
+        got = conic_residuals(shape, n, 0, n, focus2_y, focal_constant)
+        want = _propagate_py.conic_residuals(shape, n, 0, n, focus2_y, focal_constant)
+        if struct.pack("<3dq", *got) != struct.pack("<3dq", *want):
+            return False
+    return True
+
+
 _probe()
+if not _trig_probe_matches():
+    ring_terms, conic_residuals = _propagate_py.ring_terms, _propagate_py.conic_residuals

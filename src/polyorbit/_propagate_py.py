@@ -1,4 +1,4 @@
-"""The two hot loops of polyorbit in Python: the fallback and the oracle.
+"""The hot loops of polyorbit in Python: the fallbacks and the oracles.
 
 propagate_kernel is the impulse-polygon kernel.  Each step kicks the
 velocity toward the center by (m/r^3)*dt, then drifts the position by the
@@ -11,12 +11,20 @@ conversion.
 
 format_rows formats the rows of Trajectory.write_csv, or csv_rows in the
 same C library when it loads.  The tests check both C loops against these.
+
+ring_terms and conic_residuals are the NumPy loops of shell_accel and
+geometry_residuals, defined in shell and geometry and bound here so that
+simulator's backend names all four loops; ring_terms and conic_residuals
+in the C library are their copies.
 """
 
 from array import array
 from math import nan, sqrt
 
 import numpy as np
+
+from .geometry import _sample_residuals as conic_residuals
+from .shell import _ring_terms as ring_terms
 
 # One CSV row: eight values at 17 significant digits.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"

@@ -221,14 +221,20 @@ def conic_point(shape: ConicShape, theta: float) -> PlanarVector:
     return PlanarVector(x, y)
 
 
-def _sample_thetas(shape: ConicShape, n: int, start: int, stop: int) -> np.ndarray:
-    """Polar angles of samples start..stop-1 of n on the real branch."""
+def _theta_grid(shape: ConicShape, n: int) -> tuple[float, float, int]:
+    """(theta0, span, div): sample i of n on the real branch lies at the
+    polar angle theta0 + span * i / div."""
     f_lim = _branch_anomaly_limit(shape)
-    i = np.arange(start, stop, dtype=np.float64)
     if shape.eccentricity < 1.0:
         # full closed curve, endpoint excluded; starts at periapsis (f = 0)
-        return -0.5 * math.pi + 2.0 * f_lim * i / n
-    return -0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1)
+        return -0.5 * math.pi, 2.0 * f_lim, n
+    return -0.5 * math.pi - f_lim, 2.0 * f_lim, n - 1
+
+
+def _sample_thetas(shape: ConicShape, n: int, start: int, stop: int) -> np.ndarray:
+    """Polar angles of samples start..stop-1 of n on the real branch."""
+    theta0, span, div = _theta_grid(shape, n)
+    return theta0 + span * np.arange(start, stop, dtype=np.float64) / div
 
 
 def sample_points(shape: ConicShape, n: int) -> list[tuple[float, PlanarVector]]:
@@ -353,36 +359,49 @@ def _block_residuals(shape: ConicShape, theta: np.ndarray, focus2_y: float | Non
             _block_max("right-angle", right), skipped)
 
 
+def _second_focus(shape: ConicShape) -> tuple[float | None, float | None]:
+    """(focus2_y, focal_constant): the second focus (on the y axis) and the
+    constant of the focal property, reconstructed from (e, ell) in the
+    focus-centered frame (directrix at y = -aO, periapsis toward -y); None
+    for a parabola."""
+    e, ell = shape.eccentricity, shape.semi_latus_rectum
+    kind = shape.conic_class
+    if kind is ConicClass.ELLIPSE:
+        semi_major = ell / (1.0 - e * e)
+        return 2.0 * e * semi_major, 2.0 * semi_major
+    if kind is ConicClass.HYPERBOLA:
+        semi_major = ell / (e * e - 1.0)
+        return -2.0 * e * semi_major, 2.0 * semi_major
+    return None, None
+
+
+def _sample_residuals(shape: ConicShape, n: int, start: int, stop: int,
+                      focus2_y: float | None, focal_constant: float | None
+                      ) -> tuple[float, float, float, int]:
+    """_block_residuals over samples start..stop-1 of n: the NumPy loop,
+    whose copy in C is conic_residuals in _kick_drift.c."""
+    return _block_residuals(shape, _sample_thetas(shape, n, start, stop), focus2_y,
+                            focal_constant)
+
+
 def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     """Check the focal, reflection, and tangent-directrix right-angle
     properties at n sampled points; return the maximum residuals.
 
-    The samples are evaluated as NumPy arrays, _RESIDUAL_BLOCK at a time.
+    The samples are evaluated _RESIDUAL_BLOCK at a time, by the residual
+    loop that simulator._kernel binds (_sample_residuals or its C copy).
     Any non-finite point, tangent, ray or intersection, a zero norm, or a
     NaN residual raises DomainError.
     """
+    from . import simulator  # not at the top: simulator imports this module
+
     if not 10 <= n <= MAX_RESIDUAL_SAMPLES:
         raise DomainError(f"the sample count must be in [10, {MAX_RESIDUAL_SAMPLES}], got {n}")
     e = shape.eccentricity
     if e == 0.0:
         raise DomainError("residual checks require e > 0")
-    ell = shape.semi_latus_rectum
     kind = shape.conic_class
-
-    # Second focus (on the y axis) and the constant of the focal property,
-    # reconstructed from (e, ell) in the focus-centered frame (directrix at
-    # y = -aO, periapsis toward -y).
-    if kind is ConicClass.ELLIPSE:
-        semi_major = ell / (1.0 - e * e)
-        focus2_y = 2.0 * e * semi_major
-        focal_constant = 2.0 * semi_major
-    elif kind is ConicClass.HYPERBOLA:
-        semi_major = ell / (e * e - 1.0)
-        focus2_y = -2.0 * e * semi_major
-        focal_constant = 2.0 * semi_major
-    else:
-        focus2_y = None
-        focal_constant = None
+    focus2_y, focal_constant = _second_focus(shape)
     if focus2_y is not None and not math.isfinite(focus2_y):
         raise DomainError(f"second focus is not finite: (0.0, {focus2_y})")
 
@@ -392,9 +411,8 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     skipped = 0
     with np.errstate(all="ignore"):  # non-finite values are tested explicitly
         for start in range(0, n, _RESIDUAL_BLOCK):
-            theta = _sample_thetas(shape, n, start, min(start + _RESIDUAL_BLOCK, n))
-            focal, refl, right, skip = _block_residuals(shape, theta, focus2_y,
-                                                        focal_constant)
+            focal, refl, right, skip = simulator._kernel.conic_residuals(
+                shape, n, start, min(start + _RESIDUAL_BLOCK, n), focus2_y, focal_constant)
             focal_res = max(focal_res, focal)
             refl_res = max(refl_res, refl)
             right_res = max(right_res, right)

@@ -75,29 +75,18 @@ def ring_area(a: float, theta: float, w: float) -> float:
     return _ring_area(a, theta, w, math.sin)
 
 
-def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
-    """Axial attraction of the shell on an external point at distance d,
-    summed over the ring decomposition with the midpoint rule.
+def _ring_terms(a, d, dtheta, width, scale, terms):
+    """Fills terms[i] with the axial pull of ring i of len(terms), the ring
+    at polar angle (i + 0.5) * dtheta, _RING_BLOCK rings at a time.
 
-    The rings are evaluated _RING_BLOCK at a time into one array of terms,
-    which a single np.sum adds: NumPy's pairwise summation order depends on
-    the whole length, so a sum of block sums would change the last bits.
+    The NumPy loop: ring_terms in _kick_drift.c is its copy in C, and
+    shell_accel runs the one that simulator._kernel binds.
     """
-    a = shell.radius
-    if d <= a:
-        raise OutsideOnlyError(
-            f"point must lie outside the shell: d={d:g} <= a={a:g}"
-        )
-    n = rings.n_rings
-    dtheta = math.pi / n
-    width = a * dtheta
-    scale = shell.g * shell.surface_density
-    terms = np.empty(n)
     # At extreme scales s2 or the products overflow or underflow; the sum is
-    # then inf or nan, which is rejected below.
+    # then inf or nan, which shell_accel rejects.
     with np.errstate(all="ignore"):
-        for start in range(0, n, _RING_BLOCK):
-            stop = min(start + _RING_BLOCK, n)
+        for start in range(0, len(terms), _RING_BLOCK):
+            stop = min(start + _RING_BLOCK, len(terms))
             theta = (np.arange(start, stop) + 0.5) * dtheta
             # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
             areas = _ring_area(a, theta, width, np.sin)
@@ -106,6 +95,31 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
             s = np.sqrt(s2)
             axial = (d - a * cos_t) / s
             np.multiply(scale * areas / s2, axial, out=terms[start:stop])
+
+
+def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
+    """Axial attraction of the shell on an external point at distance d,
+    summed over the ring decomposition with the midpoint rule.
+
+    The terms of all rings go into one array, which a single np.sum adds:
+    NumPy's pairwise summation order depends on the whole length, so a sum
+    of block sums would change the last bits.
+    """
+    from . import simulator  # not at the top: simulator imports this module's loop
+
+    if not math.isfinite(d):
+        raise DomainError(f"the distance d must be finite, got {d}")
+    a = shell.radius
+    if d <= a:
+        raise OutsideOnlyError(
+            f"point must lie outside the shell: d={d:g} <= a={a:g}"
+        )
+    n = rings.n_rings
+    dtheta = math.pi / n
+    terms = np.empty(n)
+    simulator._kernel.ring_terms(a, d, dtheta, a * dtheta, shell.g * shell.surface_density,
+                                 terms)
+    with np.errstate(all="ignore"):  # inf + -inf
         total = float(np.sum(terms))
     if not math.isfinite(total):
         raise DomainError(

@@ -9,12 +9,14 @@ The per-step swept triangles of this polygon have exactly equal areas
 (equivalently cross(p, v) is exactly conserved), which is what the
 diagnostics here measure, alongside the O(dt) drift of the vis-viva constant.
 
-The two hot loops, the step and the CSV row formatter, are each written
-twice, with the same bits and bytes: in C (one library built from
-_kick_drift.c, loaded by polyorbit._propagate_c) and in Python
-(polyorbit._propagate_py, the fallback and the oracle).  integrate(),
-step() and Trajectory.write_csv run the module that loaded, so a single
-step and a one-step trajectory agree bitwise.
+The four hot loops, the step, the CSV row formatter, the shell's ring sum
+and the conic residual samples, are each written twice, with the same bits
+and bytes: in C (one library built from _kick_drift.c, loaded by
+polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
+fallback and the oracle; the last two are the NumPy loops of shell and
+geometry).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
+and geometry.geometry_residuals run the loops of the module that loaded,
+_kernel, so a single step and a one-step trajectory agree bitwise.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -74,7 +76,11 @@ _kernel = _load_kernel()
 
 
 def backend() -> str:
-    """Name of the propagation kernel and CSV formatter in use: 'c' or 'python'."""
+    """Name of the propagation kernel and CSV formatter in use: 'c' or 'python'.
+
+    With 'c', the ring sum and the conic residual samples run in C too,
+    unless NumPy's sin, cos or hypot gave other bits than libm's on the
+    load-time probe; they then run on NumPy."""
     return "python" if _kernel is _propagate_py else "c"
 
 

@@ -26,7 +26,7 @@ def run(capsys, argv):
 
 # The exit code and stdout of each command, pinned as the first 16 hex digits
 # of the stdout's sha256, as printed with Python 3.11.7 and NumPy 2.4.6 by
-# either kernel.  Another NumPy may round a sin, cos or hypot differently: CI
+# either kernel and by the C or NumPy ring and residual loops.  Another NumPy may round a sin, cos or hypot differently: CI
 # prints the versions before the tests run.
 GOLDEN_STDOUT = [
     ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "0afb703e29cedfb3"),
@@ -42,6 +42,10 @@ GOLDEN_STDOUT = [
 GOLDEN_SIMULATE = ("simulate --m 1 --r0 1 --v0 1 --alpha0 60.0 --dt 1e-4 --steps 200000",
                    "c5bd2c0451c90c0e",
                    "959b3218397ca2939ef5e624f10d0797d6ea8a8f495fa6d60321356f3fcfe224")
+
+# The commands that run the ring sum or the residual loop.
+GOLDEN_RING_AND_RESIDUAL = [case for case in GOLDEN_STDOUT
+                            if case[0].startswith(("shell-check", "geometry-check"))]
 
 
 def _digest(text):
@@ -72,6 +76,14 @@ class TestGoldenBytes:
     def test_simulate_on_the_python_kernel(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         self.test_simulate_stdout_and_csv(capsys, tmp_path)
+
+    # The ring sum and residual commands on the NumPy loops.
+    @pytest.mark.parametrize("argv, code, digest", GOLDEN_RING_AND_RESIDUAL,
+                             ids=[argv for argv, _, _ in GOLDEN_RING_AND_RESIDUAL])
+    def test_ring_and_residual_commands_on_the_numpy_loops(self, capsys, monkeypatch, argv,
+                                                          code, digest):
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        self.test_stdout(capsys, argv, code, digest)
 
     # printf's decimal point follows LC_NUMERIC, CPython's % does not; the
     # C formatter switches to the "C" locale while it formats.  CI installs
@@ -566,8 +578,10 @@ class TestShellCheck:
         ["--a", "1e199", "--d", "1e200"],    # 2ad overflows
         ["--a", "1e-161", "--d", "1e-160"],  # s^2 underflows to 0
         ["--a", "1", "--d", "2", "--g", "1e308", "--mass", "10"],  # the sum overflows
+        ["--a", "1", "--d", "nan"],          # used to blame the scales' double range
+        ["--a", "1", "--d", "inf"],
     ], ids=["point-mass-underflow", "radius-underflow", "ring-overflow",
-            "ring-underflow", "sum-overflow"])
+            "ring-underflow", "sum-overflow", "d-nan", "d-inf"])
     def test_extreme_scales_numeric_error(self, capsys, extra):
         argv = {"--a": "1", "--mass": "1", "--g": "1", "--rings": "100"}
         argv.update(zip(extra[::2], extra[1::2]))
@@ -575,6 +589,8 @@ class TestShellCheck:
         assert code == cli.EXIT_NUMERIC
         assert out == ""
         assert err.startswith("error:")
+        if argv["--d"] in ("nan", "inf"):
+            assert err == f"error: the distance d must be finite, got {argv['--d']}\n"
 
     def test_inside_numeric_error(self, capsys):
         code, _, err = run(capsys, [

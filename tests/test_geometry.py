@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyorbit import (
@@ -25,11 +25,13 @@ from polyorbit import (
     radius_at_angle,
     sample_points,
 )
-from polyorbit import geometry
+from polyorbit import _propagate_py, geometry, simulator
 from polyorbit.geometry import (
     _PARALLEL_EPS,
     _RESIDUAL_BLOCK,
     _branch_anomaly_limit,
+    _polar_form,
+    _second_focus,
     conic_point,
 )
 
@@ -378,6 +380,8 @@ class TestGeometryResiduals:
         assert_matches_reference(ConicShape(e, 0.75), n)
 
     def test_blocks_cover_every_sample_once(self, monkeypatch):
+        # the NumPy loops, whose blocks all reach _block_residuals
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         seen = []
         block_residuals = geometry._block_residuals
 
@@ -401,6 +405,81 @@ class TestGeometryResiduals:
            n=st.integers(10, 200))
     def test_matches_reference_on_wide_shapes(self, log_e, log_ell, n):
         assert_matches_reference(ConicShape(10.0**log_e, 10.0**log_ell), n)
+
+
+def report_outcome(shape, n):
+    # The report with its residuals' bits, or the type and message of the error.
+    try:
+        report = geometry_residuals(shape, n)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return (report.conic_class, report.n_samples, report.focal_residual.hex(),
+            report.reflection_residual.hex(), report.right_angle_residual.hex(),
+            report.right_angle_skipped)
+
+
+def block_outcome(shape, n, focus2_y, focal_constant):
+    # The installed residual loop on all n samples, or its error; under the
+    # errstate of geometry_residuals.
+    try:
+        with np.errstate(all="ignore"):
+            focal, reflection, right, skipped = simulator._kernel.conic_residuals(
+                shape, n, 0, n, focus2_y, focal_constant)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return focal.hex(), reflection.hex(), right.hex(), skipped
+
+
+class TestCompiledResiduals:
+    """conic_residuals in the C library against geometry._sample_residuals,
+    the NumPy loop: the same maxima and skipped counts, bit for bit, or the
+    same error."""
+
+    @pytest.mark.parametrize("n", [10, _RESIDUAL_BLOCK - 1, _RESIDUAL_BLOCK,
+                                   _RESIDUAL_BLOCK + 1, 2 * _RESIDUAL_BLOCK + 1])
+    @pytest.mark.parametrize("e", [0.5, 1.0, 1.5, 1.0 - 2.0**-52, 1.0 + 2.0**-52],
+                             ids=["ellipse", "parabola", "hyperbola", "1-ulp", "1+ulp"])
+    @pytest.mark.parametrize("ell", [0.75, 1e-300, 1e300])
+    def test_same_report(self, c_and_numpy, ell, e, n):
+        got, want = c_and_numpy(report_outcome, ConicShape(e, ell), n)
+        assert got == want
+
+    # Each error of _block_residuals, from a shape, or a grid of polar
+    # angles and a second focus or focal constant made to raise it.  A zero
+    # conic point needs r = 0, which makes the tangent zero first; the
+    # reflection and right-angle residuals are formed from finite values
+    # divided by non-zero norms, so they cannot be NaN; and a search of
+    # 6 million angles on shapes with aO = 0 found no zero intersection.
+    @pytest.mark.parametrize("e, ell, grid, focus, error", [
+        (1.5, 1.0, (0.5 * math.pi, 0.0, 1), None, "no point at theta=1.5708"),
+        (0.5, 1.7e308, None, None, "conic point at theta="),
+        (0.5, 1e300, None, None, "tangent at theta="),
+        (10.0, 5e-324, None, None, "cannot normalize the zero tangent"),
+        (0.5, 1.0, None, (math.inf, 3.0), "second-focus ray at theta="),
+        (0.5, 1e-308, (-0.5 * math.pi, 0.0, 1), "at py", "cannot normalize the zero "
+                                                        "second-focus ray"),
+        (1e-310, 1.0, None, None, "tangent-directrix intersection at theta="),
+        (0.5, 1.0, None, (1.0, math.nan), "focal residual is not a number"),
+    ], ids=["no-point", "point", "tangent", "zero-tangent", "second-focus-ray",
+            "zero-second-focus-ray", "intersection", "focal-nan"])
+    def test_same_error(self, c_and_numpy, monkeypatch, e, ell, grid, focus, error):
+        shape = ConicShape(e, ell)
+        if grid is not None:  # every sample at one polar angle
+            monkeypatch.setattr(geometry, "_theta_grid", lambda shape, n: grid)
+        if focus == "at py":  # the second focus on the sample: a zero ray
+            theta = grid[0]
+            focus = (_polar_form(shape, theta, math.sin(theta), math.cos(theta))[2], 3.0)
+        got, want = c_and_numpy(block_outcome, shape, 10, *(focus or _second_focus(shape)))
+        assert got == want
+        assert issubclass(got[0], DomainError) and error in got[1]
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log_e=st.floats(-12.0, 12.0), log_ell=st.floats(-300.0, 300.0),
+           n=st.integers(10, _RESIDUAL_BLOCK + 1))
+    def test_same_report_on_drawn_shapes(self, c_and_numpy, log_e, log_ell, n):
+        got, want = c_and_numpy(report_outcome, ConicShape(10.0**log_e, 10.0**log_ell), n)
+        assert got == want
 
 
 class TestConicShape:

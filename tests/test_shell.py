@@ -1,11 +1,13 @@
 """Tests for the ring-sum shell-attraction quadrature."""
 
+import io
 import math
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polyorbit import (
@@ -18,6 +20,7 @@ from polyorbit import (
     shell_accel,
     sphere_accel,
 )
+from polyorbit import cli, simulator
 from polyorbit.shell import _RING_BLOCK, _ring_area
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
@@ -130,6 +133,13 @@ class TestShellAccel:
         with pytest.raises(OutsideOnlyError):
             shell_accel(UNIT_SHELL, 1.0, RingDecomposition(100))
 
+    # A NaN or infinite d used to reach the ring sum, whose error blamed the
+    # double range of the scales.
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_rejected(self, d):
+        with pytest.raises(DomainError, match=f"^the distance d must be finite, got {d}$"):
+            shell_accel(UNIT_SHELL, d, RingDecomposition(100))
+
 
 class TestBlockedRingSum:
     """shell_accel evaluates the rings _RING_BLOCK at a time; its sum keeps
@@ -174,6 +184,71 @@ class TestBlockedRingSum:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024 * 1024
+
+
+def shell_check(argv):
+    # cli.main's exit code, stdout and stderr
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["shell-check", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCompiledRingTerms:
+    """ring_terms in the C library against shell._ring_terms, the NumPy loop:
+    the same terms and totals, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
+                                   10**6])
+    def test_same_terms(self, c_and_numpy, n):
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+
+        def terms():
+            out = np.empty(n)
+            simulator._kernel.ring_terms(*args, out)
+            return out.tobytes()
+        got, want = c_and_numpy(terms)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
+                                   10**6])
+    @pytest.mark.parametrize("d", [1.01, 2.0, 100.0])
+    def test_same_total(self, c_and_numpy, n, d):
+        got, want = c_and_numpy(outcome, shell_accel, ShellSpec(1.5, 2.0, 0.7), 1.5 * d,
+                                RingDecomposition(n))
+        assert got == want
+
+    # The extreme-scale rows of tests/test_cli.py, and a non-finite d.
+    @pytest.mark.parametrize("extra", [
+        ["--a", "1", "--d", "1e300"],
+        ["--a", "1e-200", "--d", "1e-170"],
+        ["--a", "1e199", "--d", "1e200"],
+        ["--a", "1e-161", "--d", "1e-160"],
+        ["--a", "1", "--d", "2", "--g", "1e308", "--mass", "10"],
+        ["--a", "1", "--d", "nan"],
+        ["--a", "1", "--d", "inf"],
+    ], ids=["point-mass-underflow", "radius-underflow", "ring-overflow", "ring-underflow",
+            "sum-overflow", "d-nan", "d-inf"])
+    def test_same_shell_check_at_extreme_scales(self, c_and_numpy, extra):
+        argv = {"--a": "1", "--mass": "1", "--g": "1", "--rings": "100"}
+        argv.update(zip(extra[::2], extra[1::2]))
+        got, want = c_and_numpy(shell_check, [*sum(argv.items(), ())])
+        assert got == want and got[0] == cli.EXIT_NUMERIC
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log_a=st.floats(-160.0, 200.0), log_excess=st.floats(-6.0, 6.0),
+           log_mass=st.floats(-300.0, 300.0), log_g=st.floats(-300.0, 300.0),
+           n=st.integers(1, 3 * _RING_BLOCK))
+    def test_same_total_on_drawn_shells(self, c_and_numpy, log_a, log_excess, log_mass, log_g,
+                                        n):
+        try:
+            spec = ShellSpec(10.0**log_a, 10.0**log_mass, 10.0**log_g)
+        except DomainError:  # a^2 underflows to 0
+            assume(False)
+        got, want = c_and_numpy(outcome, shell_accel, spec,
+                                spec.radius * (1.0 + 10.0**log_excess), RingDecomposition(n))
+        assert got == want
 
 
 class TestSphereAccel:

@@ -1,6 +1,8 @@
 """Tests for the impulse-polygon simulator and its diagnostics."""
 
+import contextlib
 import ctypes
+import ctypes.util
 import importlib
 import io
 import json
@@ -38,7 +40,7 @@ from polyorbit import (
     uniform_accel_displacement,
     uniform_accel_displacement_sum,
 )
-from polyorbit import _propagate_py, cli, simulator
+from polyorbit import _propagate_py, cli, geometry, simulator
 from polyorbit.determination import is_radial
 from polyorbit.geometry import csc2_quadratic
 from polyorbit.simulator import (
@@ -302,12 +304,38 @@ class TestBackends:
                   if not p.name.endswith(".pyc")]
         assert len(cached) == 1 and cached[0].endswith(".so")
 
+    @requires_c
+    def test_ring_and_residual_loops_run_in_c_where_numpy_calls_libm(self):
+        # The C ring and residual loops are bound exactly where NumPy's
+        # float64 sin, cos and hypot give libm's bits: on the probe's angles
+        # and on drawn angles and pairs.
+        compiled = c_kernel()
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        for name in ("sin", "cos", "hypot"):
+            getattr(libm, name).restype = ctypes.c_double
+            getattr(libm, name).argtypes = [ctypes.c_double] * (2 if name == "hypot" else 1)
+        rng = np.random.default_rng(3)
+        angles = np.concatenate(
+            [(np.arange(n) + 0.5) * (math.pi / n) for _, _, n in compiled._RING_PROBE]
+            + [geometry._sample_thetas(geometry.ConicShape(e, ell), n, 0, n)
+               for e, ell, n in compiled._RESIDUAL_PROBE]
+            + [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 10000)])
+        pairs = rng.uniform(-1.0, 1.0, (10000, 2)) * 10.0 ** rng.integers(-13, 13, (10000, 2))
+        numpy_is_libm = (
+            np.sin(angles).tolist() == [libm.sin(x) for x in angles.tolist()]
+            and np.cos(angles).tolist() == [libm.cos(x) for x in angles.tolist()]
+            and np.hypot(*pairs.T).tolist() == [libm.hypot(x, y) for x, y in pairs.tolist()])
+        in_c = compiled.ring_terms is not _propagate_py.ring_terms
+        assert in_c == numpy_is_libm
+        assert (compiled.conic_residuals is not _propagate_py.conic_residuals) == in_c
+
     # A compiler that cannot run, one that fails, a cache that cannot be
     # written to, and a library whose kernel records, kernel windows or CSV
-    # formatter fail their probe.
+    # formatter fail their probe; and a NumPy whose sin is not libm's, which
+    # moves only the ring and residual loops to NumPy.
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
                                          "probe-mismatch", "window-probe-mismatch",
-                                         "format-probe-mismatch"])
+                                         "format-probe-mismatch", "trig-probe-mismatch"])
     def test_failed_load_falls_back_to_python(self, monkeypatch, failure):
         config = SimConfig(dt=1e-3, steps=13000, record_every=7)
         want = integrate(CANONICAL, UNIT_FIELD, config)
@@ -346,14 +374,46 @@ class TestBackends:
                 def signed_nan(*args):
                     return format_rows(*args).replace("nan", "-nan")
                 patch.setattr(_propagate_py, "format_rows", signed_nan)
+            if failure == "trig-probe-mismatch":
+                sin = np.sin
+
+                def sin_off_by_one_bit(x):
+                    return np.nextafter(sin(x), np.inf)
+                patch.setattr(np, "sin", sin_off_by_one_bit)
             fallback = simulator._load_kernel()
-        assert fallback is _propagate_py
-        monkeypatch.setattr(simulator, "_kernel", fallback)
-        assert backend() == "python"
+        if failure == "trig-probe-mismatch":
+            self.assert_numpy_ring_and_residual_loops(monkeypatch, fallback)
+        else:
+            assert fallback is _propagate_py
+            monkeypatch.setattr(simulator, "_kernel", fallback)
+            assert backend() == "python"
         got = integrate(CANONICAL, UNIT_FIELD, config)
         for name in ("t", "x", "y", "vx", "vy"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert diagnostics(got) == diagnostics(want)
+
+    @staticmethod
+    def assert_numpy_ring_and_residual_loops(monkeypatch, loops):
+        # The kernel and formatter of `loops` are C, its ring and residual
+        # loops NumPy's: shell-check and geometry-check print _propagate_py's
+        # bytes.
+        assert loops is not _propagate_py and loops.__name__ == "polyorbit._propagate_c"
+        assert loops.propagate_kernel is not _propagate_py.propagate_kernel
+        assert loops.ring_terms is _propagate_py.ring_terms
+        assert loops.conic_residuals is _propagate_py.conic_residuals
+        printed = []
+        for module in (loops, _propagate_py):
+            monkeypatch.setattr(simulator, "_kernel", module)
+            for argv in (["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2.0",
+                          "--rings", "100000"],
+                         ["geometry-check", "--e", "1.5", "--ell", "0.75", "--samples", "5000"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(argv)
+                printed.append((code, out.getvalue()))
+        monkeypatch.setattr(simulator, "_kernel", loops)
+        assert backend() == "c"
+        assert printed[:2] == printed[2:]
 
 
 def assert_same_bits(got, want):
