@@ -16,7 +16,7 @@
  * "nan" as CPython writes it.
  *
  * ring_terms and conic_residuals are the NumPy loops of shell._ring_terms
- * and geometry._sample_residuals, written the same way: one C statement per
+ * and _propagate_py.conic_residuals, written the same way: one C statement per
  * NumPy expression, in its order.  They call libm's sin, cos and hypot,
  * which NumPy's float64 loops call too; the load-time probe in
  * _propagate_c checks that, and binds the NumPy loops where it fails.
@@ -330,16 +330,18 @@ enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
 /* geometry._PARALLEL_EPS */
 #define PARALLEL_EPS 1e-12
 
-/* geometry._block_residuals over the samples i = start .. stop - 1 at polar
- * angles theta0 + span * i / div (geometry._sample_thetas): writes the
- * focal, reflection and right-angle maxima to maxima[0..2] and the count of
- * samples whose tangent is parallel to the directrix to *skipped, and
- * returns 0.  Returns 1, the block flagged, where any check of
+/* _propagate_py._block_residuals over the samples i = start .. stop - 1 at
+ * polar angles theta0 + span * i / div (_propagate_py._sample_thetas):
+ * writes the focal, reflection and right-angle maxima to maxima[0..2] and
+ * the count of samples whose tangent is parallel to the directrix to
+ * *skipped, and returns 0.  Returns 1, the block flagged, where any check of
  * _block_residuals could fail: 1 - e sin(theta) is not > 0, a point,
- * tangent, ray or intersection is not finite, a norm is zero or a residual
- * is NaN.  Its outputs are then not written; _block_residuals reruns the
- * block and raises its error.  focus2_y and focal_constant are unused for a
- * parabola.
+ * tangent, ray or intersection is not finite, a tangent, ray or
+ * intersection norm is zero, or the focal residual is NaN.  Its outputs are
+ * then not written; _block_residuals reruns the block and raises its error.
+ * A zero point norm and a NaN reflection or right-angle residual cannot
+ * occur, for the reasons _block_residuals gives, and are not tested.
+ * focus2_y and focal_constant are unused for a parabola.
  */
 int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
                     double focal_constant, double theta0, double span, double div,
@@ -367,8 +369,6 @@ int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
             return 1;
         double tux = tx / t_norm, tuy = ty / t_norm;
         double p_norm = hypot(px, py);
-        if (p_norm == 0.0)
-            return 1;
         double pux = px / p_norm, puy = py / p_norm;
 
         double focal, ray_x = 0.0, ray_y = 1.0;  /* a parabola's beam is parallel to the axis */
@@ -391,7 +391,7 @@ int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
         double sin1 = fabs(tux * puy - tuy * pux);
         double sin2 = fabs(tux * ray_y - tuy * ray_x);
         double reflection = fabs(sin1 - sin2);
-        if (isnan(focal) || isnan(reflection))
+        if (isnan(focal))
             return 1;
         if (focal > focal_max)
             focal_max = focal;
@@ -409,8 +409,6 @@ int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
         if (l_norm == 0.0)
             return 1;
         double right = fabs(pux * (lx / l_norm) + puy * (ly / l_norm));
-        if (isnan(right))
-            return 1;
         if (right > right_max)
             right_max = right;
     }

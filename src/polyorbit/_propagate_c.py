@@ -229,7 +229,7 @@ def ring_terms(a, d, dtheta, width, scale, terms):
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
-    """Same arguments, results, bits and errors as geometry._sample_residuals:
+    """Same arguments, results, bits and errors as _propagate_py.conic_residuals:
     a block that conic_residuals flags goes to it."""
     e, ell = shape.eccentricity, shape.semi_latus_rectum
     theta0, span, div = geometry._theta_grid(shape, n)

@@ -3,23 +3,23 @@
 Exit codes: 0 success, 1 check failure (residual over tolerance), 2 usage
 error, 3 numeric error (collision, domain).  Angles are given in degrees on
 the command line; the core works in radians.
+
+Each command imports the modules it runs when it runs, so --help, a usage
+error, classify and moon-check start without NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import stat
 import sys
 
-import numpy as np
-
-from . import determination, geometry, shell, simulator
 from .errors import CollisionError, DomainError
-from .planar import PlanarVector
 
 # SI constants of the moon/earth regression, as printed in the source text.
 MOON_ORBIT_RADIUS = 3.85e8       # m
@@ -60,7 +60,10 @@ def _round_significant(x: float, figures: int) -> float:
     return round(x, figures - 1 - math.floor(math.log10(abs(x))))
 
 
-def _make_state(r0: float, v0: float, alpha0_deg: float) -> determination.OrbitState:
+def _make_state(r0: float, v0: float, alpha0_deg: float):
+    from . import determination
+    from .planar import PlanarVector
+
     # A negative v0 would reverse the launch, as alpha0 + 180 deg would.
     if not (r0 > 0.0 and v0 > 0.0):
         raise DomainError(f"launch distance and speed must be > 0, got r0={r0}, v0={v0}")
@@ -118,6 +121,8 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, keys: li
 
 
 def _cmd_classify(args, parser) -> int:
+    from . import determination
+
     _apply_config(args, parser, ["m", "r0", "v0", "alpha0"])
     _require(args, parser, ["m", "r0", "v0", "alpha0"])
     state = _make_state(args.r0, args.v0, args.alpha0)
@@ -127,6 +132,8 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    from . import determination, simulator
+
     _apply_config(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "decimate", "out"])
     _require(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "out"])
     state = _make_state(args.r0, args.v0, args.alpha0)
@@ -140,7 +147,7 @@ def _cmd_simulate(args, parser) -> int:
     return EXIT_OK
 
 
-def _export_csv(traj: simulator.Trajectory, path: str, parser: argparse.ArgumentParser) -> None:
+def _export_csv(traj, path: str, parser: argparse.ArgumentParser) -> None:
     try:
         try:
             old = os.lstat(path)
@@ -163,7 +170,7 @@ def _replaceable(old: os.stat_result) -> bool:
             and old.st_uid == os.geteuid() and old.st_gid == os.getegid())
 
 
-def _replace_with_csv(traj: simulator.Trajectory, path: str, old: os.stat_result | None) -> None:
+def _replace_with_csv(traj, path: str, old: os.stat_result | None) -> None:
     # Write a new file beside `path`, then rename it over `path`: an export
     # that fails leaves no partial file and an old `path` as it was.
     tmp = os.path.join(os.path.dirname(path), f".polyorbit-{os.urandom(8).hex()}.tmp")
@@ -183,6 +190,10 @@ def _replace_with_csv(traj: simulator.Trajectory, path: str, old: os.stat_result
 def _cmd_kepler3(args, parser) -> int:
     """Scan elliptical orbits (e = 0.5, apoapsis launch) over geometrically
     spaced semi-major axes; fit log T against log X."""
+    import numpy as np
+
+    from . import determination, simulator
+
     field = determination.CentralField(args.m)
     count = args.count
     if not 2 <= count <= KEPLER3_MAX_COUNT:
@@ -233,6 +244,8 @@ def _require_tolerance(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def _cmd_shell_check(args, parser) -> int:
+    from . import shell
+
     _require_tolerance(args, parser)
     spec = shell.ShellSpec(radius=args.a, total_mass=args.mass, g=args.g)
     computed = shell.shell_accel(spec, args.d, shell.RingDecomposition(args.rings))
@@ -270,6 +283,8 @@ def _cmd_moon_check(args, parser) -> int:
     rounded to two significant figures, so the replication rounds the same
     way before multiplying.
     """
+    from . import determination
+
     v = 2.0 * math.pi * MOON_ORBIT_RADIUS / MOON_PERIOD
     a = determination.centripetal_accel(v, MOON_ORBIT_RADIUS)
     a_rounded = _round_significant(a, 2)
@@ -297,6 +312,8 @@ def _cmd_moon_check(args, parser) -> int:
 
 
 def _cmd_geometry_check(args, parser) -> int:
+    from . import geometry
+
     _require_tolerance(args, parser)
     shape = geometry.ConicShape(eccentricity=args.e, semi_latus_rectum=args.ell)
     report = geometry.geometry_residuals(shape, args.samples)
@@ -304,6 +321,7 @@ def _cmd_geometry_check(args, parser) -> int:
     return EXIT_OK if report.max_residual <= args.tol else EXIT_CHECK_FAILED
 
 
+@functools.cache  # built on the first main() call, then reused: parsing keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyorbit",

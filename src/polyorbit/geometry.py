@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, NoSuchPointError, NotAnEllipseError
 from .planar import PlanarVector
 
@@ -27,8 +25,9 @@ CSC2_TOLERANCE = 1e-9
 #: (the right-angle check is not applicable at such points).
 _PARALLEL_EPS = 1e-12
 
-#: Samples evaluated per NumPy pass in geometry_residuals.  Each pass holds a
-#: few dozen float64 arrays of this length, so memory is flat in n.
+#: Samples evaluated per pass of the residual loop in geometry_residuals.  A
+#: NumPy pass holds a few dozen float64 arrays of this length, so memory is
+#: flat in n.
 _RESIDUAL_BLOCK = 1 << 16
 
 #: Hard cap on the number of samples in geometry_residuals: its memory is
@@ -114,16 +113,19 @@ class EllipseAxes:
 def _polar_form(shape: ConicShape, theta, s, c) -> tuple:
     """(r, x, y, dr/dtheta) at polar angle theta, given s = sin(theta) and
     c = cos(theta): r = ell / (1 - e*s), the point (r*c, r*s) and
-    dr/dtheta = e*c*r^2/ell.  theta, s and c are floats, or arrays elementwise.
+    dr/dtheta = e*c*r^2/ell.  theta, s and c are floats, or 1-D NumPy arrays
+    elementwise; this module imports no NumPy, the arrays bring their methods.
     """
     e, ell = shape.eccentricity, shape.semi_latus_rectum
     if e == 0.0:
         raise DomainError("polar form requires e > 0 (a circle has no directrix)")
     denom = 1.0 - e * s
     on_branch = denom > 0.0  # False for a NaN
-    if not np.all(on_branch):
-        i = int(np.argmin(on_branch))
-        theta, denom = np.ravel(theta)[i], np.ravel(denom)[i]
+    one_angle = isinstance(denom, float)
+    if not (on_branch if one_angle else on_branch.all()):
+        if not one_angle:  # the first angle off the branch
+            i = int(on_branch.argmin())
+            theta, denom = theta[i], denom[i]
         raise NoSuchPointError(
             f"no point at theta={theta:g}: 1 - e*sin(theta) = {denom:g} <= 0 "
             "(beyond the asymptote / open side of the branch)"
@@ -231,18 +233,14 @@ def _theta_grid(shape: ConicShape, n: int) -> tuple[float, float, int]:
     return -0.5 * math.pi - f_lim, 2.0 * f_lim, n - 1
 
 
-def _sample_thetas(shape: ConicShape, n: int, start: int, stop: int) -> np.ndarray:
-    """Polar angles of samples start..stop-1 of n on the real branch."""
-    theta0, span, div = _theta_grid(shape, n)
-    return theta0 + span * np.arange(start, stop, dtype=np.float64) / div
-
-
 def sample_points(shape: ConicShape, n: int) -> list[tuple[float, PlanarVector]]:
     """n points (theta, position) on the conic, restricted to the real branch."""
     if n < 3:
         raise DomainError(f"need at least 3 sample points, got {n}")
     if shape.eccentricity == 0.0:
         raise DomainError("sampling requires e > 0")
+    from ._propagate_py import _sample_thetas  # not at the top: it imports NumPy
+
     return [(theta, conic_point(shape, theta))
             for theta in _sample_thetas(shape, n, 0, n).tolist()]
 
@@ -280,85 +278,6 @@ class ResidualReport:
         }
 
 
-def _require_finite(what: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    bad = ~(np.isfinite(x) & np.isfinite(y))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"{what} at theta={theta[i]:g} is not finite: ({float(x[i])}, {float(y[i])})"
-        )
-
-
-def _require_nonzero(what: str, theta: np.ndarray, norm: np.ndarray) -> None:
-    if not norm.all():
-        i = int(np.argmin(norm))
-        raise DomainError(f"cannot normalize the zero {what} at theta={theta[i]:g}")
-
-
-def _block_max(what: str, residual: np.ndarray) -> float:
-    # np.max propagates NaN, where Python's max(0.0, nan) would drop it.
-    worst = float(np.max(residual, initial=0.0))
-    if math.isnan(worst):
-        raise DomainError(f"{what} residual is not a number")
-    return worst
-
-
-def _block_residuals(shape: ConicShape, theta: np.ndarray, focus2_y: float | None,
-                     focal_constant: float | None) -> tuple[float, float, float, int]:
-    """(focal, reflection, right-angle) maxima and the skipped count over the
-    samples at angles theta; the arithmetic of conic_point, the analytic
-    tangent dP/dtheta and PlanarVector, elementwise.
-    """
-    aO = shape.focal_directrix_distance
-    s, c = np.sin(theta), np.cos(theta)
-    r, px, py, dr = _polar_form(shape, theta, s, c)
-    _require_finite("conic point", theta, px, py)
-    tx, ty = dr * c - r * s, dr * s + r * c
-    _require_finite("tangent", theta, tx, ty)
-    t_norm = np.hypot(tx, ty)
-    _require_nonzero("tangent", theta, t_norm)
-    tux, tuy = tx / t_norm, ty / t_norm
-    p_norm = np.hypot(px, py)
-    _require_nonzero("conic point", theta, p_norm)
-    pux, puy = px / p_norm, py / p_norm
-
-    kind = shape.conic_class
-    if kind is ConicClass.PARABOLA:
-        focal = np.abs(p_norm - (py + aO))
-        ray_x, ray_y = 0.0, 1.0  # incoming beam parallel to axis
-    else:
-        dx, dy = 0.0 - px, focus2_y - py
-        _require_finite("second-focus ray", theta, dx, dy)
-        d_norm = np.hypot(dx, dy)
-        _require_nonzero("second-focus ray", theta, d_norm)
-        if kind is ConicClass.ELLIPSE:
-            focal = np.abs(p_norm + d_norm - focal_constant)
-        else:
-            focal = np.abs(np.abs(d_norm - p_norm) - focal_constant)
-        ray_x, ray_y = dx / d_norm, dy / d_norm
-
-    # Reflection: the two rays make equal (unsigned) angles with the tangent.
-    sin1 = np.abs(tux * puy - tuy * pux)
-    sin2 = np.abs(tux * ray_y - tuy * ray_x)
-    reflection = np.abs(sin1 - sin2)
-
-    # Tangent meets the directrix at l; angle p-focus-l is right.  Samples
-    # whose tangent is parallel to the directrix (apsis line) are skipped.
-    keep = np.abs(tuy) >= _PARALLEL_EPS
-    skipped = len(theta) - int(np.count_nonzero(keep))
-    theta_k, px_k, py_k = theta[keep], px[keep], py[keep]
-    tux_k, tuy_k, pux_k, puy_k = tux[keep], tuy[keep], pux[keep], puy[keep]
-    lx = px_k + (-aO - py_k) / tuy_k * tux_k
-    ly = np.full_like(lx, -aO)
-    _require_finite("tangent-directrix intersection", theta_k, lx, ly)
-    l_norm = np.hypot(lx, ly)
-    _require_nonzero("tangent-directrix intersection", theta_k, l_norm)
-    right = np.abs(pux_k * (lx / l_norm) + puy_k * (ly / l_norm))
-
-    return (_block_max("focal", focal), _block_max("reflection", reflection),
-            _block_max("right-angle", right), skipped)
-
-
 def _second_focus(shape: ConicShape) -> tuple[float | None, float | None]:
     """(focus2_y, focal_constant): the second focus (on the y axis) and the
     constant of the focal property, reconstructed from (e, ell) in the
@@ -375,23 +294,15 @@ def _second_focus(shape: ConicShape) -> tuple[float | None, float | None]:
     return None, None
 
 
-def _sample_residuals(shape: ConicShape, n: int, start: int, stop: int,
-                      focus2_y: float | None, focal_constant: float | None
-                      ) -> tuple[float, float, float, int]:
-    """_block_residuals over samples start..stop-1 of n: the NumPy loop,
-    whose copy in C is conic_residuals in _kick_drift.c."""
-    return _block_residuals(shape, _sample_thetas(shape, n, start, stop), focus2_y,
-                            focal_constant)
-
-
 def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     """Check the focal, reflection, and tangent-directrix right-angle
     properties at n sampled points; return the maximum residuals.
 
     The samples are evaluated _RESIDUAL_BLOCK at a time, by the residual
-    loop that simulator._kernel binds (_sample_residuals or its C copy).
-    Any non-finite point, tangent, ray or intersection, a zero norm, or a
-    NaN residual raises DomainError.
+    loop that simulator._kernel binds (_propagate_py.conic_residuals, the
+    NumPy loop, or its C copy).  Any non-finite point, tangent, ray or
+    intersection, a zero tangent, ray or intersection norm, or a NaN focal
+    residual raises DomainError.
     """
     from . import simulator  # not at the top: simulator imports this module
 
@@ -409,14 +320,13 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     refl_res = 0.0
     right_res = 0.0
     skipped = 0
-    with np.errstate(all="ignore"):  # non-finite values are tested explicitly
-        for start in range(0, n, _RESIDUAL_BLOCK):
-            focal, refl, right, skip = simulator._kernel.conic_residuals(
-                shape, n, start, min(start + _RESIDUAL_BLOCK, n), focus2_y, focal_constant)
-            focal_res = max(focal_res, focal)
-            refl_res = max(refl_res, refl)
-            right_res = max(right_res, right)
-            skipped += skip
+    for start in range(0, n, _RESIDUAL_BLOCK):
+        focal, refl, right, skip = simulator._kernel.conic_residuals(
+            shape, n, start, min(start + _RESIDUAL_BLOCK, n), focus2_y, focal_constant)
+        focal_res = max(focal_res, focal)
+        refl_res = max(refl_res, refl)
+        right_res = max(right_res, right)
+        skipped += skip
 
     return ResidualReport(
         conic_class=kind,

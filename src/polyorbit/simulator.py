@@ -13,8 +13,8 @@ The four hot loops, the step, the CSV row formatter, the shell's ring sum
 and the conic residual samples, are each written twice, with the same bits
 and bytes: in C (one library built from _kick_drift.c, loaded by
 polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
-fallback and the oracle; the last two are the NumPy loops of shell and
-geometry).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
+fallback and the oracle; the last two are the NumPy loops of shell_accel
+and geometry_residuals).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
 and geometry.geometry_residuals run the loops of the module that loaded,
 _kernel, so a single step and a one-step trajectory agree bitwise.
 

@@ -1,10 +1,27 @@
 """Fixtures shared by the test modules."""
 
 import importlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from polyorbit import _propagate_py, simulator
+from polyorbit import _propagate_py, cli, simulator
+
+
+@pytest.fixture
+def cli_call():
+    """call(argv): the exit code, stdout and stderr of cli.main(argv), with
+    argparse's exit for help and usage errors taken as the exit code."""
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+    return call
 
 
 @pytest.fixture

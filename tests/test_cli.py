@@ -708,6 +708,35 @@ class TestParser:
             cli.main(["frobnicate"])
         assert exc_info.value.code == cli.EXIT_USAGE
 
+    # Commands, help and usage errors, from argparse and from the handlers,
+    # alternating.
+    SEQUENCE = [
+        ["classify", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60"],
+        ["kepler3", "--m", "1"],
+        ["moon-check"],
+        ["classify", "--m", "1"],
+        ["geometry-check", "--e", "0.5", "--ell", "0.75", "--samples", "100"],
+        ["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "10",
+         "--tol", "nan"],
+        ["--help"],
+        ["frobnicate"],
+        ["classify", "--help"],
+        ["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "10"],
+        ["classify", "--m", "1", "--r0", "-1", "--v0", "1", "--alpha0", "60"],
+    ]
+
+    def test_parser_built_once_prints_what_a_fresh_one_prints(self, monkeypatch, cli_call):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(cli_call(argv))
+        cli._build_parser.cache_clear()
+        reused = [cli_call(argv) for argv in self.SEQUENCE * 2]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh * 2
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 2, 0, 2, 0, 1, 3]
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not standard JSON")

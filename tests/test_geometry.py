@@ -383,13 +383,13 @@ class TestGeometryResiduals:
         # the NumPy loops, whose blocks all reach _block_residuals
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         seen = []
-        block_residuals = geometry._block_residuals
+        block_residuals = _propagate_py._block_residuals
 
         def spy(shape, theta, *args):
             seen.append(theta.copy())
             return block_residuals(shape, theta, *args)
 
-        monkeypatch.setattr(geometry, "_block_residuals", spy)
+        monkeypatch.setattr(_propagate_py, "_block_residuals", spy)
         n = 2 * _RESIDUAL_BLOCK + 1
         geometry_residuals(CANONICAL, n)
         assert [len(theta) for theta in seen] == [_RESIDUAL_BLOCK, _RESIDUAL_BLOCK, 1]
@@ -431,7 +431,7 @@ def block_outcome(shape, n, focus2_y, focal_constant):
 
 
 class TestCompiledResiduals:
-    """conic_residuals in the C library against geometry._sample_residuals,
+    """conic_residuals in the C library against _propagate_py.conic_residuals,
     the NumPy loop: the same maxima and skipped counts, bit for bit, or the
     same error."""
 
@@ -445,11 +445,10 @@ class TestCompiledResiduals:
         assert got == want
 
     # Each error of _block_residuals, from a shape, or a grid of polar
-    # angles and a second focus or focal constant made to raise it.  A zero
-    # conic point needs r = 0, which makes the tangent zero first; the
-    # reflection and right-angle residuals are formed from finite values
-    # divided by non-zero norms, so they cannot be NaN; and a search of
-    # 6 million angles on shapes with aO = 0 found no zero intersection.
+    # angles and a second focus or focal constant made to raise it.  A
+    # search of 6 million angles on shapes with aO = 0 found no zero
+    # intersection; _block_residuals says why it has no zero-point or NaN
+    # reflection or right-angle check.
     @pytest.mark.parametrize("e, ell, grid, focus, error", [
         (1.5, 1.0, (0.5 * math.pi, 0.0, 1), None, "no point at theta=1.5708"),
         (0.5, 1.7e308, None, None, "conic point at theta="),

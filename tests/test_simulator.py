@@ -317,7 +317,7 @@ class TestBackends:
         rng = np.random.default_rng(3)
         angles = np.concatenate(
             [(np.arange(n) + 0.5) * (math.pi / n) for _, _, n in compiled._RING_PROBE]
-            + [geometry._sample_thetas(geometry.ConicShape(e, ell), n, 0, n)
+            + [_propagate_py._sample_thetas(geometry.ConicShape(e, ell), n, 0, n)
                for e, ell, n in compiled._RESIDUAL_PROBE]
             + [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 10000)])
         pairs = rng.uniform(-1.0, 1.0, (10000, 2)) * 10.0 ** rng.integers(-13, 13, (10000, 2))
