@@ -305,15 +305,17 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     return p - out;
 }
 
-/* shell._ring_terms: terms[i] is the axial pull of ring i of n, the ring at
- * polar angle (i + 0.5) * dtheta. */
-void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t n,
-                double *terms)
+/* shell._ring_terms over the rings i = start .. stop - 1: terms[i] is the
+ * axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A ring's
+ * term depends on i alone, so _propagate_c fills disjoint ranges of terms
+ * on several threads with the bits of one call. */
+void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
+                int64_t stop, double *terms)
 {
     const double two_pi = 2.0 * 3.141592653589793;  /* 2.0 * math.pi */
     const double d2_a2 = d * d + a * a, two_a_d = 2.0 * a * d;
 
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = start; i < stop; i++) {
         double theta = ((double)i + 0.5) * dtheta;
         double area = two_pi * (a * sin(theta)) * width;  /* shell._ring_area */
         double cos_t = cos(theta);
@@ -341,7 +343,9 @@ enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
  * then not written; _block_residuals reruns the block and raises its error.
  * A zero point norm and a NaN reflection or right-angle residual cannot
  * occur, for the reasons _block_residuals gives, and are not tested.
- * focus2_y and focal_constant are unused for a parabola.
+ * focus2_y and focal_constant are unused for a parabola.  The maxima of
+ * disjoint ranges merge exactly with max and their counts add, so
+ * _propagate_c runs the ranges of a block on several threads.
  */
 int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
                     double focal_constant, double theta0, double span, double div,

@@ -11,6 +11,7 @@ true anomaly is f = theta + 90 deg.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -300,9 +301,13 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
 
     The samples are evaluated _RESIDUAL_BLOCK at a time, by the residual
     loop that simulator._kernel binds (_propagate_py.conic_residuals, the
-    NumPy loop, or its C copy).  Any non-finite point, tangent, ray or
-    intersection, a zero tangent, ray or intersection norm, or a NaN focal
-    residual raises DomainError.
+    NumPy loop, or its C copy, which splits each block into one chunk per
+    CPU and merges their maxima exactly).  Any non-finite point, tangent,
+    ray or intersection, a zero tangent, ray or intersection norm, or a NaN
+    focal residual raises DomainError.  So does a periapsis whose square is
+    below the smallest normal double: the tangent's dr/dtheta = e*c*r*r/ell
+    would be formed from a subnormal or zero r*r, and its residuals would
+    be wrong, not small.
     """
     from . import simulator  # not at the top: simulator imports this module
 
@@ -311,6 +316,13 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     e = shape.eccentricity
     if e == 0.0:
         raise DomainError("residual checks require e > 0")
+    periapsis = shape.periapsis
+    if not periapsis * periapsis >= sys.float_info.min:
+        raise DomainError(
+            f"ell must give a periapsis ell / (1 + e) with a square of at least "
+            f"{sys.float_info.min:g}, got ell = {shape.semi_latus_rectum} "
+            f"(periapsis {periapsis:g})"
+        )
     kind = shape.conic_class
     focus2_y, focal_constant = _second_focus(shape)
     if focus2_y is not None and not math.isfinite(focus2_y):

@@ -103,7 +103,9 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
 
     The terms of all rings go into one array, which a single np.sum adds:
     NumPy's pairwise summation order depends on the whole length, so a sum
-    of block sums would change the last bits.
+    of block sums would change the last bits.  The C loop fills that array
+    in contiguous chunks, one per CPU this process may use, and each term
+    has the bits of the serial loop.
     """
     from . import simulator  # not at the top: simulator imports this module's loop
 

@@ -16,7 +16,10 @@ polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
 fallback and the oracle; the last two are the NumPy loops of shell_accel
 and geometry_residuals).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
 and geometry.geometry_residuals run the loops of the module that loaded,
-_kernel, so a single step and a one-step trajectory agree bitwise.
+_kernel, so a single step and a one-step trajectory agree bitwise.  In C
+the ring sum and the residual samples run in chunks, one per CPU this
+process may use, with the bits of one call; the step and the formatter
+run on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step

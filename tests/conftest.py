@@ -25,17 +25,29 @@ def cli_call():
 
 
 @pytest.fixture
-def c_and_numpy():
-    """both(fn, *args): fn(*args) run on the C ring and residual loops, then
-    on the NumPy ones, as a pair.  Skips where the C library did not load,
-    or where it binds the NumPy loops because NumPy's sin, cos or hypot is
-    not libm's (TestBackends checks that the choice is right)."""
+def c_library():
+    """polyorbit._propagate_c; skips where the C library did not load."""
     try:
-        compiled = importlib.import_module("polyorbit._propagate_c")
+        return importlib.import_module("polyorbit._propagate_c")
     except ImportError as exc:
         pytest.skip(f"the C library did not load: {exc}")
-    if compiled.ring_terms is _propagate_py.ring_terms:
+
+
+@pytest.fixture
+def c_loops(c_library):
+    """c_library, skipped where it binds the NumPy ring and residual loops
+    because NumPy's sin, cos or hypot is not libm's (TestBackends checks
+    that the choice is right)."""
+    if c_library.ring_terms is _propagate_py.ring_terms:
         pytest.skip("the ring and residual loops run on NumPy here")
+    return c_library
+
+
+@pytest.fixture
+def c_and_numpy(c_loops):
+    """both(fn, *args): fn(*args) run on the C ring and residual loops, then
+    on the NumPy ones, as a pair."""
+    compiled = c_loops
 
     def both(fn, *args):
         saved = simulator._kernel

@@ -679,6 +679,15 @@ class TestGeometryCheck:
         assert code == cli.EXIT_NUMERIC
         assert "NaN" not in out and "Infinity" not in out
 
+    # r*r in the tangent would be subnormal: this printed max_residual 5.4e-4
+    # and exited 1, "check failed"
+    def test_tiny_periapsis_numeric_error(self, capsys):
+        code, out, err = run(capsys, [
+            "geometry-check", "--e", "0.5", "--ell", "1e-160", "--samples", "100",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == "" and err.startswith("error: ell must give a periapsis")
+
     def test_bad_shape_numeric_error(self, capsys):
         code, _, err = run(capsys, [
             "geometry-check", "--e", "-1", "--ell", "1.0", "--samples", "100",

@@ -1,6 +1,7 @@
 """Tests for the focus-directrix conic module."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +278,8 @@ def reference_residuals(shape, n):
     e = shape.eccentricity
     if e == 0.0:
         raise DomainError("residual checks require e > 0")
+    if shape.periapsis * shape.periapsis < sys.float_info.min:  # r*r in the tangent underflows
+        raise DomainError("ell is too small")
     ell = shape.semi_latus_rectum
     aO = shape.focal_directrix_distance
     kind = shape.conic_class
@@ -399,6 +402,34 @@ class TestGeometryResiduals:
     @pytest.mark.parametrize("ell", [1e-300, 1.0, 1e300])
     def test_matches_reference_on_extreme_scales(self, e, ell):
         assert_matches_reference(ConicShape(e, ell), 100)
+
+    # A periapsis whose square is below the smallest normal double: r*r in
+    # the tangent's dr/dtheta is subnormal or 0.  Such shapes used to report
+    # a residual of 5.4e-4 (ell = 1e-160) or 0.50 (ell = 1e-170), a false
+    # check failure.
+    @pytest.mark.parametrize("loops", ["numpy", "c"])
+    @pytest.mark.parametrize("e, ell", [(0.5, 1e-156), (0.5, 1e-160), (0.5, 1e-170),
+                                        (1.5, 2.3e-154), (3.0, 1e-300), (1e12, 1e-150)])
+    def test_tiny_periapsis_rejected_before_any_loop(self, request, monkeypatch, loops, e,
+                                                     ell):
+        kernel = _propagate_py if loops == "numpy" else request.getfixturevalue("c_library")
+        calls = []
+        monkeypatch.setattr(kernel, "conic_residuals", lambda *args: calls.append(args))
+        monkeypatch.setattr(simulator, "_kernel", kernel)
+        with pytest.raises(DomainError, match=rf"^ell must give a periapsis ell / \(1 \+ e\) "
+                                              rf"with a square of at least 2.22507e-308, "
+                                              rf"got ell = {ell} \(periapsis "):
+            geometry_residuals(ConicShape(e, ell), 100)
+        assert calls == []
+
+    # The smallest shapes still accepted keep small residuals on both loops.
+    @pytest.mark.parametrize("e, ell", [(0.5, 2.3e-154), (1.0, 3e-154), (1.5, 1e-153)])
+    def test_smallest_accepted_periapsis_passes(self, c_and_numpy, e, ell):
+        shape = ConicShape(e, ell)
+        assert shape.periapsis**2 >= sys.float_info.min
+        got, want = c_and_numpy(report_outcome, shape, 50000)
+        assert got == want
+        assert geometry_residuals(shape, 50000).max_residual < 1e-14
 
     @settings(max_examples=100, deadline=None)
     @given(log_e=st.floats(-12.0, 12.0), log_ell=st.floats(-300.0, 300.0),

@@ -1,4 +1,5 @@
-"""What importing polyorbit loads, and its lazily resolved exports.
+"""What importing polyorbit loads, the threads it leaves, and its lazily
+resolved exports.
 
 Each test starts a fresh interpreter, since the test process has long since
 imported NumPy and every submodule.
@@ -108,8 +109,36 @@ def test_import_loads_no_numeric_module():
         "import json, sys, polyorbit, polyorbit.cli; "
         "print(json.dumps(sorted(sys.modules)))")))
     for module in ("numpy", "polyorbit.simulator", "polyorbit._propagate_c",
-                   "polyorbit.geometry", "polyorbit.determination", "polyorbit.shell"):
+                   "polyorbit.geometry", "polyorbit.determination", "polyorbit.shell",
+                   "concurrent.futures"):
         assert module not in loaded
+
+
+_COUNT_THREADS = """
+import contextlib, io, json, sys, threading
+import polyorbit, polyorbit.cli
+
+counts = {"import": threading.active_count()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = polyorbit.cli.main(argv)
+    counts[argv[0]] = [code, threading.active_count()]
+print(json.dumps(counts))
+"""
+
+
+def test_import_and_commands_leave_one_thread():
+    # The ring sum and residual loops join their threads before they
+    # return; nothing starts a thread at import or keeps a pool.
+    commands = [
+        ["classify", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60.0"],
+        ["moon-check"],
+        ["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "100000"],
+        ["geometry-check", "--e", "0.5", "--ell", "0.75", "--samples", "100000"],
+    ]
+    counts = json.loads(fresh_python("-c", _COUNT_THREADS, json.dumps(commands)))
+    assert counts == {"import": 1, "classify": [0, 1], "moon-check": [0, 1],
+                      "shell-check": [0, 1], "geometry-check": [0, 1]}
 
 
 def test_closed_form_commands_help_and_usage_errors_run_without_numpy(monkeypatch, cli_call):
