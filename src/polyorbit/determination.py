@@ -12,6 +12,7 @@ aO = Q/sqrt(QC + m^2), equivalently semi-latus rectum ell = Q/m.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -146,13 +147,16 @@ def period(pair: ConservedPair, field: CentralField) -> float:
     if pair.C >= 0.0:
         raise UnboundedOrbitError(f"period requires C < 0, got C={pair.C:g}")
     try:
-        t = 2.0 * math.pi * field.m / (-pair.C) ** 1.5
-    except (OverflowError, ZeroDivisionError):  # (-C)^1.5 overflows or underflows to 0
-        t = math.nan
+        power = (-pair.C) ** 1.5
+    except OverflowError:
+        power = math.inf
+    # A subnormal (-C)^1.5 has lost bits: m = 8.8e-215 gave a period 13% short.
+    t = 2.0 * math.pi * field.m / power if power >= sys.float_info.min else math.nan
     if not 0.0 < t < math.inf:
         raise DomainError(
             f"the period 2 pi m / (-C)^1.5 for m = {field.m:g}, C = {pair.C:g} "
-            "is not finite and > 0 in double precision"
+            "is not finite and > 0 in double precision, or (-C)^1.5 is below the "
+            "smallest normal double"
         )
     return t
 

@@ -533,6 +533,7 @@ class TestKepler3:
         ("1e300", cli.EXIT_NUMERIC),    # (-C)^1.5 overflows
         ("1.7e308", cli.EXIT_NUMERIC),  # C = -m/X overflows
         ("1e-300", cli.EXIT_NUMERIC),   # (-C)^1.5 underflows to 0
+        ("8.807135485608135e-215", cli.EXIT_NUMERIC),  # (-C)^1.5 subnormal: T_simulated nan
         ("5e-324", cli.EXIT_NUMERIC),
         ("0", cli.EXIT_NUMERIC),
         ("1e200", cli.EXIT_OK),

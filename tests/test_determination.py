@@ -209,7 +209,9 @@ class TestPeriod:
         (-1e-300, 1.0),    # (-C)^1.5 underflows to 0
         (-1e-200, 1e150),  # T overflows to inf
         (-1e200, 1e-100),  # T underflows to 0
-    ], ids=["power-overflow", "power-underflow", "period-overflow", "period-underflow"])
+        (-1e-214, 1e-300),  # (-C)^1.5 is subnormal; T = 6e21 would have lost bits
+    ], ids=["power-overflow", "power-underflow", "period-overflow", "period-underflow",
+            "power-subnormal"])
     def test_outside_double_range_rejected(self, c, m):
         with pytest.raises(DomainError, match="period"):
             period(ConservedPair(c, 1.0), CentralField(m))
