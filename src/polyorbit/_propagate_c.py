@@ -20,21 +20,25 @@ loops; when their probe differs from NumPy's, this module binds
 _propagate_py's ring_terms and conic_residuals, and the kernel and
 formatter stay in C.
 
-ring_terms and conic_residuals split their rings or samples into contiguous
-chunks, one for each CPU this process may use (_WORKERS), and run the
-chunks at once: the first on the caller, the others on threads started for
-the call and joined before it returns.  ctypes releases the GIL for each C
-call.  Every ring term and sample depends on its index alone, so the terms
-and maxima have the bits of one call.  The kernel and csv_rows run on the
-caller alone.
+ring_terms, conic_residuals and write_rows split their rings, samples or
+CSV rows into contiguous ranges, one for each CPU this process may use
+(_WORKERS), and run the ranges at once: the first on the caller, the others
+on threads started for the call and joined before it returns.  ctypes
+releases the GIL for each C call.  Every ring term, sample and row depends
+on its index alone, so the terms, maxima and text have the bits and bytes
+of one call.  write_rows spills each range past the first to an unnamed
+temporary file and copies the files into the stream after the join, so the
+stream is written in order only.  The kernel runs on the caller alone.
 """
 
+import contextlib
 import ctypes
 import importlib.util
 import math
 import os
 import struct
 import sysconfig
+import tempfile
 import threading
 
 import numpy as np
@@ -94,16 +98,17 @@ _SLACK = 16
 _RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1))
 _RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
 
-# The CPUs this process may use: ring_terms and conic_residuals run at most
-# this many chunks at once.
+# The CPUs this process may use: ring_terms, conic_residuals and write_rows
+# run at most this many ranges at once.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = os.cpu_count() or 1
 
-# The fewest rings or samples a chunk gets.  Starting and joining a thread
-# takes about 0.1 ms, the time of 4000 rings or 900 samples, so the
-# load-time probes and small calls run on the caller alone.
+# The fewest rings, samples or CSV rows a range gets, give or take a block
+# of rows.  Starting and joining a thread takes about 0.1 ms, the time of
+# 4000 rings, 900 samples or 150 rows, so the load-time probes and small
+# calls run on the caller alone.
 _MIN_CHUNK = 1 << 14
 
 
@@ -120,7 +125,6 @@ def _library_path(cc: str) -> str:
 
     import shlex
     import subprocess
-    import tempfile
 
     os.makedirs(_CACHE, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=_CACHE)  # O_EXCL
@@ -190,21 +194,30 @@ _kick_drift, _csv_rows, _ring_terms, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
-def _split(fn, lo, hi):
-    """[fn(start, stop) for each chunk of [lo, hi)], in order: at most
-    _WORKERS contiguous chunks of at least _MIN_CHUNK indices (one chunk
-    when there are fewer), the first run on the caller and each other on a
-    thread of its own.  Once every thread has ended, the exception of the
-    first chunk that raised, in chunk order, is raised on the caller."""
-    k = max(1, min(_WORKERS, (hi - lo) // _MIN_CHUNK))
+def _ranges(lo, hi, align=1):
+    """The edges [lo, ..., hi] of k contiguous ranges that cover [lo, hi):
+    k is at most _WORKERS and (hi - lo) // _MIN_CHUNK, at least 1, and no
+    more than the blocks of `align` indices in [lo, hi).  Each inner edge is
+    lo plus a multiple of align, so each range holds whole blocks of the
+    one-range run, the last block of [lo, hi) excepted."""
+    blocks = -(-(hi - lo) // align)
+    k = max(1, min(_WORKERS, (hi - lo) // _MIN_CHUNK, blocks))
+    return [lo + blocks * j // k * align for j in range(k)] + [hi]
+
+
+def _split(fn, edges):
+    """[fn(start, stop) for each range of _ranges' edges], in order: the
+    first run on the caller and each other on a thread of its own.  Once
+    every thread has ended, the exception of the first range that raised, in
+    range order, is raised on the caller."""
+    k = len(edges) - 1
     if k == 1:
-        return [fn(lo, hi)]
-    bounds = [lo + (hi - lo) * j // k for j in range(k + 1)]
+        return [fn(*edges)]
     results, errors = [None] * k, [None] * k
 
     def run(j):
         try:
-            results[j] = fn(bounds[j], bounds[j + 1])
+            results[j] = fn(edges[j], edges[j + 1])
         except BaseException as exc:  # re-raised on the caller
             errors[j] = exc
 
@@ -255,9 +268,13 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     return (*(out[:n] for out in outs), collided.value, (window_k[:w], window_states[:w], last))
 
 
-def format_rows(columns, start, stop):
-    """Same arguments and text as _propagate_py.format_rows."""
-    # csv_rows reads rows [start, stop) of each column through a pointer
+def format_rows_into(columns, start, stop, out):
+    """Rows [start, stop) of the eight columns, as format_rows formats them,
+    written as ASCII to the start of out: a writable contiguous uint8 array
+    of at least (stop - start) * _ROW_BYTES + _SLACK bytes, some of which
+    past the text may change.  Returns the number of bytes of text."""
+    # csv_rows reads rows [start, stop) of each column and writes out through
+    # pointers
     n = len(columns[0])
     if len(columns) != 8 or not all(
             isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
@@ -265,13 +282,57 @@ def format_rows(columns, start, stop):
         raise ValueError("need 8 contiguous 1-D float64 columns of one length")
     start, stop, _ = slice(start, stop).indices(n)
     if start >= stop:
-        return ""
-    out = np.empty((stop - start) * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+        return 0
+    if not (isinstance(out, np.ndarray) and out.dtype == np.uint8 and out.ndim == 1
+            and out.flags.c_contiguous and out.flags.writeable
+            and len(out) >= (stop - start) * _ROW_BYTES + _SLACK):
+        raise ValueError(f"need a writable contiguous 1-D uint8 array of at least "
+                         f"{(stop - start) * _ROW_BYTES + _SLACK} bytes for the text")
     size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
                      start, stop, out.ctypes.data, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
     if size < 0:  # newlocale fails for "C" only when out of memory
         raise MemoryError("csv_rows could not make the C numeric locale")
-    return str(out.data[:size], "ascii")
+    return size
+
+
+def format_rows(columns, start, stop):
+    """Same arguments and text as _propagate_py.format_rows."""
+    n = len(columns[0])
+    rows = len(range(*slice(start, stop).indices(n)))
+    out = np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+    return str(out.data[:format_rows_into(columns, start, stop, out)], "ascii")
+
+
+def write_rows(block_columns, n, block_rows, stream):
+    """Same arguments and bytes as _propagate_py.write_rows, in at most
+    _WORKERS ranges of whole blocks (_ranges).  The caller writes the first
+    range to stream; a thread writes each other range to an unnamed
+    temporary file, which the caller copies to stream after the join.  When
+    a temporary file cannot be made, the caller writes every row."""
+    edges = _ranges(0, n, block_rows)
+    with contextlib.ExitStack() as files:
+        try:
+            spills = [files.enter_context(tempfile.TemporaryFile()) for _ in edges[2:]]
+        except OSError:  # a full or unwritable temporary directory
+            files.close()
+            spills, edges = [], [0, n]
+        sinks = dict(zip(edges, [stream, *spills]))
+
+        def write_range(start, stop):
+            # one text buffer per range, reused for each of its blocks
+            out = np.empty(block_rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+            text = out.data
+            for lo in range(start, stop, block_rows):
+                columns = block_columns(lo, min(lo + block_rows, stop))
+                sinks[start].write(text[:format_rows_into(columns, 0, len(columns[0]), out)])
+            return out
+
+        out = _split(write_range, edges)[0]
+        text = out.data
+        for spill in spills:
+            spill.seek(0)
+            while size := spill.readinto(out):
+                stream.write(text[:size])
 
 
 def ring_terms(a, d, dtheta, width, scale, terms):
@@ -283,7 +344,7 @@ def ring_terms(a, d, dtheta, width, scale, terms):
         raise ValueError("need a writable contiguous 1-D float64 array of terms")
     out = terms.ctypes.data
     _split(lambda start, stop: _ring_terms(a, d, dtheta, width, scale, start, stop, out),
-           0, len(terms))
+           _ranges(0, len(terms)))
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
@@ -304,7 +365,7 @@ def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
             return None
         return (*maxima, skipped.value)
 
-    parts = _split(chunk, start, stop)
+    parts = _split(chunk, _ranges(start, stop))
     if None in parts:
         return _propagate_py.conic_residuals(shape, n, start, stop, focus2_y, focal_constant)
     focal, reflection, right, skipped = zip(*parts)

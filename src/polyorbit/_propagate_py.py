@@ -9,8 +9,9 @@ trajectory bit.  Recorded values are stored through memoryviews of the
 float64 outputs, which take a Python float without a NumPy scalar
 conversion.
 
-format_rows formats the rows of Trajectory.write_csv, or csv_rows in the
-same C library when it loads.  The tests check both C loops against these.
+format_rows formats the rows of Trajectory.write_csv, and write_rows writes
+them to its stream block by block, or csv_rows in the same C library when it
+loads.  The tests check both C loops against these.
 
 ring_terms and conic_residuals are the NumPy loops of shell_accel and
 geometry_residuals: ring_terms is defined in shell and bound here,
@@ -112,6 +113,16 @@ def format_rows(columns, start, stop):
     text, each value printed with %.17g; start and stop slice as in Python."""
     rows = zip(*[col[start:stop].tolist() for col in columns])
     return "".join([_CSV_ROW % row for row in rows])
+
+
+def write_rows(block_columns, n, block_rows, stream):
+    """Write rows [0, n) as ASCII bytes to the binary stream, block_rows at
+    a time: the rows of block_columns(start, stop), eight float64 columns,
+    for each block [start, stop).  format_rows holds the GIL, so one thread
+    writes every block."""
+    for start in range(0, n, block_rows):
+        columns = block_columns(start, min(start + block_rows, n))
+        stream.write(format_rows(columns, 0, len(columns[0])).encode("ascii"))
 
 
 def _sample_thetas(shape, n, start, stop):

@@ -156,7 +156,7 @@ def _export_csv(traj, path: str, parser: argparse.ArgumentParser) -> None:
         if old is None or _replaceable(old):
             _replace_with_csv(traj, path, old)
         else:
-            with open(path, "w") as fh:
+            with open(path, "wb") as fh:
                 traj.write_csv(fh)
     except OSError as exc:
         parser.error(f"--out: cannot write {path!r}: {exc}")
@@ -176,7 +176,7 @@ def _replace_with_csv(traj, path: str, old: os.stat_result | None) -> None:
     tmp = os.path.join(os.path.dirname(path), f".polyorbit-{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             if old is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
             traj.write_csv(fh)

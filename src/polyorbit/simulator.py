@@ -17,9 +17,9 @@ fallback and the oracle; the last two are the NumPy loops of shell_accel
 and geometry_residuals).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
 and geometry.geometry_residuals run the loops of the module that loaded,
 _kernel, so a single step and a one-step trajectory agree bitwise.  In C
-the ring sum and the residual samples run in chunks, one per CPU this
-process may use, with the bits of one call; the step and the formatter
-run on the caller's thread alone.
+the ring sum, the residual samples and the CSV rows run in ranges, one per
+CPU this process may use, with the bits and bytes of one call; the step
+runs on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -58,7 +58,8 @@ CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
 # Rows formatted and written per stream.write call: 2048 rows of the seed-0
 # CSV are 0.3 MB of text.  Larger blocks save little time and raise peak
-# memory.
+# memory.  In C, each range of rows written on its own thread is a whole
+# number of blocks.
 _CSV_BLOCK_ROWS = 2048
 
 # Samples per block of the drift and residual maxima of diagnostics: about
@@ -184,12 +185,17 @@ class Trajectory:
         return _alpha(self.x, self.y, self.vx, self.vy, self.r, self.speed)
 
     def write_csv(self, stream) -> None:
-        """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema,
-        17 significant digits per value, streamed in blocks of rows.
+        """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema, as
+        ASCII bytes to the binary stream, 17 significant digits per value,
+        in blocks of rows.  stream.write is given bytes-like objects that
+        change after it returns, so it must write or copy them (a file
+        opened with "wb" or an io.BytesIO does).
 
         Each block's r, v and alpha are derived from its float64 x, y, vx
         and vy, so no full-length column is built; on float64 columns they
-        are the bits of the r, speed and alpha properties.
+        are the bits of the r, speed and alpha properties.  In C the blocks
+        are formatted on every CPU the process may use, and written to
+        stream in order (_propagate_c.write_rows).
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""
@@ -198,15 +204,16 @@ class Trajectory:
         if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
             raise DomainError(f"t, x, y, vx and vy must be 1-D and of one length, "
                               f"got shapes {shapes}")
-        n = shapes[0][0]
-        stream.write(CSV_HEADER + "\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            t, x, y, vx, vy = (np.ascontiguousarray(col[start:start + _CSV_BLOCK_ROWS],
-                                                    dtype=np.float64) for col in stored)
+
+        def block_columns(start, stop):
+            t, x, y, vx, vy = (np.ascontiguousarray(col[start:stop], dtype=np.float64)
+                               for col in stored)
             r = np.hypot(x, y)
             v = np.hypot(vx, vy)
-            columns = [t, x, y, vx, vy, r, v, _alpha(x, y, vx, vy, r, v)]
-            stream.write(_kernel.format_rows(columns, 0, len(t)))
+            return [t, x, y, vx, vy, r, v, _alpha(x, y, vx, vy, r, v)]
+
+        stream.write(CSV_HEADER.encode("ascii") + b"\n")
+        _kernel.write_rows(block_columns, shapes[0][0], _CSV_BLOCK_ROWS, stream)
 
 
 def step(state: OrbitState, field: CentralField, dt: float,

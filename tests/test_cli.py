@@ -340,7 +340,7 @@ class TestSimulate:
         out_path.write_text("old\n")
 
         def fail_midway(traj, stream):
-            stream.write("t,x,y")
+            stream.write(b"t,x,y")
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(simulator.Trajectory, "write_csv", fail_midway)

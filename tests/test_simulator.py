@@ -1289,18 +1289,18 @@ def every_digit_count():
 class TestCsvExport:
     def test_header_and_shape(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=10))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         traj.write_csv(buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER.encode()
         assert len(lines) == 12
-        assert all(len(line.split(",")) == 8 for line in lines[1:])
+        assert all(len(line.split(b",")) == 8 for line in lines[1:])
 
     def test_round_trip_precision(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=10))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         traj.write_csv(buf)
-        row = buf.getvalue().splitlines()[5].split(",")
+        row = buf.getvalue().splitlines()[5].split(b",")
         assert float(row[1]) == traj.x[4]
         assert float(row[3]) == traj.vx[4]
 
@@ -1308,7 +1308,7 @@ class TestCsvExport:
         out = []
         for _ in range(2):
             traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=100))
-            buf = io.StringIO()
+            buf = io.BytesIO()
             traj.write_csv(buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
@@ -1316,18 +1316,18 @@ class TestCsvExport:
     # The per-value writer that write_csv replaced, kept as the byte oracle.
     @staticmethod
     def reference_csv(traj):
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
+        buf = io.BytesIO()
+        buf.write(CSV_HEADER.encode() + b"\n")
         r, v, alpha = traj.r, traj.speed, traj.alpha
         for i in range(len(traj.t)):
             row = (traj.t[i], traj.x[i], traj.y[i], traj.vx[i], traj.vy[i],
                    r[i], v[i], alpha[i])
-            buf.write(",".join(f"{val:.17g}" for val in row) + "\n")
+            buf.write(",".join(f"{val:.17g}" for val in row).encode() + b"\n")
         return buf.getvalue()
 
     @staticmethod
     def written_csv(traj):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         traj.write_csv(buf)
         return buf.getvalue()
 
@@ -1354,9 +1354,12 @@ class TestCsvExport:
         assert len(traj) == rows
         self.assert_matches_reference(traj)
 
-    def test_export_memory_is_one_block(self):
+    def test_export_memory_is_one_block(self, monkeypatch):
         # 200k rows: the whole-array r, v and alpha columns took 4.8 MB and
-        # peaked at 8 MB; a block of rows and its text take well under 1 MB
+        # peaked at 8 MB; a block of rows and its text take well under 1 MB.
+        # One range: test_split bounds each range of a split export.
+        if backend() == "c":
+            monkeypatch.setattr(simulator._kernel, "_WORKERS", 1)
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-4, steps=199_999))
 
         class NullSink:
@@ -1537,10 +1540,10 @@ class TestCsvExport:
         # zip used to drop the rows past the shortest column without a word.
         cols = [np.arange(t_len, dtype=float)] + [np.ones(other_len)] * 4
         traj = Trajectory(*cols, field=UNIT_FIELD, config=SimConfig(dt=1e-3, steps=4))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         with pytest.raises(DomainError, match="one length"):
             traj.write_csv(buf)
-        assert buf.getvalue() == ""
+        assert buf.getvalue() == b""
 
     def test_columns_of_other_dtypes_write_their_float64_values(self, kernel):
         cols = [np.array([1, 2**60 + 1]), np.array([0.1, -2.5], dtype=np.float32),

@@ -1,28 +1,39 @@
-"""The C ring sum and residual loops split across threads (_propagate_c._split).
+"""The C ring sum, residual loops and CSV export split across threads
+(_propagate_c._split).
 
 Each test runs with one, two and three chunks at most (the module's
 _WORKERS), whatever CPUs this host has.  A split call must give the bits of
 one C call over the whole range and of the NumPy loop, raise the NumPy
 loop's error for the whole block, pass on a worker's exception, and leave no
-thread behind, so that a process forked after it still runs them.
+thread behind, so that a process forked after it still runs them.  A split
+CSV export must write the bytes of a one-range export and of the Python
+formatter, in order, to any binary stream, and close every temporary file.
 """
 
 import ctypes
+import errno
+import hashlib
+import io
 import math
 import os
 import select
 import struct
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polyorbit import _propagate_py, geometry, shell, simulator
+from polyorbit import _propagate_py, cli, geometry, shell, simulator
+from polyorbit.determination import CentralField, OrbitState
 from polyorbit.errors import DomainError, NoSuchPointError
 from polyorbit.geometry import ConicShape, _second_focus
+from polyorbit.planar import PlanarVector
 from polyorbit.shell import RingDecomposition, ShellSpec, shell_accel
+from polyorbit.simulator import _CSV_BLOCK_ROWS, SimConfig, Trajectory, integrate
 
 SHAPES = [(0.5, 0.75), (1.0, 0.75), (1.5, 0.75)]
 SHAPE_IDS = ["ellipse", "parabola", "hyperbola"]
@@ -232,6 +243,290 @@ class TestFork:
             try:
                 os.close(read_end)
                 os.write(write_end, shell_accel(spec, 2.0, rings).hex().encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        got = None
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            got = os.read(read_end, 100).decode() if ready else None
+        finally:
+            os.close(read_end)
+            if got is None:
+                os.kill(pid, 9)
+            _, status = os.waitpid(pid, 0)
+        assert got == want, "the child did not answer within 60 s"
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
+# The CSV export: blocks of B rows, and ranges of at least B rows (less a
+# block) so that every row count below puts a range edge on a block edge.
+B = _CSV_BLOCK_ROWS
+CANONICAL = OrbitState(PlanarVector(1.0, 0.0),
+                       PlanarVector(math.cos(math.pi / 3), math.sin(math.pi / 3)))
+EXPORT_ROWS = 200_001  # simulate_full's rows
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
+def export_workers(request, c_library, monkeypatch):
+    """write_csv runs the C formatter in at most 1, 2 or 3 ranges of at
+    least B rows (less a block)."""
+    monkeypatch.setattr(simulator, "_kernel", c_library)
+    monkeypatch.setattr(c_library, "_WORKERS", request.param)
+    monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def full_export():
+    """A 200,001-row full record and its CSV from the Python formatter."""
+    traj = integrate(CANONICAL, CentralField(1.0), SimConfig(dt=1e-4, steps=EXPORT_ROWS - 1))
+    saved = simulator._kernel
+    simulator._kernel = _propagate_py
+    try:
+        return traj, csv_bytes(traj)
+    finally:
+        simulator._kernel = saved
+
+
+def csv_bytes(traj):
+    buf = io.BytesIO()
+    traj.write_csv(buf)
+    return buf.getvalue()
+
+
+def first_rows(traj, n):
+    return Trajectory(*(col[:n] for col in (traj.t, traj.x, traj.y, traj.vx, traj.vy)),
+                      field=traj.field, config=traj.config)
+
+
+def expected_ranges(workers, n):
+    return max(1, min(workers, n // B, -(-n // B)))
+
+
+class Spills:
+    """Stands in for tempfile.TemporaryFile: records each file it makes,
+    refuses to make the one numbered `refuse` (from 0), and makes the one
+    numbered `fail` raise ENOSPC on write."""
+
+    def __init__(self, monkeypatch, refuse=None, fail=None):
+        self.made, self.refuse, self.fail = [], refuse, fail
+        self._real = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", self)
+
+    def __call__(self):
+        if len(self.made) == self.refuse:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.made.append(_Spill(self._real(), len(self.made) == self.fail))
+        return self.made[-1]
+
+
+class _Spill:
+    def __init__(self, file, fail):
+        self.file, self.fail = file, fail
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        if self.fail:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+def formatting_threads(monkeypatch, c_library):
+    """The idents of the threads that call format_rows_into."""
+    idents, original = set(), c_library.format_rows_into
+
+    def recorded(*args):
+        idents.add(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(c_library, "format_rows_into", recorded)
+    return idents
+
+
+class TestSplitExport:
+    @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
+                                   EXPORT_ROWS])
+    def test_ranges_are_whole_blocks(self, c_library, export_workers, n):
+        edges = c_library._ranges(0, n, B)
+        assert len(edges) == expected_ranges(export_workers, n) + 1
+        assert edges[0] == 0 and edges[-1] == n
+        assert all(start < stop for start, stop in zip(edges[1:-1], edges[2:]))
+        assert all(edge % B == 0 and 0 < edge < n for edge in edges[1:-1])
+
+    # 1, B - 1, B, B + 1, and on both sides of the edges of two and three
+    # ranges, where the last row ends a block, starts one or ends one short
+    @pytest.mark.parametrize("n", [
+        1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 3 * B, 3 * B + 1,
+        EXPORT_ROWS,
+    ])
+    def test_same_bytes_as_one_range_and_python(self, c_library, export_workers, monkeypatch,
+                                                full_export, n):
+        traj, python_csv = full_export
+        traj = first_rows(traj, n)
+        spills = Spills(monkeypatch)
+        threads = formatting_threads(monkeypatch, c_library)
+        split = csv_bytes(traj)
+        ranges = expected_ranges(export_workers, n)
+        assert len(spills.made) == ranges - 1 and len(threads) == ranges
+        assert all(spill.closed for spill in spills.made)
+        monkeypatch.setattr(c_library, "_WORKERS", 1)
+        assert split == csv_bytes(traj)
+        # the Python CSV of the first n rows of the full record
+        header_and_rows = python_csv.split(b"\n", n + 1)
+        assert split == b"\n".join(header_and_rows[:n + 1]) + b"\n"
+
+    def test_decimated_same_bytes_as_one_range_and_python(self, c_library, export_workers,
+                                                          monkeypatch):
+        traj = integrate(CANONICAL, CentralField(1.0),
+                         SimConfig(dt=1e-3, steps=7 * (3 * B + 1), record_every=7))
+        assert len(traj) == 3 * B + 2
+        split = csv_bytes(traj)
+        monkeypatch.setattr(c_library, "_WORKERS", 1)
+        assert split == csv_bytes(traj)
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        assert split == csv_bytes(traj)
+
+    def test_python_formatter_runs_on_the_caller_with_no_temporary_file(
+            self, c_library, monkeypatch, full_export):
+        monkeypatch.setattr(c_library, "_WORKERS", 3)
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        spills = Spills(monkeypatch)
+        traj, python_csv = full_export
+        threads = {threading.get_ident()}
+        original = _propagate_py.format_rows
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(_propagate_py, "format_rows", recorded)
+        assert csv_bytes(first_rows(traj, 3 * B + 1)) == b"\n".join(
+            python_csv.split(b"\n", 3 * B + 2)[:3 * B + 2]) + b"\n"
+        assert spills.made == [] and threads == {threading.get_ident()}
+
+    # The first, or the second of two, temporary files cannot be made.
+    @pytest.mark.parametrize("refuse", [0, 1])
+    def test_unmade_temporary_file_exports_one_range(self, c_library, monkeypatch,
+                                                     full_export, refuse):
+        monkeypatch.setattr(c_library, "_WORKERS", 3)
+        monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
+        traj, python_csv = full_export
+        spills = Spills(monkeypatch, refuse=refuse)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        threads = formatting_threads(monkeypatch, c_library)
+        assert csv_bytes(traj) == python_csv
+        assert len(spills.made) == refuse and all(spill.closed for spill in spills.made)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_failure_in_the_last_range_reaches_the_caller_after_every_join(
+            self, c_library, monkeypatch, full_export, workers):
+        monkeypatch.setattr(c_library, "_WORKERS", workers)
+        monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        spills = Spills(monkeypatch, fail=workers - 2)  # the last range's file
+        traj, python_csv = full_export
+        started = threading.active_count()
+        first_range = c_library._ranges(0, len(traj), B)[1]
+
+        class SlowSink(io.BytesIO):
+            # the caller's range ends after the worker has failed
+            def write(self, data):
+                time.sleep(0.002)
+                return super().write(data)
+
+        sink = SlowSink()
+        with pytest.raises(OSError, match="No space left"):
+            traj.write_csv(sink)
+        assert threading.active_count() == started
+        assert all(spill.closed for spill in spills.made) and len(spills.made) == workers - 1
+        # the caller wrote its whole range, and nothing of the others
+        assert sink.getvalue() == b"\n".join(python_csv.split(b"\n", first_range + 1)[
+            :first_range + 1]) + b"\n"
+
+    def test_cli_failure_in_the_last_range_keeps_the_old_file(self, c_library, monkeypatch,
+                                                              tmp_path, capsys):
+        monkeypatch.setattr(c_library, "_WORKERS", 2)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        spills = Spills(monkeypatch, fail=0)
+        out_path = tmp_path / "traj.csv"
+        out_path.write_bytes(b"old\n\x00\xff")
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
+                      "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK),
+                      "--out", str(out_path)])
+        assert exc_info.value.code == cli.EXIT_USAGE
+        assert "No space left" in capsys.readouterr().err
+        assert len(spills.made) == 1 and spills.made[0].closed
+        assert out_path.read_bytes() == b"old\n\x00\xff"
+        assert os.listdir(tmp_path) == ["traj.csv"]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_writes_to_a_pipe(self, c_library, monkeypatch, full_export, workers):
+        monkeypatch.setattr(c_library, "_WORKERS", workers)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        spills = Spills(monkeypatch)
+        traj, python_csv = full_export
+        read_end, write_end = os.pipe()
+        received = []
+        with os.fdopen(read_end, "rb") as source:
+            reader = threading.Thread(target=lambda: received.append(source.read()))
+            reader.start()
+            try:
+                with os.fdopen(write_end, "wb") as sink:
+                    traj.write_csv(sink)
+            finally:
+                reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert len(spills.made) == workers - 1
+        assert received == [python_csv]
+
+    def test_each_range_holds_one_block(self, c_library, export_workers, full_export):
+        # tracemalloc's peak over a 200,001-row export: per range, one text
+        # buffer of B rows and a block's r, v and alpha with temporaries
+        traj, _ = full_export
+
+        class NullSink:
+            def write(self, data):
+                pass
+
+        tracemalloc.start()
+        try:
+            traj.write_csv(NullSink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_range = B * c_library._ROW_BYTES + c_library._SLACK + 256 * 1024
+        assert peak < export_workers * per_range
+
+
+class TestForkAfterExport:
+    def test_forked_child_after_a_split_export_exports(self, c_library, monkeypatch,
+                                                       full_export):
+        monkeypatch.setattr(c_library, "_WORKERS", 2)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        spills = Spills(monkeypatch)
+        traj, python_csv = full_export
+        assert csv_bytes(traj) == python_csv
+        assert len(spills.made) == 1  # the parent split
+        want = hashlib.sha256(python_csv).hexdigest()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never return into pytest
+            code = 1
+            try:
+                os.close(read_end)
+                os.write(write_end, hashlib.sha256(csv_bytes(traj)).hexdigest().encode())
                 code = 0
             finally:
                 os._exit(code)
