@@ -26,9 +26,10 @@ CSV rows into contiguous ranges, one for each CPU this process may use
 on threads started for the call and joined before it returns.  ctypes
 releases the GIL for each C call.  Every ring term, sample and row depends
 on its index alone, so the terms, maxima and text have the bits and bytes
-of one call.  write_rows spills each range past the first to an unnamed
-temporary file and copies the files into the stream after the join, so the
-stream is written in order only.  The kernel runs on the caller alone.
+of one call.  write_rows uses at most _EXPORT_RANGES ranges; it spills
+each range past the first to an unnamed temporary file and copies the files
+into the stream after the join, so the stream is written in order only.
+The kernel runs on the caller alone.
 """
 
 import contextlib
@@ -110,6 +111,16 @@ except AttributeError:  # no sched_getaffinity on this platform
 # 4000 rings, 900 samples or 150 rows, so the load-time probes and small
 # calls run on the caller alone.
 _MIN_CHUNK = 1 << 14
+
+# write_rows formats at most this many rows per csv_rows call, into a text
+# buffer of 0.2 MB that each range reuses; with a block's columns, a range
+# holds about 0.3 MB.  Slices of 1024 rows format as fast per row as whole
+# 2048-row blocks; 512 rows took about 9% longer.
+_TEXT_ROWS = 1024
+
+# The most ranges write_rows splits an export into, whatever _WORKERS is:
+# two ranges hold about 0.65 MB, and the whole export stays under 1 MB.
+_EXPORT_RANGES = 2
 
 
 def _library_path(cc: str) -> str:
@@ -194,14 +205,14 @@ _kick_drift, _csv_rows, _ring_terms, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
-def _ranges(lo, hi, align=1):
+def _ranges(lo, hi, align=1, most=math.inf):
     """The edges [lo, ..., hi] of k contiguous ranges that cover [lo, hi):
-    k is at most _WORKERS and (hi - lo) // _MIN_CHUNK, at least 1, and no
-    more than the blocks of `align` indices in [lo, hi).  Each inner edge is
-    lo plus a multiple of align, so each range holds whole blocks of the
-    one-range run, the last block of [lo, hi) excepted."""
+    k is at most _WORKERS, `most` and (hi - lo) // _MIN_CHUNK, at least 1,
+    and no more than the blocks of `align` indices in [lo, hi).  Each inner
+    edge is lo plus a multiple of align, so each range holds whole blocks of
+    the one-range run, the last block of [lo, hi) excepted."""
     blocks = -(-(hi - lo) // align)
-    k = max(1, min(_WORKERS, (hi - lo) // _MIN_CHUNK, blocks))
+    k = max(1, min(_WORKERS, most, (hi - lo) // _MIN_CHUNK, blocks))
     return [lo + blocks * j // k * align for j in range(k)] + [hi]
 
 
@@ -305,34 +316,53 @@ def format_rows(columns, start, stop):
 
 def write_rows(block_columns, n, block_rows, stream):
     """Same arguments and bytes as _propagate_py.write_rows, in at most
-    _WORKERS ranges of whole blocks (_ranges).  The caller writes the first
-    range to stream; a thread writes each other range to an unnamed
-    temporary file, which the caller copies to stream after the join.  When
-    a temporary file cannot be made, the caller writes every row."""
-    edges = _ranges(0, n, block_rows)
-    with contextlib.ExitStack() as files:
-        try:
-            spills = [files.enter_context(tempfile.TemporaryFile()) for _ in edges[2:]]
-        except OSError:  # a full or unwritable temporary directory
-            files.close()
-            spills, edges = [], [0, n]
-        sinks = dict(zip(edges, [stream, *spills]))
+    _EXPORT_RANGES ranges of whole blocks (_ranges), each block formatted
+    _TEXT_ROWS rows at a time.  The caller writes the first range to
+    stream; a thread writes each other range to an unnamed temporary file,
+    which the caller copies to stream after the join.  When a range's file
+    cannot be made or written (OSError), the caller formats that range into
+    stream itself, so only an error of stream fails the export."""
+    edges = _ranges(0, n, block_rows, _EXPORT_RANGES)
+    spills = {}  # range start: its whole text, rewound
 
-        def write_range(start, stop):
-            # one text buffer per range, reused for each of its blocks
-            out = np.empty(block_rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-            text = out.data
-            for lo in range(start, stop, block_rows):
-                columns = block_columns(lo, min(lo + block_rows, stop))
-                sinks[start].write(text[:format_rows_into(columns, 0, len(columns[0]), out)])
-            return out
-
-        out = _split(write_range, edges)[0]
+    def write_range(start, stop, sink, out):
         text = out.data
-        for spill in spills:
-            spill.seek(0)
-            while size := spill.readinto(out):
-                stream.write(text[:size])
+        for lo in range(start, stop, block_rows):
+            columns = block_columns(lo, min(lo + block_rows, stop))
+            for row in range(0, len(columns[0]), _TEXT_ROWS):
+                sink.write(text[:format_rows_into(columns, row, row + _TEXT_ROWS, out)])
+
+    def text_buffer():
+        # reused for each slice of a range's blocks
+        return np.empty(min(block_rows, _TEXT_ROWS) * _ROW_BYTES + _SLACK,
+                        dtype=np.uint8)  # not zeroed
+
+    def run(start, stop):
+        if start == 0:
+            return write_range(start, stop, stream, out)
+        with contextlib.ExitStack() as unused:
+            try:
+                spill = unused.enter_context(tempfile.TemporaryFile())
+                write_range(start, stop, spill, text_buffer())
+                spill.seek(0)  # flushes the file's buffer
+            except OSError:  # a full or unwritable temporary directory
+                return  # the caller formats the range after the join
+            unused.pop_all()
+            spills[start] = spill
+
+    out = text_buffer()
+    text = out.data
+    try:
+        _split(run, edges)
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            if start in spills:
+                while size := spills[start].readinto(out):
+                    stream.write(text[:size])
+            else:  # its file could not be made or written
+                write_range(start, stop, stream, out)
+    finally:
+        for spill in spills.values():
+            spill.close()
 
 
 def ring_terms(a, d, dtheta, width, scale, terms):

@@ -1354,12 +1354,10 @@ class TestCsvExport:
         assert len(traj) == rows
         self.assert_matches_reference(traj)
 
-    def test_export_memory_is_one_block(self, monkeypatch):
+    def test_export_memory_is_one_block(self):
         # 200k rows: the whole-array r, v and alpha columns took 4.8 MB and
-        # peaked at 8 MB; a block of rows and its text take well under 1 MB.
-        # One range: test_split bounds each range of a split export.
-        if backend() == "c":
-            monkeypatch.setattr(simulator._kernel, "_WORKERS", 1)
+        # peaked at 8 MB; a block of rows and its text take well under 1 MB,
+        # and so do the two ranges of a split export.
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-4, steps=199_999))
 
         class NullSink:

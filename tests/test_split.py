@@ -271,11 +271,22 @@ EXPORT_ROWS = 200_001  # simulate_full's rows
 @pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
 def export_workers(request, c_library, monkeypatch):
     """write_csv runs the C formatter in at most 1, 2 or 3 ranges of at
-    least B rows (less a block)."""
+    least B rows (less a block), _EXPORT_RANGES raised to match."""
+    return split_export(monkeypatch, c_library, request.param)
+
+
+@pytest.fixture(params=[2, 3], ids=["W2", "W3"])
+def split_workers(request, c_library, monkeypatch):
+    """export_workers with at least one range on a thread."""
+    return split_export(monkeypatch, c_library, request.param)
+
+
+def split_export(monkeypatch, c_library, workers):
     monkeypatch.setattr(simulator, "_kernel", c_library)
-    monkeypatch.setattr(c_library, "_WORKERS", request.param)
+    monkeypatch.setattr(c_library, "_WORKERS", workers)
+    monkeypatch.setattr(c_library, "_EXPORT_RANGES", workers)
     monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
-    return request.param
+    return workers
 
 
 @pytest.fixture(scope="module")
@@ -307,24 +318,30 @@ def expected_ranges(workers, n):
 
 class Spills:
     """Stands in for tempfile.TemporaryFile: records each file it makes,
-    refuses to make the one numbered `refuse` (from 0), and makes the one
-    numbered `fail` raise ENOSPC on write."""
+    refuses the calls numbered in `refuse` (from 0), makes the file numbered
+    `fail` raise ENOSPC on its second write, and with `unreadable` makes
+    every file raise EIO when it is read back.  Two threads may call it at
+    once, so which range gets which number may differ from run to run."""
 
-    def __init__(self, monkeypatch, refuse=None, fail=None):
-        self.made, self.refuse, self.fail = [], refuse, fail
+    def __init__(self, monkeypatch, refuse=(), fail=None, unreadable=False):
+        self.made, self.refuse, self.fail, self.unreadable = [], refuse, fail, unreadable
+        self.calls, self._lock = 0, threading.Lock()
         self._real = tempfile.TemporaryFile
         monkeypatch.setattr(tempfile, "TemporaryFile", self)
 
     def __call__(self):
-        if len(self.made) == self.refuse:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self.made.append(_Spill(self._real(), len(self.made) == self.fail))
-        return self.made[-1]
+        with self._lock:
+            call, self.calls = self.calls, self.calls + 1
+            if call in self.refuse:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            spill = _Spill(self._real(), len(self.made) == self.fail, self.unreadable)
+            self.made.append(spill)
+            return spill
 
 
 class _Spill:
-    def __init__(self, file, fail):
-        self.file, self.fail = file, fail
+    def __init__(self, file, fail, unreadable):
+        self.file, self.fail, self.unreadable, self.writes = file, fail, unreadable, 0
 
     def __enter__(self):
         return self
@@ -333,9 +350,15 @@ class _Spill:
         self.file.close()
 
     def write(self, data):
-        if self.fail:
+        self.writes += 1
+        if self.fail and self.writes > 1:  # the file holds part of its range
             raise OSError(errno.ENOSPC, "No space left on device")
         return self.file.write(data)
+
+    def readinto(self, buffer):
+        if self.unreadable:
+            raise OSError(errno.EIO, "Input/output error")
+        return self.file.readinto(buffer)
 
     def __getattr__(self, name):
         return getattr(self.file, name)
@@ -357,7 +380,7 @@ class TestSplitExport:
     @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
                                    EXPORT_ROWS])
     def test_ranges_are_whole_blocks(self, c_library, export_workers, n):
-        edges = c_library._ranges(0, n, B)
+        edges = c_library._ranges(0, n, B, c_library._EXPORT_RANGES)
         assert len(edges) == expected_ranges(export_workers, n) + 1
         assert edges[0] == 0 and edges[-1] == n
         assert all(start < stop for start, stop in zip(edges[1:-1], edges[2:]))
@@ -414,30 +437,46 @@ class TestSplitExport:
             python_csv.split(b"\n", 3 * B + 2)[:3 * B + 2]) + b"\n"
         assert spills.made == [] and threads == {threading.get_ident()}
 
-    # The first, or the second of two, temporary files cannot be made.
-    @pytest.mark.parametrize("refuse", [0, 1])
-    def test_unmade_temporary_file_exports_one_range(self, c_library, monkeypatch,
-                                                     full_export, refuse):
-        monkeypatch.setattr(c_library, "_WORKERS", 3)
-        monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
+    # The first, the second or both of two temporary files cannot be made.
+    @pytest.mark.parametrize("refuse", [{0}, {1}, {0, 1}], ids=["first", "second", "both"])
+    def test_unmade_temporary_file_has_the_caller_format_its_range(
+            self, c_library, monkeypatch, full_export, refuse):
+        split_export(monkeypatch, c_library, 3)
         traj, python_csv = full_export
         spills = Spills(monkeypatch, refuse=refuse)
-        monkeypatch.setattr(simulator, "_kernel", c_library)
         threads = formatting_threads(monkeypatch, c_library)
         assert csv_bytes(traj) == python_csv
-        assert len(spills.made) == refuse and all(spill.closed for spill in spills.made)
-        assert threads == {threading.get_ident()}
+        assert spills.calls == 2 and len(spills.made) == 2 - len(refuse)
+        assert all(spill.closed for spill in spills.made)
+        # the caller, and each thread whose file was made
+        assert threading.get_ident() in threads and len(threads) == 1 + len(spills.made)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_a_failure_in_the_last_range_reaches_the_caller_after_every_join(
-            self, c_library, monkeypatch, full_export, workers):
-        monkeypatch.setattr(c_library, "_WORKERS", workers)
-        monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
-        monkeypatch.setattr(simulator, "_kernel", c_library)
-        spills = Spills(monkeypatch, fail=workers - 2)  # the last range's file
+    def test_spill_that_runs_out_of_space_gives_the_same_bytes(
+            self, c_library, split_workers, monkeypatch, full_export):
         traj, python_csv = full_export
+        spills = Spills(monkeypatch, fail=0)  # part of its range written
         started = threading.active_count()
-        first_range = c_library._ranges(0, len(traj), B)[1]
+        assert csv_bytes(traj) == python_csv
+        assert threading.active_count() == started
+        assert len(spills.made) == split_workers - 1
+        assert all(spill.closed for spill in spills.made)
+        assert spills.made[0].writes > 1
+
+    def test_a_failure_in_the_last_range_reaches_the_caller_after_every_join(
+            self, c_library, split_workers, monkeypatch, full_export):
+        traj, python_csv = full_export
+        spills = Spills(monkeypatch)
+        started = threading.active_count()
+        edges = c_library._ranges(0, len(traj), B, c_library._EXPORT_RANGES)
+        last_range_t = traj.t[edges[-2]]
+        original = c_library.format_rows_into
+
+        def fail_in_last_range(columns, *args):
+            if columns[0][0] >= last_range_t:
+                raise MemoryError("the last range failed")
+            return original(columns, *args)
+
+        monkeypatch.setattr(c_library, "format_rows_into", fail_in_last_range)
 
         class SlowSink(io.BytesIO):
             # the caller's range ends after the worker has failed
@@ -446,35 +485,100 @@ class TestSplitExport:
                 return super().write(data)
 
         sink = SlowSink()
+        with pytest.raises(MemoryError, match="the last range failed"):
+            traj.write_csv(sink)
+        assert threading.active_count() == started
+        assert all(spill.closed for spill in spills.made)
+        assert len(spills.made) == split_workers - 1
+        # the caller wrote its whole range, and nothing of the others
+        assert sink.getvalue() == b"\n".join(python_csv.split(b"\n", edges[1] + 1)[
+            :edges[1] + 1]) + b"\n"
+
+    # The stream fails in the caller's range, or while a temporary file is
+    # copied into it.
+    @pytest.mark.parametrize("where", ["first range", "copy"])
+    def test_a_failing_stream_fails_the_export_after_every_join(
+            self, c_library, split_workers, monkeypatch, full_export, where):
+        traj, python_csv = full_export
+        spills = Spills(monkeypatch)
+        started = threading.active_count()
+        edges = c_library._ranges(0, len(traj), B, c_library._EXPORT_RANGES)
+        # the bytes of the header and the caller's range
+        first_range = len(b"\n".join(python_csv.split(b"\n", edges[1] + 1)[:-1]) + b"\n")
+        limit = first_range // 2 if where == "first range" else first_range + B
+
+        class FullSink(io.BytesIO):
+            def write(self, data):
+                if self.tell() + len(data) > limit:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        sink = FullSink()
         with pytest.raises(OSError, match="No space left"):
             traj.write_csv(sink)
         assert threading.active_count() == started
-        assert all(spill.closed for spill in spills.made) and len(spills.made) == workers - 1
-        # the caller wrote its whole range, and nothing of the others
-        assert sink.getvalue() == b"\n".join(python_csv.split(b"\n", first_range + 1)[
-            :first_range + 1]) + b"\n"
+        assert len(spills.made) == split_workers - 1
+        assert all(spill.closed for spill in spills.made)
+        assert python_csv.startswith(sink.getvalue())
+        assert (len(sink.getvalue()) < first_range) == (where == "first range")
 
-    def test_cli_failure_in_the_last_range_keeps_the_old_file(self, c_library, monkeypatch,
-                                                              tmp_path, capsys):
+    def test_cli_spill_that_runs_out_of_space_writes_the_same_file(
+            self, c_library, monkeypatch, tmp_path):
         monkeypatch.setattr(c_library, "_WORKERS", 2)
         monkeypatch.setattr(simulator, "_kernel", c_library)
+        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
+                "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK), "--out"]
         spills = Spills(monkeypatch, fail=0)
+        assert cli.main([*argv, str(tmp_path / "split.csv")]) == cli.EXIT_OK
+        assert len(spills.made) == 1 and spills.made[0].closed
+        monkeypatch.setattr(c_library, "_WORKERS", 1)
+        assert cli.main([*argv, str(tmp_path / "one.csv")]) == cli.EXIT_OK
+        assert len(spills.made) == 1
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    # A worker's range fails, or a temporary file cannot be read back.
+    @pytest.mark.parametrize("failure", ["last range", "read"])
+    def test_cli_failure_after_the_split_keeps_the_old_file(
+            self, c_library, monkeypatch, tmp_path, capsys, failure):
+        monkeypatch.setattr(c_library, "_WORKERS", 2)
+        monkeypatch.setattr(simulator, "_kernel", c_library)
+        spills = Spills(monkeypatch, unreadable=failure == "read")
+        if failure == "last range":
+            caller, original = threading.get_ident(), c_library.format_rows_into
+
+            def fail_on_a_thread(*args):
+                if threading.get_ident() != caller:
+                    raise MemoryError("the last range failed")
+                return original(*args)
+
+            monkeypatch.setattr(c_library, "format_rows_into", fail_on_a_thread)
         out_path = tmp_path / "traj.csv"
         out_path.write_bytes(b"old\n\x00\xff")
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
-                      "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK),
-                      "--out", str(out_path)])
-        assert exc_info.value.code == cli.EXIT_USAGE
-        assert "No space left" in capsys.readouterr().err
+        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
+                "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK), "--out", str(out_path)]
+        if failure == "last range":
+            with pytest.raises(MemoryError, match="the last range failed"):
+                cli.main(argv)
+        else:
+            with pytest.raises(SystemExit) as exc_info:
+                cli.main(argv)
+            assert exc_info.value.code == cli.EXIT_USAGE
+            assert "Input/output error" in capsys.readouterr().err
         assert len(spills.made) == 1 and spills.made[0].closed
         assert out_path.read_bytes() == b"old\n\x00\xff"
         assert os.listdir(tmp_path) == ["traj.csv"]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_writes_to_a_pipe(self, c_library, monkeypatch, full_export, workers):
-        monkeypatch.setattr(c_library, "_WORKERS", workers)
+    def test_export_uses_at_most_two_ranges(self, c_library, monkeypatch, full_export):
+        monkeypatch.setattr(c_library, "_WORKERS", 3)
         monkeypatch.setattr(simulator, "_kernel", c_library)
+        traj, python_csv = full_export
+        spills = Spills(monkeypatch)
+        threads = formatting_threads(monkeypatch, c_library)
+        assert len(c_library._ranges(0, len(traj), B)) == 4  # the ring and residual loops
+        assert csv_bytes(traj) == python_csv
+        assert len(spills.made) == 1 and len(threads) == 2
+
+    def test_writes_to_a_pipe(self, c_library, split_workers, monkeypatch, full_export):
         spills = Spills(monkeypatch)
         traj, python_csv = full_export
         read_end, write_end = os.pipe()
@@ -488,12 +592,12 @@ class TestSplitExport:
             finally:
                 reader.join(timeout=60)
         assert not reader.is_alive()
-        assert len(spills.made) == workers - 1
+        assert len(spills.made) == split_workers - 1
         assert received == [python_csv]
 
     def test_each_range_holds_one_block(self, c_library, export_workers, full_export):
         # tracemalloc's peak over a 200,001-row export: per range, one text
-        # buffer of B rows and a block's r, v and alpha with temporaries
+        # buffer of _TEXT_ROWS rows and a block's columns with temporaries
         traj, _ = full_export
 
         class NullSink:
@@ -506,7 +610,7 @@ class TestSplitExport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        per_range = B * c_library._ROW_BYTES + c_library._SLACK + 256 * 1024
+        per_range = c_library._TEXT_ROWS * c_library._ROW_BYTES + c_library._SLACK + 256 * 1024
         assert peak < export_workers * per_range
 
 
