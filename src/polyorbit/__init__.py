@@ -18,7 +18,6 @@ _SUBMODULE_NAMES = {
         "CentralField", "ConservedPair", "OrbitSolution", "OrbitState", "apsides",
         "centripetal_accel", "classify_orbit", "conserved_from_state", "csc2_predicted",
         "energy_area", "energy_area_quadrature", "period", "solve_orbit", "speed_at_radius",
-        "speed_squared_change",
     ),
     "errors": (
         "CollisionError", "DegenerateOrbitError", "DomainError", "NoSuchPointError",
@@ -28,16 +27,15 @@ _SUBMODULE_NAMES = {
     "geometry": (
         "ConicClass", "ConicShape", "EllipseAxes", "ResidualReport", "axes_from_focal",
         "classify_eccentricity", "csc2_alpha", "ellipse_area", "focal_from_axes",
-        "geometry_residuals", "radius_at_angle", "sample_points",
+        "geometry_residuals",
     ),
     "planar": ("PlanarVector",),
     "shell": (
-        "RingDecomposition", "ShellSpec", "point_mass_accel", "ring_area", "shell_accel",
-        "sphere_accel",
+        "RingDecomposition", "ShellSpec", "point_mass_accel", "shell_accel", "sphere_accel",
     ),
     "simulator": (
         "DiagnosticsReport", "SimConfig", "Trajectory", "backend", "diagnostics", "integrate",
-        "step", "swept_areas", "uniform_accel_displacement", "uniform_accel_displacement_sum",
+        "swept_areas",
     ),
 }
 

@@ -15,11 +15,11 @@
  * locale whatever the process locale is.  A NaN of either sign is written
  * "nan" as CPython writes it.
  *
- * ring_terms and conic_residuals are the NumPy loops of shell._ring_terms
- * and _propagate_py.conic_residuals, written the same way: one C statement per
- * NumPy expression, in its order.  They call libm's sin, cos and hypot,
- * which NumPy's float64 loops call too; the load-time probe in
- * _propagate_c checks that, and binds the NumPy loops where it fails.
+ * ring_terms and conic_residuals are the NumPy loops of the same names in
+ * _propagate_py, written the same way: one C statement per NumPy expression,
+ * in its order.  They call libm's sin, cos and hypot, which NumPy's float64
+ * loops call too; the load-time probe in _propagate_c checks that, and binds
+ * the NumPy loops where it fails.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -305,10 +305,10 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     return p - out;
 }
 
-/* shell._ring_terms over the rings i = start .. stop - 1: terms[i] is the
- * axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A ring's
- * term depends on i alone, so _propagate_c fills disjoint ranges of terms
- * on several threads with the bits of one call. */
+/* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i] is
+ * the axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A
+ * ring's term depends on i alone, so _propagate_c fills disjoint ranges of
+ * terms on several threads with the bits of one call. */
 void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
                 int64_t stop, double *terms)
 {
@@ -317,7 +317,7 @@ void ring_terms(double a, double d, double dtheta, double width, double scale, i
 
     for (int64_t i = start; i < stop; i++) {
         double theta = ((double)i + 0.5) * dtheta;
-        double area = two_pi * (a * sin(theta)) * width;  /* shell._ring_area */
+        double area = two_pi * (a * sin(theta)) * width;  /* the thin-ring area */
         double cos_t = cos(theta);
         double s2 = d2_a2 - two_a_d * cos_t;
         double s = sqrt(s2);

@@ -366,7 +366,7 @@ def write_rows(block_columns, n, block_rows, stream):
 
 
 def ring_terms(a, d, dtheta, width, scale, terms):
-    """Same arguments and bits as shell._ring_terms; each chunk of rings
+    """Same arguments and bits as _propagate_py.ring_terms; each chunk of rings
     fills its own range of terms (_split)."""
     # ring_terms writes len(terms) doubles through a pointer
     if not (isinstance(terms, np.ndarray) and terms.dtype == np.float64 and terms.ndim == 1

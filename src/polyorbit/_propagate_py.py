@@ -2,36 +2,36 @@
 
 propagate_kernel is the impulse-polygon kernel.  Each step kicks the
 velocity toward the center by (m/r^3)*dt, then drifts the position by the
-new velocity times dt.  simulator.integrate and simulator.step run this
-loop, or kick_drift in _kick_drift.c when it loads; the two are written
-statement for statement alike, and the order of operations fixes every
-trajectory bit.  Recorded values are stored through memoryviews of the
-float64 outputs, which take a Python float without a NumPy scalar
-conversion.
+new velocity times dt.  simulator.integrate runs this loop, or kick_drift
+in _kick_drift.c when it loads; the two are written statement for
+statement alike, and the order of operations fixes every trajectory bit.
+Recorded values are stored through memoryviews of the float64 outputs,
+which take a Python float without a NumPy scalar conversion.
 
 format_rows formats the rows of Trajectory.write_csv, and write_rows writes
 them to its stream block by block, or csv_rows in the same C library when it
 loads.  The tests check both C loops against these.
 
-ring_terms and conic_residuals are the NumPy loops of shell_accel and
-geometry_residuals: ring_terms is defined in shell and bound here,
-conic_residuals is defined here, so that simulator's backend names all four
-loops and geometry imports no NumPy; ring_terms and conic_residuals in the
-C library are their copies.
+ring_terms and conic_residuals are the NumPy loops of shell.shell_accel
+and geometry.geometry_residuals, here so that simulator's backend names all
+four loops and geometry imports no NumPy; ring_terms and conic_residuals in
+the C library are their copies.
 """
 
 from array import array
-from math import isnan, nan, sqrt
+from math import isnan, nan, pi, sqrt
 
 import numpy as np
 
 from . import geometry
 from .errors import DomainError
 from .geometry import ConicClass
-from .shell import _ring_terms as ring_terms
 
 # One CSV row: eight values at 17 significant digits.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+# Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
+_RING_BLOCK = 1 << 16
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -123,6 +123,29 @@ def write_rows(block_columns, n, block_rows, stream):
     for start in range(0, n, block_rows):
         columns = block_columns(start, min(start + block_rows, n))
         stream.write(format_rows(columns, 0, len(columns[0])).encode("ascii"))
+
+
+def ring_terms(a, d, dtheta, width, scale, terms):
+    """Fills terms[i] with the axial pull of ring i of len(terms), the ring
+    at polar angle (i + 0.5) * dtheta, _RING_BLOCK rings at a time.
+
+    The NumPy loop of shell.shell_accel: ring_terms in _kick_drift.c is its
+    copy in C, and shell_accel runs the one that simulator._kernel binds.
+    """
+    # At extreme scales s2 or the products overflow or underflow; the sum is
+    # then inf or nan, which shell_accel rejects.
+    with np.errstate(all="ignore"):
+        for start in range(0, len(terms), _RING_BLOCK):
+            stop = min(start + _RING_BLOCK, len(terms))
+            theta = (np.arange(start, stop) + 0.5) * dtheta
+            # thin-ring areas 2*pi*x*w, x = a*sin(theta) the ring's distance
+            # to the axis (with 1 to 3 rings, w is not below a)
+            areas = 2.0 * pi * (a * np.sin(theta)) * width
+            cos_t = np.cos(theta)
+            s2 = d * d + a * a - 2.0 * a * d * cos_t
+            s = np.sqrt(s2)
+            axial = (d - a * cos_t) / s
+            np.multiply(scale * areas / s2, axial, out=terms[start:stop])
 
 
 def _sample_thetas(shape, n, start, stop):

@@ -1,8 +1,9 @@
 """Command-line front end: scenario runs, regression checks, data export.
 
 Exit codes: 0 success, 1 check failure (residual over tolerance), 2 usage
-error, 3 numeric error (collision, domain).  Angles are given in degrees on
-the command line; the core works in radians.
+error, 3 numeric error (collision, domain), 4 output error (a failed write
+to stdout or --out).  Angles are given in degrees on the command line; the
+core works in radians.
 
 Each command imports the modules it runs when it runs, so --help, a usage
 error, classify and moon-check start without NumPy.
@@ -40,6 +41,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_OUTPUT = 4
+
+
+class _OutFailed(Exception):
+    """Writing the --out file failed; main reports it with EXIT_OUTPUT."""
 
 
 def _json_text(obj: dict) -> str:
@@ -142,12 +148,12 @@ def _cmd_simulate(args, parser) -> int:
     traj = simulator.integrate(state, determination.CentralField(args.m), config)
     # Every check runs before the export, so a failed run writes nothing.
     report = _json_text(simulator.diagnostics(traj).as_dict())
-    _export_csv(traj, args.out, parser)
+    _export_csv(traj, args.out)
     print(report)
     return EXIT_OK
 
 
-def _export_csv(traj, path: str, parser: argparse.ArgumentParser) -> None:
+def _export_csv(traj, path: str) -> None:
     try:
         try:
             old = os.lstat(path)
@@ -159,7 +165,7 @@ def _export_csv(traj, path: str, parser: argparse.ArgumentParser) -> None:
             with open(path, "wb") as fh:
                 traj.write_csv(fh)
     except OSError as exc:
-        parser.error(f"--out: cannot write {path!r}: {exc}")
+        raise _OutFailed(f"--out: cannot write {path!r}: {exc}") from None
 
 
 def _replaceable(old: os.stat_result) -> bool:
@@ -377,14 +383,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _stdout_to_devnull() -> None:
+    # The interpreter flushes stdout again at exit, and that flush would fail
+    # too: point stdout's descriptor at os.devnull, as the "Note on SIGPIPE"
+    # in the documentation of the signal module does.
     try:
-        # A handler's usage errors print its own subcommand's usage.
-        return args.func(args, args.parser)
-    except (DomainError, CollisionError) as exc:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a stream with no descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            args = _build_parser().parse_args(argv)
+            # A handler's usage errors print its own subcommand's usage.
+            return args.func(args, args.parser)
+        except (DomainError, CollisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        finally:
+            # A failed write to stdout raises here, not in the flush at exit.
+            sys.stdout.flush()
+    except _OutFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_OUTPUT
+    # Any other OSError comes from stdout: a --config that cannot be read is
+    # a usage error, and a failed --out raises _OutFailed.
+    except OSError as exc:
+        _stdout_to_devnull()
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -80,11 +80,6 @@ class ConservedPair:
         """Area swept per unit time: W = sqrt(Q)/2."""
         return math.sqrt(self.Q) / 2.0
 
-    @property
-    def time_per_area(self) -> float:
-        """The constant k in T = k*A."""
-        return 1.0 / self.sweep_rate
-
 
 def conserved_from_state(state: OrbitState, field: CentralField) -> ConservedPair:
     """Evaluate C = v^2 - 2m/r and Q = cross(position, velocity)^2."""
@@ -189,7 +184,7 @@ def speed_at_radius(pair: ConservedPair, field: CentralField, r: float) -> float
 
 def energy_area(field: CentralField, r1: float, r2: float) -> float:
     """Area under a(r) = m/r^2 between radii r2 and r1: A = m*(1/r2 - 1/r1)."""
-    if r1 <= 0.0 or r2 <= 0.0:
+    if not (r1 > 0.0 and r2 > 0.0):
         raise DomainError(f"radii must be > 0, got r1={r1}, r2={r2}")
     return field.m * (1.0 / r2 - 1.0 / r1)
 
@@ -200,7 +195,7 @@ def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: in
     Independent numeric route for energy_area; converges to the closed form
     at second order.
     """
-    if r1 <= 0.0 or r2 <= 0.0:
+    if not (r1 > 0.0 and r2 > 0.0):
         raise DomainError(f"radii must be > 0, got r1={r1}, r2={r2}")
     if panels < 1:
         raise DomainError(f"need at least 1 panel, got {panels}")
@@ -213,16 +208,11 @@ def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: in
     return float(np.sum(field.m / (mids * mids)) * h)
 
 
-def speed_squared_change(field: CentralField, r1: float, r2: float) -> float:
-    """Change in v^2 between radii r1 and r2: twice the energy area."""
-    return 2.0 * energy_area(field, r1, r2)
-
-
 def centripetal_accel(v: float, radius: float) -> float:
     """Centripetal acceleration of uniform circular motion: v^2 / R."""
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise DomainError(f"radius must be > 0, got {radius}")
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"speed must be >= 0, got {v}")
     return v * v / radius
 

@@ -142,11 +142,6 @@ def _polar_point(shape: ConicShape, theta: float) -> tuple:
     return _polar_form(shape, theta, math.sin(theta), math.cos(theta))
 
 
-def radius_at_angle(shape: ConicShape, theta: float) -> float:
-    """Focal radius at polar angle theta: r = ell / (1 - e*sin(theta))."""
-    return _polar_point(shape, theta)[0]
-
-
 def csc2_quadratic(a, b, r):
     """The tangent-angle law csc^2(alpha) = a*r^2 + b*r at radius r, a float
     or an array: a = C/Q and b = 2m/Q from the conserved pair, or
@@ -202,7 +197,7 @@ def ellipse_area(e: float, aO: float) -> float:
     """Area of the ellipse: pi * aO^2 * e^2 / (1 - e^2)^(3/2)."""
     if not (0.0 < e < 1.0):
         raise NotAnEllipseError(f"area is finite only for 0 < e < 1, got e={e}")
-    if aO <= 0.0:
+    if not aO > 0.0:
         raise DomainError(f"focal-directrix distance must be > 0, got {aO}")
     return math.pi * aO * aO * e * e / (1.0 - e * e) ** 1.5
 
@@ -232,18 +227,6 @@ def _theta_grid(shape: ConicShape, n: int) -> tuple[float, float, int]:
         # full closed curve, endpoint excluded; starts at periapsis (f = 0)
         return -0.5 * math.pi, 2.0 * f_lim, n
     return -0.5 * math.pi - f_lim, 2.0 * f_lim, n - 1
-
-
-def sample_points(shape: ConicShape, n: int) -> list[tuple[float, PlanarVector]]:
-    """n points (theta, position) on the conic, restricted to the real branch."""
-    if n < 3:
-        raise DomainError(f"need at least 3 sample points, got {n}")
-    if shape.eccentricity == 0.0:
-        raise DomainError("sampling requires e > 0")
-    from ._propagate_py import _sample_thetas  # not at the top: it imports NumPy
-
-    return [(theta, conic_point(shape, theta))
-            for theta in _sample_thetas(shape, n, 0, n).tolist()]
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulator
 from .errors import DomainError, OutsideOnlyError
 
 #: Hard cap on the number of rings: shell_accel holds one float64 term per
 #: ring (80 MB at the cap).
 MAX_RINGS = 10**7
-
-# Rings evaluated per block: each temporary of a block is 512 kB.
-_RING_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,48 +53,6 @@ class RingDecomposition:
             raise DomainError(f"the ring count must be in [1, {MAX_RINGS}], got {self.n_rings}")
 
 
-def _ring_area(a, theta, w, sin):
-    # 2*pi*x*w with x = a*sin(theta): sin is math.sin, or np.sin for an array
-    # of theta.  sin(theta) stays a temporary, which NumPy reuses in place.
-    return 2.0 * math.pi * (a * sin(theta)) * w
-
-
-def ring_area(a: float, theta: float, w: float) -> float:
-    """Thin-ring surface area 2*pi*x*w, with x = a*sin(theta) the distance
-    from the ring to the axis."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"sphere radius must be finite and > 0, got {a}")
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"polar angle must lie in [0, pi], got {theta}")
-    if not (0.0 < w < a):
-        raise DomainError(
-            f"thin-ring approximation needs 0 < w < a, got w={w}, a={a}"
-        )
-    return _ring_area(a, theta, w, math.sin)
-
-
-def _ring_terms(a, d, dtheta, width, scale, terms):
-    """Fills terms[i] with the axial pull of ring i of len(terms), the ring
-    at polar angle (i + 0.5) * dtheta, _RING_BLOCK rings at a time.
-
-    The NumPy loop: ring_terms in _kick_drift.c is its copy in C, and
-    shell_accel runs the one that simulator._kernel binds.
-    """
-    # At extreme scales s2 or the products overflow or underflow; the sum is
-    # then inf or nan, which shell_accel rejects.
-    with np.errstate(all="ignore"):
-        for start in range(0, len(terms), _RING_BLOCK):
-            stop = min(start + _RING_BLOCK, len(terms))
-            theta = (np.arange(start, stop) + 0.5) * dtheta
-            # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
-            areas = _ring_area(a, theta, width, np.sin)
-            cos_t = np.cos(theta)
-            s2 = d * d + a * a - 2.0 * a * d * cos_t
-            s = np.sqrt(s2)
-            axial = (d - a * cos_t) / s
-            np.multiply(scale * areas / s2, axial, out=terms[start:stop])
-
-
 def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     """Axial attraction of the shell on an external point at distance d,
     summed over the ring decomposition with the midpoint rule.
@@ -107,8 +63,6 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     in contiguous chunks, one per CPU this process may use, and each term
     has the bits of the serial loop.
     """
-    from . import simulator  # not at the top: simulator imports this module's loop
-
     if not math.isfinite(d):
         raise DomainError(f"the distance d must be finite, got {d}")
     a = shell.radius
@@ -154,7 +108,9 @@ def sphere_accel(radius: float, total_mass: float, g: float, d: float,
 
 def point_mass_accel(gm: float, d: float) -> float:
     """Inverse-square point-mass attraction gM / d^2."""
-    if d <= 0.0:
+    if not gm >= 0.0:
+        raise DomainError(f"gM must be >= 0, got {gm}")
+    if not d > 0.0:
         raise DomainError(f"distance must be > 0, got {d}")
     d2 = d * d
     if d2 == 0.0:

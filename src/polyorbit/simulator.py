@@ -13,13 +13,12 @@ The four hot loops, the step, the CSV row formatter, the shell's ring sum
 and the conic residual samples, are each written twice, with the same bits
 and bytes: in C (one library built from _kick_drift.c, loaded by
 polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
-fallback and the oracle; the last two are the NumPy loops of shell_accel
-and geometry_residuals).  integrate(), step(), Trajectory.write_csv, shell.shell_accel
-and geometry.geometry_residuals run the loops of the module that loaded,
-_kernel, so a single step and a one-step trajectory agree bitwise.  In C
-the ring sum, the residual samples and the CSV rows run in ranges, one per
-CPU this process may use, with the bits and bytes of one call; the step
-runs on the caller's thread alone.
+fallback and the oracle; the last two are NumPy loops).  integrate(),
+Trajectory.write_csv, shell.shell_accel and geometry.geometry_residuals run
+the loops of the module that loaded, _kernel.  In C the ring sum, the
+residual samples and the CSV rows run in ranges, one per CPU this process
+may use, with the bits and bytes of one call; the step runs on the caller's
+thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -214,13 +213,6 @@ class Trajectory:
 
         stream.write(CSV_HEADER.encode("ascii") + b"\n")
         _kernel.write_rows(block_columns, shapes[0][0], _CSV_BLOCK_ROWS, stream)
-
-
-def step(state: OrbitState, field: CentralField, dt: float,
-         collision_radius: float = DEFAULT_COLLISION_RADIUS) -> OrbitState:
-    """One impulse-polygon step: center-directed kick, then straight drift."""
-    config = SimConfig(dt=dt, steps=1, collision_radius=collision_radius)
-    return integrate(state, field, config).state(1)
 
 
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
@@ -437,23 +429,3 @@ def _diagnostics(traj: Trajectory) -> DiagnosticsReport:
         observed_apoapsis=observed_apoapsis,
         observed_period=observed_period,
     )
-
-
-def uniform_accel_displacement(a: float, duration: float) -> float:
-    """Displacement from rest under constant acceleration: (1/2) a T^2."""
-    if duration < 0.0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
-    return 0.5 * a * duration * duration
-
-
-def uniform_accel_displacement_sum(a: float, duration: float, panels: int) -> float:
-    """Discrete-sum route to the same displacement: sum over n of
-    a*(n*T/N)*(T/N), which equals a*T^2*N(N+1)/(2N^2) and converges to
-    (1/2) a T^2."""
-    if duration < 0.0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
-    if panels < 1:
-        raise DomainError(f"need at least 1 panel, got {panels}")
-    n = np.arange(1, panels + 1, dtype=np.float64)
-    dt = duration / panels
-    return float(np.sum(a * n * dt * dt))

@@ -14,11 +14,15 @@ import numpy as np
 from polyorbit import (
     CentralField,
     ConicShape,
+    NoSuchPointError,
     OrbitState,
     PlanarVector,
     SimConfig,
     axes_from_focal,
     cli,
+    conserved_from_state,
+    csc2_alpha,
+    csc2_predicted,
     diagnostics,
     ellipse_area,
     energy_area,
@@ -26,8 +30,11 @@ from polyorbit import (
     focal_from_axes,
     geometry_residuals,
     integrate,
+    solve_orbit,
+    speed_at_radius,
     swept_areas,
 )
+from polyorbit.geometry import conic_point
 
 UNIT_FIELD = CentralField(1.0)
 
@@ -213,3 +220,47 @@ def test_10_csv_determinism(tmp_path, capsys):
         assert code == cli.EXIT_OK
         outputs.append(path.read_bytes())
     report("csv-determinism", outputs[0] == outputs[1])
+
+
+def test_11_conserved_pair_fixes_the_conic():
+    started = time.perf_counter()
+    ok = True
+
+    # The tangent-angle law from the pair, csc^2(alpha) = (C/Q) r^2 + (2m/Q) r,
+    # is the focus-directrix law of the solved conic.
+    sol = solve_orbit(CANONICAL, UNIT_FIELD)
+    for r in (0.5, 0.75, 1.0, 1.25, 1.5):
+        ok &= math.isclose(csc2_predicted(sol.conserved, UNIT_FIELD, r),
+                           csc2_alpha(sol.shape, r), rel_tol=1e-12, abs_tol=1e-12)
+
+    # A state anywhere on the solved conic, with the speed and tangent angle
+    # the pair gives at its radius, has that pair: two ellipses and a
+    # hyperbola, every 5 degrees of polar angle that has a point.
+    for r0, v0, alpha in ((1.0, 1.0, 60.0), (2.0, 0.9, 110.0), (1.0, 2.0, 45.0)):
+        sol = solve_orbit(make_state(r0, v0, alpha), UNIT_FIELD)
+        pair = sol.conserved
+        for k in range(72):
+            try:
+                p = conic_point(sol.shape, math.radians(5.0 * k - 180.0))
+            except NoSuchPointError:  # beyond the hyperbola's asymptotes
+                continue
+            r = p.norm()
+            v = speed_at_radius(pair, UNIT_FIELD, r)
+            sin_a = 1.0 / math.sqrt(csc2_predicted(pair, UNIT_FIELD, r))
+            cos_a = math.sqrt(max(0.0, 1.0 - sin_a * sin_a))
+            r_hat = p.unit()
+            phi_hat = PlanarVector(-r_hat.y, r_hat.x)
+            vel = v * (cos_a * r_hat + sin_a * phi_hat)
+            back = conserved_from_state(OrbitState(p, vel), UNIT_FIELD)
+            ok &= math.isclose(back.C, pair.C, rel_tol=1e-10, abs_tol=1e-10)
+            ok &= math.isclose(back.Q, pair.Q, rel_tol=1e-10)
+
+    # A polygon step sweeps sweep_rate * dt = sqrt(Q)/2 * dt: its kick lies
+    # along the radius, so it leaves cross(p, v) as it was.
+    dt = 1e-6
+    traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=dt, steps=100))
+    pair = conserved_from_state(CANONICAL, UNIT_FIELD)
+    ok &= math.isclose(swept_areas(traj)[0], pair.sweep_rate * dt, rel_tol=1e-12)
+
+    ok &= timed_under(1.0, started)
+    report("conserved-pair-fixes-the-conic", bool(ok))

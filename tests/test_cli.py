@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import errno
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import locale
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
@@ -301,11 +304,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("out", ["missing-dir/x.csv", ""], ids=["missing-dir", "empty"])
     def test_unwritable_out_usage_error(self, capsys, tmp_path, out):
+        # exit 4, an output error, with no usage text
         out_path = tmp_path / out if out else out
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(self._args(out_path))
-        assert exc_info.value.code == cli.EXIT_USAGE
-        assert "--out" in capsys.readouterr().err
+        code, stdout, err = run(capsys, self._args(out_path))
+        assert code == cli.EXIT_OUTPUT
+        assert stdout == "" and err.startswith(f"error: --out: cannot write {str(out_path)!r}: ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv, message", [
         # the state stays finite, but v^2 overflows in diagnostics
@@ -344,10 +348,10 @@ class TestSimulate:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(simulator.Trajectory, "write_csv", fail_midway)
-        with pytest.raises(SystemExit) as exc_info:
-            cli.main(self._args(out_path))
-        assert exc_info.value.code == cli.EXIT_USAGE
-        assert "No space left" in capsys.readouterr().err
+        code, _, err = run(capsys, self._args(out_path))
+        assert code == cli.EXIT_OUTPUT
+        assert err == (f"error: --out: cannot write {str(out_path)!r}: "
+                       "[Errno 28] No space left on device\n")
         assert out_path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["traj.csv"]
 
@@ -643,6 +647,61 @@ def test_usage_error_prints_the_subcommand_usage(capsys, tmp_path, argv, usage):
     assert exc_info.value.code == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"usage: polyorbit {usage} [-h]")
+
+
+# One run of each subcommand; {csv} stands for a path in a temporary directory.
+EVERY_COMMAND = [
+    ["classify", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60"],
+    ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60", "--dt", "1e-3",
+     "--steps", "100", "--out", "{csv}"],
+    ["kepler3", "--m", "1", "--count", "2"],
+    ["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2", "--rings", "100"],
+    ["moon-check"],
+    ["geometry-check", "--e", "0.5", "--ell", "0.75", "--samples", "100"],
+]
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+class FullDevice(io.TextIOBase):
+    """A text stream whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestFailedStdout:
+    """A write to stdout that fails ends in one error line and exit 4."""
+
+    def test_every_subcommand_is_run(self):
+        subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+        assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(subcommands)
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+    def test_closed_pipe(self, tmp_path, argv):
+        # A fresh interpreter with buffered stdout, whose flush at exit must
+        # not fail again once main has returned.
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "polyorbit.cli",
+                 *(arg.format(csv=tmp_path / "traj.csv") for arg in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            cli.EXIT_OUTPUT, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+    def test_full_device(self, tmp_path, argv):
+        err = io.StringIO()
+        with redirect_stdout(FullDevice()), redirect_stderr(err):
+            code = cli.main([arg.format(csv=tmp_path / "traj.csv") for arg in argv])
+        assert (code, err.getvalue()) == (
+            cli.EXIT_OUTPUT, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 class TestMoonCheck:

@@ -23,8 +23,6 @@ from polyorbit import (
     ellipse_area,
     focal_from_axes,
     geometry_residuals,
-    radius_at_angle,
-    sample_points,
 )
 from polyorbit import _propagate_py, geometry, simulator
 from polyorbit.geometry import (
@@ -47,10 +45,10 @@ def scalar_thetas(shape, n):
     return [-0.5 * math.pi - f_lim + 2.0 * f_lim * i / (n - 1) for i in range(n)]
 
 
-# Oracles: radius_at_angle and conic_point written out on math.sin/math.cos,
+# Oracles: the focal radius and conic_point written out on math.sin/math.cos,
 # apart from the polar form geometry shares with its array path, and the
 # analytic tangent, which only tests use.
-def reference_radius_at_angle(shape, theta):
+def reference_focal_radius(shape, theta):
     e = shape.eccentricity
     if e == 0.0:
         raise DomainError("polar form requires e > 0 (a circle has no directrix)")
@@ -64,14 +62,14 @@ def reference_radius_at_angle(shape, theta):
 
 
 def reference_conic_point(shape, theta):
-    r = reference_radius_at_angle(shape, theta)
+    r = reference_focal_radius(shape, theta)
     return PlanarVector(r * math.cos(theta), r * math.sin(theta))
 
 
 def conic_tangent(shape, theta):
     """Analytic tangent dP/dtheta at polar angle theta (not normalized)."""
     e, ell = shape.eccentricity, shape.semi_latus_rectum
-    r = reference_radius_at_angle(shape, theta)
+    r = reference_focal_radius(shape, theta)
     dr = e * math.cos(theta) * r * r / ell
     c, s = math.cos(theta), math.sin(theta)
     return PlanarVector(dr * c - r * s, dr * s + r * c)
@@ -103,27 +101,29 @@ class TestClassify:
 
 
 class TestRadiusAtAngle:
+    """The focal radius of conic_point at a polar angle."""
+
     def test_periapsis(self):
-        assert radius_at_angle(CANONICAL, -math.pi / 2) == pytest.approx(0.5, rel=1e-14)
+        assert conic_point(CANONICAL, -math.pi / 2).norm() == pytest.approx(0.5, rel=1e-14)
 
     def test_apoapsis(self):
-        assert radius_at_angle(CANONICAL, math.pi / 2) == pytest.approx(1.5, rel=1e-14)
+        assert conic_point(CANONICAL, math.pi / 2).norm() == pytest.approx(1.5, rel=1e-14)
 
     def test_semi_latus_rectum_at_zero(self):
-        assert radius_at_angle(CANONICAL, 0.0) == pytest.approx(0.75, rel=1e-15)
+        assert conic_point(CANONICAL, 0.0).norm() == pytest.approx(0.75, rel=1e-15)
 
     def test_open_branch_rejected(self):
         # e = 2: asymptote at sin(theta) = 1/2
         shape = ConicShape(2.0, 1.0)
         with pytest.raises(NoSuchPointError):
-            radius_at_angle(shape, math.pi / 2)
+            conic_point(shape, math.pi / 2)
 
     def test_circle_rejected(self):
         with pytest.raises(DomainError):
-            radius_at_angle(ConicShape(0.0, 1.0), 0.0)
+            conic_point(ConicShape(0.0, 1.0), 0.0)
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf])
-    @pytest.mark.parametrize("at", [radius_at_angle, conic_point])
+    @pytest.mark.parametrize("at", [conic_point])
     def test_infinite_angle_has_no_point(self, at, theta):
         # math.sin(+-inf) would raise a bare ValueError; such an angle names no point
         with pytest.raises(NoSuchPointError, match=f"no point at theta={theta:g}"):
@@ -133,7 +133,6 @@ class TestRadiusAtAngle:
     def test_matches_reference_bitwise(self, e, ell):
         shape = ConicShape(e, ell)
         for theta in scalar_thetas(shape, 101):
-            assert radius_at_angle(shape, theta) == reference_radius_at_angle(shape, theta)
             assert conic_point(shape, theta) == reference_conic_point(shape, theta)
 
 
@@ -230,32 +229,33 @@ class TestEllipseArea:
         )
 
 
+def sample_thetas(shape, n):
+    # the polar angles of geometry_residuals' n samples
+    return _propagate_py._sample_thetas(shape, n, 0, n).tolist()
+
+
 class TestSamplePoints:
+    """The polar angles at which geometry_residuals samples the conic."""
+
     def test_includes_periapsis(self):
-        pts = sample_points(CANONICAL, 4)
-        theta0, p0 = pts[0]
+        theta0 = sample_thetas(CANONICAL, 4)[0]
         assert theta0 == pytest.approx(-math.pi / 2)
-        assert p0.norm() == pytest.approx(0.5, rel=1e-14)
+        assert conic_point(CANONICAL, theta0).norm() == pytest.approx(0.5, rel=1e-14)
 
     def test_parabola_branch(self):
         shape = ConicShape(1.0, 1.0)
-        for theta, _ in sample_points(shape, 3):
+        for theta in sample_thetas(shape, 3):
             assert 1.0 - math.sin(theta) > 0.0
 
     def test_hyperbola_avoids_asymptotes(self):
         shape = ConicShape(2.0, 1.0)
-        for theta, _ in sample_points(shape, 8):
+        for theta in sample_thetas(shape, 8):
             assert 1.0 - 2.0 * math.sin(theta) > 0.0
-
-    def test_too_few_rejected(self):
-        with pytest.raises(DomainError):
-            sample_points(CANONICAL, 2)
 
     @pytest.mark.parametrize("e", [0.5, 1.0, 2.0])
     def test_thetas_match_scalar_expression(self, e):
         shape = ConicShape(e, 1.0)
-        thetas = [theta for theta, _ in sample_points(shape, 1000)]
-        assert thetas == scalar_thetas(shape, 1000)
+        assert sample_thetas(shape, 1000) == scalar_thetas(shape, 1000)
 
 
 class TestPolarFormConsistency:
@@ -263,7 +263,8 @@ class TestPolarFormConsistency:
     def test_csc2_matches_tangent_angle(self, e, ell):
         # csc^2 from the closed form vs the angle of the analytic tangent
         shape = ConicShape(e, ell)
-        for theta, p in sample_points(shape, 50):
+        for theta in sample_thetas(shape, 50):
+            p = conic_point(shape, theta)
             t_hat = conic_tangent(shape, theta).unit()
             sin_a = abs(p.unit().cross(t_hat))
             assert csc2_alpha(shape, p.norm()) == pytest.approx(

@@ -16,12 +16,11 @@ from polyorbit import (
     RingDecomposition,
     ShellSpec,
     point_mass_accel,
-    ring_area,
     shell_accel,
     sphere_accel,
 )
 from polyorbit import cli, simulator
-from polyorbit.shell import _RING_BLOCK, _ring_area
+from polyorbit._propagate_py import _RING_BLOCK
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
 
@@ -41,8 +40,7 @@ def reference_shell_accel(shell, d, rings):
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which is rejected below.
     with np.errstate(all="ignore"):
-        # Only ring_area checks w < a: with 1 to 3 rings the panels are wider.
-        areas = _ring_area(a, theta, width, np.sin)
+        areas = 2.0 * math.pi * (a * np.sin(theta)) * width
         cos_t = np.cos(theta)
         s2 = d * d + a * a - 2.0 * a * d * cos_t
         s = np.sqrt(s2)
@@ -62,38 +60,6 @@ def outcome(accel, *args):
         return accel(*args).hex()
     except DomainError as exc:
         return type(exc), str(exc)
-
-
-class TestRingArea:
-    def test_equator(self):
-        assert ring_area(2.0, math.pi / 2, 0.01) == pytest.approx(
-            2.0 * math.pi * 2.0 * 0.01, rel=1e-15
-        )
-
-    def test_vanishes_at_pole(self):
-        assert ring_area(1.0, 0.0, 0.01) == 0.0
-
-    def test_matches_exact_zone(self):
-        # exact zone area for angular half-width h: 4*pi*a^2*sin(theta)*sin(h)
-        a, theta, dtheta = 1.0, 1.0, 1e-3
-        exact = 4.0 * math.pi * a * a * math.sin(theta) * math.sin(dtheta / 2.0)
-        assert ring_area(a, theta, a * dtheta) == pytest.approx(exact, rel=4e-7)
-
-    def test_panel_areas_sum_to_sphere(self):
-        n = 2000
-        dtheta = math.pi / n
-        total = sum(
-            ring_area(1.0, (k + 0.5) * dtheta, dtheta) for k in range(n)
-        )
-        assert total == pytest.approx(4.0 * math.pi, abs=1e-5)
-
-    def test_thick_ring_rejected(self):
-        with pytest.raises(DomainError):
-            ring_area(1.0, 1.0, 1.0)
-
-    def test_bad_angle_rejected(self):
-        with pytest.raises(DomainError):
-            ring_area(1.0, -0.1, 0.01)
 
 
 class TestShellAccel:
@@ -195,8 +161,8 @@ def shell_check(argv):
 
 
 class TestCompiledRingTerms:
-    """ring_terms in the C library against shell._ring_terms, the NumPy loop:
-    the same terms and totals, bit for bit."""
+    """ring_terms in the C library against _propagate_py.ring_terms, the
+    NumPy loop: the same terms and totals, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
                                    10**6])

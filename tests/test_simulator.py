@@ -35,10 +35,7 @@ from polyorbit import (
     diagnostics,
     integrate,
     solve_orbit,
-    step,
     swept_areas,
-    uniform_accel_displacement,
-    uniform_accel_displacement_sum,
 )
 from polyorbit import _propagate_py, cli, geometry, simulator
 from polyorbit.determination import is_radial
@@ -77,6 +74,12 @@ ROUNDING_SENSITIVE = OrbitState(
 )
 
 
+def step(state, field, dt, collision_radius=simulator.DEFAULT_COLLISION_RADIUS):
+    """The state after one impulse-polygon step of integrate."""
+    config = SimConfig(dt=dt, steps=1, collision_radius=collision_radius)
+    return integrate(state, field, config).state(1)
+
+
 class TestStep:
     def test_single_step_hand_oracle(self):
         # kick f = m/r^3*dt = 1e-3 at r = 1, then drift; worked by hand
@@ -104,7 +107,6 @@ class TestStep:
         close = OrbitState(PlanarVector(1e-12, 0.0), PlanarVector(0.0, 1.0))
         with pytest.raises(CollisionError) as exc_info:
             step(close, UNIT_FIELD, 1e-3)
-        # same step index integrate(steps=1) reports
         assert exc_info.value.step == 1
 
     @pytest.mark.parametrize(
@@ -123,13 +125,13 @@ class TestStep:
         ids=["canonical", "rounding-sensitive"],
     )
     def test_matches_kernel(self, state, m, dt):
-        field = CentralField(m)
-        traj = integrate(state, field, SimConfig(dt=dt, steps=1))
-        out = step(state, field, dt)
-        assert traj.x[1] == out.position.x
-        assert traj.y[1] == out.position.y
-        assert traj.vx[1] == out.velocity.x
-        assert traj.vy[1] == out.velocity.y
+        # the loaded kernel's step has the bits of the Python oracle's
+        out = step(state, CentralField(m), dt)
+        _, x, y, vx, vy, _, _ = _propagate_py.propagate_kernel(
+            state.position.x, state.position.y, state.velocity.x, state.velocity.y, m, dt, 1,
+            1, simulator.DEFAULT_COLLISION_RADIUS)
+        assert (out.position.x, out.position.y, out.velocity.x, out.velocity.y) == (
+            x[1], y[1], vx[1], vy[1])
 
 
 class TestIntegrate:
@@ -1234,25 +1236,6 @@ class TestEnergyAreaAlongTrajectory:
         hyper = make_state(1.0, 2.0, 45.0)
         traj = integrate(hyper, UNIT_FIELD, SimConfig(dt=1e-3, steps=20000))
         assert traj.r.max() > 20.0
-
-
-class TestUniformAccel:
-    def test_closed_form(self):
-        assert uniform_accel_displacement(2.0, 3.0) == 9.0
-
-    def test_zero_accel(self):
-        assert uniform_accel_displacement(0.0, 5.0) == 0.0
-
-    def test_discrete_sum_converges(self):
-        approx = uniform_accel_displacement_sum(1.0, 1.0, 10**6)
-        assert approx == pytest.approx(0.5, abs=1e-6)
-
-    def test_discrete_sum_closed_form(self):
-        # the partial sum equals a*T^2*N(N+1)/(2N^2)
-        n = 1000
-        assert uniform_accel_displacement_sum(2.0, 3.0, n) == pytest.approx(
-            2.0 * 9.0 * n * (n + 1) / (2.0 * n * n), rel=1e-12
-        )
 
 
 def exponent_and_digits(value):
