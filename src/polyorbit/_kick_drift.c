@@ -19,7 +19,8 @@
  * _propagate_py, written the same way: one C statement per NumPy expression,
  * in its order.  They call libm's sin, cos and hypot, which NumPy's float64
  * loops call too; the load-time probe in _propagate_c checks that, and binds
- * the NumPy loops where it fails.
+ * the NumPy loops where it fails.  ring_sum adds ring_terms' terms in the
+ * order np.sum adds them, without an array of them.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -305,10 +306,9 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     return p - out;
 }
 
-/* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i] is
- * the axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A
- * ring's term depends on i alone, so _propagate_c fills disjoint ranges of
- * terms on several threads with the bits of one call. */
+/* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i - start]
+ * is the axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A
+ * ring's term depends on i alone. */
 void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
                 int64_t stop, double *terms)
 {
@@ -322,8 +322,48 @@ void ring_terms(double a, double d, double dtheta, double width, double scale, i
         double s2 = d2_a2 - two_a_d * cos_t;
         double s = sqrt(s2);
         double axial = (d - a * cos_t) / s;
-        terms[i] = scale * area / s2 * axial;
+        terms[i - start] = scale * area / s2 * axial;
     }
+}
+
+/* The most terms NumPy's pairwise sum adds in one leaf (PW_BLOCKSIZE). */
+#define PAIRWISE_BLOCK 128
+
+/* The sum of ring_terms' terms of the rings start .. start + n - 1, added as
+ * pairwise_sum in NumPy's loops_utils.h.src adds an array of them: fewer
+ * than 8 terms in order; at most PAIRWISE_BLOCK terms in 8 running sums,
+ * combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then
+ * the terms past the last multiple of 8; more terms as the sum of two runs,
+ * split at n / 2 rounded down to a multiple of 8.  np.sum adds that to 0.0.
+ * Each leaf's terms go to a buffer on the stack, so no array of all the
+ * terms is made, and the two runs of a split are sums of disjoint rings:
+ * _propagate_c runs the top runs of the tree on several threads and adds
+ * their sums in the tree's order.
+ */
+double ring_sum(double a, double d, double dtheta, double width, double scale, int64_t start,
+                int64_t n)
+{
+    if (n > PAIRWISE_BLOCK) {
+        int64_t half = n / 2;
+        half -= half % 8;
+        return ring_sum(a, d, dtheta, width, scale, start, half)
+               + ring_sum(a, d, dtheta, width, scale, start + half, n - half);
+    }
+    double t[PAIRWISE_BLOCK], r[8], sum;
+    int64_t i = 0;
+    ring_terms(a, d, dtheta, width, scale, start, start + n, t);
+    if (n < 8) {
+        sum = -0.0;  /* as NumPy starts, so that a sum of -0.0 terms stays -0.0 */
+    } else {
+        memcpy(r, t, sizeof r);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += t[i + j];
+        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        sum += t[i];
+    return sum;
 }
 
 /* The values of geometry.ConicClass. */

@@ -1,7 +1,7 @@
 """The four hot loops compiled from _kick_drift.c and called through ctypes.
 
 One library holds them: kick_drift, the propagation kernel; csv_rows, the
-CSV row formatter; ring_terms, the shell's ring sum; and conic_residuals,
+CSV row formatter; ring_sum, the shell's ring sum; and conic_residuals,
 the conic residual samples.  The first import compiles the C file into this
 package's __pycache__, the way the interpreter writes bytecode; later
 imports load the cached library.  Its name carries a hash of the source,
@@ -17,16 +17,18 @@ error or a probe mismatch) the import raises ImportError, and simulator
 falls back to _propagate_py for all four loops.  The ring and residual
 loops call libm's sin, cos and hypot where NumPy calls its own float64
 loops; when their probe differs from NumPy's, this module binds
-_propagate_py's ring_terms and conic_residuals, and the kernel and
+_propagate_py's ring_sum and conic_residuals, and the kernel and
 formatter stay in C.
 
-ring_terms, conic_residuals and write_rows split their rings, samples or
+ring_sum, conic_residuals and write_rows split their rings, samples or
 CSV rows into contiguous ranges, one for each CPU this process may use
 (_WORKERS), and run the ranges at once: the first on the caller, the others
 on threads started for the call and joined before it returns.  ctypes
 releases the GIL for each C call.  Every ring term, sample and row depends
-on its index alone, so the terms, maxima and text have the bits and bytes
-of one call.  write_rows uses at most _EXPORT_RANGES ranges; it spills
+on its index alone, so the maxima and text have the bits and bytes of one
+call.  ring_sum's ranges are the top subtrees of NumPy's pairwise sum, whose
+sums the caller adds in the tree's order, so the total has the bits of
+np.sum too.  write_rows uses at most _EXPORT_RANGES ranges; it spills
 each range past the first to an unnamed temporary file and copies the files
 into the stream after the join, so the stream is written in order only.
 The kernel runs on the caller alone.
@@ -93,18 +95,24 @@ _POW10_MIN, _POW10_MAX = 16 - 308, 16 + 324
 _ROW_BYTES = 8 * 25
 _SLACK = 16
 
-# ring_terms arguments for the load-time probe: (a, d, n) of three shells,
-# 384 angles in all; and conic_residuals shapes (e, ell) and sample counts
-# for an ellipse, a parabola and a hyperbola, 300 angles in all.
+# ring_terms and ring_sum arguments for the load-time probe: (a, d, n) of
+# three shells, 384 angles in all: a split of the pairwise sum, a leaf with
+# a tail past its 8 running sums, and one term; and conic_residuals shapes
+# (e, ell) and sample counts for an ellipse, a parabola and a hyperbola, 300
+# angles in all.
 _RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1))
 _RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
 
-# The CPUs this process may use: ring_terms, conic_residuals and write_rows
+# The CPUs this process may use: ring_sum, conic_residuals and write_rows
 # run at most this many ranges at once.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = os.cpu_count() or 1
+
+# The most terms NumPy's pairwise sum adds in one leaf (PW_BLOCKSIZE), as
+# PAIRWISE_BLOCK in _kick_drift.c.
+_PAIRWISE_BLOCK = 128
 
 # The fewest rings, samples or CSV rows a range gets, give or take a block
 # of rows.  Starting and joining a thread takes about 0.1 ms, the time of
@@ -183,7 +191,7 @@ def _load():
     except OSError as exc:
         raise ImportError(f"the C kernel could not be built or loaded: {exc}") from exc
     kick_drift, csv_rows = lib.kick_drift, lib.csv_rows
-    ring_terms, conic_residuals = lib.ring_terms, lib.conic_residuals
+    ring_terms, ring_sum, conic_residuals = lib.ring_terms, lib.ring_sum, lib.conic_residuals
     kick_drift.restype = ctypes.c_int64
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
                            + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
@@ -194,14 +202,16 @@ def _load():
                          ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
     ring_terms.restype = None
     ring_terms.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    ring_sum.restype = ctypes.c_double
+    ring_sum.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2
     conic_residuals.restype = ctypes.c_int
     conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_int64] * 2
                                 + [ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)])
-    return kick_drift, csv_rows, ring_terms, conic_residuals
+    return kick_drift, csv_rows, ring_terms, ring_sum, conic_residuals
 
 
-_kick_drift, _csv_rows, _ring_terms, _conic_residuals = _load()
+_kick_drift, _csv_rows, _ring_terms, _ring_sum, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
@@ -365,16 +375,34 @@ def write_rows(block_columns, n, block_rows, stream):
             spill.close()
 
 
-def ring_terms(a, d, dtheta, width, scale, terms):
-    """Same arguments and bits as _propagate_py.ring_terms; each chunk of rings
-    fills its own range of terms (_split)."""
-    # ring_terms writes len(terms) doubles through a pointer
-    if not (isinstance(terms, np.ndarray) and terms.dtype == np.float64 and terms.ndim == 1
-            and terms.flags.c_contiguous and terms.flags.writeable):
-        raise ValueError("need a writable contiguous 1-D float64 array of terms")
-    out = terms.ctypes.data
-    _split(lambda start, stop: _ring_terms(a, d, dtheta, width, scale, start, stop, out),
-           _ranges(0, len(terms)))
+def _pairwise(lo, hi, depth, leaf):
+    """NumPy's pairwise sum of the terms [lo, hi) (ring_sum in _kick_drift.c)
+    cut `depth` levels below its root: leaf(lo, hi) for each run there, and
+    for each shorter run that NumPy adds in one leaf, added in the tree's
+    order."""
+    n = hi - lo
+    if depth == 0 or n <= _PAIRWISE_BLOCK:
+        return leaf(lo, hi)
+    mid = lo + n // 2 // 8 * 8
+    return _pairwise(lo, mid, depth - 1, leaf) + _pairwise(mid, hi, depth - 1, leaf)
+
+
+def ring_sum(a, d, dtheta, width, scale, n):
+    """Same arguments and bits as _propagate_py.ring_sum.  The runs of the
+    pairwise sum k levels below its root, k the largest power of two at most
+    _WORKERS and n // _MIN_CHUNK, are summed at once (_split); the caller
+    adds their sums in the tree's order."""
+    depth = max(1, min(_WORKERS, n // _MIN_CHUNK)).bit_length() - 1
+    edges = [0]
+
+    def edge(lo, hi):
+        edges.append(hi)
+        return 0.0
+
+    _pairwise(0, n, depth, edge)
+    sums = iter(_split(lambda lo, hi: _ring_sum(a, d, dtheta, width, scale, lo, hi - lo), edges))
+    # np.sum adds the pairwise sum to the identity of np.add, 0.0
+    return 0.0 + _pairwise(0, n, depth, lambda lo, hi: next(sums))
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
@@ -420,14 +448,17 @@ def _probe() -> None:
 
 
 def _trig_probe_matches() -> bool:
-    """Whether ring_terms and conic_residuals give _propagate_py's bits on
-    the probe: they do unless NumPy's sin, cos or hypot is not libm's."""
+    """Whether the ring terms, ring_sum and conic_residuals give
+    _propagate_py's bits on the probe: they do unless NumPy's sin, cos or
+    hypot is not libm's."""
     for a, d, n in _RING_PROBE:
         args = (a, d, math.pi / n, a * math.pi / n, 0.3)
         got, want = np.empty(n), np.empty(n)
-        ring_terms(*args, got)
+        _ring_terms(*args, 0, n, got.ctypes.data)
         _propagate_py.ring_terms(*args, want)
         if got.tobytes() != want.tobytes():
+            return False
+        if ring_sum(*args, n).hex() != _propagate_py.ring_sum(*args, n).hex():
             return False
     for e, ell, n in _RESIDUAL_PROBE:
         shape = geometry.ConicShape(e, ell)
@@ -441,4 +472,4 @@ def _trig_probe_matches() -> bool:
 
 _probe()
 if not _trig_probe_matches():
-    ring_terms, conic_residuals = _propagate_py.ring_terms, _propagate_py.conic_residuals
+    ring_sum, conic_residuals = _propagate_py.ring_sum, _propagate_py.conic_residuals

@@ -12,10 +12,10 @@ format_rows formats the rows of Trajectory.write_csv, and write_rows writes
 them to its stream block by block, or csv_rows in the same C library when it
 loads.  The tests check both C loops against these.
 
-ring_terms and conic_residuals are the NumPy loops of shell.shell_accel
+ring_sum and conic_residuals are the NumPy loops of shell.shell_accel
 and geometry.geometry_residuals, here so that simulator's backend names all
-four loops and geometry imports no NumPy; ring_terms and conic_residuals in
-the C library are their copies.
+four loops and geometry imports no NumPy; ring_sum (over ring_terms) and
+conic_residuals in the C library are their copies.
 """
 
 from array import array
@@ -129,8 +129,7 @@ def ring_terms(a, d, dtheta, width, scale, terms):
     """Fills terms[i] with the axial pull of ring i of len(terms), the ring
     at polar angle (i + 0.5) * dtheta, _RING_BLOCK rings at a time.
 
-    The NumPy loop of shell.shell_accel: ring_terms in _kick_drift.c is its
-    copy in C, and shell_accel runs the one that simulator._kernel binds.
+    The terms of ring_sum: ring_terms in _kick_drift.c is its copy in C.
     """
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which shell_accel rejects.
@@ -146,6 +145,16 @@ def ring_terms(a, d, dtheta, width, scale, terms):
             s = np.sqrt(s2)
             axial = (d - a * cos_t) / s
             np.multiply(scale * areas / s2, axial, out=terms[start:stop])
+
+
+def ring_sum(a, d, dtheta, width, scale, n):
+    """np.sum of the n terms of ring_terms: the NumPy loop of
+    shell.shell_accel, whose copy in C is ring_sum in _kick_drift.c.  The
+    sum is inf or nan where the terms overflow or underflow."""
+    terms = np.empty(n)
+    ring_terms(a, d, dtheta, width, scale, terms)
+    with np.errstate(all="ignore"):  # inf + -inf
+        return float(np.sum(terms))
 
 
 def _sample_thetas(shape, n, start, stop):

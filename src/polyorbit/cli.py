@@ -255,7 +255,9 @@ def _cmd_shell_check(args, parser) -> int:
     _require_tolerance(args, parser)
     spec = shell.ShellSpec(radius=args.a, total_mass=args.mass, g=args.g)
     computed = shell.shell_accel(spec, args.d, shell.RingDecomposition(args.rings))
-    exact = shell.point_mass_accel(args.g * args.mass, args.d)
+    gm = args.g * args.mass
+    # point_mass_accel refuses a gM that overflows; its quotient is inf
+    exact = shell.point_mass_accel(gm, args.d) if gm < math.inf else math.inf
     if not 0.0 < exact < math.inf:
         raise DomainError(
             f"the point-mass value gM/d^2 = {exact:g} is outside the double range, "
@@ -327,9 +329,21 @@ def _cmd_geometry_check(args, parser) -> int:
     return EXIT_OK if report.max_residual <= args.tol else EXIT_CHECK_FAILED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help text, when stdout cannot take it,
+    raises the OSError for main to report with EXIT_OUTPUT; argparse itself
+    drops it and exits 0.  Its subparsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache  # built on the first main() call, then reused: parsing keeps no state
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="polyorbit",
         description="Two-body orbit toolkit: closed-form conic solutions, "
                     "impulse-polygon simulation, and geometric checks.",

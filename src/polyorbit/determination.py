@@ -195,8 +195,8 @@ def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: in
     Independent numeric route for energy_area; converges to the closed form
     at second order.
     """
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise DomainError(f"radii must be > 0, got r1={r1}, r2={r2}")
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError(f"radii must be finite and > 0, got r1={r1}, r2={r2}")
     if panels < 1:
         raise DomainError(f"need at least 1 panel, got {panels}")
     if r1 == r2:
@@ -210,10 +210,10 @@ def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: in
 
 def centripetal_accel(v: float, radius: float) -> float:
     """Centripetal acceleration of uniform circular motion: v^2 / R."""
-    if not radius > 0.0:
-        raise DomainError(f"radius must be > 0, got {radius}")
-    if not v >= 0.0:
-        raise DomainError(f"speed must be >= 0, got {v}")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be finite and > 0, got {radius}")
+    if not 0.0 <= v < math.inf:
+        raise DomainError(f"speed must be finite and >= 0, got {v}")
     return v * v / radius
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import simulator
 from .errors import DomainError, OutsideOnlyError
 
-#: Hard cap on the number of rings: shell_accel holds one float64 term per
-#: ring (80 MB at the cap).
+#: Hard cap on the number of rings.  In C the ring sum holds no term array;
+#: the NumPy fallback holds one float64 term per ring (80 MB at the cap).
 MAX_RINGS = 10**7
 
 
@@ -57,11 +57,12 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     """Axial attraction of the shell on an external point at distance d,
     summed over the ring decomposition with the midpoint rule.
 
-    The terms of all rings go into one array, which a single np.sum adds:
-    NumPy's pairwise summation order depends on the whole length, so a sum
-    of block sums would change the last bits.  The C loop fills that array
-    in contiguous chunks, one per CPU this process may use, and each term
-    has the bits of the serial loop.
+    The rings are added in np.sum's order over the array of all their
+    terms: NumPy's pairwise summation order depends on the whole length, so
+    a sum of block sums would change the last bits.  The C loop adds them in
+    that order without the array, on as many CPUs as the tree has top runs
+    and this process may use; the NumPy loop builds the array and calls
+    np.sum.
     """
     if not math.isfinite(d):
         raise DomainError(f"the distance d must be finite, got {d}")
@@ -72,11 +73,8 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
         )
     n = rings.n_rings
     dtheta = math.pi / n
-    terms = np.empty(n)
-    simulator._kernel.ring_terms(a, d, dtheta, a * dtheta, shell.g * shell.surface_density,
-                                 terms)
-    with np.errstate(all="ignore"):  # inf + -inf
-        total = float(np.sum(terms))
+    total = simulator._kernel.ring_sum(a, d, dtheta, a * dtheta,
+                                       shell.g * shell.surface_density, n)
     if not math.isfinite(total):
         raise DomainError(
             f"the ring sum is not finite for a = {a:g}, d = {d:g}: "
@@ -108,10 +106,10 @@ def sphere_accel(radius: float, total_mass: float, g: float, d: float,
 
 def point_mass_accel(gm: float, d: float) -> float:
     """Inverse-square point-mass attraction gM / d^2."""
-    if not gm >= 0.0:
-        raise DomainError(f"gM must be >= 0, got {gm}")
-    if not d > 0.0:
-        raise DomainError(f"distance must be > 0, got {d}")
+    if not 0.0 <= gm < math.inf:
+        raise DomainError(f"gM must be finite and >= 0, got {gm}")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"distance must be finite and > 0, got {d}")
     d2 = d * d
     if d2 == 0.0:
         raise DomainError(f"d^2 underflows to 0 for d = {d:g}")

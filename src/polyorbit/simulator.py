@@ -17,8 +17,8 @@ fallback and the oracle; the last two are NumPy loops).  integrate(),
 Trajectory.write_csv, shell.shell_accel and geometry.geometry_residuals run
 the loops of the module that loaded, _kernel.  In C the ring sum, the
 residual samples and the CSV rows run in ranges, one per CPU this process
-may use, with the bits and bytes of one call; the step runs on the caller's
-thread alone.
+may use (for the ring sum, a power of two of them), with the bits and bytes
+of one call; the step runs on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step

@@ -38,7 +38,7 @@ def c_loops(c_library):
     """c_library, skipped where it binds the NumPy ring and residual loops
     because NumPy's sin, cos or hypot is not libm's (TestBackends checks
     that the choice is right)."""
-    if c_library.ring_terms is _propagate_py.ring_terms:
+    if c_library.ring_sum is _propagate_py.ring_sum:
         pytest.skip("the ring and residual loops run on NumPy here")
     return c_library
 

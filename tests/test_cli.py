@@ -585,8 +585,9 @@ class TestShellCheck:
         ["--a", "1", "--d", "2", "--g", "1e308", "--mass", "10"],  # the sum overflows
         ["--a", "1", "--d", "nan"],          # used to blame the scales' double range
         ["--a", "1", "--d", "inf"],
+        ["--a", "1e10", "--d", "2e10", "--g", "1e300", "--mass", "1e10"],  # gM overflows
     ], ids=["point-mass-underflow", "radius-underflow", "ring-overflow",
-            "ring-underflow", "sum-overflow", "d-nan", "d-inf"])
+            "ring-underflow", "sum-overflow", "d-nan", "d-inf", "gm-overflow"])
     def test_extreme_scales_numeric_error(self, capsys, extra):
         argv = {"--a": "1", "--mass": "1", "--g": "1", "--rings": "100"}
         argv.update(zip(extra[::2], extra[1::2]))
@@ -596,6 +597,8 @@ class TestShellCheck:
         assert err.startswith("error:")
         if argv["--d"] in ("nan", "inf"):
             assert err == f"error: the distance d must be finite, got {argv['--d']}\n"
+        if argv["--g"] == "1e300":  # the ring sum is finite
+            assert err.startswith("error: the point-mass value gM/d^2 = inf is outside")
 
     def test_inside_numeric_error(self, capsys):
         code, _, err = run(capsys, [
@@ -660,6 +663,9 @@ EVERY_COMMAND = [
     ["geometry-check", "--e", "0.5", "--ell", "0.75", "--samples", "100"],
 ]
 
+HELP = [["--help"], ["simulate", "--help"]]
+HELP_IDS = ["help", "simulate-help"]
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -677,31 +683,49 @@ class TestFailedStdout:
         subcommands = cli._build_parser()._subparsers._group_actions[0].choices
         assert sorted(argv[0] for argv in EVERY_COMMAND) == sorted(subcommands)
 
-    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
-    def test_closed_pipe(self, tmp_path, argv):
-        # A fresh interpreter with buffered stdout, whose flush at exit must
-        # not fail again once main has returned.
+    @staticmethod
+    def run_to_a_closed_pipe(argv, unbuffered=False):
+        # A fresh interpreter, by default with buffered stdout, whose flush at
+        # exit must not fail again once main has returned.
         env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run(
-                [sys.executable, "-m", "polyorbit.cli",
-                 *(arg.format(csv=tmp_path / "traj.csv") for arg in argv)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            done = subprocess.run([sys.executable, "-m", "polyorbit.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (
             cli.EXIT_OUTPUT, b"error: cannot write stdout: [Errno 32] Broken pipe\n")
 
-    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
-    def test_full_device(self, tmp_path, argv):
+    @staticmethod
+    def run_to_a_full_device(argv):
         err = io.StringIO()
         with redirect_stdout(FullDevice()), redirect_stderr(err):
-            code = cli.main([arg.format(csv=tmp_path / "traj.csv") for arg in argv])
+            code = cli.main(argv)
         assert (code, err.getvalue()) == (
             cli.EXIT_OUTPUT, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+    def test_closed_pipe(self, tmp_path, argv):
+        self.run_to_a_closed_pipe([arg.format(csv=tmp_path / "traj.csv") for arg in argv])
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=[argv[0] for argv in EVERY_COMMAND])
+    def test_full_device(self, tmp_path, argv):
+        self.run_to_a_full_device([arg.format(csv=tmp_path / "traj.csv") for arg in argv])
+
+    # argparse drops an OSError from writing --help, and exited 0.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", HELP, ids=HELP_IDS)
+    def test_help_to_a_closed_pipe(self, argv, unbuffered):
+        self.run_to_a_closed_pipe(argv, unbuffered)
+
+    @pytest.mark.parametrize("argv", HELP, ids=HELP_IDS)
+    def test_help_to_a_full_device(self, argv):
+        self.run_to_a_full_device(argv)
 
 
 class TestMoonCheck:

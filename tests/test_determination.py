@@ -300,11 +300,22 @@ class TestSpeedAtRadius:
     (lambda: point_mass_accel(math.nan, 1.0), DomainError),
     (lambda: point_mass_accel(1.0, math.nan), DomainError),
     (lambda: ellipse_area(0.5, math.nan), DomainError),
+    # inf / inf and inf - inf
+    (lambda: energy_area_quadrature(UNIT_FIELD, 1.0, math.inf, 10), DomainError),
+    (lambda: energy_area_quadrature(UNIT_FIELD, math.inf, 1.0, 10), DomainError),
+    (lambda: centripetal_accel(math.inf, math.inf), DomainError),
+    (lambda: centripetal_accel(math.inf, 1.0), DomainError),
+    (lambda: centripetal_accel(1.0, math.inf), DomainError),
+    (lambda: point_mass_accel(math.inf, math.inf), DomainError),
+    (lambda: point_mass_accel(math.inf, 1.0), DomainError),
+    (lambda: point_mass_accel(1.0, math.inf), DomainError),
 ], ids=["conic_point-nan", "csc2_alpha-nan", "csc2_alpha-inf", "csc2_predicted-nan",
         "speed_at_radius-nan", "speed_at_radius-nan-C", "apsides-nan-C", "period-nan-Q",
         "energy_area-nan", "energy_area_quadrature-nan", "centripetal_accel-nan-v",
         "centripetal_accel-nan-radius", "point_mass_accel-nan-gm", "point_mass_accel-nan-d",
-        "ellipse_area-nan-aO"])
+        "ellipse_area-nan-aO", "energy_area_quadrature-inf-r2", "energy_area_quadrature-inf-r1",
+        "centripetal_accel-inf", "centripetal_accel-inf-v", "centripetal_accel-inf-radius",
+        "point_mass_accel-inf", "point_mass_accel-inf-gm", "point_mass_accel-inf-d"])
 def test_no_input_gives_a_silent_nan(call, error):
     with pytest.raises(error):
         call()

@@ -19,7 +19,7 @@ from polyorbit import (
     shell_accel,
     sphere_accel,
 )
-from polyorbit import cli, simulator
+from polyorbit import _propagate_py, cli, shell, simulator
 from polyorbit._propagate_py import _RING_BLOCK
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
@@ -161,20 +161,46 @@ def shell_check(argv):
 
 
 class TestCompiledRingTerms:
-    """ring_terms in the C library against _propagate_py.ring_terms, the
-    NumPy loop: the same terms and totals, bit for bit."""
+    """ring_terms and ring_sum in the C library against _propagate_py's
+    ring_terms and ring_sum, the NumPy loops: the same terms and totals, bit
+    for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
                                    10**6])
-    def test_same_terms(self, c_and_numpy, n):
+    def test_same_terms(self, c_loops, n):
         args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        got, want = np.empty(n), np.empty(n)
+        c_loops._ring_terms(*args, 0, n, got.ctypes.data)
+        _propagate_py.ring_terms(*args, want)
+        assert got.tobytes() == want.tobytes()
 
-        def terms():
-            out = np.empty(n)
-            simulator._kernel.ring_terms(*args, out)
-            return out.tobytes()
-        got, want = c_and_numpy(terms)
-        assert got == want
+    # Runs of NumPy's pairwise sum: fewer than 8 terms, a leaf of up to 128
+    # with and without a tail, one and two splits, and the thresholds of
+    # two ranges (2 * 2^14 rings) and of the benchmark's 10^6 rings.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257,
+                                   2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1, 10**6])
+    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["W1", "W2", "W3"])
+    def test_same_sum_as_np_sum_of_the_terms(self, c_loops, monkeypatch, workers, n):
+        monkeypatch.setattr(c_loops, "_WORKERS", workers)
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        terms = np.empty(n)
+        _propagate_py.ring_terms(*args, terms)
+        want = float(np.sum(terms))
+        assert c_loops.ring_sum(*args, n).hex() == want.hex()
+        assert _propagate_py.ring_sum(*args, n).hex() == want.hex()
+
+    @pytest.mark.parametrize("n", [10**6, shell.MAX_RINGS])
+    def test_c_shell_accel_holds_no_term_array(self, c_loops, monkeypatch, n):
+        # 8 MB of terms at 10^6 rings: the C sum allocates only the threads
+        # of its split
+        monkeypatch.setattr(simulator, "_kernel", c_loops)
+        tracemalloc.start()
+        try:
+            shell_accel(UNIT_SHELL, 2.0, RingDecomposition(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
                                    10**6])

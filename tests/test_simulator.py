@@ -327,7 +327,7 @@ class TestBackends:
             np.sin(angles).tolist() == [libm.sin(x) for x in angles.tolist()]
             and np.cos(angles).tolist() == [libm.cos(x) for x in angles.tolist()]
             and np.hypot(*pairs.T).tolist() == [libm.hypot(x, y) for x, y in pairs.tolist()])
-        in_c = compiled.ring_terms is not _propagate_py.ring_terms
+        in_c = compiled.ring_sum is not _propagate_py.ring_sum
         assert in_c == numpy_is_libm
         assert (compiled.conic_residuals is not _propagate_py.conic_residuals) == in_c
 
@@ -401,7 +401,7 @@ class TestBackends:
         # bytes.
         assert loops is not _propagate_py and loops.__name__ == "polyorbit._propagate_c"
         assert loops.propagate_kernel is not _propagate_py.propagate_kernel
-        assert loops.ring_terms is _propagate_py.ring_terms
+        assert loops.ring_sum is _propagate_py.ring_sum
         assert loops.conic_residuals is _propagate_py.conic_residuals
         printed = []
         for module in (loops, _propagate_py):

@@ -61,7 +61,8 @@ def spy(monkeypatch, c_loops, name):
     calls, original = [], getattr(c_loops, name)
 
     def recorded(*args):
-        start, stop = (args[5], args[6]) if name == "_ring_terms" else (args[9], args[10])
+        # _ring_sum takes the first ring and the count of rings
+        start, stop = (args[5], args[5] + args[6]) if name == "_ring_sum" else (args[9], args[10])
         calls.append((start, stop))
         return original(*args)
 
@@ -80,32 +81,40 @@ class TestSplitLoops:
         3 * (1 << 14), 3 * (1 << 14) + 1, 10**6,
     ])
     def test_ring_terms_same_bits_as_one_call_and_numpy(self, c_loops, workers, n):
+        # The terms of one C call are NumPy's, and the split sum of them is
+        # the sum of one C call and np.sum of NumPy's terms.
         assert c_loops._MIN_CHUNK == 1 << 14  # the thresholds above
         args = ring_args(n)
-        split, one, numpy = np.empty(n), np.empty(n), np.empty(n)
-        c_loops.ring_terms(*args, split)
+        one, numpy = np.empty(n), np.empty(n)
         c_loops._ring_terms(*args, 0, n, one.ctypes.data)
         _propagate_py.ring_terms(*args, numpy)
-        assert split.tobytes() == one.tobytes() == numpy.tobytes()
+        assert one.tobytes() == numpy.tobytes()
+        split = c_loops.ring_sum(*args, n)
+        assert split.hex() == (0.0 + c_loops._ring_sum(*args, 0, n)).hex()
+        assert split.hex() == float(np.sum(numpy)).hex()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 17, 23, 24, 25, 1000])
     def test_chunks_cover_the_range_once_in_order(self, c_loops, workers, monkeypatch, n):
+        # With ranges of 8 rings, only 1000 rings are more than the 128
+        # terms that NumPy adds in one leaf; they split at 496, the half
+        # rounded down to a multiple of 8, for two workers or three.
         monkeypatch.setattr(c_loops, "_MIN_CHUNK", 8)
-        calls = spy(monkeypatch, c_loops, "_ring_terms")
-        c_loops.ring_terms(*ring_args(n), np.empty(n))
-        k = max(1, min(workers, n // 8))
-        assert len(calls) == k
-        assert sorted(calls) == [(n * j // k, n * (j + 1) // k) for j in range(k)]
-        assert all(stop - start >= min(n, 8) for start, stop in calls)
+        calls = spy(monkeypatch, c_loops, "_ring_sum")
+        total = c_loops.ring_sum(*ring_args(n), n)
+        want = [(0, 496), (496, 1000)] if n == 1000 and workers > 1 else [(0, n)]
+        assert sorted(calls) == want
+        terms = np.empty(n)
+        _propagate_py.ring_terms(*ring_args(n), terms)
+        assert total.hex() == float(np.sum(terms)).hex()
 
     def test_shell_accel_keeps_its_bits(self, c_loops, workers, monkeypatch):
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         numpy = shell_accel(spec, 2.0, rings)
         monkeypatch.setattr(simulator, "_kernel", c_loops)
-        calls = spy(monkeypatch, c_loops, "_ring_terms")
+        calls = spy(monkeypatch, c_loops, "_ring_sum")
         assert shell_accel(spec, 2.0, rings).hex() == numpy.hex()
-        assert len(calls) == workers
+        assert len(calls) == {1: 1, 2: 2, 3: 2}[workers]  # a power of two
 
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("start, stop", [
@@ -177,14 +186,14 @@ class TestSplitLoops:
         assert [flag for _, _, flag in sorted(flagged)] == [clean] * (workers - 1) + [1]
 
     @pytest.mark.parametrize("workers", [2, 3])  # one chunk runs on the caller alone
-    @pytest.mark.parametrize("loop", ["_ring_terms", "_conic_residuals"])
+    @pytest.mark.parametrize("loop", ["_ring_sum", "_conic_residuals"])
     def test_a_workers_exception_reaches_the_caller(self, c_loops, monkeypatch, loop,
                                                     workers):
         monkeypatch.setattr(c_loops, "_WORKERS", workers)
         started = threading.active_count()
 
         def broken(*args):
-            start = args[5] if loop == "_ring_terms" else args[9]
+            start = args[5] if loop == "_ring_sum" else args[9]
             if start > 0:
                 raise RuntimeError(f"chunk from {start}")
             time.sleep(0.05)  # the caller's chunk ends after the workers
@@ -192,10 +201,12 @@ class TestSplitLoops:
 
         monkeypatch.setattr(c_loops, loop, broken)
         n = 10**5
-        # the first worker's chunk starts at n // workers
-        with pytest.raises(RuntimeError, match=f"^chunk from {n // workers}$"):
-            if loop == "_ring_terms":
-                c_loops.ring_terms(*ring_args(n), np.empty(n))
+        # the first worker's chunk starts at n // workers, or for the ring
+        # sum at the root's split of NumPy's pairwise sum, n // 2
+        first = n // 2 if loop == "_ring_sum" else n // workers
+        with pytest.raises(RuntimeError, match=f"^chunk from {first}$"):
+            if loop == "_ring_sum":
+                c_loops.ring_sum(*ring_args(n), n)
             else:
                 c_loops.conic_residuals(ConicShape(0.5, 0.75), n, 0, n,
                                          *_second_focus(ConicShape(0.5, 0.75)))
@@ -233,7 +244,7 @@ class TestFork:
                                                               on_c):
         monkeypatch.setattr(c_loops, "_WORKERS", 2)
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
-        calls = spy(monkeypatch, c_loops, "_ring_terms")
+        calls = spy(monkeypatch, c_loops, "_ring_sum")
         want = shell_accel(spec, 2.0, rings).hex()
         assert len(calls) == 2  # the parent split
         read_end, write_end = os.pipe()
@@ -572,7 +583,7 @@ class TestSplitExport:
         traj, python_csv = full_export
         spills = Spills(monkeypatch)
         threads = formatting_threads(monkeypatch, c_library)
-        assert len(c_library._ranges(0, len(traj), B)) == 4  # the ring and residual loops
+        assert len(c_library._ranges(0, len(traj), B)) == 4  # the residual loop's ranges
         assert csv_bytes(traj) == python_csv
         assert len(spills.made) == 1 and len(threads) == 2
 
