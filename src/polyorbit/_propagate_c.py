@@ -10,15 +10,13 @@ them builds a new one.  The C file uses no Python headers, so no build step
 or extension module is needed.  csv_rows is passed a table of powers of ten
 that the import builds from exact integers, so no table is committed.
 
-Before the library is used, a short probe of each loop must match
-_propagate_py: the kernel bit for bit, the formatter byte for byte.  When
-anything fails (no compiler, a failed compile, an unwritable cache, a load
-error or a probe mismatch) the import raises ImportError, and simulator
-falls back to _propagate_py for all four loops.  The ring and residual
-loops call libm's sin, cos and hypot where NumPy calls its own float64
-loops; when their probe differs from NumPy's, this module binds
-_propagate_py's ring_sum and conic_residuals, and the kernel and
-formatter stay in C.
+Importing this module raises ImportError only when the library cannot be
+built or loaded: no compiler, a failed compile, an unwritable cache or a
+load error.  probe() then says, for each loop, whether it gives
+_propagate_py's bits or bytes on short probe inputs, and simulator binds
+each loop that does and _propagate_py's copy of each other one.  The ring
+and residual loops call libm's sin, cos and hypot where NumPy calls its own
+float64 loops, so their probes differ where those give other bits.
 
 ring_sum, conic_residuals and write_rows split their rings, samples or
 CSV rows into contiguous ranges, one for each CPU this process may use
@@ -410,8 +408,8 @@ def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
 
     The chunks of [start, stop) (_split) merge their maxima with max, which
     is exact in any order, and add their skipped counts.  When any chunk
-    flags, the whole block goes to _propagate_py.conic_residuals, which
-    raises the error of the block's first failing check, as one call would.
+    flags, the whole range goes to _propagate_py.conic_residuals, which
+    raises the error of its first failing block's first failing check.
     """
     theta0, span, div = geometry._theta_grid(shape, n)
     args = (shape.eccentricity, shape.semi_latus_rectum, shape.focal_directrix_distance,
@@ -430,46 +428,31 @@ def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
     return max(focal), max(reflection), max(right), sum(skipped)
 
 
-def _probe() -> None:
-    got = propagate_kernel(*_PROBE)
-    want = _propagate_py.propagate_kernel(*_PROBE)
-    if got[5] != want[5] or any(a.tobytes() != b.tobytes()
-                                for a, b in zip((*got[:5], *got[6]), (*want[:5], *want[6]))):
-        raise ImportError("the compiled kernel differs from _propagate_py on the load-time probe")
+def probe():
+    """{loop: whether it gives _propagate_py's bits or bytes on the probe
+    inputs} for propagate_kernel, write_rows (by format_rows), ring_sum
+    (with its ring_terms) and conic_residuals."""
+    got, want = propagate_kernel(*_PROBE), _propagate_py.propagate_kernel(*_PROBE)
+    kernel = got[5] == want[5] and all(a.tobytes() == b.tobytes() for a, b in
+                                       zip((*got[:5], *got[6]), (*want[:5], *want[6])))
     columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
-    rows = len(columns[0])
     try:
-        same = format_rows(columns, 0, rows) == _propagate_py.format_rows(columns, 0, rows)
+        rows = format_rows(columns, 0, None) == _propagate_py.format_rows(columns, 0, None)
     except UnicodeDecodeError:  # a broken csv_rows can write bytes that are not ASCII
-        same = False
-    if not same:
-        raise ImportError("the compiled CSV formatter differs from _propagate_py on the "
-                          "load-time probe")
-
-
-def _trig_probe_matches() -> bool:
-    """Whether the ring terms, ring_sum and conic_residuals give
-    _propagate_py's bits on the probe: they do unless NumPy's sin, cos or
-    hypot is not libm's."""
+        rows = False
+    ring = True
     for a, d, n in _RING_PROBE:
         args = (a, d, math.pi / n, a * math.pi / n, 0.3)
-        got, want = np.empty(n), np.empty(n)
-        _ring_terms(*args, 0, n, got.ctypes.data)
-        _propagate_py.ring_terms(*args, want)
-        if got.tobytes() != want.tobytes():
-            return False
-        if ring_sum(*args, n).hex() != _propagate_py.ring_sum(*args, n).hex():
-            return False
+        terms, want_terms = np.empty(n), np.empty(n)
+        _ring_terms(*args, 0, n, terms.ctypes.data)
+        _propagate_py.ring_terms(*args, want_terms)
+        ring &= (terms.tobytes() == want_terms.tobytes()
+                 and ring_sum(*args, n).hex() == _propagate_py.ring_sum(*args, n).hex())
+    residuals = True
     for e, ell, n in _RESIDUAL_PROBE:
         shape = geometry.ConicShape(e, ell)
-        focus2_y, focal_constant = geometry._second_focus(shape)
-        got = conic_residuals(shape, n, 0, n, focus2_y, focal_constant)
-        want = _propagate_py.conic_residuals(shape, n, 0, n, focus2_y, focal_constant)
-        if struct.pack("<3dq", *got) != struct.pack("<3dq", *want):
-            return False
-    return True
-
-
-_probe()
-if not _trig_probe_matches():
-    ring_sum, conic_residuals = _propagate_py.ring_sum, _propagate_py.conic_residuals
+        args = (shape, n, 0, n, *geometry._second_focus(shape))
+        residuals &= (struct.pack("<3dq", *conic_residuals(*args))
+                      == struct.pack("<3dq", *_propagate_py.conic_residuals(*args)))
+    return {"propagate_kernel": kernel, "write_rows": rows, "ring_sum": ring,
+            "conic_residuals": residuals}

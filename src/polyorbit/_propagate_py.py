@@ -13,9 +13,9 @@ them to its stream block by block, or csv_rows in the same C library when it
 loads.  The tests check both C loops against these.
 
 ring_sum and conic_residuals are the NumPy loops of shell.shell_accel
-and geometry.geometry_residuals, here so that simulator's backend names all
-four loops and geometry imports no NumPy; ring_sum (over ring_terms) and
-conic_residuals in the C library are their copies.
+and geometry.geometry_residuals, here so that simulator binds all four
+loops from one module and geometry imports no NumPy; ring_sum (over
+ring_terms) and conic_residuals in the C library are their copies.
 """
 
 from array import array
@@ -32,6 +32,10 @@ _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
 _RING_BLOCK = 1 << 16
+
+# Samples evaluated per block of conic_residuals: a block holds a few dozen
+# float64 arrays of this length, so memory is flat in n.
+_RESIDUAL_BLOCK = 1 << 16
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -244,9 +248,17 @@ def _block_residuals(shape, theta, focus2_y, focal_constant):
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
-    """_block_residuals over samples start..stop-1 of n: the NumPy loop of
-    geometry.geometry_residuals, whose copy in C is conic_residuals in
-    _kick_drift.c."""
+    """_block_residuals over samples start..stop-1 of n, _RESIDUAL_BLOCK at a
+    time, merged: the NumPy loop of geometry.geometry_residuals, whose copy
+    in C is conic_residuals in _kick_drift.c.  The first block that fails
+    raises its error."""
+    focal = reflection = right = 0.0
+    skipped = 0
     with np.errstate(all="ignore"):  # non-finite values are tested explicitly
-        return _block_residuals(shape, _sample_thetas(shape, n, start, stop), focus2_y,
-                                focal_constant)
+        for lo in range(start, stop, _RESIDUAL_BLOCK):
+            theta = _sample_thetas(shape, n, lo, min(lo + _RESIDUAL_BLOCK, stop))
+            block = _block_residuals(shape, theta, focus2_y, focal_constant)
+            focal, reflection, right = (max(focal, block[0]), max(reflection, block[1]),
+                                        max(right, block[2]))
+            skipped += block[3]
+    return focal, reflection, right, skipped

@@ -26,11 +26,6 @@ CSC2_TOLERANCE = 1e-9
 #: (the right-angle check is not applicable at such points).
 _PARALLEL_EPS = 1e-12
 
-#: Samples evaluated per pass of the residual loop in geometry_residuals.  A
-#: NumPy pass holds a few dozen float64 arrays of this length, so memory is
-#: flat in n.
-_RESIDUAL_BLOCK = 1 << 16
-
 #: Hard cap on the number of samples in geometry_residuals: its memory is
 #: flat in n, but its time is not (10^7 samples take about 3 s).
 MAX_RESIDUAL_SAMPLES = 10**7
@@ -282,12 +277,12 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     """Check the focal, reflection, and tangent-directrix right-angle
     properties at n sampled points; return the maximum residuals.
 
-    The samples are evaluated _RESIDUAL_BLOCK at a time, by the residual
-    loop that simulator._kernel binds (_propagate_py.conic_residuals, the
-    NumPy loop, or its C copy, which splits each block into one chunk per
-    CPU and merges their maxima exactly).  Any non-finite point, tangent,
-    ray or intersection, a zero tangent, ray or intersection norm, or a NaN
-    focal residual raises DomainError.  So does a periapsis whose square is
+    The samples are evaluated in one call of the residual loop that
+    simulator._kernel binds: _propagate_py.conic_residuals, the NumPy loop,
+    in blocks of samples, or its C copy, in one range per CPU; both merge
+    their maxima exactly.  Any non-finite point, tangent, ray or
+    intersection, a zero tangent, ray or intersection norm, or a NaN focal
+    residual raises DomainError.  So does a periapsis whose square is
     below the smallest normal double: the tangent's dr/dtheta = e*c*r*r/ell
     would be formed from a subnormal or zero r*r, and its residuals would
     be wrong, not small.
@@ -311,23 +306,13 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     if focus2_y is not None and not math.isfinite(focus2_y):
         raise DomainError(f"second focus is not finite: (0.0, {focus2_y})")
 
-    focal_res = 0.0
-    refl_res = 0.0
-    right_res = 0.0
-    skipped = 0
-    for start in range(0, n, _RESIDUAL_BLOCK):
-        focal, refl, right, skip = simulator._kernel.conic_residuals(
-            shape, n, start, min(start + _RESIDUAL_BLOCK, n), focus2_y, focal_constant)
-        focal_res = max(focal_res, focal)
-        refl_res = max(refl_res, refl)
-        right_res = max(right_res, right)
-        skipped += skip
-
+    focal, reflection, right, skipped = simulator._kernel.conic_residuals(
+        shape, n, 0, n, focus2_y, focal_constant)
     return ResidualReport(
         conic_class=kind,
         n_samples=n,
-        focal_residual=focal_res,
-        reflection_residual=refl_res,
-        right_angle_residual=right_res,
+        focal_residual=focal,
+        reflection_residual=reflection,
+        right_angle_residual=right,
         right_angle_skipped=skipped,
     )

@@ -13,12 +13,15 @@ The four hot loops, the step, the CSV row formatter, the shell's ring sum
 and the conic residual samples, are each written twice, with the same bits
 and bytes: in C (one library built from _kick_drift.c, loaded by
 polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
-fallback and the oracle; the last two are NumPy loops).  integrate(),
-Trajectory.write_csv, shell.shell_accel and geometry.geometry_residuals run
-the loops of the module that loaded, _kernel.  In C the ring sum, the
-residual samples and the CSV rows run in ranges, one per CPU this process
-may use (for the ring sum, a power of two of them), with the bits and bytes
-of one call; the step runs on the caller's thread alone.
+fallback and the oracle; the last two are NumPy loops).  This module binds
+each loop once, at import, by one rule: the C copy where the library builds
+and loads and that loop's probe gives its Python twin's bits or bytes, the
+Python copy otherwise.  integrate(), Trajectory.write_csv,
+shell.shell_accel and geometry.geometry_residuals call the bound loops,
+_kernel; _backends says where each runs and why not in C.  In C the ring
+sum, the residual samples and the CSV rows run in ranges, one per CPU this
+process may use (for the ring sum, a power of two of them), with the bits
+and bytes of one call; the step runs on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,26 +69,37 @@ _CSV_BLOCK_ROWS = 2048
 # ten temporaries of 64 kB each, which stay in cache.
 _DIAGNOSTICS_BLOCK = 8192
 
+# The hot loops, by their name in _propagate_c and _propagate_py.
+_LOOPS = ("propagate_kernel", "write_rows", "ring_sum", "conic_residuals")
+
 
 def _load_kernel():
-    # The compiled loops when they build, load and pass their probes.
+    """(kernel, backends): kernel holds the four loops, each _propagate_c's
+    where the C library builds and loads and that loop's probe matches, and
+    _propagate_py's otherwise; backends maps each loop to ("c", None) or to
+    ("python", why), why being the ImportError's text or "probe mismatch"."""
     try:
         from . import _propagate_c
-    except ImportError:
-        return _propagate_py
-    return _propagate_c
+    except ImportError as exc:
+        compiled, matches, why = None, {}, str(exc)
+    else:
+        compiled, matches, why = _propagate_c, _propagate_c.probe(), "probe mismatch"
+    kernel = types.SimpleNamespace(**{
+        loop: getattr(compiled if matches.get(loop) else _propagate_py, loop) for loop in _LOOPS})
+    backends = {loop: ("c", None) if matches.get(loop) else ("python", why) for loop in _LOOPS}
+    return kernel, backends
 
 
-_kernel = _load_kernel()
+_kernel, _backends = _load_kernel()
 
 
 def backend() -> str:
-    """Name of the propagation kernel and CSV formatter in use: 'c' or 'python'.
+    """The backend the propagation kernel runs on: 'c' or 'python'.
 
-    With 'c', the ring sum and the conic residual samples run in C too,
-    unless NumPy's sin, cos or hypot gave other bits than libm's on the
-    load-time probe; they then run on NumPy."""
-    return "python" if _kernel is _propagate_py else "c"
+    Each of the four loops is bound on its own (_load_kernel), so the CSV
+    formatter, ring sum and residual samples may run on the other one;
+    _backends names each loop's backend and why it is not 'c'."""
+    return _backends["propagate_kernel"][0]
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,13 @@ def c_library():
 
 @pytest.fixture
 def c_loops(c_library):
-    """c_library, skipped where it binds the NumPy ring and residual loops
-    because NumPy's sin, cos or hypot is not libm's (TestBackends checks
-    that the choice is right)."""
-    if c_library.ring_sum is _propagate_py.ring_sum:
-        pytest.skip("the ring and residual loops run on NumPy here")
+    """c_library, skipped where simulator binds the NumPy ring or residual
+    loop because the C one failed its probe, as where NumPy's sin, cos or
+    hypot is not libm's (TestBackends checks that the choice is right)."""
+    on_numpy = [loop for loop in ("ring_sum", "conic_residuals")
+                if simulator._backends[loop][0] != "c"]
+    if on_numpy:
+        pytest.skip(f"{' and '.join(on_numpy)} run on NumPy here: {simulator._backends}")
     return c_library
 
 

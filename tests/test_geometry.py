@@ -25,9 +25,9 @@ from polyorbit import (
     geometry_residuals,
 )
 from polyorbit import _propagate_py, geometry, simulator
+from polyorbit._propagate_py import _RESIDUAL_BLOCK
 from polyorbit.geometry import (
     _PARALLEL_EPS,
-    _RESIDUAL_BLOCK,
     _branch_anomaly_limit,
     _polar_form,
     _second_focus,

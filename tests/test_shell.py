@@ -140,9 +140,11 @@ class TestBlockedRingSum:
         got = outcome(shell_accel, *args)
         assert got[0] is DomainError and got == outcome(reference_shell_accel, *args)
 
-    def test_memory_is_one_term_per_ring(self):
-        # 10^6 rings: the 8 MB of terms and one block's temporaries; the
-        # whole-array version peaked at 56 MB
+    def test_memory_is_one_term_per_ring(self, monkeypatch):
+        # The NumPy loop, wherever the C one loads, at 10^6 rings: the 8 MB
+        # of terms and one block's temporaries; the whole-array version
+        # peaked at 56 MB
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         tracemalloc.start()
         try:
             shell_accel(UNIT_SHELL, 2.0, RingDecomposition(10**6))

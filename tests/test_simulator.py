@@ -276,12 +276,18 @@ def kernel(request, monkeypatch):
 
 class TestBackends:
     def test_backend_reported(self):
+        backends = simulator._backends
         if compiler_present():
-            assert simulator._kernel is c_kernel()  # an import error says why not
+            # where one does not run in C, its reason says why
+            assert backends["propagate_kernel"] == backends["write_rows"] == ("c", None), backends
             assert backend() == "c"
         else:
+            assert [where for where, _ in backends.values()] == ["python"] * 4
             assert backend() == "python"
-            assert simulator._kernel is _propagate_py
+        for loop, (where, why) in backends.items():
+            assert getattr(simulator._kernel, loop) is getattr(
+                c_kernel() if where == "c" else _propagate_py, loop)
+            assert (why is None) == (where == "c")
 
     @requires_c
     def test_concurrent_first_imports_build_one_library(self, tmp_path):
@@ -308,9 +314,9 @@ class TestBackends:
 
     @requires_c
     def test_ring_and_residual_loops_run_in_c_where_numpy_calls_libm(self):
-        # The C ring and residual loops are bound exactly where NumPy's
-        # float64 sin, cos and hypot give libm's bits: on the probe's angles
-        # and on drawn angles and pairs.
+        # The C ring sum is bound exactly where NumPy's float64 sin and cos
+        # give libm's bits, and the C residual loop where its sin, cos and
+        # hypot do: on the probe's angles and on drawn angles and pairs.
         compiled = c_kernel()
         libm = ctypes.CDLL(ctypes.util.find_library("m"))
         for name in ("sin", "cos", "hypot"):
@@ -323,31 +329,43 @@ class TestBackends:
                for e, ell, n in compiled._RESIDUAL_PROBE]
             + [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 10000)])
         pairs = rng.uniform(-1.0, 1.0, (10000, 2)) * 10.0 ** rng.integers(-13, 13, (10000, 2))
-        numpy_is_libm = (
-            np.sin(angles).tolist() == [libm.sin(x) for x in angles.tolist()]
-            and np.cos(angles).tolist() == [libm.cos(x) for x in angles.tolist()]
-            and np.hypot(*pairs.T).tolist() == [libm.hypot(x, y) for x, y in pairs.tolist()])
-        in_c = compiled.ring_sum is not _propagate_py.ring_sum
-        assert in_c == numpy_is_libm
-        assert (compiled.conic_residuals is not _propagate_py.conic_residuals) == in_c
+        trig_is_libm = (np.sin(angles).tolist() == [libm.sin(x) for x in angles.tolist()]
+                        and np.cos(angles).tolist() == [libm.cos(x) for x in angles.tolist()])
+        hypot_is_libm = np.hypot(*pairs.T).tolist() == [libm.hypot(x, y)
+                                                        for x, y in pairs.tolist()]
+        assert (simulator._backends["ring_sum"][0] == "c") == trig_is_libm
+        assert ((simulator._backends["conic_residuals"][0] == "c")
+                == (trig_is_libm and hypot_is_libm))
 
-    # A compiler that cannot run, one that fails, a cache that cannot be
-    # written to, and a library whose kernel records, kernel windows or CSV
-    # formatter fail their probe; and a NumPy whose sin is not libm's, which
-    # moves only the ring and residual loops to NumPy.
+    # A compiler that cannot run, one that fails and a cache that cannot be
+    # written to move all four loops to Python, with the ImportError's text.
+    # A C kernel whose records or windows, or a C formatter, that differ
+    # from _propagate_py's on the probe move that loop alone; a NumPy whose
+    # sin is not libm's moves the ring and residual loops.  Every output is
+    # the Python loops'.
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
                                          "probe-mismatch", "window-probe-mismatch",
                                          "format-probe-mismatch", "trig-probe-mismatch"])
-    def test_failed_load_falls_back_to_python(self, monkeypatch, failure):
-        config = SimConfig(dt=1e-3, steps=13000, record_every=7)
-        want = integrate(CANONICAL, UNIT_FIELD, config)
+    def test_failed_load_falls_back_to_python(self, request, monkeypatch, failure):
+        on_python, why = {
+            "no-compiler": (simulator._LOOPS, "/nonexistent/cc"),
+            "compile-error": (simulator._LOOPS, "false could not compile"),
+            "unwritable-cache": (simulator._LOOPS, "read-only cache"),
+            "probe-mismatch": (["propagate_kernel"], "probe mismatch"),
+            "window-probe-mismatch": (["propagate_kernel"], "probe mismatch"),
+            "format-probe-mismatch": (["write_rows"], "probe mismatch"),
+            "trig-probe-mismatch": (["ring_sum", "conic_residuals"], "probe mismatch"),
+        }[failure]
         with monkeypatch.context() as patch:
-            # a fresh import of the C kernel, built anew for any other compiler
-            patch.delitem(sys.modules, "polyorbit._propagate_c", raising=False)
-            patch.delattr(polyorbit, "_propagate_c", raising=False)
             cc = {"no-compiler": "/nonexistent/cc", "compile-error": "false",
                   "unwritable-cache": "true"}.get(failure)
-            if cc is not None:
+            if cc is None:  # the C library is built; one loop's probe fails
+                compiled = request.getfixturevalue("c_library")
+            else:
+                # a fresh import of the C library, built anew for the other compiler
+                compiled = None
+                patch.delitem(sys.modules, "polyorbit._propagate_c", raising=False)
+                patch.delattr(polyorbit, "_propagate_c", raising=False)
                 config_var = sysconfig.get_config_var
                 patch.setattr(sysconfig, "get_config_var",
                               lambda name: cc if name == "CC" else config_var(name))
@@ -356,66 +374,68 @@ class TestBackends:
                     raise PermissionError("read-only cache")
                 patch.setattr("tempfile.mkstemp", refuse)
             if failure == "probe-mismatch":
-                run = _propagate_py.propagate_kernel
+                run = compiled.propagate_kernel
 
                 def off_by_one_bit(*args, **kwargs):
                     t, *rest = run(*args, **kwargs)
                     return (np.nextafter(t, np.inf), *rest)
-                patch.setattr(_propagate_py, "propagate_kernel", off_by_one_bit)
+                patch.setattr(compiled, "propagate_kernel", off_by_one_bit)
             if failure == "window-probe-mismatch":
-                run = _propagate_py.propagate_kernel
+                run = compiled.propagate_kernel
 
                 def window_off_by_one_bit(*args, **kwargs):
                     *rest, (k, states, last) = run(*args, **kwargs)
                     assert len(k)  # the probe yields a window
                     return (*rest, (k, np.nextafter(states, np.inf), last))
-                patch.setattr(_propagate_py, "propagate_kernel", window_off_by_one_bit)
+                patch.setattr(compiled, "propagate_kernel", window_off_by_one_bit)
             if failure == "format-probe-mismatch":
-                format_rows = _propagate_py.format_rows
+                format_rows = compiled.format_rows
 
                 def signed_nan(*args):
                     return format_rows(*args).replace("nan", "-nan")
-                patch.setattr(_propagate_py, "format_rows", signed_nan)
+                patch.setattr(compiled, "format_rows", signed_nan)
             if failure == "trig-probe-mismatch":
                 sin = np.sin
 
                 def sin_off_by_one_bit(x):
                     return np.nextafter(sin(x), np.inf)
                 patch.setattr(np, "sin", sin_off_by_one_bit)
-            fallback = simulator._load_kernel()
-        if failure == "trig-probe-mismatch":
-            self.assert_numpy_ring_and_residual_loops(monkeypatch, fallback)
-        else:
-            assert fallback is _propagate_py
-            monkeypatch.setattr(simulator, "_kernel", fallback)
-            assert backend() == "python"
-        got = integrate(CANONICAL, UNIT_FIELD, config)
-        for name in ("t", "x", "y", "vx", "vy"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert diagnostics(got) == diagnostics(want)
+            loops, backends = simulator._load_kernel()
+            for loop in simulator._LOOPS:
+                assert getattr(loops, loop) is getattr(
+                    _propagate_py if loop in on_python else compiled, loop)
+        for loop, (where, reason) in backends.items():
+            if loop in on_python:
+                assert where == "python" and why in reason
+            else:
+                assert (where, reason) == ("c", None)
+        assert len({reason for _, reason in backends.values()} - {None}) == 1
+        monkeypatch.setattr(simulator, "_backends", backends)
+        assert backend() == ("python" if "propagate_kernel" in on_python else "c")
+
+        outputs = []
+        for kernel in (loops, _propagate_py):
+            monkeypatch.setattr(simulator, "_kernel", kernel)
+            outputs.append(self.bits_bytes_and_stdout())
+        assert outputs[0] == outputs[1]
 
     @staticmethod
-    def assert_numpy_ring_and_residual_loops(monkeypatch, loops):
-        # The kernel and formatter of `loops` are C, its ring and residual
-        # loops NumPy's: shell-check and geometry-check print _propagate_py's
-        # bytes.
-        assert loops is not _propagate_py and loops.__name__ == "polyorbit._propagate_c"
-        assert loops.propagate_kernel is not _propagate_py.propagate_kernel
-        assert loops.ring_sum is _propagate_py.ring_sum
-        assert loops.conic_residuals is _propagate_py.conic_residuals
+    def bits_bytes_and_stdout():
+        # The records and diagnostics of a run, its CSV, and the stdout of
+        # shell-check and geometry-check, on the installed loops.
+        traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=13000, record_every=7))
+        csv = io.BytesIO()
+        traj.write_csv(csv)
         printed = []
-        for module in (loops, _propagate_py):
-            monkeypatch.setattr(simulator, "_kernel", module)
-            for argv in (["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2.0",
-                          "--rings", "100000"],
-                         ["geometry-check", "--e", "1.5", "--ell", "0.75", "--samples", "5000"]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = cli.main(argv)
-                printed.append((code, out.getvalue()))
-        monkeypatch.setattr(simulator, "_kernel", loops)
-        assert backend() == "c"
-        assert printed[:2] == printed[2:]
+        for argv in (["shell-check", "--a", "1", "--mass", "1", "--g", "1", "--d", "2.0",
+                      "--rings", "100000"],
+                     ["geometry-check", "--e", "1.5", "--ell", "0.75", "--samples", "5000"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            printed.append((code, out.getvalue()))
+        return ([getattr(traj, name).tobytes() for name in ("t", "x", "y", "vx", "vy")],
+                diagnostics(traj), csv.getvalue(), printed)
 
 
 def assert_same_bits(got, want):

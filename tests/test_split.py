@@ -118,7 +118,7 @@ class TestSplitLoops:
 
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("start, stop", [
-        (0, 50000), (0, geometry._RESIDUAL_BLOCK), (0, 2 * (1 << 14) - 1), (0, 2 * (1 << 14)),
+        (0, 50000), (0, _propagate_py._RESIDUAL_BLOCK), (0, 2 * (1 << 14) - 1), (0, 2 * (1 << 14)),
         (0, 3 * (1 << 14) + 1), (1, 3 * (1 << 14) + 2),
     ])
     def test_conic_residuals_same_bits_as_one_call_and_numpy(self, c_loops, workers, e, ell,
