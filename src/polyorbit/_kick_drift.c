@@ -115,8 +115,21 @@ int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt
  * CSV_VALUE_MAX + 1 that a row of out holds for a value and its comma. */
 #define CSV_SLACK 16
 
-/* The high 64 bits of a * b, and the low 64 bits in *lo, from 32-bit halves:
- * ISO C has no 128-bit integer. */
+/* The high 64 bits of a * b, and the low 64 bits in *lo.  ISO C has no
+ * 128-bit integer; GCC and Clang define __SIZEOF_INT128__ where they have
+ * one (64-bit targets), and there one multiply gives both words.  The
+ * 32-bit halves are the only path elsewhere, as on 32-bit targets. */
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 uint128;
+
+static uint64_t mul_64x64(uint64_t a, uint64_t b, uint64_t *lo)
+{
+    uint128 p = (uint128)a * b;
+
+    *lo = (uint64_t)p;
+    return (uint64_t)(p >> 64);
+}
+#else
 static uint64_t mul_64x64(uint64_t a, uint64_t b, uint64_t *lo)
 {
     uint64_t a0 = a & 0xFFFFFFFFu, a1 = a >> 32, b0 = b & 0xFFFFFFFFu, b1 = b >> 32;
@@ -126,6 +139,7 @@ static uint64_t mul_64x64(uint64_t a, uint64_t b, uint64_t *lo)
     *lo = mid << 32 | (p00 & 0xFFFFFFFFu);
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
 }
+#endif
 
 /* floor(n c) for an irrational c close enough to num / 2^shift: as in Ryu,
  * (78913, 18) gives floor(n log10 2) for |n| <= 1650 and (1217359, 19)

@@ -18,21 +18,20 @@ each loop that does and _propagate_py's copy of each other one.  The ring
 and residual loops call libm's sin, cos and hypot where NumPy calls its own
 float64 loops, so their probes differ where those give other bits.
 
-ring_sum, conic_residuals and write_rows split their rings, samples or
-CSV rows into contiguous ranges, one for each CPU this process may use
-(_WORKERS), and run the ranges at once: the first on the caller, the others
-on threads started for the call and joined before it returns.  ctypes
-releases the GIL for each C call.  Every ring term, sample and row depends
-on its index alone, so the maxima and text have the bits and bytes of one
-call.  ring_sum's ranges are the top subtrees of NumPy's pairwise sum, whose
-sums the caller adds in the tree's order, so the total has the bits of
-np.sum too.  write_rows uses at most _EXPORT_RANGES ranges; it spills
-each range past the first to an unnamed temporary file and copies the files
-into the stream after the join, so the stream is written in order only.
-The kernel runs on the caller alone.
+ring_sum and conic_residuals split their rings or samples into contiguous
+ranges, one for each CPU this process may use (_WORKERS), and run the
+ranges at once: the first on the caller, the others on threads started for
+the call and joined before it returns.  ctypes releases the GIL for each C
+call.  Every ring term and sample depends on its index alone, so the
+maxima have the bits of one call.  ring_sum's ranges are the top subtrees
+of NumPy's pairwise sum, whose sums the caller adds in the tree's order, so
+the total has the bits of np.sum too.  write_rows formats its rows in
+chunks that the caller and at most one thread claim in order as they go,
+and the caller writes the chunks to the stream in order; each row depends
+on its index alone, so the text has the bytes of one call.  The kernel
+runs on the caller alone.
 """
 
-import contextlib
 import ctypes
 import importlib.util
 import math
@@ -94,15 +93,20 @@ _ROW_BYTES = 8 * 25
 _SLACK = 16
 
 # ring_terms and ring_sum arguments for the load-time probe: (a, d, n) of
-# three shells, 384 angles in all: a split of the pairwise sum, a leaf with
-# a tail past its 8 running sums, and one term; and conic_residuals shapes
-# (e, ell) and sample counts for an ellipse, a parabola and a hyperbola, 300
-# angles in all.
-_RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1))
+# five shells, 550 angles in all: a split of the pairwise sum, a leaf with
+# a tail past its 8 running sums, and one term; then two leaves with d < a,
+# whose terms nearly cancel, so the rounding of each partial sum shows in
+# the total: no way to add a leaf's 8 running sums but NumPy's gives the
+# bits of np.sum on both (TestRingProbe); and conic_residuals shapes (e, ell)
+# and sample counts for an ellipse, a parabola and a hyperbola, 300 angles
+# in all.
+_RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1),
+               (1.648, 1.601, 126), (4.123, 2.874, 40))
 _RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
 
-# The CPUs this process may use: ring_sum, conic_residuals and write_rows
-# run at most this many ranges at once.
+# The CPUs this process may use: ring_sum and conic_residuals run at most
+# this many ranges at once, and write_rows starts a thread where it is 2 or
+# more.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no sched_getaffinity on this platform
@@ -112,21 +116,22 @@ except AttributeError:  # no sched_getaffinity on this platform
 # PAIRWISE_BLOCK in _kick_drift.c.
 _PAIRWISE_BLOCK = 128
 
-# The fewest rings, samples or CSV rows a range gets, give or take a block
-# of rows.  Starting and joining a thread takes about 0.1 ms, the time of
-# 4000 rings, 900 samples or 150 rows, so the load-time probes and small
-# calls run on the caller alone.
+# The fewest rings or samples a range gets, and the fewest CSV rows for
+# which write_rows starts a thread.  Starting and joining a thread takes
+# about 0.1 ms, the time of 4000 rings, 900 samples or 150 rows, so the
+# load-time probes and small calls run on the caller alone.
 _MIN_CHUNK = 1 << 14
 
-# write_rows formats at most this many rows per csv_rows call, into a text
-# buffer of 0.2 MB that each range reuses; with a block's columns, a range
-# holds about 0.3 MB.  Slices of 1024 rows format as fast per row as whole
-# 2048-row blocks; 512 rows took about 9% longer.
+# write_rows formats at most this many rows per block_columns and csv_rows
+# call, into a text buffer of 0.2 MB.  Chunks of 1024 rows format as fast
+# per row as whole 2048-row blocks; 512 rows took about 9% longer.
 _TEXT_ROWS = 1024
 
-# The most ranges write_rows splits an export into, whatever _WORKERS is:
-# two ranges hold about 0.65 MB, and the whole export stays under 1 MB.
-_EXPORT_RANGES = 2
+# The text buffers of one export, about 0.6 MB, whatever _WORKERS is: one
+# being formatted on each of the two threads that format, and one ready or
+# being written while the caller's chunk is not.  With each chunk's columns
+# the export stays under 1 MB.
+_TEXT_BUFFERS = 3
 
 
 def _library_path(cc: str) -> str:
@@ -213,15 +218,11 @@ _kick_drift, _csv_rows, _ring_terms, _ring_sum, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
-def _ranges(lo, hi, align=1, most=math.inf):
+def _ranges(lo, hi):
     """The edges [lo, ..., hi] of k contiguous ranges that cover [lo, hi):
-    k is at most _WORKERS, `most` and (hi - lo) // _MIN_CHUNK, at least 1,
-    and no more than the blocks of `align` indices in [lo, hi).  Each inner
-    edge is lo plus a multiple of align, so each range holds whole blocks of
-    the one-range run, the last block of [lo, hi) excepted."""
-    blocks = -(-(hi - lo) // align)
-    k = max(1, min(_WORKERS, most, (hi - lo) // _MIN_CHUNK, blocks))
-    return [lo + blocks * j // k * align for j in range(k)] + [hi]
+    k is at most _WORKERS and (hi - lo) // _MIN_CHUNK, and at least 1."""
+    k = max(1, min(_WORKERS, (hi - lo) // _MIN_CHUNK))
+    return [lo + (hi - lo) * j // k for j in range(k)] + [hi]
 
 
 def _split(fn, edges):
@@ -323,54 +324,90 @@ def format_rows(columns, start, stop):
 
 
 def write_rows(block_columns, n, block_rows, stream):
-    """Same arguments and bytes as _propagate_py.write_rows, in at most
-    _EXPORT_RANGES ranges of whole blocks (_ranges), each block formatted
-    _TEXT_ROWS rows at a time.  The caller writes the first range to
-    stream; a thread writes each other range to an unnamed temporary file,
-    which the caller copies to stream after the join.  When a range's file
-    cannot be made or written (OSError), the caller formats that range into
-    stream itself, so only an error of stream fails the export."""
-    edges = _ranges(0, n, block_rows, _EXPORT_RANGES)
-    spills = {}  # range start: its whole text, rewound
+    """Same arguments and bytes as _propagate_py.write_rows, in chunks of
+    min(block_rows, _TEXT_ROWS) rows: one block_columns call each, formatted
+    into one of at most _TEXT_BUFFERS buffers.  The caller writes the chunks
+    to stream in order.  With _WORKERS >= 2 and at least _MIN_CHUNK rows, one
+    thread formats the next unclaimed chunk whenever a buffer is free, and so
+    does the caller while the chunk it writes next is not ready, so neither
+    CPU idles while the other lags.  A thread's exception is raised on the
+    caller after the chunks before its chunk are written and the thread has
+    ended; an error of stream, or of a chunk the caller formats, ends the
+    thread before it propagates."""
+    rows = min(block_rows, _TEXT_ROWS)
+    chunks = -(-n // rows)
+    threaded = _WORKERS >= 2 and n >= _MIN_CHUNK
+    free = [np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+            for _ in range(_TEXT_BUFFERS if threaded else 1)]
+    ready = {}  # chunk: (its buffer, the size of its text)
+    changed = threading.Condition()
+    # the next unclaimed chunk, the end of the chunks to write (that of the
+    # thread's failed chunk, or 0 once the caller stops) and the thread's error
+    claimed, end, error = 0, chunks, None
 
-    def write_range(start, stop, sink, out):
-        text = out.data
-        for lo in range(start, stop, block_rows):
-            columns = block_columns(lo, min(lo + block_rows, stop))
-            for row in range(0, len(columns[0]), _TEXT_ROWS):
-                sink.write(text[:format_rows_into(columns, row, row + _TEXT_ROWS, out)])
+    def claim():
+        # under `changed`: (the next unclaimed chunk, a free buffer), or None
+        nonlocal claimed
+        if claimed >= end or not free:
+            return None
+        claimed += 1
+        return claimed - 1, free.pop()
 
-    def text_buffer():
-        # reused for each slice of a range's blocks
-        return np.empty(min(block_rows, _TEXT_ROWS) * _ROW_BYTES + _SLACK,
-                        dtype=np.uint8)  # not zeroed
+    def format_chunk(j, out):
+        size = format_rows_into(block_columns(j * rows, min(j * rows + rows, n)), 0, None, out)
+        with changed:
+            ready[j] = out, size
+            changed.notify_all()
 
-    def run(start, stop):
-        if start == 0:
-            return write_range(start, stop, stream, out)
-        with contextlib.ExitStack() as unused:
+    def work():
+        nonlocal end, error
+        while True:
+            with changed:
+                while (job := claim()) is None:
+                    if claimed >= end:
+                        return
+                    changed.wait()
             try:
-                spill = unused.enter_context(tempfile.TemporaryFile())
-                write_range(start, stop, spill, text_buffer())
-                spill.seek(0)  # flushes the file's buffer
-            except OSError:  # a full or unwritable temporary directory
-                return  # the caller formats the range after the join
-            unused.pop_all()
-            spills[start] = spill
+                format_chunk(*job)
+            except BaseException as exc:  # raised on the caller after the join
+                with changed:
+                    end, error = job[0], exc
+                    changed.notify_all()
+                return
 
-    out = text_buffer()
-    text = out.data
+    def take(j):
+        # chunk j's buffer and text size, formatting unclaimed chunks while
+        # it is not ready; None once the thread has failed on chunk j
+        while True:
+            with changed:
+                while j not in ready and j < end and (job := claim()) is None:
+                    changed.wait()
+                if j in ready:
+                    return ready.pop(j)
+                if j >= end:
+                    return None
+            format_chunk(*job)
+
+    worker = threading.Thread(target=work) if threaded else None
+    if worker:
+        worker.start()
     try:
-        _split(run, edges)
-        for start, stop in zip(edges[1:-1], edges[2:]):
-            if start in spills:
-                while size := spills[start].readinto(out):
-                    stream.write(text[:size])
-            else:  # its file could not be made or written
-                write_range(start, stop, stream, out)
+        for j in range(chunks):
+            if (text := take(j)) is None:
+                break
+            out, size = text
+            stream.write(out.data[:size])
+            with changed:
+                free.append(out)
+                changed.notify_all()
     finally:
-        for spill in spills.values():
-            spill.close()
+        if worker:
+            with changed:
+                end = 0
+                changed.notify_all()
+            worker.join()
+    if error is not None:
+        raise error
 
 
 def _pairwise(lo, hi, depth, leaf):

@@ -19,9 +19,11 @@ and loads and that loop's probe gives its Python twin's bits or bytes, the
 Python copy otherwise.  integrate(), Trajectory.write_csv,
 shell.shell_accel and geometry.geometry_residuals call the bound loops,
 _kernel; _backends says where each runs and why not in C.  In C the ring
-sum, the residual samples and the CSV rows run in ranges, one per CPU this
-process may use (for the ring sum, a power of two of them), with the bits
-and bytes of one call; the step runs on the caller's thread alone.
+sum and the residual samples run in ranges, one per CPU this process may
+use (for the ring sum, a power of two of them), with the bits of one call;
+the CSV rows are formatted in chunks that the caller and at most one thread
+take in turn, and written in order by the caller; the step runs on the
+caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -61,8 +63,8 @@ CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
 # Rows formatted and written per stream.write call: 2048 rows of the seed-0
 # CSV are 0.3 MB of text.  Larger blocks save little time and raise peak
-# memory.  In C, each range of rows written on its own thread is a whole
-# number of blocks.
+# memory.  In C, each chunk of rows that a thread formats lies in one
+# block.
 _CSV_BLOCK_ROWS = 2048
 
 # Samples per block of the drift and residual maxima of diagnostics: about
@@ -207,9 +209,10 @@ class Trajectory:
 
         Each block's r, v and alpha are derived from its float64 x, y, vx
         and vy, so no full-length column is built; on float64 columns they
-        are the bits of the r, speed and alpha properties.  In C the blocks
-        are formatted on every CPU the process may use, and written to
-        stream in order (_propagate_c.write_rows).
+        are the bits of the r, speed and alpha properties.  In C the rows
+        are formatted on the caller and on at most one thread, in chunks of
+        at most a block, and written to stream in order by the caller
+        (_propagate_c.write_rows).
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""

@@ -33,24 +33,31 @@ def c_library():
         pytest.skip(f"the C library did not load: {exc}")
 
 
-@pytest.fixture
-def c_loops(c_library):
-    """c_library, skipped where simulator binds the NumPy ring or residual
-    loop because the C one failed its probe, as where NumPy's sin, cos or
-    hypot is not libm's (TestBackends checks that the choice is right)."""
-    on_numpy = [loop for loop in ("ring_sum", "conic_residuals")
-                if simulator._backends[loop][0] != "c"]
-    if on_numpy:
-        pytest.skip(f"{' and '.join(on_numpy)} run on NumPy here: {simulator._backends}")
+def _c_loop(c_library, loop):
+    """c_library, skipped where simulator binds the NumPy `loop` because the
+    C one failed its probe, as where NumPy's sin, cos or hypot is not libm's
+    (TestBackends checks that the choice is right)."""
+    where, why = simulator._backends[loop]
+    if where != "c":
+        pytest.skip(f"{loop} runs on NumPy here: {why}")
     return c_library
 
 
 @pytest.fixture
-def c_and_numpy(c_loops):
-    """both(fn, *args): fn(*args) run on the C ring and residual loops, then
-    on the NumPy ones, as a pair."""
-    compiled = c_loops
+def c_ring_sum(c_library):
+    """c_library, skipped where the ring sum runs on NumPy."""
+    return _c_loop(c_library, "ring_sum")
 
+
+@pytest.fixture
+def c_residuals(c_library):
+    """c_library, skipped where the conic residual loop runs on NumPy."""
+    return _c_loop(c_library, "conic_residuals")
+
+
+def _c_and_numpy(compiled):
+    """both(fn, *args): fn(*args) run on the C loops, then on the NumPy
+    ones, as a pair."""
     def both(fn, *args):
         saved = simulator._kernel
         try:
@@ -62,3 +69,17 @@ def c_and_numpy(c_loops):
         finally:
             simulator._kernel = saved
     return both
+
+
+@pytest.fixture
+def ring_sum_c_and_numpy(c_ring_sum):
+    """both(fn, *args) of _c_and_numpy, skipped where the ring sum runs on
+    NumPy."""
+    return _c_and_numpy(c_ring_sum)
+
+
+@pytest.fixture
+def residuals_c_and_numpy(c_residuals):
+    """both(fn, *args) of _c_and_numpy, skipped where the conic residual
+    loop runs on NumPy."""
+    return _c_and_numpy(c_residuals)

@@ -425,10 +425,10 @@ class TestGeometryResiduals:
 
     # The smallest shapes still accepted keep small residuals on both loops.
     @pytest.mark.parametrize("e, ell", [(0.5, 2.3e-154), (1.0, 3e-154), (1.5, 1e-153)])
-    def test_smallest_accepted_periapsis_passes(self, c_and_numpy, e, ell):
+    def test_smallest_accepted_periapsis_passes(self, residuals_c_and_numpy, e, ell):
         shape = ConicShape(e, ell)
         assert shape.periapsis**2 >= sys.float_info.min
-        got, want = c_and_numpy(report_outcome, shape, 50000)
+        got, want = residuals_c_and_numpy(report_outcome, shape, 50000)
         assert got == want
         assert geometry_residuals(shape, 50000).max_residual < 1e-14
 
@@ -472,8 +472,8 @@ class TestCompiledResiduals:
     @pytest.mark.parametrize("e", [0.5, 1.0, 1.5, 1.0 - 2.0**-52, 1.0 + 2.0**-52],
                              ids=["ellipse", "parabola", "hyperbola", "1-ulp", "1+ulp"])
     @pytest.mark.parametrize("ell", [0.75, 1e-300, 1e300])
-    def test_same_report(self, c_and_numpy, ell, e, n):
-        got, want = c_and_numpy(report_outcome, ConicShape(e, ell), n)
+    def test_same_report(self, residuals_c_and_numpy, ell, e, n):
+        got, want = residuals_c_and_numpy(report_outcome, ConicShape(e, ell), n)
         assert got == want
 
     # Each error of _block_residuals, from a shape, or a grid of polar
@@ -493,14 +493,15 @@ class TestCompiledResiduals:
         (0.5, 1.0, None, (1.0, math.nan), "focal residual is not a number"),
     ], ids=["no-point", "point", "tangent", "zero-tangent", "second-focus-ray",
             "zero-second-focus-ray", "intersection", "focal-nan"])
-    def test_same_error(self, c_and_numpy, monkeypatch, e, ell, grid, focus, error):
+    def test_same_error(self, residuals_c_and_numpy, monkeypatch, e, ell, grid, focus, error):
         shape = ConicShape(e, ell)
         if grid is not None:  # every sample at one polar angle
             monkeypatch.setattr(geometry, "_theta_grid", lambda shape, n: grid)
         if focus == "at py":  # the second focus on the sample: a zero ray
             theta = grid[0]
             focus = (_polar_form(shape, theta, math.sin(theta), math.cos(theta))[2], 3.0)
-        got, want = c_and_numpy(block_outcome, shape, 10, *(focus or _second_focus(shape)))
+        got, want = residuals_c_and_numpy(block_outcome, shape, 10,
+                                          *(focus or _second_focus(shape)))
         assert got == want
         assert issubclass(got[0], DomainError) and error in got[1]
 
@@ -508,8 +509,9 @@ class TestCompiledResiduals:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(log_e=st.floats(-12.0, 12.0), log_ell=st.floats(-300.0, 300.0),
            n=st.integers(10, _RESIDUAL_BLOCK + 1))
-    def test_same_report_on_drawn_shapes(self, c_and_numpy, log_e, log_ell, n):
-        got, want = c_and_numpy(report_outcome, ConicShape(10.0**log_e, 10.0**log_ell), n)
+    def test_same_report_on_drawn_shapes(self, residuals_c_and_numpy, log_e, log_ell, n):
+        got, want = residuals_c_and_numpy(report_outcome,
+                                          ConicShape(10.0**log_e, 10.0**log_ell), n)
         assert got == want
 
 

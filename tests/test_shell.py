@@ -1,6 +1,8 @@
 """Tests for the ring-sum shell-attraction quadrature."""
 
+import functools
 import io
+import itertools
 import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -169,10 +171,10 @@ class TestCompiledRingTerms:
 
     @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
                                    10**6])
-    def test_same_terms(self, c_loops, n):
+    def test_same_terms(self, c_ring_sum, n):
         args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
         got, want = np.empty(n), np.empty(n)
-        c_loops._ring_terms(*args, 0, n, got.ctypes.data)
+        c_ring_sum._ring_terms(*args, 0, n, got.ctypes.data)
         _propagate_py.ring_terms(*args, want)
         assert got.tobytes() == want.tobytes()
 
@@ -182,20 +184,20 @@ class TestCompiledRingTerms:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257,
                                    2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1, 10**6])
     @pytest.mark.parametrize("workers", [1, 2, 3], ids=["W1", "W2", "W3"])
-    def test_same_sum_as_np_sum_of_the_terms(self, c_loops, monkeypatch, workers, n):
-        monkeypatch.setattr(c_loops, "_WORKERS", workers)
+    def test_same_sum_as_np_sum_of_the_terms(self, c_ring_sum, monkeypatch, workers, n):
+        monkeypatch.setattr(c_ring_sum, "_WORKERS", workers)
         args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
         terms = np.empty(n)
         _propagate_py.ring_terms(*args, terms)
         want = float(np.sum(terms))
-        assert c_loops.ring_sum(*args, n).hex() == want.hex()
+        assert c_ring_sum.ring_sum(*args, n).hex() == want.hex()
         assert _propagate_py.ring_sum(*args, n).hex() == want.hex()
 
     @pytest.mark.parametrize("n", [10**6, shell.MAX_RINGS])
-    def test_c_shell_accel_holds_no_term_array(self, c_loops, monkeypatch, n):
+    def test_c_shell_accel_holds_no_term_array(self, c_ring_sum, monkeypatch, n):
         # 8 MB of terms at 10^6 rings: the C sum allocates only the threads
         # of its split
-        monkeypatch.setattr(simulator, "_kernel", c_loops)
+        monkeypatch.setattr(simulator, "_kernel", c_ring_sum)
         tracemalloc.start()
         try:
             shell_accel(UNIT_SHELL, 2.0, RingDecomposition(n))
@@ -207,9 +209,9 @@ class TestCompiledRingTerms:
     @pytest.mark.parametrize("n", [1, 2, 3, _RING_BLOCK - 1, _RING_BLOCK, _RING_BLOCK + 1,
                                    10**6])
     @pytest.mark.parametrize("d", [1.01, 2.0, 100.0])
-    def test_same_total(self, c_and_numpy, n, d):
-        got, want = c_and_numpy(outcome, shell_accel, ShellSpec(1.5, 2.0, 0.7), 1.5 * d,
-                                RingDecomposition(n))
+    def test_same_total(self, ring_sum_c_and_numpy, n, d):
+        got, want = ring_sum_c_and_numpy(outcome, shell_accel, ShellSpec(1.5, 2.0, 0.7),
+                                         1.5 * d, RingDecomposition(n))
         assert got == want
 
     # The extreme-scale rows of tests/test_cli.py, and a non-finite d.
@@ -223,10 +225,10 @@ class TestCompiledRingTerms:
         ["--a", "1", "--d", "inf"],
     ], ids=["point-mass-underflow", "radius-underflow", "ring-overflow", "ring-underflow",
             "sum-overflow", "d-nan", "d-inf"])
-    def test_same_shell_check_at_extreme_scales(self, c_and_numpy, extra):
+    def test_same_shell_check_at_extreme_scales(self, ring_sum_c_and_numpy, extra):
         argv = {"--a": "1", "--mass": "1", "--g": "1", "--rings": "100"}
         argv.update(zip(extra[::2], extra[1::2]))
-        got, want = c_and_numpy(shell_check, [*sum(argv.items(), ())])
+        got, want = ring_sum_c_and_numpy(shell_check, [*sum(argv.items(), ())])
         assert got == want and got[0] == cli.EXIT_NUMERIC
 
     @settings(max_examples=100, deadline=None,
@@ -234,15 +236,69 @@ class TestCompiledRingTerms:
     @given(log_a=st.floats(-160.0, 200.0), log_excess=st.floats(-6.0, 6.0),
            log_mass=st.floats(-300.0, 300.0), log_g=st.floats(-300.0, 300.0),
            n=st.integers(1, 3 * _RING_BLOCK))
-    def test_same_total_on_drawn_shells(self, c_and_numpy, log_a, log_excess, log_mass, log_g,
-                                        n):
+    def test_same_total_on_drawn_shells(self, ring_sum_c_and_numpy, log_a, log_excess, log_mass,
+                                        log_g, n):
         try:
             spec = ShellSpec(10.0**log_a, 10.0**log_mass, 10.0**log_g)
         except DomainError:  # a^2 underflows to 0
             assume(False)
-        got, want = c_and_numpy(outcome, shell_accel, spec,
-                                spec.radius * (1.0 + 10.0**log_excess), RingDecomposition(n))
+        got, want = ring_sum_c_and_numpy(outcome, shell_accel, spec,
+                                         spec.radius * (1.0 + 10.0**log_excess),
+                                         RingDecomposition(n))
         assert got == want
+
+
+def leaf_totals(terms):
+    """One leaf of NumPy's pairwise sum of `terms`, 8 to 128 of them, for
+    every way to add its 8 running sums up to the order of each addition's
+    two operands: the 8 sums of every 8th term, each binary tree over them,
+    then the terms past the last multiple of 8 in order.  Returns (totals,
+    NumPy's total): the totals in one order for every leaf, and the total
+    of ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), as ring_sum in
+    _kick_drift.c and np.sum add them."""
+    terms = terms.tolist()
+    n = len(terms)
+    r = terms[:8]
+    for i in range(8, n - n % 8, 8):
+        r = [s + t for s, t in zip(r, terms[i:i + 8])]
+
+    @functools.cache
+    def trees(sums):  # the totals of each tree over r[i] for i in sums
+        if len(sums) == 1:
+            return [r[sums[0]]]
+        first, rest = sums[0], sums[1:]
+        totals = []
+        for k in range(len(rest)):  # the sums that join `first` on the left
+            for left in itertools.combinations(rest, k):
+                right = tuple(i for i in rest if i not in left)
+                totals += [x + y for x in trees((first, *left)) for y in trees(right)]
+        return totals
+
+    totals = trees(tuple(range(8)))
+    numpy = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[n - n % 8:]:
+        totals = [total + t for total in totals]
+        numpy += t
+    return totals, numpy
+
+
+class TestRingProbe:
+    def test_every_other_leaf_combine_changes_a_probe_sum(self, c_library):
+        # A ring_sum that adds a leaf's running sums in any other order,
+        # such as ((r0 + r2) + (r1 + r3)) + ..., fails the ring probe: on
+        # one of its one-leaf shells at least, its total is not np.sum's.
+        matches = None
+        for a, d, n in c_library._RING_PROBE:
+            if not 8 <= n <= 128:
+                continue
+            terms = np.empty(n)
+            _propagate_py.ring_terms(a, d, math.pi / n, a * math.pi / n, 0.3, terms)
+            totals, numpy = leaf_totals(terms)
+            assert len(totals) == 135135  # (2 * 8 - 3)!! trees over 8 sums
+            assert numpy == float(np.sum(terms)) != 0.0
+            same = [total == numpy for total in totals]
+            matches = same if matches is None else [m and s for m, s in zip(matches, same)]
+        assert sum(matches) == 1  # NumPy's own order
 
 
 class TestSphereAccel:

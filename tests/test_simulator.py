@@ -1500,6 +1500,28 @@ class TestCsvExport:
         assert bytes(out[:written]).decode() == _propagate_py.format_rows(columns, 0, rows)
         assert (out[size:] == 0xAA).all()
 
+    # mul_64x64 in _kick_drift.c takes its product from 32-bit halves where
+    # the compiler has no 128-bit integer, as on 32-bit targets: a build
+    # with __SIZEOF_INT128__ undefined runs that path here.
+    @requires_c
+    def test_csv_rows_from_32_bit_halves_prints_percent_17g(self, tmp_path):
+        module = c_kernel()
+        library = tmp_path / "kick_drift_halves.so"
+        subprocess.run([*shlex.split(sysconfig.get_config_var("CC")), "-U__SIZEOF_INT128__",
+                        *module._FLAGS, "-o", str(library), module._SOURCE, *module._LIBS],
+                       check=True, capture_output=True, timeout=300)
+        csv_rows = ctypes.CDLL(str(library)).csv_rows
+        csv_rows.restype, csv_rows.argtypes = module._csv_rows.restype, module._csv_rows.argtypes
+        for values in (module._PROBE_VALUES, self.BRANCH_VALUES, self.EXPONENT_VALUES):
+            values, _ = self.percent_17g_case(values)
+            columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 8).T]
+            rows = len(columns[0])
+            out = np.empty(rows * module._ROW_BYTES + module._SLACK, dtype=np.uint8)
+            size = csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
+                            0, rows, out.ctypes.data, module._POW10.ctypes.data,
+                            module._POW10_MIN, module._POW10_MAX)
+            assert bytes(out[:size]).decode() == _propagate_py.format_rows(columns, 0, rows)
+
     @pytest.fixture(scope="class")
     def random_bits_and_ties(self):
         rng = np.random.default_rng(20241018)

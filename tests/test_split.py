@@ -5,9 +5,10 @@ Each test runs with one, two and three chunks at most (the module's
 _WORKERS), whatever CPUs this host has.  A split call must give the bits of
 one C call over the whole range and of the NumPy loop, raise the NumPy
 loop's error for the whole block, pass on a worker's exception, and leave no
-thread behind, so that a process forked after it still runs them.  A split
-CSV export must write the bytes of a one-range export and of the Python
-formatter, in order, to any binary stream, and close every temporary file.
+thread behind, so that a process forked after it still runs them.  An export
+whose chunks the caller and a thread format must write the bytes of an
+export on the caller alone and of the Python formatter, in order, to any
+binary stream, with no temporary file.
 """
 
 import ctypes
@@ -40,15 +41,15 @@ SHAPE_IDS = ["ellipse", "parabola", "hyperbola"]
 
 
 @pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
-def workers(request, c_loops, monkeypatch):
-    monkeypatch.setattr(c_loops, "_WORKERS", request.param)
+def workers(request, c_library, monkeypatch):
+    monkeypatch.setattr(c_library, "_WORKERS", request.param)
     return request.param
 
 
 @pytest.fixture
-def on_c(c_loops, monkeypatch):
-    """shell_accel and geometry_residuals run the C loops."""
-    monkeypatch.setattr(simulator, "_kernel", c_loops)
+def on_c(c_ring_sum, monkeypatch):
+    """shell_accel runs the C ring sum."""
+    monkeypatch.setattr(simulator, "_kernel", c_ring_sum)
 
 
 def ring_args(n):
@@ -56,9 +57,9 @@ def ring_args(n):
     return 1.3, 2.1, dtheta, 1.3 * dtheta, 0.7
 
 
-def spy(monkeypatch, c_loops, name):
+def spy(monkeypatch, c_library, name):
     """The (start, stop) of every call that reaches the C function `name`."""
-    calls, original = [], getattr(c_loops, name)
+    calls, original = [], getattr(c_library, name)
 
     def recorded(*args):
         # _ring_sum takes the first ring and the count of rings
@@ -66,7 +67,7 @@ def spy(monkeypatch, c_loops, name):
         calls.append((start, stop))
         return original(*args)
 
-    monkeypatch.setattr(c_loops, name, recorded)
+    monkeypatch.setattr(c_library, name, recorded)
     return calls
 
 
@@ -80,39 +81,39 @@ class TestSplitLoops:
         1, 2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1, 3 * (1 << 14) - 1,
         3 * (1 << 14), 3 * (1 << 14) + 1, 10**6,
     ])
-    def test_ring_terms_same_bits_as_one_call_and_numpy(self, c_loops, workers, n):
+    def test_ring_terms_same_bits_as_one_call_and_numpy(self, c_ring_sum, workers, n):
         # The terms of one C call are NumPy's, and the split sum of them is
         # the sum of one C call and np.sum of NumPy's terms.
-        assert c_loops._MIN_CHUNK == 1 << 14  # the thresholds above
+        assert c_ring_sum._MIN_CHUNK == 1 << 14  # the thresholds above
         args = ring_args(n)
         one, numpy = np.empty(n), np.empty(n)
-        c_loops._ring_terms(*args, 0, n, one.ctypes.data)
+        c_ring_sum._ring_terms(*args, 0, n, one.ctypes.data)
         _propagate_py.ring_terms(*args, numpy)
         assert one.tobytes() == numpy.tobytes()
-        split = c_loops.ring_sum(*args, n)
-        assert split.hex() == (0.0 + c_loops._ring_sum(*args, 0, n)).hex()
+        split = c_ring_sum.ring_sum(*args, n)
+        assert split.hex() == (0.0 + c_ring_sum._ring_sum(*args, 0, n)).hex()
         assert split.hex() == float(np.sum(numpy)).hex()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 17, 23, 24, 25, 1000])
-    def test_chunks_cover_the_range_once_in_order(self, c_loops, workers, monkeypatch, n):
+    def test_chunks_cover_the_range_once_in_order(self, c_ring_sum, workers, monkeypatch, n):
         # With ranges of 8 rings, only 1000 rings are more than the 128
         # terms that NumPy adds in one leaf; they split at 496, the half
         # rounded down to a multiple of 8, for two workers or three.
-        monkeypatch.setattr(c_loops, "_MIN_CHUNK", 8)
-        calls = spy(monkeypatch, c_loops, "_ring_sum")
-        total = c_loops.ring_sum(*ring_args(n), n)
+        monkeypatch.setattr(c_ring_sum, "_MIN_CHUNK", 8)
+        calls = spy(monkeypatch, c_ring_sum, "_ring_sum")
+        total = c_ring_sum.ring_sum(*ring_args(n), n)
         want = [(0, 496), (496, 1000)] if n == 1000 and workers > 1 else [(0, n)]
         assert sorted(calls) == want
         terms = np.empty(n)
         _propagate_py.ring_terms(*ring_args(n), terms)
         assert total.hex() == float(np.sum(terms)).hex()
 
-    def test_shell_accel_keeps_its_bits(self, c_loops, workers, monkeypatch):
+    def test_shell_accel_keeps_its_bits(self, c_ring_sum, workers, monkeypatch):
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
         numpy = shell_accel(spec, 2.0, rings)
-        monkeypatch.setattr(simulator, "_kernel", c_loops)
-        calls = spy(monkeypatch, c_loops, "_ring_sum")
+        monkeypatch.setattr(simulator, "_kernel", c_ring_sum)
+        calls = spy(monkeypatch, c_ring_sum, "_ring_sum")
         assert shell_accel(spec, 2.0, rings).hex() == numpy.hex()
         assert len(calls) == {1: 1, 2: 2, 3: 2}[workers]  # a power of two
 
@@ -121,42 +122,42 @@ class TestSplitLoops:
         (0, 50000), (0, _propagate_py._RESIDUAL_BLOCK), (0, 2 * (1 << 14) - 1), (0, 2 * (1 << 14)),
         (0, 3 * (1 << 14) + 1), (1, 3 * (1 << 14) + 2),
     ])
-    def test_conic_residuals_same_bits_as_one_call_and_numpy(self, c_loops, workers, e, ell,
+    def test_conic_residuals_same_bits_as_one_call_and_numpy(self, c_residuals, workers, e, ell,
                                                              start, stop):
         shape = ConicShape(e, ell)
         n = max(stop, 50000)
         focus = _second_focus(shape)
-        split = c_loops.conic_residuals(shape, n, start, stop, *focus)
+        split = c_residuals.conic_residuals(shape, n, start, stop, *focus)
         with np.errstate(all="ignore"):
             numpy = _propagate_py.conic_residuals(shape, n, start, stop, *focus)
         assert residual_bits(split) == residual_bits(numpy)
         # one C call over the whole range, as conic_residuals made before
         theta0, span, div = geometry._theta_grid(shape, n)
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
-        assert c_loops._conic_residuals(
+        assert c_residuals._conic_residuals(
             e, ell, shape.focal_directrix_distance, shape.conic_class.value, focus[0] or 0.0,
             focus[1] or 0.0, theta0, span, div, start, stop, maxima,
             ctypes.byref(skipped)) == 0
         assert residual_bits(split) == residual_bits((*maxima, skipped.value))
 
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
-    def test_conic_residuals_on_both_sides_of_each_chunk_edge(self, c_loops, workers,
+    def test_conic_residuals_on_both_sides_of_each_chunk_edge(self, c_residuals, workers,
                                                               monkeypatch, e, ell):
         # Chunks of 8 samples, and every range of up to 3 chunks + 2 from
         # the first 10 starts: each chunk edge falls on every sample.
-        monkeypatch.setattr(c_loops, "_MIN_CHUNK", 8)
+        monkeypatch.setattr(c_residuals, "_MIN_CHUNK", 8)
         shape, n = ConicShape(e, ell), 64
         focus = _second_focus(shape)
         for start in range(10):
             for stop in range(start, start + 27):
-                split = c_loops.conic_residuals(shape, n, start, stop, *focus)
+                split = c_residuals.conic_residuals(shape, n, start, stop, *focus)
                 with np.errstate(all="ignore"):
                     numpy = _propagate_py.conic_residuals(shape, n, start, stop, *focus)
                 assert residual_bits(split) == residual_bits(numpy), (start, stop)
 
     @pytest.mark.parametrize("nan_focal", [False, True], ids=["last-flags", "all-flag"])
     def test_failing_sample_in_the_last_chunk_raises_the_whole_block_error(
-            self, c_loops, workers, monkeypatch, nan_focal):
+            self, c_residuals, workers, monkeypatch, nan_focal):
         # A hyperbola sampled from theta0 so that only the last 5% of the
         # angles lie past the asymptote, 1 - 1.5 sin(theta) <= 0.  With a
         # NaN focal constant every chunk flags, for the block's last check:
@@ -168,16 +169,16 @@ class TestSplitLoops:
         focus2_y, focal_constant = _second_focus(shape)
         focus = (focus2_y, math.nan if nan_focal else focal_constant)
         flagged = []
-        original = c_loops._conic_residuals
+        original = c_residuals._conic_residuals
 
         def recorded(*args):
             flag = original(*args)
             flagged.append((args[9], args[10], flag))
             return flag
 
-        monkeypatch.setattr(c_loops, "_conic_residuals", recorded)
+        monkeypatch.setattr(c_residuals, "_conic_residuals", recorded)
         with pytest.raises(DomainError) as split:
-            c_loops.conic_residuals(shape, n, 0, n, *focus)
+            c_residuals.conic_residuals(shape, n, 0, n, *focus)
         with pytest.raises(DomainError) as numpy, np.errstate(all="ignore"):
             _propagate_py.conic_residuals(shape, n, 0, n, *focus)
         assert type(split.value) is type(numpy.value) is NoSuchPointError
@@ -187,9 +188,10 @@ class TestSplitLoops:
 
     @pytest.mark.parametrize("workers", [2, 3])  # one chunk runs on the caller alone
     @pytest.mark.parametrize("loop", ["_ring_sum", "_conic_residuals"])
-    def test_a_workers_exception_reaches_the_caller(self, c_loops, monkeypatch, loop,
+    def test_a_workers_exception_reaches_the_caller(self, request, monkeypatch, loop,
                                                     workers):
-        monkeypatch.setattr(c_loops, "_WORKERS", workers)
+        compiled = request.getfixturevalue("c_ring_sum" if loop == "_ring_sum" else "c_residuals")
+        monkeypatch.setattr(compiled, "_WORKERS", workers)
         started = threading.active_count()
 
         def broken(*args):
@@ -199,21 +201,20 @@ class TestSplitLoops:
             time.sleep(0.05)  # the caller's chunk ends after the workers
             return 0
 
-        monkeypatch.setattr(c_loops, loop, broken)
+        monkeypatch.setattr(compiled, loop, broken)
         n = 10**5
         # the first worker's chunk starts at n // workers, or for the ring
         # sum at the root's split of NumPy's pairwise sum, n // 2
         first = n // 2 if loop == "_ring_sum" else n // workers
         with pytest.raises(RuntimeError, match=f"^chunk from {first}$"):
             if loop == "_ring_sum":
-                c_loops.ring_sum(*ring_args(n), n)
+                compiled.ring_sum(*ring_args(n), n)
             else:
-                c_loops.conic_residuals(ConicShape(0.5, 0.75), n, 0, n,
+                compiled.conic_residuals(ConicShape(0.5, 0.75), n, 0, n,
                                          *_second_focus(ConicShape(0.5, 0.75)))
         assert threading.active_count() == started
 
-    def test_four_threads_calling_shell_accel_get_the_same_bits(self, c_loops, workers,
-                                                               on_c):
+    def test_four_threads_calling_shell_accel_get_the_same_bits(self, workers, on_c):
         # Up to 12 threads on however many CPUs, switching as often as the
         # interpreter allows: no chunk may land in another call's terms.
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
@@ -240,11 +241,11 @@ class TestSplitLoops:
 
 
 class TestFork:
-    def test_forked_child_after_a_split_call_runs_shell_accel(self, c_loops, monkeypatch,
+    def test_forked_child_after_a_split_call_runs_shell_accel(self, c_ring_sum, monkeypatch,
                                                               on_c):
-        monkeypatch.setattr(c_loops, "_WORKERS", 2)
+        monkeypatch.setattr(c_ring_sum, "_WORKERS", 2)
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
-        calls = spy(monkeypatch, c_loops, "_ring_sum")
+        calls = spy(monkeypatch, c_ring_sum, "_ring_sum")
         want = shell_accel(spec, 2.0, rings).hex()
         assert len(calls) == 2  # the parent split
         read_end, write_end = os.pipe()
@@ -271,8 +272,9 @@ class TestFork:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-# The CSV export: blocks of B rows, and ranges of at least B rows (less a
-# block) so that every row count below puts a range edge on a block edge.
+# The CSV export: blocks of B rows, and _MIN_CHUNK lowered to B, so that
+# every row count from B up runs a thread and each row count below puts a
+# block edge on or next to the last row.
 B = _CSV_BLOCK_ROWS
 CANONICAL = OrbitState(PlanarVector(1.0, 0.0),
                        PlanarVector(math.cos(math.pi / 3), math.sin(math.pi / 3)))
@@ -281,23 +283,35 @@ EXPORT_ROWS = 200_001  # simulate_full's rows
 
 @pytest.fixture(params=[1, 2, 3], ids=["W1", "W2", "W3"])
 def export_workers(request, c_library, monkeypatch):
-    """write_csv runs the C formatter in at most 1, 2 or 3 ranges of at
-    least B rows (less a block), _EXPORT_RANGES raised to match."""
+    """write_csv runs the C formatter with _WORKERS = 1, 2 or 3, and a
+    thread for every export of at least B rows when _WORKERS >= 2."""
     return split_export(monkeypatch, c_library, request.param)
 
 
 @pytest.fixture(params=[2, 3], ids=["W2", "W3"])
 def split_workers(request, c_library, monkeypatch):
-    """export_workers with at least one range on a thread."""
+    """export_workers with a thread."""
     return split_export(monkeypatch, c_library, request.param)
 
 
 def split_export(monkeypatch, c_library, workers):
     monkeypatch.setattr(simulator, "_kernel", c_library)
     monkeypatch.setattr(c_library, "_WORKERS", workers)
-    monkeypatch.setattr(c_library, "_EXPORT_RANGES", workers)
     monkeypatch.setattr(c_library, "_MIN_CHUNK", B)
     return workers
+
+
+@pytest.fixture
+def temporary_files(monkeypatch):
+    """The calls to tempfile.TemporaryFile, each of which raises ENOSPC."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -318,61 +332,14 @@ def csv_bytes(traj):
     return buf.getvalue()
 
 
+def csv_prefix(python_csv, rows):
+    """The header and the first `rows` rows of python_csv."""
+    return b"\n".join(python_csv.split(b"\n", rows + 1)[:rows + 1]) + b"\n"
+
+
 def first_rows(traj, n):
     return Trajectory(*(col[:n] for col in (traj.t, traj.x, traj.y, traj.vx, traj.vy)),
                       field=traj.field, config=traj.config)
-
-
-def expected_ranges(workers, n):
-    return max(1, min(workers, n // B, -(-n // B)))
-
-
-class Spills:
-    """Stands in for tempfile.TemporaryFile: records each file it makes,
-    refuses the calls numbered in `refuse` (from 0), makes the file numbered
-    `fail` raise ENOSPC on its second write, and with `unreadable` makes
-    every file raise EIO when it is read back.  Two threads may call it at
-    once, so which range gets which number may differ from run to run."""
-
-    def __init__(self, monkeypatch, refuse=(), fail=None, unreadable=False):
-        self.made, self.refuse, self.fail, self.unreadable = [], refuse, fail, unreadable
-        self.calls, self._lock = 0, threading.Lock()
-        self._real = tempfile.TemporaryFile
-        monkeypatch.setattr(tempfile, "TemporaryFile", self)
-
-    def __call__(self):
-        with self._lock:
-            call, self.calls = self.calls, self.calls + 1
-            if call in self.refuse:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            spill = _Spill(self._real(), len(self.made) == self.fail, self.unreadable)
-            self.made.append(spill)
-            return spill
-
-
-class _Spill:
-    def __init__(self, file, fail, unreadable):
-        self.file, self.fail, self.unreadable, self.writes = file, fail, unreadable, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.file.close()
-
-    def write(self, data):
-        self.writes += 1
-        if self.fail and self.writes > 1:  # the file holds part of its range
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self.file.write(data)
-
-    def readinto(self, buffer):
-        if self.unreadable:
-            raise OSError(errno.EIO, "Input/output error")
-        return self.file.readinto(buffer)
-
-    def __getattr__(self, name):
-        return getattr(self.file, name)
 
 
 def formatting_threads(monkeypatch, c_library):
@@ -387,37 +354,54 @@ def formatting_threads(monkeypatch, c_library):
     return idents
 
 
+class NullSink:
+    def write(self, data):
+        pass
+
+
 class TestSplitExport:
+    # Each chunk is one block_columns call of _TEXT_ROWS rows, or the rows
+    # left, inside one block of B rows; the chunks cover the rows once.
     @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
                                    EXPORT_ROWS])
-    def test_ranges_are_whole_blocks(self, c_library, export_workers, n):
-        edges = c_library._ranges(0, n, B, c_library._EXPORT_RANGES)
-        assert len(edges) == expected_ranges(export_workers, n) + 1
-        assert edges[0] == 0 and edges[-1] == n
-        assert all(start < stop for start, stop in zip(edges[1:-1], edges[2:]))
-        assert all(edge % B == 0 and 0 < edge < n for edge in edges[1:-1])
+    def test_ranges_are_whole_blocks(self, c_library, export_workers, full_export, n):
+        traj, _ = full_export
+        columns = [np.ascontiguousarray(col[:n], dtype=np.float64) for col in (
+            traj.t, traj.x, traj.y, traj.vx, traj.vy, traj.r, traj.speed, traj.alpha)]
+        calls, lock = [], threading.Lock()
+
+        def block_columns(start, stop):
+            with lock:
+                calls.append((start, stop))
+            return [col[start:stop] for col in columns]
+
+        c_library.write_rows(block_columns, n, B, NullSink())
+        rows = c_library._TEXT_ROWS
+        assert B % rows == 0
+        assert sorted(calls) == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        assert all(start // B == (stop - 1) // B for start, stop in calls)
 
     # 1, B - 1, B, B + 1, and on both sides of the edges of two and three
-    # ranges, where the last row ends a block, starts one or ends one short
+    # blocks, where the last row ends a block, starts one or ends one short
     @pytest.mark.parametrize("n", [
         1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 3 * B, 3 * B + 1,
         EXPORT_ROWS,
     ])
     def test_same_bytes_as_one_range_and_python(self, c_library, export_workers, monkeypatch,
-                                                full_export, n):
+                                                full_export, temporary_files, n):
         traj, python_csv = full_export
         traj = first_rows(traj, n)
-        spills = Spills(monkeypatch)
         threads = formatting_threads(monkeypatch, c_library)
         split = csv_bytes(traj)
-        ranges = expected_ranges(export_workers, n)
-        assert len(spills.made) == ranges - 1 and len(threads) == ranges
-        assert all(spill.closed for spill in spills.made)
+        # the caller, and at most one thread where there is one
+        assert len(threads) <= (2 if export_workers > 1 and n >= B else 1)
+        if export_workers == 1 or n < B:
+            assert threads == {threading.get_ident()}
+        assert temporary_files == []
         monkeypatch.setattr(c_library, "_WORKERS", 1)
         assert split == csv_bytes(traj)
         # the Python CSV of the first n rows of the full record
-        header_and_rows = python_csv.split(b"\n", n + 1)
-        assert split == b"\n".join(header_and_rows[:n + 1]) + b"\n"
+        assert split == csv_prefix(python_csv, n)
 
     def test_decimated_same_bytes_as_one_range_and_python(self, c_library, export_workers,
                                                           monkeypatch):
@@ -431,10 +415,9 @@ class TestSplitExport:
         assert split == csv_bytes(traj)
 
     def test_python_formatter_runs_on_the_caller_with_no_temporary_file(
-            self, c_library, monkeypatch, full_export):
+            self, c_library, monkeypatch, full_export, temporary_files):
         monkeypatch.setattr(c_library, "_WORKERS", 3)
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
-        spills = Spills(monkeypatch)
         traj, python_csv = full_export
         threads = {threading.get_ident()}
         original = _propagate_py.format_rows
@@ -444,79 +427,58 @@ class TestSplitExport:
             return original(*args)
 
         monkeypatch.setattr(_propagate_py, "format_rows", recorded)
-        assert csv_bytes(first_rows(traj, 3 * B + 1)) == b"\n".join(
-            python_csv.split(b"\n", 3 * B + 2)[:3 * B + 2]) + b"\n"
-        assert spills.made == [] and threads == {threading.get_ident()}
+        assert csv_bytes(first_rows(traj, 3 * B + 1)) == csv_prefix(python_csv, 3 * B + 1)
+        assert temporary_files == [] and threads == {threading.get_ident()}
 
-    # The first, the second or both of two temporary files cannot be made.
-    @pytest.mark.parametrize("refuse", [{0}, {1}, {0, 1}], ids=["first", "second", "both"])
-    def test_unmade_temporary_file_has_the_caller_format_its_range(
-            self, c_library, monkeypatch, full_export, refuse):
-        split_export(monkeypatch, c_library, 3)
+    def test_refused_temporary_files_leave_the_bytes_unchanged(
+            self, c_library, export_workers, full_export, temporary_files):
+        # the export makes no temporary file, so one that cannot be made
+        # changes nothing
         traj, python_csv = full_export
-        spills = Spills(monkeypatch, refuse=refuse)
-        threads = formatting_threads(monkeypatch, c_library)
         assert csv_bytes(traj) == python_csv
-        assert spills.calls == 2 and len(spills.made) == 2 - len(refuse)
-        assert all(spill.closed for spill in spills.made)
-        # the caller, and each thread whose file was made
-        assert threading.get_ident() in threads and len(threads) == 1 + len(spills.made)
-
-    def test_spill_that_runs_out_of_space_gives_the_same_bytes(
-            self, c_library, split_workers, monkeypatch, full_export):
-        traj, python_csv = full_export
-        spills = Spills(monkeypatch, fail=0)  # part of its range written
-        started = threading.active_count()
-        assert csv_bytes(traj) == python_csv
-        assert threading.active_count() == started
-        assert len(spills.made) == split_workers - 1
-        assert all(spill.closed for spill in spills.made)
-        assert spills.made[0].writes > 1
+        assert temporary_files == []
 
     def test_a_failure_in_the_last_range_reaches_the_caller_after_every_join(
             self, c_library, split_workers, monkeypatch, full_export):
+        # The thread fails on the first chunk it formats in the last third of
+        # the rows.  The caller writes slowly, so the thread formats nearly
+        # every chunk there.
         traj, python_csv = full_export
-        spills = Spills(monkeypatch)
         started = threading.active_count()
-        edges = c_library._ranges(0, len(traj), B, c_library._EXPORT_RANGES)
-        last_range_t = traj.t[edges[-2]]
-        original = c_library.format_rows_into
+        caller, original = threading.get_ident(), c_library.format_rows_into
+        failed = []
 
-        def fail_in_last_range(columns, *args):
-            if columns[0][0] >= last_range_t:
-                raise MemoryError("the last range failed")
+        def fail_on_the_thread(columns, *args):
+            row = int(np.searchsorted(traj.t, columns[0][0]))
+            if threading.get_ident() != caller and row >= 2 * len(traj) // 3:
+                failed.append(row)
+                raise MemoryError("a chunk on the thread failed")
             return original(columns, *args)
 
-        monkeypatch.setattr(c_library, "format_rows_into", fail_in_last_range)
+        monkeypatch.setattr(c_library, "format_rows_into", fail_on_the_thread)
 
         class SlowSink(io.BytesIO):
-            # the caller's range ends after the worker has failed
             def write(self, data):
                 time.sleep(0.002)
                 return super().write(data)
 
         sink = SlowSink()
-        with pytest.raises(MemoryError, match="the last range failed"):
+        with pytest.raises(MemoryError, match="a chunk on the thread failed"):
             traj.write_csv(sink)
         assert threading.active_count() == started
-        assert all(spill.closed for spill in spills.made)
-        assert len(spills.made) == split_workers - 1
-        # the caller wrote its whole range, and nothing of the others
-        assert sink.getvalue() == b"\n".join(python_csv.split(b"\n", edges[1] + 1)[
-            :edges[1] + 1]) + b"\n"
+        # the caller wrote every chunk before the failed one, and nothing more
+        assert len(failed) == 1
+        assert sink.getvalue() == csv_prefix(python_csv, failed[0])
 
-    # The stream fails in the caller's range, or while a temporary file is
-    # copied into it.
+    # The stream fails early or late: in the first half of the text ("first
+    # range") or in the second ("copy").
     @pytest.mark.parametrize("where", ["first range", "copy"])
     def test_a_failing_stream_fails_the_export_after_every_join(
             self, c_library, split_workers, monkeypatch, full_export, where):
         traj, python_csv = full_export
-        spills = Spills(monkeypatch)
         started = threading.active_count()
-        edges = c_library._ranges(0, len(traj), B, c_library._EXPORT_RANGES)
-        # the bytes of the header and the caller's range
-        first_range = len(b"\n".join(python_csv.split(b"\n", edges[1] + 1)[:-1]) + b"\n")
-        limit = first_range // 2 if where == "first range" else first_range + B
+        limit = len(python_csv) // 4 if where == "first range" else len(python_csv) * 3 // 4
+        threads = formatting_threads(monkeypatch, c_library)
 
         class FullSink(io.BytesIO):
             def write(self, data):
@@ -528,67 +490,43 @@ class TestSplitExport:
         with pytest.raises(OSError, match="No space left"):
             traj.write_csv(sink)
         assert threading.active_count() == started
-        assert len(spills.made) == split_workers - 1
-        assert all(spill.closed for spill in spills.made)
+        assert len(threads) <= 2
         assert python_csv.startswith(sink.getvalue())
-        assert (len(sink.getvalue()) < first_range) == (where == "first range")
+        assert limit - 2 * B * c_library._ROW_BYTES < len(sink.getvalue()) <= limit
 
-    def test_cli_spill_that_runs_out_of_space_writes_the_same_file(
-            self, c_library, monkeypatch, tmp_path):
-        monkeypatch.setattr(c_library, "_WORKERS", 2)
-        monkeypatch.setattr(simulator, "_kernel", c_library)
-        argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
-                "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK), "--out"]
-        spills = Spills(monkeypatch, fail=0)
-        assert cli.main([*argv, str(tmp_path / "split.csv")]) == cli.EXIT_OK
-        assert len(spills.made) == 1 and spills.made[0].closed
-        monkeypatch.setattr(c_library, "_WORKERS", 1)
-        assert cli.main([*argv, str(tmp_path / "one.csv")]) == cli.EXIT_OK
-        assert len(spills.made) == 1
-        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-
-    # A worker's range fails, or a temporary file cannot be read back.
-    @pytest.mark.parametrize("failure", ["last range", "read"])
+    @pytest.mark.parametrize("failure", ["last range"])  # a chunk on the thread
     def test_cli_failure_after_the_split_keeps_the_old_file(
-            self, c_library, monkeypatch, tmp_path, capsys, failure):
+            self, c_library, monkeypatch, tmp_path, failure):
         monkeypatch.setattr(c_library, "_WORKERS", 2)
         monkeypatch.setattr(simulator, "_kernel", c_library)
-        spills = Spills(monkeypatch, unreadable=failure == "read")
-        if failure == "last range":
-            caller, original = threading.get_ident(), c_library.format_rows_into
+        caller, original = threading.get_ident(), c_library.format_rows_into
 
-            def fail_on_a_thread(*args):
-                if threading.get_ident() != caller:
-                    raise MemoryError("the last range failed")
-                return original(*args)
+        def fail_on_a_thread(*args):
+            if threading.get_ident() != caller:
+                raise MemoryError("a chunk on the thread failed")
+            return original(*args)
 
-            monkeypatch.setattr(c_library, "format_rows_into", fail_on_a_thread)
+        monkeypatch.setattr(c_library, "format_rows_into", fail_on_a_thread)
         out_path = tmp_path / "traj.csv"
         out_path.write_bytes(b"old\n\x00\xff")
         argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
                 "--dt", "1e-4", "--steps", str(4 * c_library._MIN_CHUNK), "--out", str(out_path)]
-        if failure == "last range":
-            with pytest.raises(MemoryError, match="the last range failed"):
-                cli.main(argv)
-        else:
-            assert cli.main(argv) == cli.EXIT_OUTPUT
-            assert "Input/output error" in capsys.readouterr().err
-        assert len(spills.made) == 1 and spills.made[0].closed
+        with pytest.raises(MemoryError, match="a chunk on the thread failed"):
+            cli.main(argv)
         assert out_path.read_bytes() == b"old\n\x00\xff"
         assert os.listdir(tmp_path) == ["traj.csv"]
 
     def test_export_uses_at_most_two_ranges(self, c_library, monkeypatch, full_export):
+        # two threads format, the caller and one more, whatever _WORKERS is
         monkeypatch.setattr(c_library, "_WORKERS", 3)
         monkeypatch.setattr(simulator, "_kernel", c_library)
         traj, python_csv = full_export
-        spills = Spills(monkeypatch)
         threads = formatting_threads(monkeypatch, c_library)
-        assert len(c_library._ranges(0, len(traj), B)) == 4  # the residual loop's ranges
+        assert len(c_library._ranges(0, len(traj))) == 4  # the residual loop's ranges
         assert csv_bytes(traj) == python_csv
-        assert len(spills.made) == 1 and len(threads) == 2
+        assert threading.get_ident() in threads and len(threads) <= 2
 
-    def test_writes_to_a_pipe(self, c_library, split_workers, monkeypatch, full_export):
-        spills = Spills(monkeypatch)
+    def test_writes_to_a_pipe(self, c_library, split_workers, full_export, temporary_files):
         traj, python_csv = full_export
         read_end, write_end = os.pipe()
         received = []
@@ -601,26 +539,57 @@ class TestSplitExport:
             finally:
                 reader.join(timeout=60)
         assert not reader.is_alive()
-        assert len(spills.made) == split_workers - 1
+        assert temporary_files == []
         assert received == [python_csv]
 
-    def test_each_range_holds_one_block(self, c_library, export_workers, full_export):
-        # tracemalloc's peak over a 200,001-row export: per range, one text
-        # buffer of _TEXT_ROWS rows and a block's columns with temporaries
-        traj, _ = full_export
+    def test_four_threads_exporting_get_the_same_bytes(self, c_library, split_workers,
+                                                       full_export):
+        # Four exports at once, each with its caller and thread, switching
+        # as often as the interpreter allows: no chunk may be lost, repeated
+        # or land in another export.
+        traj, python_csv = full_export
+        traj = first_rows(traj, 16 * B + 1)
+        want = hashlib.sha256(csv_prefix(python_csv, 16 * B + 1)).hexdigest()
+        barrier = threading.Barrier(4)
+        got = [None] * 4
 
-        class NullSink:
+        class HashSink:
+            def __init__(self):
+                self.hash = hashlib.sha256()
+
             def write(self, data):
-                pass
+                self.hash.update(data)
 
+        def export(i):
+            sink = HashSink()
+            barrier.wait()
+            traj.write_csv(sink)
+            got[i] = sink.hash.hexdigest()
+
+        threads = [threading.Thread(target=export, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 4
+
+    def test_each_range_holds_one_block(self, c_library, export_workers, full_export):
+        # tracemalloc's peak over a 200,001-row export: the _TEXT_BUFFERS
+        # text buffers and the columns of the chunks being formatted
+        traj, _ = full_export
         tracemalloc.start()
         try:
             traj.write_csv(NullSink())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        per_range = c_library._TEXT_ROWS * c_library._ROW_BYTES + c_library._SLACK + 256 * 1024
-        assert peak < export_workers * per_range
+        assert peak < 10**6
 
 
 class TestForkAfterExport:
@@ -628,10 +597,10 @@ class TestForkAfterExport:
                                                        full_export):
         monkeypatch.setattr(c_library, "_WORKERS", 2)
         monkeypatch.setattr(simulator, "_kernel", c_library)
-        spills = Spills(monkeypatch)
         traj, python_csv = full_export
+        threads = formatting_threads(monkeypatch, c_library)
         assert csv_bytes(traj) == python_csv
-        assert len(spills.made) == 1  # the parent split
+        assert len(threads) == 2  # the parent ran a thread
         want = hashlib.sha256(python_csv).hexdigest()
         read_end, write_end = os.pipe()
         pid = os.fork()
