@@ -19,16 +19,15 @@ and residual loops call libm's sin, cos and hypot where NumPy calls its own
 float64 loops, so their probes differ where those give other bits.
 
 ring_sum and conic_residuals split their rings or samples into contiguous
-ranges, one for each CPU this process may use (_WORKERS), and run the
-ranges at once: the first on the caller, the others on threads started for
-the call and joined before it returns.  ctypes releases the GIL for each C
-call.  Every ring term and sample depends on its index alone, so the
-maxima have the bits of one call.  ring_sum's ranges are the top subtrees
-of NumPy's pairwise sum, whose sums the caller adds in the tree's order, so
-the total has the bits of np.sum too.  write_rows formats its rows in
-chunks that the caller and at most one thread claim in order as they go,
-and the caller writes the chunks to the stream in order; each row depends
-on its index alone, so the text has the bytes of one call.  The kernel
+ranges, one for each CPU this process may use (_WORKERS), and write_rows
+its rows into chunks.  One scheduler, _in_order, runs them on the caller
+and on threads started for the call, and the caller takes the results in
+order.  ctypes releases the GIL for each C call.  Every ring term, sample
+and row depends on its index alone, so the maxima have the bits of one call
+and the text its bytes.  ring_sum's ranges are the top subtrees of NumPy's
+pairwise sum, whose sums the caller adds in the tree's order, so the total
+has the bits of np.sum too.  The first range or chunk that raises, on
+whichever thread, ends the call after the results before it.  The kernel
 runs on the caller alone.
 """
 
@@ -225,36 +224,75 @@ def _ranges(lo, hi):
     return [lo + (hi - lo) * j // k for j in range(k)] + [hi]
 
 
-def _split(fn, edges):
-    """[fn(start, stop) for each range of _ranges' edges], in order: the
-    first run on the caller and each other on a thread of its own.  Once
-    every thread has ended, the exception of the first range that raised, in
-    range order, is raised on the caller."""
-    k = len(edges) - 1
-    if k == 1:
-        return [fn(*edges)]
-    results, errors = [None] * k, [None] * k
+def _in_order(fn, n, threads, ahead, take):
+    """take(fn(j)) on the caller for j = 0 .. n - 1, in order.  The caller and
+    `threads` threads started for the call each claim the next unclaimed j,
+    at most `ahead` past the last j taken, so that chunk j may reuse the
+    buffer of chunk j - ahead; while the next result is not ready, the
+    caller claims and computes one itself.  The first j whose fn raised ends
+    the claims, and its exception is raised on the caller after the results
+    before it are taken and every thread has ended; an exception of take
+    ends the threads before it propagates."""
+    done = {}  # j: (fn(j), None) or (None, its exception)
+    changed = threading.Condition()
+    # the next j to claim, the next j to take (every j before it is taken),
+    # and the first j that failed (0 once the caller stops)
+    claimed, taken, end = 0, 0, n
+
+    def claim():
+        # under `changed`: the next claimable j, or None
+        nonlocal claimed
+        if claimed >= min(end, taken + ahead):
+            return None
+        claimed += 1
+        return claimed - 1
 
     def run(j):
+        nonlocal end
         try:
-            results[j] = fn(edges[j], edges[j + 1])
-        except BaseException as exc:  # re-raised on the caller
-            errors[j] = exc
+            result = fn(j), None
+        except BaseException as exc:  # raised on the caller in j's turn
+            result = None, exc
+        with changed:
+            done[j] = result
+            if result[1] is not None:
+                end = min(end, j)
+            changed.notify_all()
 
-    threads = []
+    def work():
+        while True:
+            with changed:
+                while (j := claim()) is None:
+                    if claimed >= end:
+                        return
+                    changed.wait()
+            run(j)
+
+    workers = []
     try:
-        for j in range(1, k):
-            thread = threading.Thread(target=run, args=(j,))
-            thread.start()
-            threads.append(thread)
-        run(0)
+        for _ in range(threads):
+            worker = threading.Thread(target=work)
+            worker.start()
+            workers.append(worker)
+        for taken in range(n):
+            while True:
+                with changed:
+                    changed.notify_all()  # taken moved on, so a thread may claim
+                    while taken not in done and (j := claim()) is None:
+                        changed.wait()
+                    if taken in done:
+                        result, exc = done.pop(taken)
+                        break
+                run(j)
+            if exc is not None:
+                raise exc
+            take(result)
     finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        with changed:
+            end = 0
+            changed.notify_all()
+        for worker in workers:
+            worker.join()
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -326,88 +364,22 @@ def format_rows(columns, start, stop):
 def write_rows(block_columns, n, block_rows, stream):
     """Same arguments and bytes as _propagate_py.write_rows, in chunks of
     min(block_rows, _TEXT_ROWS) rows: one block_columns call each, formatted
-    into one of at most _TEXT_BUFFERS buffers.  The caller writes the chunks
-    to stream in order.  With _WORKERS >= 2 and at least _MIN_CHUNK rows, one
-    thread formats the next unclaimed chunk whenever a buffer is free, and so
-    does the caller while the chunk it writes next is not ready, so neither
-    CPU idles while the other lags.  A thread's exception is raised on the
-    caller after the chunks before its chunk are written and the thread has
-    ended; an error of stream, or of a chunk the caller formats, ends the
-    thread before it propagates."""
+    into one of _TEXT_BUFFERS buffers and written to stream in order
+    (_in_order).  With _WORKERS >= 2 and at least _MIN_CHUNK rows, one
+    thread formats chunks beside the caller, so neither CPU idles while the
+    other lags."""
     rows = min(block_rows, _TEXT_ROWS)
-    chunks = -(-n // rows)
-    threaded = _WORKERS >= 2 and n >= _MIN_CHUNK
-    free = [np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-            for _ in range(_TEXT_BUFFERS if threaded else 1)]
-    ready = {}  # chunk: (its buffer, the size of its text)
-    changed = threading.Condition()
-    # the next unclaimed chunk, the end of the chunks to write (that of the
-    # thread's failed chunk, or 0 once the caller stops) and the thread's error
-    claimed, end, error = 0, chunks, None
+    threads = 1 if _WORKERS >= 2 and n >= _MIN_CHUNK else 0
+    ahead = _TEXT_BUFFERS if threads else 1
+    buffers = [np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+               for _ in range(ahead)]
 
-    def claim():
-        # under `changed`: (the next unclaimed chunk, a free buffer), or None
-        nonlocal claimed
-        if claimed >= end or not free:
-            return None
-        claimed += 1
-        return claimed - 1, free.pop()
-
-    def format_chunk(j, out):
+    def chunk(j):
+        out = buffers[j % ahead]
         size = format_rows_into(block_columns(j * rows, min(j * rows + rows, n)), 0, None, out)
-        with changed:
-            ready[j] = out, size
-            changed.notify_all()
+        return out.data[:size]
 
-    def work():
-        nonlocal end, error
-        while True:
-            with changed:
-                while (job := claim()) is None:
-                    if claimed >= end:
-                        return
-                    changed.wait()
-            try:
-                format_chunk(*job)
-            except BaseException as exc:  # raised on the caller after the join
-                with changed:
-                    end, error = job[0], exc
-                    changed.notify_all()
-                return
-
-    def take(j):
-        # chunk j's buffer and text size, formatting unclaimed chunks while
-        # it is not ready; None once the thread has failed on chunk j
-        while True:
-            with changed:
-                while j not in ready and j < end and (job := claim()) is None:
-                    changed.wait()
-                if j in ready:
-                    return ready.pop(j)
-                if j >= end:
-                    return None
-            format_chunk(*job)
-
-    worker = threading.Thread(target=work) if threaded else None
-    if worker:
-        worker.start()
-    try:
-        for j in range(chunks):
-            if (text := take(j)) is None:
-                break
-            out, size = text
-            stream.write(out.data[:size])
-            with changed:
-                free.append(out)
-                changed.notify_all()
-    finally:
-        if worker:
-            with changed:
-                end = 0
-                changed.notify_all()
-            worker.join()
-    if error is not None:
-        raise error
+    _in_order(chunk, -(-n // rows), threads, ahead, stream.write)
 
 
 def _pairwise(lo, hi, depth, leaf):
@@ -425,7 +397,7 @@ def _pairwise(lo, hi, depth, leaf):
 def ring_sum(a, d, dtheta, width, scale, n):
     """Same arguments and bits as _propagate_py.ring_sum.  The runs of the
     pairwise sum k levels below its root, k the largest power of two at most
-    _WORKERS and n // _MIN_CHUNK, are summed at once (_split); the caller
+    _WORKERS and n // _MIN_CHUNK, are summed at once (_in_order); the caller
     adds their sums in the tree's order."""
     depth = max(1, min(_WORKERS, n // _MIN_CHUNK)).bit_length() - 1
     edges = [0]
@@ -435,30 +407,36 @@ def ring_sum(a, d, dtheta, width, scale, n):
         return 0.0
 
     _pairwise(0, n, depth, edge)
-    sums = iter(_split(lambda lo, hi: _ring_sum(a, d, dtheta, width, scale, lo, hi - lo), edges))
+    k, sums = len(edges) - 1, []
+    _in_order(lambda j: _ring_sum(a, d, dtheta, width, scale, edges[j], edges[j + 1] - edges[j]),
+              k, k - 1, k, sums.append)
     # np.sum adds the pairwise sum to the identity of np.add, 0.0
-    return 0.0 + _pairwise(0, n, depth, lambda lo, hi: next(sums))
+    return 0.0 + _pairwise(0, n, depth, lambda lo, hi: sums.pop(0))
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
     """Same arguments, results, bits and errors as _propagate_py.conic_residuals.
 
-    The chunks of [start, stop) (_split) merge their maxima with max, which
-    is exact in any order, and add their skipped counts.  When any chunk
-    flags, the whole range goes to _propagate_py.conic_residuals, which
-    raises the error of its first failing block's first failing check.
+    The ranges of [start, stop) (_ranges, run by _in_order) merge their
+    maxima with max, which is exact in any order, and add their skipped
+    counts.  When any range flags, the whole range goes to
+    _propagate_py.conic_residuals, which raises the error of its first
+    failing block's first failing check.
     """
     theta0, span, div = geometry._theta_grid(shape, n)
     args = (shape.eccentricity, shape.semi_latus_rectum, shape.focal_directrix_distance,
             shape.conic_class.value, focus2_y or 0.0, focal_constant or 0.0, theta0, span, div)
 
-    def chunk(lo, hi):
+    edges, parts = _ranges(start, stop), []
+
+    def chunk(j):
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
-        if _conic_residuals(*args, lo, hi, maxima, ctypes.byref(skipped)):
+        if _conic_residuals(*args, edges[j], edges[j + 1], maxima, ctypes.byref(skipped)):
             return None
         return (*maxima, skipped.value)
 
-    parts = _split(chunk, _ranges(start, stop))
+    k = len(edges) - 1
+    _in_order(chunk, k, k - 1, k, parts.append)
     if None in parts:
         return _propagate_py.conic_residuals(shape, n, start, stop, focus2_y, focal_constant)
     focal, reflection, right, skipped = zip(*parts)

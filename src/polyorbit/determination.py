@@ -125,16 +125,21 @@ def apsides(pair: ConservedPair, field: CentralField) -> tuple[float, float | No
     if pair.Q <= 0.0:
         raise DegenerateOrbitError("radial trajectory (Q = 0) has no conic apsides")
     m = field.m
-    if pair.C == 0.0:
-        return pair.Q / (2.0 * m), None
     disc = m * m + pair.C * pair.Q
     if disc < 0.0:
         raise DomainError(f"inconsistent conserved pair: m^2 + CQ = {disc:g} < 0")
-    root = math.sqrt(disc)
-    r_min = (-m + root) / pair.C
-    if pair.C < 0.0:
-        return r_min, (-m - root) / pair.C
-    return r_min, None
+    if pair.C == 0.0:
+        r_min, r_max = pair.Q / (2.0 * m), None
+    else:
+        root = math.sqrt(disc)
+        r_min = (-m + root) / pair.C
+        r_max = (-m - root) / pair.C if pair.C < 0.0 else None
+    if not (math.isfinite(disc) and math.isfinite(r_min) and math.isfinite(r_max or 0.0)):
+        raise DomainError(
+            f"m^2 + CQ = {disc:g}, apsides {r_min:g} and {r_max}: m, C and Q are outside "
+            "the range where the apsides can be told in double precision"
+        )
+    return r_min, r_max
 
 
 def period(pair: ConservedPair, field: CentralField) -> float:

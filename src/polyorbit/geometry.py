@@ -100,9 +100,10 @@ class EllipseAxes:
     semi_minor: float
 
     def __post_init__(self):
-        if not (self.semi_major >= self.semi_minor > 0.0):
+        if not (math.inf > self.semi_major >= self.semi_minor > 0.0):
             raise DomainError(
-                f"axes must satisfy X >= Y > 0, got X={self.semi_major}, Y={self.semi_minor}"
+                f"axes must be finite with X >= Y > 0, got X={self.semi_major}, "
+                f"Y={self.semi_minor}"
             )
 
 
@@ -179,13 +180,25 @@ def axes_from_focal(e: float, aO: float) -> EllipseAxes:
 def focal_from_axes(axes: EllipseAxes) -> tuple[float, float | None]:
     """Inverse of axes_from_focal: (e, aO) from the semi-axes.
 
-    A circle (X == Y) has no directrix: returns (0.0, None).
+    A circle (X == Y) has no directrix: returns (0.0, None).  Axes whose e
+    rounds to 1, or whose aO is not finite and > 0, raise DomainError.
     """
     x, y = axes.semi_major, axes.semi_minor
     if x == y:
         return 0.0, None
     d = math.sqrt(x * x - y * y)
-    return d / x, y * y / d
+    if 0.0 < d < math.inf and y * y >= sys.float_info.min:
+        e, a_o = d / x, y * y / d
+    else:  # X^2 overflows, or Y^2 or X^2 - Y^2 loses bits: the same in units of X
+        s = y / x
+        e = math.sqrt((x - y) / x * (1.0 + s))
+        a_o = y * s / e
+    if not (e < 1.0 and 0.0 < a_o < math.inf):
+        raise DomainError(
+            f"axes X={x:g}, Y={y:g} give e = {e!r} and aO = {a_o:g}: an ellipse "
+            "needs e < 1 and a finite aO > 0 in double precision"
+        )
+    return e, a_o
 
 
 def ellipse_area(e: float, aO: float) -> float:

@@ -20,10 +20,11 @@ Python copy otherwise.  integrate(), Trajectory.write_csv,
 shell.shell_accel and geometry.geometry_residuals call the bound loops,
 _kernel; _backends says where each runs and why not in C.  In C the ring
 sum and the residual samples run in ranges, one per CPU this process may
-use (for the ring sum, a power of two of them), with the bits of one call;
-the CSV rows are formatted in chunks that the caller and at most one thread
-take in turn, and written in order by the caller; the step runs on the
-caller's thread alone.
+use (for the ring sum, a power of two of them), and the CSV rows in chunks
+on the caller and at most one thread.  One scheduler runs both
+(_propagate_c._in_order): it takes the results in order, with the bits and
+bytes of one call, and a range or chunk that fails stops it after the
+results before it.  The step runs on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -212,7 +213,8 @@ class Trajectory:
         are the bits of the r, speed and alpha properties.  In C the rows
         are formatted on the caller and on at most one thread, in chunks of
         at most a block, and written to stream in order by the caller
-        (_propagate_c.write_rows).
+        (_propagate_c.write_rows); a chunk that fails leaves the rows before
+        it written.
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""

@@ -183,6 +183,16 @@ class TestApsides:
         with pytest.raises(DegenerateOrbitError):
             apsides(ConservedPair(-1.0, 0.0), UNIT_FIELD)
 
+    # m^2 + CQ overflows (C infinite, CQ or m^2 past DBL_MAX), or a root
+    # does (r_max for a C below the smallest normal; the parabola's Q/2m)
+    @pytest.mark.parametrize("c, q, m", [
+        (math.inf, 1.0, 1.0), (1e200, 1e200, 1.0), (1.0, 1.0, 1e200), (-1e-320, 1.0, 1.0),
+        (0.0, math.inf, 1.0),
+    ], ids=["inf-C", "CQ-overflows", "m2-overflows", "r_max-overflows", "parabola-inf-Q"])
+    def test_non_finite_apsides_rejected(self, c, q, m):
+        with pytest.raises(DomainError, match="outside the range where the apsides can be told"):
+            apsides(ConservedPair(c, q), CentralField(m))
+
 
 class TestPeriod:
     def test_canonical(self):

@@ -198,6 +198,25 @@ class TestAxes:
         with pytest.raises(DomainError):
             EllipseAxes(3.0, 5.0)
 
+    @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (math.inf, math.inf)])
+    def test_non_finite_axes_rejected(self, x, y):
+        with pytest.raises(DomainError):
+            EllipseAxes(x, y)
+
+    # e rounds to 1 (1 - e is 5e-401 and 5e-17), or aO underflows to 0
+    @pytest.mark.parametrize("x, y", [(1e200, 1.0), (1e8, 1.0), (1e-323, 5e-324)])
+    def test_axes_past_double_precision_rejected(self, x, y):
+        with pytest.raises(DomainError):
+            focal_from_axes(EllipseAxes(x, y))
+
+    # X^2 overflows, or X^2 and Y^2 underflow: the same e, and aO scaled
+    @pytest.mark.parametrize("scale", [1e299, 1e-201])
+    def test_axes_whose_squares_leave_double_precision(self, scale):
+        e, a_o = focal_from_axes(EllipseAxes(10.0 * scale, scale))
+        e_unit, a_o_unit = focal_from_axes(EllipseAxes(10.0, 1.0))
+        assert e == pytest.approx(e_unit, rel=1e-15)
+        assert a_o == pytest.approx(a_o_unit * scale, rel=1e-15)
+
     @given(
         e=st.floats(0.01, 0.99),
         a_o=st.floats(0.1, 100.0),

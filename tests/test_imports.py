@@ -128,7 +128,8 @@ print(json.dumps(counts))
 def test_import_and_commands_leave_one_thread(tmp_path):
     # The ring sum, residual loops and CSV export join their threads before
     # they return; nothing starts a thread at import or keeps a pool.  The
-    # export's 40,001 rows are more than two ranges of _MIN_CHUNK rows.
+    # export's 40,001 rows are at least _MIN_CHUNK rows, so it starts a
+    # thread, as do the 100,000 rings and samples with two CPUs or more.
     commands = [
         ["classify", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60.0"],
         ["moon-check"],
@@ -136,10 +137,12 @@ def test_import_and_commands_leave_one_thread(tmp_path):
         ["geometry-check", "--e", "0.5", "--ell", "0.75", "--samples", "100000"],
         ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60", "--dt", "1e-4",
          "--steps", "40000", "--out", str(tmp_path / "traj.csv")],
+        ["kepler3", "--m", "1", "--count", "2"],
     ]
     counts = json.loads(fresh_python("-c", _COUNT_THREADS, json.dumps(commands)))
     assert counts == {"import": 1, "classify": [0, 1], "moon-check": [0, 1],
-                      "shell-check": [0, 1], "geometry-check": [0, 1], "simulate": [0, 1]}
+                      "shell-check": [0, 1], "geometry-check": [0, 1], "simulate": [0, 1],
+                      "kepler3": [0, 1]}
 
 
 def test_closed_form_commands_help_and_usage_errors_run_without_numpy(monkeypatch, cli_call):

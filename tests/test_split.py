@@ -1,5 +1,5 @@
-"""The C ring sum, residual loops and CSV export split across threads
-(_propagate_c._split).
+"""The C ring sum, residual loops and CSV export split across threads by
+one scheduler (_propagate_c._in_order).
 
 Each test runs with one, two and three chunks at most (the module's
 _WORKERS), whatever CPUs this host has.  A split call must give the bits of
@@ -8,7 +8,9 @@ loop's error for the whole block, pass on a worker's exception, and leave no
 thread behind, so that a process forked after it still runs them.  An export
 whose chunks the caller and a thread format must write the bytes of an
 export on the caller alone and of the Python formatter, in order, to any
-binary stream, with no temporary file.
+binary stream, with no temporary file.  The first range or chunk that
+fails, on whichever thread, is the error raised, after the results before
+it: a failed export leaves exactly the rows before the failed chunk.
 """
 
 import ctypes
@@ -467,6 +469,38 @@ class TestSplitExport:
             traj.write_csv(sink)
         assert threading.active_count() == started
         # the caller wrote every chunk before the failed one, and nothing more
+        assert len(failed) == 1
+        assert sink.getvalue() == csv_prefix(python_csv, failed[0])
+
+    @pytest.mark.parametrize("failing", ["caller", "thread"])
+    def test_a_failed_chunk_leaves_exactly_the_rows_before_it(
+            self, c_library, split_workers, monkeypatch, full_export, failing):
+        # `failing` fails the first chunk in the last third of the rows that
+        # it formats while the other side, which formats slowly, is still
+        # formatting an earlier chunk.
+        traj, python_csv = full_export
+        started = threading.active_count()
+        caller, original = threading.get_ident(), c_library.format_rows_into
+        slow, failed = [], []  # the first rows of the slow side's chunk, and of the failed one
+
+        def fail_on_one_side(columns, *args):
+            row = int(np.searchsorted(traj.t, columns[0][0]))
+            if (threading.get_ident() == caller) != (failing == "caller"):
+                slow.append(row)
+                try:
+                    time.sleep(0.002)
+                finally:
+                    slow.remove(row)
+            elif row >= 2 * len(traj) // 3 and any(earlier < row for earlier in slow):
+                failed.append(row)
+                raise MemoryError(f"a chunk on the {failing} failed")
+            return original(columns, *args)
+
+        monkeypatch.setattr(c_library, "format_rows_into", fail_on_one_side)
+        sink = io.BytesIO()
+        with pytest.raises(MemoryError, match=f"a chunk on the {failing} failed"):
+            traj.write_csv(sink)
+        assert threading.active_count() == started
         assert len(failed) == 1
         assert sink.getvalue() == csv_prefix(python_csv, failed[0])
 
