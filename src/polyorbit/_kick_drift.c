@@ -19,8 +19,8 @@
  * _propagate_py, written the same way: one C statement per NumPy expression,
  * in its order.  They call libm's sin, cos and hypot, which NumPy's float64
  * loops call too; the load-time probe in _propagate_c checks that, and binds
- * the NumPy loops where it fails.  ring_sum adds ring_terms' terms in the
- * order np.sum adds them, without an array of them.
+ * the NumPy loops where it fails.  ring_sum adds ring_terms' terms exactly,
+ * without an array of them, for the caller to round once with math.fsum.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -340,44 +340,60 @@ void ring_terms(double a, double d, double dtheta, double width, double scale, i
     }
 }
 
-/* The most terms NumPy's pairwise sum adds in one leaf (PW_BLOCKSIZE). */
-#define PAIRWISE_BLOCK 128
+/* 32-bit chunks from 2^-1074 up past the top bit of a sum of 2^31 doubles */
+#define RING_CHUNKS 67
 
-/* The sum of ring_terms' terms of the rings start .. start + n - 1, added as
- * pairwise_sum in NumPy's loops_utils.h.src adds an array of them: fewer
- * than 8 terms in order; at most PAIRWISE_BLOCK terms in 8 running sums,
- * combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then
- * the terms past the last multiple of 8; more terms as the sum of two runs,
- * split at n / 2 rounded down to a multiple of 8.  np.sum adds that to 0.0.
- * Each leaf's terms go to a buffer on the stack, so no array of all the
- * terms is made, and the two runs of a split are sums of disjoint rings:
- * _propagate_c runs the top runs of the tree on several threads and adds
- * their sums in the tree's order.
+/* The exact sum of ring_terms' terms of the rings start .. stop - 1, as
+ * chunks[i] = c_i * 2^(32 i - 1074) with integers c_i in [-2^31, 2^31), each
+ * exact in a double; math.fsum of the chunks of every range is then the
+ * correctly rounded total, however _propagate_c splits the rings.  Each
+ * term's 53-bit significand is added, with its sign, to the three int64
+ * chunks it spans, less than 2^32 to each: fewer than 2^31 terms
+ * (shell.MAX_RINGS is 10^7) cannot overflow a chunk, so the loop never
+ * renormalises.  Returns 0, or -1 when a term is not finite.
  */
-double ring_sum(double a, double d, double dtheta, double width, double scale, int64_t start,
-                int64_t n)
+int ring_sum(double a, double d, double dtheta, double width, double scale, int64_t start,
+             int64_t stop, double *chunks)
 {
-    if (n > PAIRWISE_BLOCK) {
-        int64_t half = n / 2;
-        half -= half % 8;
-        return ring_sum(a, d, dtheta, width, scale, start, half)
-               + ring_sum(a, d, dtheta, width, scale, start + half, n - half);
+    int64_t acc[RING_CHUNKS + 1] = {0};
+    double t[128];
+
+    for (int64_t lo = start; lo < stop; lo += 128) {
+        int64_t n = stop - lo < 128 ? stop - lo : 128;
+        ring_terms(a, d, dtheta, width, scale, lo, lo + n, t);
+        for (int64_t k = 0; k < n; k++) {
+            uint64_t bits;
+            memcpy(&bits, &t[k], sizeof bits);
+            /* |t| = f * 2^(p - 1074) with f < 2^53 */
+            unsigned p = (unsigned)(bits >> 52 & 0x7FF) - 1, s;
+            uint64_t f = (bits & 0xFFFFFFFFFFFFFu) | (uint64_t)1 << 52;
+            if (p >= 0x7FE) {  /* not finite, or zero or subnormal */
+                if (p == 0x7FE)
+                    return -1;
+                p = 0;
+                f ^= (uint64_t)1 << 52;
+            }
+            s = p % 32;
+            uint64_t low = f << s, high = f >> 32 >> (32 - s);  /* f * 2^s */
+            int64_t *c = acc + p / 32;
+            if (bits >> 63) {
+                c[0] -= (int64_t)(low & 0xFFFFFFFFu);
+                c[1] -= (int64_t)(low >> 32);
+                c[2] -= (int64_t)high;
+            } else {
+                c[0] += (int64_t)(low & 0xFFFFFFFFu);
+                c[1] += (int64_t)(low >> 32);
+                c[2] += (int64_t)high;
+            }
+        }
     }
-    double t[PAIRWISE_BLOCK], r[8], sum;
-    int64_t i = 0;
-    ring_terms(a, d, dtheta, width, scale, start, start + n, t);
-    if (n < 8) {
-        sum = -0.0;  /* as NumPy starts, so that a sum of -0.0 terms stays -0.0 */
-    } else {
-        memcpy(r, t, sizeof r);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += t[i + j];
-        sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (int i = 0; i < RING_CHUNKS; i++) {
+        /* acc[i] = r + 2^32 q, r in [-2^31, 2^31); the top chunk, below 2^17, has q = 0 */
+        int64_t r = (int64_t)(((uint64_t)acc[i] + 0x80000000u) & 0xFFFFFFFFu) - 0x80000000;
+        acc[i + 1] += (acc[i] - r) / 0x100000000;
+        chunks[i] = ldexp((double)r, 32 * i - 1074);
     }
-    for (; i < n; i++)
-        sum += t[i];
-    return sum;
+    return 0;
 }
 
 /* The values of geometry.ConicClass. */

@@ -24,11 +24,11 @@ its rows into chunks.  One scheduler, _in_order, runs them on the caller
 and on threads started for the call, and the caller takes the results in
 order.  ctypes releases the GIL for each C call.  Every ring term, sample
 and row depends on its index alone, so the maxima have the bits of one call
-and the text its bytes.  ring_sum's ranges are the top subtrees of NumPy's
-pairwise sum, whose sums the caller adds in the tree's order, so the total
-has the bits of np.sum too.  The first range or chunk that raises, on
-whichever thread, ends the call after the results before it.  The kernel
-runs on the caller alone.
+and the text its bytes.  Each of ring_sum's ranges adds its terms exactly,
+and the caller rounds the sum of them all once with math.fsum, so the
+total is the correctly rounded sum of the terms however they are split.
+The first range or chunk that raises, on whichever thread, ends the call
+after the results before it.  The kernel runs on the caller alone.
 """
 
 import ctypes
@@ -92,15 +92,11 @@ _ROW_BYTES = 8 * 25
 _SLACK = 16
 
 # ring_terms and ring_sum arguments for the load-time probe: (a, d, n) of
-# five shells, 550 angles in all: a split of the pairwise sum, a leaf with
-# a tail past its 8 running sums, and one term; then two leaves with d < a,
-# whose terms nearly cancel, so the rounding of each partial sum shows in
-# the total: no way to add a leaf's 8 running sums but NumPy's gives the
-# bits of np.sum on both (TestRingProbe); and conic_residuals shapes (e, ell)
-# and sample counts for an ellipse, a parabola and a hyperbola, 300 angles
-# in all.
-_RING_PROBE = ((1.5, 2.3, 256), (0.7, 0.71, 127), (2.0, 5e3, 1),
-               (1.648, 1.601, 126), (4.123, 2.874, 40))
+# two shells, 382 angles in all, the second with d < a, whose terms have
+# both signs, so a sign or carry fault shows in its total; and
+# conic_residuals shapes (e, ell) and sample counts for an ellipse, a
+# parabola and a hyperbola, 300 angles in all.
+_RING_PROBE = ((1.5, 2.3, 256), (1.648, 1.601, 126))
 _RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
 
 # The CPUs this process may use: ring_sum and conic_residuals run at most
@@ -111,9 +107,8 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _WORKERS = os.cpu_count() or 1
 
-# The most terms NumPy's pairwise sum adds in one leaf (PW_BLOCKSIZE), as
-# PAIRWISE_BLOCK in _kick_drift.c.
-_PAIRWISE_BLOCK = 128
+# The doubles ring_sum in _kick_drift.c writes for a range (RING_CHUNKS).
+_RING_CHUNKS = 67
 
 # The fewest rings or samples a range gets, and the fewest CSV rows for
 # which write_rows starts a thread.  Starting and joining a thread takes
@@ -204,8 +199,8 @@ def _load():
                          ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
     ring_terms.restype = None
     ring_terms.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
-    ring_sum.restype = ctypes.c_double
-    ring_sum.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2
+    ring_sum.restype = ctypes.c_int
+    ring_sum.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     conic_residuals.restype = ctypes.c_int
     conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_int64] * 2
@@ -382,36 +377,18 @@ def write_rows(block_columns, n, block_rows, stream):
     _in_order(chunk, -(-n // rows), threads, ahead, stream.write)
 
 
-def _pairwise(lo, hi, depth, leaf):
-    """NumPy's pairwise sum of the terms [lo, hi) (ring_sum in _kick_drift.c)
-    cut `depth` levels below its root: leaf(lo, hi) for each run there, and
-    for each shorter run that NumPy adds in one leaf, added in the tree's
-    order."""
-    n = hi - lo
-    if depth == 0 or n <= _PAIRWISE_BLOCK:
-        return leaf(lo, hi)
-    mid = lo + n // 2 // 8 * 8
-    return _pairwise(lo, mid, depth - 1, leaf) + _pairwise(mid, hi, depth - 1, leaf)
-
-
 def ring_sum(a, d, dtheta, width, scale, n):
-    """Same arguments and bits as _propagate_py.ring_sum.  The runs of the
-    pairwise sum k levels below its root, k the largest power of two at most
-    _WORKERS and n // _MIN_CHUNK, are summed at once (_in_order); the caller
-    adds their sums in the tree's order."""
-    depth = max(1, min(_WORKERS, n // _MIN_CHUNK)).bit_length() - 1
-    edges = [0]
-
-    def edge(lo, hi):
-        edges.append(hi)
-        return 0.0
-
-    _pairwise(0, n, depth, edge)
-    k, sums = len(edges) - 1, []
-    _in_order(lambda j: _ring_sum(a, d, dtheta, width, scale, edges[j], edges[j + 1] - edges[j]),
-              k, k - 1, k, sums.append)
-    # np.sum adds the pairwise sum to the identity of np.add, 0.0
-    return 0.0 + _pairwise(0, n, depth, lambda lo, hi: sums.pop(0))
+    """Same arguments as _propagate_py.ring_sum, and its bits where the total
+    is finite: math.fsum of the exact sums that the ranges of [0, n)
+    (_ranges, run by _in_order) write as _RING_CHUNKS doubles each.  NaN
+    where a term is not finite."""
+    edges, codes = _ranges(0, n), []
+    k = len(edges) - 1
+    chunks = (ctypes.c_double * (_RING_CHUNKS * k))()
+    _in_order(lambda j: _ring_sum(a, d, dtheta, width, scale, edges[j], edges[j + 1],
+                                  ctypes.byref(chunks, 8 * _RING_CHUNKS * j)),
+              k, k - 1, k, codes.append)
+    return math.nan if any(codes) else math.fsum(chunks)
 
 
 def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):

@@ -15,11 +15,13 @@ loads.  The tests check both C loops against these.
 ring_sum and conic_residuals are the NumPy loops of shell.shell_accel
 and geometry.geometry_residuals, here so that simulator binds all four
 loops from one module and geometry imports no NumPy; ring_sum (over
-ring_terms) and conic_residuals in the C library are their copies.
+ring_terms) and conic_residuals in the C library are their copies.  The
+ring total is math.fsum of the terms, so its bits depend on them alone.
 """
 
 from array import array
-from math import isnan, nan, pi, sqrt
+from itertools import chain
+from math import fsum, isnan, nan, pi, sqrt
 
 import numpy as np
 
@@ -129,9 +131,9 @@ def write_rows(block_columns, n, block_rows, stream):
         stream.write(format_rows(columns, 0, len(columns[0])).encode("ascii"))
 
 
-def ring_terms(a, d, dtheta, width, scale, terms):
-    """Fills terms[i] with the axial pull of ring i of len(terms), the ring
-    at polar angle (i + 0.5) * dtheta, _RING_BLOCK rings at a time.
+def ring_terms(a, d, dtheta, width, scale, terms, first=0):
+    """Fills terms[i] with the axial pull of ring first + i, at polar angle
+    (first + i + 0.5) * dtheta, _RING_BLOCK rings at a time; returns terms.
 
     The terms of ring_sum: ring_terms in _kick_drift.c is its copy in C.
     """
@@ -140,7 +142,7 @@ def ring_terms(a, d, dtheta, width, scale, terms):
     with np.errstate(all="ignore"):
         for start in range(0, len(terms), _RING_BLOCK):
             stop = min(start + _RING_BLOCK, len(terms))
-            theta = (np.arange(start, stop) + 0.5) * dtheta
+            theta = (np.arange(first + start, first + stop) + 0.5) * dtheta
             # thin-ring areas 2*pi*x*w, x = a*sin(theta) the ring's distance
             # to the axis (with 1 to 3 rings, w is not below a)
             areas = 2.0 * pi * (a * np.sin(theta)) * width
@@ -149,16 +151,18 @@ def ring_terms(a, d, dtheta, width, scale, terms):
             s = np.sqrt(s2)
             axial = (d - a * cos_t) / s
             np.multiply(scale * areas / s2, axial, out=terms[start:stop])
+    return terms
 
 
 def ring_sum(a, d, dtheta, width, scale, n):
-    """np.sum of the n terms of ring_terms: the NumPy loop of
-    shell.shell_accel, whose copy in C is ring_sum in _kick_drift.c.  The
-    sum is inf or nan where the terms overflow or underflow."""
-    terms = np.empty(n)
-    ring_terms(a, d, dtheta, width, scale, terms)
-    with np.errstate(all="ignore"):  # inf + -inf
-        return float(np.sum(terms))
+    """math.fsum of the n terms of ring_terms, made _RING_BLOCK at a time:
+    the NumPy loop of shell.shell_accel, whose copy in C is ring_sum in
+    _kick_drift.c.  Where a term is not finite or the sum overflows, the sum
+    is inf or nan, or fsum raises OverflowError or ValueError."""
+    block = np.empty(min(n, _RING_BLOCK))
+    return fsum(chain.from_iterable(
+        memoryview(ring_terms(a, d, dtheta, width, scale, block[:n - first], first))
+        for first in range(0, n, _RING_BLOCK)))
 
 
 def _sample_thetas(shape, n, start, stop):

@@ -119,8 +119,9 @@ def classify_orbit(pair: ConservedPair, field: CentralField) -> ConicClass:
 def apsides(pair: ConservedPair, field: CentralField) -> tuple[float, float | None]:
     """Extremal radii (r_min, r_max); r_max is None for unbounded orbits.
 
-    Roots of csc^2(alpha) = 1: r = (-m +/- sqrt(m^2 + CQ)) / C, or Q/(2m)
-    for the parabola.
+    The roots of csc^2(alpha) = 1 in forms that do not cancel where |CQ| <<
+    m^2, near escape speed: r_min = Q/(m + sqrt(m^2 + CQ)), Q/(2m) for the
+    parabola, and r_max = -(m + sqrt(m^2 + CQ))/C.
     """
     if pair.Q <= 0.0:
         raise DegenerateOrbitError("radial trajectory (Q = 0) has no conic apsides")
@@ -128,13 +129,12 @@ def apsides(pair: ConservedPair, field: CentralField) -> tuple[float, float | No
     disc = m * m + pair.C * pair.Q
     if disc < 0.0:
         raise DomainError(f"inconsistent conserved pair: m^2 + CQ = {disc:g} < 0")
-    if pair.C == 0.0:
-        r_min, r_max = pair.Q / (2.0 * m), None
-    else:
-        root = math.sqrt(disc)
-        r_min = (-m + root) / pair.C
-        r_max = (-m - root) / pair.C if pair.C < 0.0 else None
-    if not (math.isfinite(disc) and math.isfinite(r_min) and math.isfinite(r_max or 0.0)):
+    root = m + math.sqrt(disc)
+    r_min = pair.Q / root
+    r_max = -root / pair.C if pair.C < 0.0 else None
+    # m^2 rounded to 0 gives a parabola Q/m for Q/2m; classify_orbit rejects it too
+    if not (math.isfinite(disc) and (m * m > 0.0 or disc > 0.0) and math.isfinite(r_min)
+            and math.isfinite(r_max or 0.0)):
         raise DomainError(
             f"m^2 + CQ = {disc:g}, apsides {r_min:g} and {r_max}: m, C and Q are outside "
             "the range where the apsides can be told in double precision"

@@ -16,8 +16,8 @@ import numpy as np
 from . import simulator
 from .errors import DomainError, OutsideOnlyError
 
-#: Hard cap on the number of rings.  In C the ring sum holds no term array;
-#: the NumPy fallback holds one float64 term per ring (80 MB at the cap).
+#: Hard cap on the number of rings.  Neither ring sum holds an array of all
+#: the terms: C makes 128 at a time, the NumPy fallback 65536.
 MAX_RINGS = 10**7
 
 
@@ -57,12 +57,11 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
     """Axial attraction of the shell on an external point at distance d,
     summed over the ring decomposition with the midpoint rule.
 
-    The rings are added in np.sum's order over the array of all their
-    terms: NumPy's pairwise summation order depends on the whole length, so
-    a sum of block sums would change the last bits.  The C loop adds them in
-    that order without the array, on as many CPUs as the tree has top runs
-    and this process may use; the NumPy loop builds the array and calls
-    np.sum.
+    The total is the correctly rounded sum of the ring terms, the value
+    math.fsum gives, so its bits depend on the terms alone and not on the
+    order they are added in.  The C loop adds them exactly in ranges, on as
+    many CPUs as this process may use, and fsums the ranges' sums; the NumPy
+    loop fsums the terms block by block.
     """
     if not math.isfinite(d):
         raise DomainError(f"the distance d must be finite, got {d}")
@@ -73,8 +72,11 @@ def shell_accel(shell: ShellSpec, d: float, rings: RingDecomposition) -> float:
         )
     n = rings.n_rings
     dtheta = math.pi / n
-    total = simulator._kernel.ring_sum(a, d, dtheta, a * dtheta,
-                                       shell.g * shell.surface_density, n)
+    try:
+        total = simulator._kernel.ring_sum(a, d, dtheta, a * dtheta,
+                                           shell.g * shell.surface_density, n)
+    except (OverflowError, ValueError):  # fsum's overflow, or inf + -inf
+        total = math.nan
     if not math.isfinite(total):
         raise DomainError(
             f"the ring sum is not finite for a = {a:g}, d = {d:g}: "

@@ -32,7 +32,7 @@ def run(capsys, argv):
 # either kernel and by the C or NumPy ring and residual loops.  Another NumPy may round a sin, cos or hypot differently: CI
 # prints the versions before the tests run.
 GOLDEN_STDOUT = [
-    ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "0afb703e29cedfb3"),
+    ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "11a35867c0ad7630"),
     ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "098a99303fa209c3"),
     ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "15340902f23c7f5b"),
     ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "f1bbee9c1b69aa11"),

@@ -1,6 +1,7 @@
 """Tests for conserved quantities and closed-form orbit determination."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -183,12 +184,34 @@ class TestApsides:
         with pytest.raises(DegenerateOrbitError):
             apsides(ConservedPair(-1.0, 0.0), UNIT_FIELD)
 
+    # Launches at v0 = sqrt(2) (1 + eps) from the canonical r0 = 1 at 60
+    # degrees: |CQ| << m^2 near escape speed, where (-m + sqrt(m^2 + CQ))/C
+    # cancels (a periapsis of 0.747253 for 0.75 at eps = 1e-14).  The apsides
+    # of each pair against a 60-digit value of Q/(m + sqrt(m^2 + CQ)) and
+    # -(m + sqrt(m^2 + CQ))/C, within 2 ulps.
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12, 1e-14, -1e-8, -1e-12, -1e-14])
+    def test_near_escape_apsides_within_two_ulps(self, eps):
+        pair = conserved_from_state(make_state(1.0, math.sqrt(2) * (1.0 + eps), 60.0),
+                                    UNIT_FIELD)
+        r_min, r_max = apsides(pair, UNIT_FIELD)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            c, q = Decimal(pair.C), Decimal(pair.Q)
+            root = 1 + (1 + c * q).sqrt()
+            assert abs(Decimal(r_min) - q / root) <= 2 * Decimal(math.ulp(r_min))
+            if pair.C < 0.0:
+                assert abs(Decimal(r_max) + root / c) <= 2 * Decimal(math.ulp(r_max))
+            else:
+                assert r_max is None
+
     # m^2 + CQ overflows (C infinite, CQ or m^2 past DBL_MAX), or a root
-    # does (r_max for a C below the smallest normal; the parabola's Q/2m)
+    # does (r_max for a C below the smallest normal; the parabola's Q/2m),
+    # or m^2 rounds to 0 for a parabola, whose r_min would be Q/m
     @pytest.mark.parametrize("c, q, m", [
         (math.inf, 1.0, 1.0), (1e200, 1e200, 1.0), (1.0, 1.0, 1e200), (-1e-320, 1.0, 1.0),
-        (0.0, math.inf, 1.0),
-    ], ids=["inf-C", "CQ-overflows", "m2-overflows", "r_max-overflows", "parabola-inf-Q"])
+        (0.0, math.inf, 1.0), (0.0, 1.0, 1e-170),
+    ], ids=["inf-C", "CQ-overflows", "m2-overflows", "r_max-overflows", "parabola-inf-Q",
+            "parabola-m2-underflows"])
     def test_non_finite_apsides_rejected(self, c, q, m):
         with pytest.raises(DomainError, match="outside the range where the apsides can be told"):
             apsides(ConservedPair(c, q), CentralField(m))

@@ -1,11 +1,10 @@
 """Tests for the ring-sum shell-attraction quadrature."""
 
-import functools
 import io
-import itertools
 import math
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
 
 
 # The whole-array shell_accel that the blocked one replaced, kept as the
-# bit-for-bit oracle.
+# bit-for-bit oracle: math.fsum of an array of every ring's term.
 def reference_shell_accel(shell, d, rings):
     a = shell.radius
     if d <= a:
@@ -40,14 +39,18 @@ def reference_shell_accel(shell, d, rings):
     theta = (np.arange(n) + 0.5) * dtheta
     width = a * dtheta
     # At extreme scales s2 or the products overflow or underflow; the sum is
-    # then inf or nan, which is rejected below.
+    # then inf or nan, or fsum raises, which is rejected below.
     with np.errstate(all="ignore"):
         areas = 2.0 * math.pi * (a * np.sin(theta)) * width
         cos_t = np.cos(theta)
         s2 = d * d + a * a - 2.0 * a * d * cos_t
         s = np.sqrt(s2)
         axial = (d - a * cos_t) / s
-        total = float(np.sum(shell.g * shell.surface_density * areas / s2 * axial))
+        terms = shell.g * shell.surface_density * areas / s2 * axial
+    try:
+        total = math.fsum(terms.tolist())
+    except (OverflowError, ValueError):
+        total = math.nan
     if not math.isfinite(total):
         raise DomainError(
             f"the ring sum is not finite for a = {a:g}, d = {d:g}: "
@@ -142,18 +145,19 @@ class TestBlockedRingSum:
         got = outcome(shell_accel, *args)
         assert got[0] is DomainError and got == outcome(reference_shell_accel, *args)
 
-    def test_memory_is_one_term_per_ring(self, monkeypatch):
-        # The NumPy loop, wherever the C one loads, at 10^6 rings: the 8 MB
-        # of terms and one block's temporaries; the whole-array version
-        # peaked at 56 MB
+    def test_memory_is_flat_in_the_ring_count(self, monkeypatch):
+        # The NumPy loop, wherever the C one loads: one block's terms and
+        # temporaries, about 4 MB at any ring count; np.sum of an array of
+        # all the terms peaked at 11.7 MB at 10^6 rings and 80 MB at 10^7
         monkeypatch.setattr(simulator, "_kernel", _propagate_py)
-        tracemalloc.start()
-        try:
-            shell_accel(UNIT_SHELL, 2.0, RingDecomposition(10**6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 1024 * 1024
+        for n in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                shell_accel(UNIT_SHELL, 2.0, RingDecomposition(n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 1024 * 1024, n
 
 
 def shell_check(argv):
@@ -177,21 +181,6 @@ class TestCompiledRingTerms:
         c_ring_sum._ring_terms(*args, 0, n, got.ctypes.data)
         _propagate_py.ring_terms(*args, want)
         assert got.tobytes() == want.tobytes()
-
-    # Runs of NumPy's pairwise sum: fewer than 8 terms, a leaf of up to 128
-    # with and without a tail, one and two splits, and the thresholds of
-    # two ranges (2 * 2^14 rings) and of the benchmark's 10^6 rings.
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257,
-                                   2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1, 10**6])
-    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["W1", "W2", "W3"])
-    def test_same_sum_as_np_sum_of_the_terms(self, c_ring_sum, monkeypatch, workers, n):
-        monkeypatch.setattr(c_ring_sum, "_WORKERS", workers)
-        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
-        terms = np.empty(n)
-        _propagate_py.ring_terms(*args, terms)
-        want = float(np.sum(terms))
-        assert c_ring_sum.ring_sum(*args, n).hex() == want.hex()
-        assert _propagate_py.ring_sum(*args, n).hex() == want.hex()
 
     @pytest.mark.parametrize("n", [10**6, shell.MAX_RINGS])
     def test_c_shell_accel_holds_no_term_array(self, c_ring_sum, monkeypatch, n):
@@ -248,57 +237,49 @@ class TestCompiledRingTerms:
         assert got == want
 
 
-def leaf_totals(terms):
-    """One leaf of NumPy's pairwise sum of `terms`, 8 to 128 of them, for
-    every way to add its 8 running sums up to the order of each addition's
-    two operands: the 8 sums of every 8th term, each binary tree over them,
-    then the terms past the last multiple of 8 in order.  Returns (totals,
-    NumPy's total): the totals in one order for every leaf, and the total
-    of ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), as ring_sum in
-    _kick_drift.c and np.sum add them."""
-    terms = terms.tolist()
-    n = len(terms)
-    r = terms[:8]
-    for i in range(8, n - n % 8, 8):
-        r = [s + t for s, t in zip(r, terms[i:i + 8])]
-
-    @functools.cache
-    def trees(sums):  # the totals of each tree over r[i] for i in sums
-        if len(sums) == 1:
-            return [r[sums[0]]]
-        first, rest = sums[0], sums[1:]
-        totals = []
-        for k in range(len(rest)):  # the sums that join `first` on the left
-            for left in itertools.combinations(rest, k):
-                right = tuple(i for i in rest if i not in left)
-                totals += [x + y for x in trees((first, *left)) for y in trees(right)]
-        return totals
-
-    totals = trees(tuple(range(8)))
-    numpy = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[n - n % 8:]:
-        totals = [total + t for total in totals]
-        numpy += t
-    return totals, numpy
+def exact_sums(compiled, args, n):
+    """(C total, NumPy total, math.fsum of the terms) of the ring sum with
+    arguments args over n rings, as hex; for up to 257 rings the sum of the
+    terms as fractions, rounded once, must be the fsum."""
+    terms = np.empty(n)
+    _propagate_py.ring_terms(*args, terms)
+    want = math.fsum(terms.tolist())
+    if n <= 257:
+        assert float(sum(map(Fraction, terms.tolist()))) == want
+    return (compiled.ring_sum(*args, n).hex(), _propagate_py.ring_sum(*args, n).hex(),
+            want.hex())
 
 
-class TestRingProbe:
-    def test_every_other_leaf_combine_changes_a_probe_sum(self, c_library):
-        # A ring_sum that adds a leaf's running sums in any other order,
-        # such as ((r0 + r2) + (r1 + r3)) + ..., fails the ring probe: on
-        # one of its one-leaf shells at least, its total is not np.sum's.
-        matches = None
-        for a, d, n in c_library._RING_PROBE:
-            if not 8 <= n <= 128:
-                continue
-            terms = np.empty(n)
-            _propagate_py.ring_terms(a, d, math.pi / n, a * math.pi / n, 0.3, terms)
-            totals, numpy = leaf_totals(terms)
-            assert len(totals) == 135135  # (2 * 8 - 3)!! trees over 8 sums
-            assert numpy == float(np.sum(terms)) != 0.0
-            same = [total == numpy for total in totals]
-            matches = same if matches is None else [m and s for m, s in zip(matches, same)]
-        assert sum(matches) == 1  # NumPy's own order
+class TestExactRingSum:
+    """The ring total is the correctly rounded sum of ring_terms' terms, the
+    value math.fsum gives, on the C loop however its ranges split and on the
+    NumPy one."""
+
+    # Fewer terms than one C buffer, 128 and one past, a few buffers, the
+    # thresholds of two ranges (2 * 2^14 rings) and the benchmark's 10^6
+    # rings.
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257,
+                                   2 * (1 << 14) - 1, 2 * (1 << 14), 2 * (1 << 14) + 1, 10**6])
+    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["W1", "W2", "W3"])
+    def test_sum_is_fsum_of_the_terms(self, c_ring_sum, monkeypatch, workers, n):
+        monkeypatch.setattr(c_ring_sum, "_WORKERS", workers)
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        c, numpy, want = exact_sums(c_ring_sum, args, n)
+        assert c == numpy == want
+
+    # Terms of both signs (d < a), negative terms (a negative scale), and
+    # subnormal terms of both signs: a carry that is not balanced leaves a
+    # negative total as a large positive chunk less a borrow from the next.
+    @pytest.mark.parametrize("a, d, scale", [(1.648, 1.601, 0.3), (1.5, 2.25, -0.7),
+                                             (4.123, 2.874, -1e-310)],
+                             ids=["d-below-a", "negative-scale", "d-below-a-subnormal"])
+    @pytest.mark.parametrize("n", [40, 126, 3 * (1 << 14) + 1])
+    @pytest.mark.parametrize("workers", [1, 2, 3], ids=["W1", "W2", "W3"])
+    def test_sum_of_negative_and_mixed_terms_is_fsum(self, c_ring_sum, monkeypatch, workers, n,
+                                                     a, d, scale):
+        monkeypatch.setattr(c_ring_sum, "_WORKERS", workers)
+        c, numpy, want = exact_sums(c_ring_sum, (a, d, math.pi / n, a * math.pi / n, scale), n)
+        assert c == numpy == want
 
 
 class TestSphereAccel:

@@ -64,8 +64,7 @@ def spy(monkeypatch, c_library, name):
     calls, original = [], getattr(c_library, name)
 
     def recorded(*args):
-        # _ring_sum takes the first ring and the count of rings
-        start, stop = (args[5], args[5] + args[6]) if name == "_ring_sum" else (args[9], args[10])
+        start, stop = (args[5], args[6]) if name == "_ring_sum" else (args[9], args[10])
         calls.append((start, stop))
         return original(*args)
 
@@ -85,7 +84,7 @@ class TestSplitLoops:
     ])
     def test_ring_terms_same_bits_as_one_call_and_numpy(self, c_ring_sum, workers, n):
         # The terms of one C call are NumPy's, and the split sum of them is
-        # the sum of one C call and np.sum of NumPy's terms.
+        # the fsum of one C call's chunks and the NumPy loop's total.
         assert c_ring_sum._MIN_CHUNK == 1 << 14  # the thresholds above
         args = ring_args(n)
         one, numpy = np.empty(n), np.empty(n)
@@ -93,22 +92,21 @@ class TestSplitLoops:
         _propagate_py.ring_terms(*args, numpy)
         assert one.tobytes() == numpy.tobytes()
         split = c_ring_sum.ring_sum(*args, n)
-        assert split.hex() == (0.0 + c_ring_sum._ring_sum(*args, 0, n)).hex()
-        assert split.hex() == float(np.sum(numpy)).hex()
+        chunks = (ctypes.c_double * c_ring_sum._RING_CHUNKS)()
+        assert c_ring_sum._ring_sum(*args, 0, n, chunks) == 0
+        assert split.hex() == math.fsum(chunks).hex()
+        assert split.hex() == _propagate_py.ring_sum(*args, n).hex()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 17, 23, 24, 25, 1000])
     def test_chunks_cover_the_range_once_in_order(self, c_ring_sum, workers, monkeypatch, n):
-        # With ranges of 8 rings, only 1000 rings are more than the 128
-        # terms that NumPy adds in one leaf; they split at 496, the half
-        # rounded down to a multiple of 8, for two workers or three.
+        # With ranges of 8 rings, as many ranges as workers that have 8
+        # rings each, as the residual loop splits its samples
         monkeypatch.setattr(c_ring_sum, "_MIN_CHUNK", 8)
         calls = spy(monkeypatch, c_ring_sum, "_ring_sum")
         total = c_ring_sum.ring_sum(*ring_args(n), n)
-        want = [(0, 496), (496, 1000)] if n == 1000 and workers > 1 else [(0, n)]
-        assert sorted(calls) == want
-        terms = np.empty(n)
-        _propagate_py.ring_terms(*ring_args(n), terms)
-        assert total.hex() == float(np.sum(terms)).hex()
+        k = max(1, min(workers, n // 8))
+        assert sorted(calls) == [(n * j // k, n * (j + 1) // k) for j in range(k)]
+        assert total.hex() == _propagate_py.ring_sum(*ring_args(n), n).hex()
 
     def test_shell_accel_keeps_its_bits(self, c_ring_sum, workers, monkeypatch):
         spec, rings = ShellSpec(1.0, 1.0, 1.0), RingDecomposition(10**6)
@@ -117,7 +115,7 @@ class TestSplitLoops:
         monkeypatch.setattr(simulator, "_kernel", c_ring_sum)
         calls = spy(monkeypatch, c_ring_sum, "_ring_sum")
         assert shell_accel(spec, 2.0, rings).hex() == numpy.hex()
-        assert len(calls) == {1: 1, 2: 2, 3: 2}[workers]  # a power of two
+        assert len(calls) == workers
 
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("start, stop", [
@@ -205,9 +203,7 @@ class TestSplitLoops:
 
         monkeypatch.setattr(compiled, loop, broken)
         n = 10**5
-        # the first worker's chunk starts at n // workers, or for the ring
-        # sum at the root's split of NumPy's pairwise sum, n // 2
-        first = n // 2 if loop == "_ring_sum" else n // workers
+        first = n // workers  # where the first worker's chunk starts
         with pytest.raises(RuntimeError, match=f"^chunk from {first}$"):
             if loop == "_ring_sum":
                 compiled.ring_sum(*ring_args(n), n)
