@@ -5,11 +5,12 @@
  * double arithmetic, correctly rounded sqrt and no contraction of a multiply
  * and an add into one fused operation (-ffp-contract=off) every state is
  * bitwise that of the Python kernel.  t is the running sum t = t + dt from
- * t0 in both.
+ * 0 in both.
  *
- * csv_rows is the row formatter of _propagate_py.format_rows: each value is
- * printed as "%.17g" prints it, the exact decimal value rounded to 17
- * significant digits, ties to even, as glibc and CPython both do.  The
+ * csv_rows is the row formatter of _propagate_py.format_rows, called on the
+ * whole columns of one 1024-row chunk of the export (_CSV_CHUNK_ROWS): each
+ * value is printed as "%.17g" prints it, the exact decimal value rounded to
+ * 17 significant digits, ties to even, as glibc and CPython both do.  The
  * digits come from an integer fast path (digits17); the values it cannot
  * settle, and zeros and infinities, go to snprintf under the "C" numeric
  * locale whatever the process locale is.  A NaN of either sign is written
@@ -39,12 +40,12 @@
  */
 int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt,
                    int64_t steps, int64_t record_every, double collision_radius,
-                   double t0, double *t_out, double *x_out, double *y_out,
-                   double *vx_out, double *vy_out, int64_t *collided,
+                   double *t_out, double *x_out, double *y_out, double *vx_out,
+                   double *vy_out, int64_t *collided,
                    int64_t window_cap, int64_t *window_k, double *window_states,
                    int64_t *windows, double *last)
 {
-    double t = t0;
+    double t = 0.0;
     int64_t n = 1, due = record_every, w = 0;
     double d = x * vx + y * vy, d1;
     double before[5], prev[5] = {NAN, NAN, NAN, NAN, NAN};  /* states k - 2 and k - 1 */
@@ -271,14 +272,14 @@ static char *write_g(char *p, int negative, uint64_t d, int x)
     return p + n;
 }
 
-/* Writes rows [start, stop) of the eight columns cols[0..7] to out as CSV
+/* Writes the first `rows` rows of the eight columns cols[0..7] to out as CSV
  * lines, eight values joined by commas and ended by a newline, with no
- * terminating NUL.  out must hold (stop - start) * 8 * (CSV_VALUE_MAX + 1)
- * + CSV_SLACK bytes; pow10, q_min and q_max are digits17's table.  Returns
+ * terminating NUL.  out must hold rows * 8 * (CSV_VALUE_MAX + 1) + CSV_SLACK
+ * bytes; pow10, q_min and q_max are digits17's table.  Returns
  * the number of bytes of text, or -1 when the "C" locale cannot be made.
  */
-int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *out,
-                 const uint64_t *pow10, int q_min, int q_max)
+int64_t csv_rows(const double *const *cols, int64_t rows, char *out, const uint64_t *pow10,
+                 int q_min, int q_max)
 {
     locale_t c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
     if (c_numeric == (locale_t)0)
@@ -286,7 +287,7 @@ int64_t csv_rows(const double *const *cols, int64_t start, int64_t stop, char *o
     locale_t previous = uselocale(c_numeric);
     char *p = out;
 
-    for (int64_t i = start; i < stop; i++) {
+    for (int64_t i = 0; i < rows; i++) {
         for (int j = 0; j < CSV_COLUMNS; j++) {
             double v = cols[j][i];
             uint64_t bits, d = 0;

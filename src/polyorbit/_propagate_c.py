@@ -18,9 +18,11 @@ each loop that does and _propagate_py's copy of each other one.  The ring
 and residual loops call libm's sin, cos and hypot where NumPy calls its own
 float64 loops, so their probes differ where those give other bits.
 
-ring_sum and conic_residuals split their rings or samples into contiguous
-ranges, one for each CPU this process may use (_WORKERS), and write_rows
-its rows into chunks.  One scheduler, _in_order, runs them on the caller
+Each loop here takes the arguments of its copy in _propagate_py.  ring_sum
+and conic_residuals split their rings or samples into contiguous ranges,
+one for each CPU this process may use (_WORKERS), and write_rows its rows
+into the chunks of _propagate_py._CSV_CHUNK_ROWS rows that the Python
+export writes.  One scheduler, _in_order, runs them on the caller
 and on threads started for the call, and the caller takes the results in
 order.  ctypes releases the GIL for each C call.  Every ring term, sample
 and row depends on its index alone, so the maxima have the bits of one call
@@ -57,10 +59,10 @@ _LIBS = ("-lm",)
 # propagate_kernel arguments for the load-time probe: a launch on which a
 # hypot-based step and the kernel's sqrt(r2) / (r2 * r) step differ in the
 # last bit, and on which a fused multiply-add changes the result, with a
-# decimation and a start time t0 = 0.1.  Its one window, at step 13, ends
-# with a NaN state 15 past the last step.
+# decimation.  Its one window, at step 13, ends with a NaN state 15 past the
+# last step.
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
-          -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 14, 3, 1e-9, 0.1)
+          -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 14, 3, 1e-9)
 
 # format_rows values for the load-time probe, eight columns of five rows:
 # 17th-digit ties that round to even (down, then up, at 1e15 and at 1e14,
@@ -115,11 +117,6 @@ _RING_CHUNKS = 67
 # about 0.1 ms, the time of 4000 rings, 900 samples or 150 rows, so the
 # load-time probes and small calls run on the caller alone.
 _MIN_CHUNK = 1 << 14
-
-# write_rows formats at most this many rows per block_columns and csv_rows
-# call, into a text buffer of 0.2 MB.  Chunks of 1024 rows format as fast
-# per row as whole 2048-row blocks; 512 rows took about 9% longer.
-_TEXT_ROWS = 1024
 
 # The text buffers of one export, about 0.6 MB, whatever _WORKERS is: one
 # being formatted on each of the two threads that format, and one ready or
@@ -191,12 +188,12 @@ def _load():
     ring_terms, ring_sum, conic_residuals = lib.ring_terms, lib.ring_sum, lib.conic_residuals
     kick_drift.restype = ctypes.c_int64
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
-                           + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 5
+                           + [ctypes.c_double] + [ctypes.c_void_p] * 5
                            + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p,
                               ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p])
     csv_rows.restype = ctypes.c_int64
-    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                         ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
+    csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                         ctypes.c_int, ctypes.c_int]
     ring_terms.restype = None
     ring_terms.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     ring_sum.restype = ctypes.c_int
@@ -212,11 +209,11 @@ _kick_drift, _csv_rows, _ring_terms, _ring_sum, _conic_residuals = _load()
 _POW10 = _pow10_table()
 
 
-def _ranges(lo, hi):
-    """The edges [lo, ..., hi] of k contiguous ranges that cover [lo, hi):
-    k is at most _WORKERS and (hi - lo) // _MIN_CHUNK, and at least 1."""
-    k = max(1, min(_WORKERS, (hi - lo) // _MIN_CHUNK))
-    return [lo + (hi - lo) * j // k for j in range(k)] + [hi]
+def _ranges(n):
+    """The edges [0, ..., n] of k contiguous ranges that cover [0, n): k is
+    at most _WORKERS and n // _MIN_CHUNK, and at least 1."""
+    k = max(1, min(_WORKERS, n // _MIN_CHUNK))
+    return [n * j // k for j in range(k + 1)]
 
 
 def _in_order(fn, n, threads, ahead, take):
@@ -291,7 +288,7 @@ def _in_order(fn, n, threads, ahead, take):
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
-                     t0=0.0, max_windows=None):
+                     max_windows=None):
     """Same arguments, results and bits as _propagate_py.propagate_kernel."""
     if not (0 <= steps < 2**63 - 1 and record_every >= 1):
         # the loop would write past the outputs, or ctypes would wrap steps
@@ -302,7 +299,7 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     collided, count = ctypes.c_int64(), ctypes.c_int64()
     # ctypes wraps an int beyond int64 (c_int64(2**70) is 0); any
     # record_every above steps records the initial state only.
-    args = (x, y, vx, vy, m, dt, steps, min(record_every, steps + 1), collision_radius, t0,
+    args = (x, y, vx, vy, m, dt, steps, min(record_every, steps + 1), collision_radius,
             *(out.ctypes.data for out in outs), ctypes.byref(collided))
     last = np.empty(5)
     # Room for one window per 1024 steps, plus 16; a run with more is repeated
@@ -321,49 +318,44 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     return (*(out[:n] for out in outs), collided.value, (window_k[:w], window_states[:w], last))
 
 
-def format_rows_into(columns, start, stop, out):
-    """Rows [start, stop) of the eight columns, as format_rows formats them,
-    written as ASCII to the start of out: a writable contiguous uint8 array
-    of at least (stop - start) * _ROW_BYTES + _SLACK bytes, some of which
-    past the text may change.  Returns the number of bytes of text."""
-    # csv_rows reads rows [start, stop) of each column and writes out through
-    # pointers
+def format_rows_into(columns, out):
+    """The rows of the eight columns, as format_rows formats them, written
+    as ASCII to the start of out: a writable contiguous uint8 array of at
+    least len(columns[0]) * _ROW_BYTES + _SLACK bytes, some of which past the
+    text may change.  Returns the number of bytes of text."""
+    # csv_rows reads every row of each column and writes out through pointers
     n = len(columns[0])
     if len(columns) != 8 or not all(
             isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
             and col.flags.c_contiguous and len(col) == n for col in columns):
         raise ValueError("need 8 contiguous 1-D float64 columns of one length")
-    start, stop, _ = slice(start, stop).indices(n)
-    if start >= stop:
+    if n == 0:
         return 0
     if not (isinstance(out, np.ndarray) and out.dtype == np.uint8 and out.ndim == 1
             and out.flags.c_contiguous and out.flags.writeable
-            and len(out) >= (stop - start) * _ROW_BYTES + _SLACK):
+            and len(out) >= n * _ROW_BYTES + _SLACK):
         raise ValueError(f"need a writable contiguous 1-D uint8 array of at least "
-                         f"{(stop - start) * _ROW_BYTES + _SLACK} bytes for the text")
+                         f"{n * _ROW_BYTES + _SLACK} bytes for the text")
     size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                     start, stop, out.ctypes.data, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
+                     n, out.ctypes.data, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
     if size < 0:  # newlocale fails for "C" only when out of memory
         raise MemoryError("csv_rows could not make the C numeric locale")
     return size
 
 
-def format_rows(columns, start, stop):
+def format_rows(columns):
     """Same arguments and text as _propagate_py.format_rows."""
-    n = len(columns[0])
-    rows = len(range(*slice(start, stop).indices(n)))
-    out = np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-    return str(out.data[:format_rows_into(columns, start, stop, out)], "ascii")
+    out = np.empty(len(columns[0]) * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+    return str(out.data[:format_rows_into(columns, out)], "ascii")
 
 
-def write_rows(block_columns, n, block_rows, stream):
-    """Same arguments and bytes as _propagate_py.write_rows, in chunks of
-    min(block_rows, _TEXT_ROWS) rows: one block_columns call each, formatted
-    into one of _TEXT_BUFFERS buffers and written to stream in order
-    (_in_order).  With _WORKERS >= 2 and at least _MIN_CHUNK rows, one
-    thread formats chunks beside the caller, so neither CPU idles while the
-    other lags."""
-    rows = min(block_rows, _TEXT_ROWS)
+def write_rows(block_columns, n, stream):
+    """Same arguments and bytes as _propagate_py.write_rows, in its chunks
+    of _CSV_CHUNK_ROWS rows: one block_columns call each, formatted into one
+    of _TEXT_BUFFERS buffers and written to stream in order (_in_order).
+    With _WORKERS >= 2 and at least _MIN_CHUNK rows, one thread formats
+    chunks beside the caller, so neither CPU idles while the other lags."""
+    rows = _propagate_py._CSV_CHUNK_ROWS
     threads = 1 if _WORKERS >= 2 and n >= _MIN_CHUNK else 0
     ahead = _TEXT_BUFFERS if threads else 1
     buffers = [np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
@@ -371,7 +363,7 @@ def write_rows(block_columns, n, block_rows, stream):
 
     def chunk(j):
         out = buffers[j % ahead]
-        size = format_rows_into(block_columns(j * rows, min(j * rows + rows, n)), 0, None, out)
+        size = format_rows_into(block_columns(j * rows, min(j * rows + rows, n)), out)
         return out.data[:size]
 
     _in_order(chunk, -(-n // rows), threads, ahead, stream.write)
@@ -382,7 +374,7 @@ def ring_sum(a, d, dtheta, width, scale, n):
     is finite: math.fsum of the exact sums that the ranges of [0, n)
     (_ranges, run by _in_order) write as _RING_CHUNKS doubles each.  NaN
     where a term is not finite."""
-    edges, codes = _ranges(0, n), []
+    edges, codes = _ranges(n), []
     k = len(edges) - 1
     chunks = (ctypes.c_double * (_RING_CHUNKS * k))()
     _in_order(lambda j: _ring_sum(a, d, dtheta, width, scale, edges[j], edges[j + 1],
@@ -391,20 +383,19 @@ def ring_sum(a, d, dtheta, width, scale, n):
     return math.nan if any(codes) else math.fsum(chunks)
 
 
-def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
+def conic_residuals(shape, n, focus2_y, focal_constant):
     """Same arguments, results, bits and errors as _propagate_py.conic_residuals.
 
-    The ranges of [start, stop) (_ranges, run by _in_order) merge their
-    maxima with max, which is exact in any order, and add their skipped
-    counts.  When any range flags, the whole range goes to
-    _propagate_py.conic_residuals, which raises the error of its first
-    failing block's first failing check.
+    The ranges of [0, n) (_ranges, run by _in_order) merge their maxima
+    with max, which is exact in any order, and add their skipped counts.
+    When any range flags, all n samples go to _propagate_py.conic_residuals,
+    which raises the error of its first failing block's first failing check.
     """
     theta0, span, div = geometry._theta_grid(shape, n)
     args = (shape.eccentricity, shape.semi_latus_rectum, shape.focal_directrix_distance,
             shape.conic_class.value, focus2_y or 0.0, focal_constant or 0.0, theta0, span, div)
 
-    edges, parts = _ranges(start, stop), []
+    edges, parts = _ranges(n), []
 
     def chunk(j):
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
@@ -415,7 +406,7 @@ def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
     k = len(edges) - 1
     _in_order(chunk, k, k - 1, k, parts.append)
     if None in parts:
-        return _propagate_py.conic_residuals(shape, n, start, stop, focus2_y, focal_constant)
+        return _propagate_py.conic_residuals(shape, n, focus2_y, focal_constant)
     focal, reflection, right, skipped = zip(*parts)
     return max(focal), max(reflection), max(right), sum(skipped)
 
@@ -429,7 +420,7 @@ def probe():
                                        zip((*got[:5], *got[6]), (*want[:5], *want[6])))
     columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
     try:
-        rows = format_rows(columns, 0, None) == _propagate_py.format_rows(columns, 0, None)
+        rows = format_rows(columns) == _propagate_py.format_rows(columns)
     except UnicodeDecodeError:  # a broken csv_rows can write bytes that are not ASCII
         rows = False
     ring = True
@@ -443,7 +434,7 @@ def probe():
     residuals = True
     for e, ell, n in _RESIDUAL_PROBE:
         shape = geometry.ConicShape(e, ell)
-        args = (shape, n, 0, n, *geometry._second_focus(shape))
+        args = (shape, n, *geometry._second_focus(shape))
         residuals &= (struct.pack("<3dq", *conic_residuals(*args))
                       == struct.pack("<3dq", *_propagate_py.conic_residuals(*args)))
     return {"propagate_kernel": kernel, "write_rows": rows, "ring_sum": ring,

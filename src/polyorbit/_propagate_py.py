@@ -9,8 +9,10 @@ Recorded values are stored through memoryviews of the float64 outputs,
 which take a Python float without a NumPy scalar conversion.
 
 format_rows formats the rows of Trajectory.write_csv, and write_rows writes
-them to its stream block by block, or csv_rows in the same C library when it
-loads.  The tests check both C loops against these.
+them to its stream _CSV_CHUNK_ROWS rows at a time, or csv_rows in the same C
+library when it loads.  The tests check both C loops against these.
+
+Each loop here and its copy in _propagate_c take the same arguments.
 
 ring_sum and conic_residuals are the NumPy loops of shell.shell_accel
 and geometry.geometry_residuals, here so that simulator binds all four
@@ -32,6 +34,12 @@ from .geometry import ConicClass
 # One CSV row: eight values at 17 significant digits.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
+# Rows per chunk of the CSV export, in both write_rows: one block_columns
+# call and one stream.write each.  1024 rows of the seed-0 CSV are 0.15 MB
+# of text; larger chunks save little time and raise peak memory, and
+# 512-row chunks took about 9% longer in C.
+_CSV_CHUNK_ROWS = 1024
+
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
 _RING_BLOCK = 1 << 16
 
@@ -41,12 +49,12 @@ _RESIDUAL_BLOCK = 1 << 16
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
-                     t0=0.0, max_windows=None):
-    """Propagate `steps` kick-then-drift steps from (x, y, vx, vy) at time t0.
+                     max_windows=None):
+    """Propagate `steps` kick-then-drift steps from (x, y, vx, vy) at time 0.
 
     Records every `record_every`-th state plus the initial one and returns
     (t, x, y, vx, vy, collided, windows); t is the running sum t = t + dt
-    from t0.  collided is the 1-based step at which the body came within
+    from 0.0.  collided is the 1-based step at which the body came within
     `collision_radius` of the center (the arrays then end at the last
     recorded state before it), or -1 if it never did.
 
@@ -64,7 +72,7 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     kept = steps if max_windows is None else max_windows + 1
     window_k = array("q")
     window_states = array("d")  # 20 values a window
-    t = t0
+    t = 0.0
     n = 1
     due = record_every
     d = x * vx + y * vy
@@ -114,21 +122,21 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     return (*(out[:n] for out in outs), collided, windows)
 
 
-def format_rows(columns, start, stop):
-    """Rows [start, stop) of the eight equal-length float64 columns as CSV
-    text, each value printed with %.17g; start and stop slice as in Python."""
-    rows = zip(*[col[start:stop].tolist() for col in columns])
+def format_rows(columns):
+    """The rows of the eight equal-length float64 columns as CSV text, each
+    value printed with %.17g."""
+    rows = zip(*[col.tolist() for col in columns])
     return "".join([_CSV_ROW % row for row in rows])
 
 
-def write_rows(block_columns, n, block_rows, stream):
-    """Write rows [0, n) as ASCII bytes to the binary stream, block_rows at
-    a time: the rows of block_columns(start, stop), eight float64 columns,
-    for each block [start, stop).  format_rows holds the GIL, so one thread
-    writes every block."""
-    for start in range(0, n, block_rows):
-        columns = block_columns(start, min(start + block_rows, n))
-        stream.write(format_rows(columns, 0, len(columns[0])).encode("ascii"))
+def write_rows(block_columns, n, stream):
+    """Write rows [0, n) as ASCII bytes to the binary stream,
+    _CSV_CHUNK_ROWS at a time: the rows of block_columns(start, stop), eight
+    float64 columns, for each chunk [start, stop).  format_rows holds the
+    GIL, so one thread writes every chunk."""
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        columns = block_columns(start, min(start + _CSV_CHUNK_ROWS, n))
+        stream.write(format_rows(columns).encode("ascii"))
 
 
 def ring_terms(a, d, dtheta, width, scale, terms, first=0):
@@ -251,16 +259,16 @@ def _block_residuals(shape, theta, focus2_y, focal_constant):
             float(np.max(right, initial=0.0)), skipped)
 
 
-def conic_residuals(shape, n, start, stop, focus2_y, focal_constant):
-    """_block_residuals over samples start..stop-1 of n, _RESIDUAL_BLOCK at a
-    time, merged: the NumPy loop of geometry.geometry_residuals, whose copy
-    in C is conic_residuals in _kick_drift.c.  The first block that fails
-    raises its error."""
+def conic_residuals(shape, n, focus2_y, focal_constant):
+    """_block_residuals over the n samples, _RESIDUAL_BLOCK at a time,
+    merged: the NumPy loop of geometry.geometry_residuals, whose copy in C
+    is conic_residuals in _kick_drift.c.  The first block that fails raises
+    its error."""
     focal = reflection = right = 0.0
     skipped = 0
     with np.errstate(all="ignore"):  # non-finite values are tested explicitly
-        for lo in range(start, stop, _RESIDUAL_BLOCK):
-            theta = _sample_thetas(shape, n, lo, min(lo + _RESIDUAL_BLOCK, stop))
+        for lo in range(0, n, _RESIDUAL_BLOCK):
+            theta = _sample_thetas(shape, n, lo, min(lo + _RESIDUAL_BLOCK, n))
             block = _block_residuals(shape, theta, focus2_y, focal_constant)
             focal, reflection, right = (max(focal, block[0]), max(reflection, block[1]),
                                         max(right, block[2]))

@@ -93,10 +93,12 @@ def classify_orbit(pair: ConservedPair, field: CentralField) -> ConicClass:
     """Conic type from the conserved pair: sign of C, with QC + m^2 = 0 a circle."""
     m2 = field.m * field.m
     disc = pair.Q * pair.C + m2
-    # m^2 rounded to inf would pass every orbit as a circle; rounded to 0 it
-    # leaves QC alone, which still decides a hyperbola (QC > 0) but not an
-    # ellipse or a circle.
-    if not (math.isfinite(disc) and m2 < math.inf and (m2 > 0.0 or disc > 0.0)):
+    # m^2 rounded to inf would pass every orbit as a circle.  A subnormal or
+    # zero m^2 has lost bits, so QC + m^2 is told only where a normal QC
+    # decides it (a hyperbola); else a near-escape launch reads as a parabola.
+    tiny = sys.float_info.min
+    if not (math.isfinite(disc) and m2 < math.inf
+            and (m2 >= tiny or pair.Q * pair.C >= tiny)):
         raise DomainError(
             f"m^2 = {m2:g}, QC + m^2 = {disc:g}: m, C and Q are outside the "
             "range where the conic type can be told in double precision"
@@ -132,9 +134,12 @@ def apsides(pair: ConservedPair, field: CentralField) -> tuple[float, float | No
     root = m + math.sqrt(disc)
     r_min = pair.Q / root
     r_max = -root / pair.C if pair.C < 0.0 else None
-    # m^2 rounded to 0 gives a parabola Q/m for Q/2m; classify_orbit rejects it too
-    if not (math.isfinite(disc) and (m * m > 0.0 or disc > 0.0) and math.isfinite(r_min)
-            and math.isfinite(r_max or 0.0)):
+    # a subnormal or zero m^2 has lost bits: a parabola's Q/2m comes out off
+    # in its sixth digit, or as Q/m, unless a normal CQ decides the root;
+    # classify_orbit rejects it too
+    tiny = sys.float_info.min
+    if not (math.isfinite(disc) and (m * m >= tiny or pair.C * pair.Q >= tiny)
+            and math.isfinite(r_min) and math.isfinite(r_max or 0.0)):
         raise DomainError(
             f"m^2 + CQ = {disc:g}, apsides {r_min:g} and {r_max}: m, C and Q are outside "
             "the range where the apsides can be told in double precision"

@@ -324,7 +324,7 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
         raise DomainError(f"second focus is not finite: (0.0, {focus2_y})")
 
     focal, reflection, right, skipped = simulator._kernel.conic_residuals(
-        shape, n, 0, n, focus2_y, focal_constant)
+        shape, n, focus2_y, focal_constant)
     return ResidualReport(
         conic_class=kind,
         n_samples=n,

@@ -18,13 +18,13 @@ each loop once, at import, by one rule: the C copy where the library builds
 and loads and that loop's probe gives its Python twin's bits or bytes, the
 Python copy otherwise.  integrate(), Trajectory.write_csv,
 shell.shell_accel and geometry.geometry_residuals call the bound loops,
-_kernel; _backends says where each runs and why not in C.  In C the ring
-sum and the residual samples run in ranges, one per CPU this process may
-use (for the ring sum, a power of two of them), and the CSV rows in chunks
-on the caller and at most one thread.  One scheduler runs both
-(_propagate_c._in_order): it takes the results in order, with the bits and
-bytes of one call, and a range or chunk that fails stops it after the
-results before it.  The step runs on the caller's thread alone.
+_kernel; _backends says where each runs and why not in C.  The two copies
+of each loop take the same arguments.  In C the ring sum and the residual
+samples run in ranges, one per CPU this process may use, and the CSV rows
+in 1024-row chunks on the caller and at most one thread.  One scheduler
+runs both (_propagate_c._in_order): it takes the results in order, with
+the bits and bytes of one call, and a range or chunk that fails stops it
+after the results before it.  The step runs on the caller's thread alone.
 
 The kernel also returns the four states around each step where the radial
 speed changes sign, so diagnostics() reads the turning points of every step
@@ -61,12 +61,6 @@ _LEFT_THE_DOUBLE_RANGE = ("the simulated state left the double range (a recorded
                           "or vy is not finite)")
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
-
-# Rows formatted and written per stream.write call: 2048 rows of the seed-0
-# CSV are 0.3 MB of text.  Larger blocks save little time and raise peak
-# memory.  In C, each chunk of rows that a thread formats lies in one
-# block.
-_CSV_BLOCK_ROWS = 2048
 
 # Samples per block of the drift and residual maxima of diagnostics: about
 # ten temporaries of 64 kB each, which stay in cache.
@@ -204,17 +198,17 @@ class Trajectory:
     def write_csv(self, stream) -> None:
         """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema, as
         ASCII bytes to the binary stream, 17 significant digits per value,
-        in blocks of rows.  stream.write is given bytes-like objects that
+        in chunks of 1024 rows (_propagate_py._CSV_CHUNK_ROWS) on either
+        backend.  stream.write is given bytes-like objects that
         change after it returns, so it must write or copy them (a file
         opened with "wb" or an io.BytesIO does).
 
-        Each block's r, v and alpha are derived from its float64 x, y, vx
+        Each chunk's r, v and alpha are derived from its float64 x, y, vx
         and vy, so no full-length column is built; on float64 columns they
-        are the bits of the r, speed and alpha properties.  In C the rows
-        are formatted on the caller and on at most one thread, in chunks of
-        at most a block, and written to stream in order by the caller
-        (_propagate_c.write_rows); a chunk that fails leaves the rows before
-        it written.
+        are the bits of the r, speed and alpha properties.  In C the chunks
+        are formatted on the caller and on at most one thread and written to
+        stream in order by the caller (_propagate_c.write_rows); a chunk
+        that fails leaves the rows before it written.
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""
@@ -232,7 +226,7 @@ class Trajectory:
             return [t, x, y, vx, vy, r, v, _alpha(x, y, vx, vy, r, v)]
 
         stream.write(CSV_HEADER.encode("ascii") + b"\n")
-        _kernel.write_rows(block_columns, shapes[0][0], _CSV_BLOCK_ROWS, stream)
+        _kernel.write_rows(block_columns, shapes[0][0], stream)
 
 
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
@@ -245,7 +239,7 @@ def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Traj
     t, x, y, vx, vy, collided, windows = _kernel.propagate_kernel(
         state.position.x, state.position.y, state.velocity.x, state.velocity.y,
         field.m, config.dt, config.steps, config.record_every, config.collision_radius,
-        t0=0.0, max_windows=max_windows,
+        max_windows=max_windows,
     )
     if collided >= 0:
         raise CollisionError(collided, config.collision_radius)

@@ -180,12 +180,16 @@ class TestClassify:
         ["--m", "1e-300", "--r0", "1e150", "--v0", "1e-300", "--alpha0", "1"],
         # m^2 underflows: a "circle" with C > 0, then sqrt(Q / -C)
         ["--m", "1e-300", "--r0", "1e5", "--v0", "1e-150", "--alpha0", "1"],
-    ], ids=["period-overflow", "period-underflow", "zero-c-circle", "negative-sqrt"])
+        # m^2 = 1e-320 is subnormal and QC is 0: a parabola with
+        # e = 0.9999944335758489
+        ["--m", "1e-160", "--r0", "1", "--v0", "1.4142135623730951e-80", "--alpha0", "90"],
+    ], ids=["period-overflow", "period-underflow", "zero-c-circle", "negative-sqrt",
+            "subnormal-m2-parabola"])
     def test_extreme_magnitudes_numeric_error(self, capsys, argv):
         code, out, err = run(capsys, ["classify", *argv])
         assert code == cli.EXIT_NUMERIC
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_underflowing_q_is_not_called_radial(self, capsys):
         code, _, err = run(capsys, [

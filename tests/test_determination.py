@@ -91,6 +91,9 @@ class TestClassifyOrbit:
 
     def test_hyperbola(self):
         assert classify_orbit(ConservedPair(2.0, 2.0), UNIT_FIELD) is ConicClass.HYPERBOLA
+        # m^2 = 1e-320 is subnormal, but QC = 1e-280 is normal and decides
+        tiny_m = CentralField(1e-160)
+        assert classify_orbit(ConservedPair(1e-140, 1e-140), tiny_m) is ConicClass.HYPERBOLA
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(DomainError):
@@ -206,12 +209,14 @@ class TestApsides:
 
     # m^2 + CQ overflows (C infinite, CQ or m^2 past DBL_MAX), or a root
     # does (r_max for a C below the smallest normal; the parabola's Q/2m),
-    # or m^2 rounds to 0 for a parabola, whose r_min would be Q/m
+    # or m^2 rounds to 0 or to a subnormal for a parabola, whose r_min would
+    # be Q/m or off in its sixth digit (the launch of `classify --m 1e-160
+    # --r0 1 --v0 1.4142135623730951e-80 --alpha0 90`)
     @pytest.mark.parametrize("c, q, m", [
         (math.inf, 1.0, 1.0), (1e200, 1e200, 1.0), (1.0, 1.0, 1e200), (-1e-320, 1.0, 1.0),
-        (0.0, math.inf, 1.0), (0.0, 1.0, 1e-170),
+        (0.0, math.inf, 1.0), (0.0, 1.0, 1e-170), (0.0, 2e-160, 1e-160),
     ], ids=["inf-C", "CQ-overflows", "m2-overflows", "r_max-overflows", "parabola-inf-Q",
-            "parabola-m2-underflows"])
+            "parabola-m2-underflows", "parabola-m2-subnormal"])
     def test_non_finite_apsides_rejected(self, c, q, m):
         with pytest.raises(DomainError, match="outside the range where the apsides can be told"):
             apsides(ConservedPair(c, q), CentralField(m))

@@ -491,7 +491,7 @@ def block_outcome(shape, n, focus2_y, focal_constant):
     try:
         with np.errstate(all="ignore"):
             focal, reflection, right, skipped = simulator._kernel.conic_residuals(
-                shape, n, 0, n, focus2_y, focal_constant)
+                shape, n, focus2_y, focal_constant)
     except DomainError as exc:
         return type(exc), str(exc)
     return focal.hex(), reflection.hex(), right.hex(), skipped

@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import ctypes.util
 import importlib
+import inspect
 import io
 import json
 import math
@@ -41,7 +42,6 @@ from polyorbit import _propagate_py, cli, geometry, simulator
 from polyorbit.determination import is_radial
 from polyorbit.geometry import csc2_quadratic
 from polyorbit.simulator import (
-    _CSV_BLOCK_ROWS,
     _DIAGNOSTICS_BLOCK,
     CSV_HEADER,
     MAX_SAMPLES,
@@ -51,6 +51,9 @@ from polyorbit.simulator import (
 )
 
 UNIT_FIELD = CentralField(1.0)
+
+# Rows per chunk of the CSV export, on either backend.
+CSV_CHUNK = _propagate_py._CSV_CHUNK_ROWS
 
 
 def make_state(r0, v0, alpha_deg):
@@ -457,24 +460,33 @@ def assert_same_bits(got, want):
         assert last.tobytes() == want_last.tobytes()
 
 
+def without_t(result):
+    """A kernel result with every t, recorded or in a window, set to 0 and
+    every NaN state left NaN."""
+    t, x, y, vx, vy, collided, (k, states, last) = result
+    states = states.copy()
+    states[..., 0] = np.where(np.isnan(states[..., 0]), math.nan, 0.0)
+    return (np.zeros_like(t), x, y, vx, vy, collided, (k, states, np.r_[0.0, last[1:]]))
+
+
 def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
     """The Python kernel's run rebuilt from one-step runs, each from the state
-    and time the one before it reached: the oracle for which states a run
-    records, at which step a collision stops it, where its radial speed
-    turns (a window at each k where x vx + y vy at k and at k + 1 are
-    non-zero with opposite signs, holding the states k - 1 .. k + 2 of the
-    run, NaN where the run has none) and which state it reaches last."""
+    the one before it reached, with the time summed here as t + dt: the
+    oracle for which states a run records, at which step a collision stops
+    it, where its radial speed turns (a window at each k where x vx + y vy
+    at k and at k + 1 are non-zero with opposite signs, holding the states
+    k - 1 .. k + 2 of the run, NaN where the run has none) and which state
+    it reaches last."""
     state = (0.0, x, y, vx, vy)
     run = [state]
     recorded = [state]
     collided = -1
     for k in range(1, steps + 1):
-        one = _propagate_py.propagate_kernel(*state[1:], m, dt, 1, 1, collision_radius,
-                                             t0=state[0])
+        one = _propagate_py.propagate_kernel(*state[1:], m, dt, 1, 1, collision_radius)
         if one[5] == 1:
             collided = k
             break
-        state = tuple(float(a[1]) for a in one[:5])
+        state = (state[0] + dt, *(float(a[1]) for a in one[1:5]))
         run.append(state)
         if k % record_every == 0:
             recorded.append(state)
@@ -595,20 +607,23 @@ class TestKernelOracle:
     @given(k=st.integers(0, 8195), dt=st.floats(1e-4, 1e-2),
            record_every=st.sampled_from([1, 2, 7]))
     def test_restart_from_a_state_continues_the_run(self, load, k, dt, record_every):
-        # From the state and time of step k, the kernel repeats the rest of
-        # the run bit for bit: t continues the same running sum, and the
-        # windows are those from step k on, without the state before k.
+        # From the state of step k, the kernel repeats the rest of the run
+        # bit for bit: the states, and the windows from step k on, without
+        # the state before k.  Its t is the running sum from 0 again, and
+        # is left out of the comparison.
         propagate = load().propagate_kernel
         steps = 8195
         full = propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
-        t0, x, y, vx, vy = (float(a[k]) for a in full[:5])
-        rest = propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9, t0=t0)
+        x, y, vx, vy = (float(a[k]) for a in full[1:5])
+        rest = propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9)
         turns, states, last = full[6]
         later = turns >= k
         want_states = states[later]
         want_states[turns[later] == k, 0] = math.nan
         windows = (turns[later] - k, want_states, last)
-        assert_same_bits(rest, tuple(a[k::record_every] for a in full[:5]) + (-1, windows))
+        want = tuple(a[k::record_every] for a in full[:5]) + (-1, windows)
+        assert_same_bits(without_t(rest), without_t(want))
+        assert rest[0].tobytes() == full[0][:steps - k + 1:record_every].tobytes()
 
     def test_decimated_times_use_bounded_memory(self, kernel):
         # 10^5 steps recorded every 10^3: a record of every step would take
@@ -688,7 +703,7 @@ class TestCKernelOracle:
         kick_drift = module._kick_drift
 
         def spy(*args):
-            calls.append(args[16])  # the window buffer's capacity
+            calls.append(args[15])  # the window buffer's capacity
             return kick_drift(*args)
 
         monkeypatch.setattr(module, "_kick_drift", spy)
@@ -717,15 +732,32 @@ class TestCKernelOracle:
         record_every=st.one_of(st.sampled_from([1, 2, 7]), st.integers(1, 10**9),
                                st.integers(2**63, 2**70)),
         collision_radius=st.sampled_from(RADII),
-        t0=st.one_of(st.just(0.0), st.floats(-1e3, 1e3), finite),
     )
     def test_matches_python_kernel(self, x, y, vx, vy, m, dt, steps, record_every,
-                                   collision_radius, t0):
+                                   collision_radius):
         # Launches far outside the double range's middle overflow to inf and
         # nan within a few steps; both kernels must carry the same bits.
         args = (x, y, vx, vy, m, dt, steps, record_every, collision_radius)
-        assert_same_bits(self.propagate(*args, t0=t0),
-                         _propagate_py.propagate_kernel(*args, t0=t0))
+        assert_same_bits(self.propagate(*args), _propagate_py.propagate_kernel(*args))
+
+
+@requires_c
+class TestOneInterface:
+    """Each loop's C and Python copies take the same arguments."""
+
+    @pytest.mark.parametrize("loop", ["propagate_kernel", "format_rows", "write_rows",
+                                      "ring_sum", "conic_residuals"])
+    def test_both_copies_have_one_signature(self, loop):
+        assert (inspect.signature(getattr(c_kernel(), loop))
+                == inspect.signature(getattr(_propagate_py, loop)))
+
+    def test_kernels_take_the_benchmarks_nine_positional_arguments(self):
+        # a benchmark's kernel rate passes (x, y, vx, vy, m, dt), the steps,
+        # record_every = steps and the collision radius, all by position
+        args = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 1e-4, 4000, 4000, 1e-9)
+        got = c_kernel().propagate_kernel(*args)
+        assert len(got[0]) == 2
+        assert_same_bits(got, _propagate_py.propagate_kernel(*args))
 
 
 class TestSweptAreas:
@@ -1174,8 +1206,8 @@ class TestDecimatedTurningPoints:
     def test_reruns_call_the_kernel_as_traced(self, monkeypatch):
         # A benchmark wraps simulator._kernel.propagate_kernel, reads the
         # step count as args[6] and the first six results: integrate makes
-        # one call with the first nine arguments by position and t0 by
-        # keyword, which returns seven results, and diagnostics makes none.
+        # one call with the first nine arguments by position and max_windows
+        # by keyword, which returns seven results, and diagnostics makes none.
         calls = []
         kernel = simulator._kernel.propagate_kernel
 
@@ -1187,7 +1219,7 @@ class TestDecimatedTurningPoints:
         monkeypatch.setattr(simulator._kernel, "propagate_kernel", spy)
         config = SimConfig(dt=EDGE_DT, steps=EDGE_STEPS, record_every=1000)
         traj = integrate(CANONICAL, UNIT_FIELD, config)
-        assert calls == [(9, ("t0", "max_windows"), 7)]
+        assert calls == [(9, ("max_windows",), 7)]
         assert diagnostics(traj).observed_period is not None
         assert len(calls) == 1
 
@@ -1342,16 +1374,16 @@ class TestCsvExport:
             with mock.patch.object(simulator, "_kernel", module):
                 assert self.written_csv(traj) == want, module.__name__
 
-    # write_csv derives r, v and alpha block by block; the reference takes
-    # them from the whole-array properties.  Row counts at the block edges,
-    # and at the edges of the 512-row blocks it used before, now inside
-    # the first block.
+    # write_csv derives r, v and alpha chunk by chunk; the reference takes
+    # them from the whole-array properties.  Row counts at the edges of the
+    # first four chunks, and at the edges of the 512-row blocks it used
+    # before, now inside the first chunk.
     @pytest.mark.parametrize("rows", [
-        1, 511, 512, 513, 1025,
-        _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1,
+        1, 511, 512, 513, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+        2 * CSV_CHUNK - 1, 2 * CSV_CHUNK, 2 * CSV_CHUNK + 1, 4 * CSV_CHUNK + 1,
     ])
     def test_matches_reference_across_blocks(self, rows):
-        full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=2 * _CSV_BLOCK_ROWS))
+        full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=4 * CSV_CHUNK))
         traj = Trajectory(*(col[:rows] for col in (full.t, full.x, full.y, full.vx, full.vy)),
                           field=UNIT_FIELD, config=full.config)
         assert len(traj) == rows
@@ -1377,7 +1409,7 @@ class TestCsvExport:
 
     def test_matches_reference_decimated(self):
         traj = integrate(CANONICAL, UNIT_FIELD,
-                         SimConfig(dt=1e-3, steps=3 * _CSV_BLOCK_ROWS, record_every=7))
+                         SimConfig(dt=1e-3, steps=6 * CSV_CHUNK, record_every=7))
         self.assert_matches_reference(traj)
 
     # glibc prints a NaN with its sign bit set as "-nan"; CPython as "nan".
@@ -1448,7 +1480,7 @@ class TestCsvExport:
         # format_rows of the values, eight to a row, must print want; a
         # failure shows the first five values that differ
         columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 8).T]
-        text = kernel.format_rows(columns, 0, len(columns[0]))
+        text = kernel.format_rows(columns)
         got = text.replace("\n", ",").split(",")[:-1]
         assert text.count("\n") == len(columns[0]) and len(got) == len(want)
         assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
@@ -1478,8 +1510,8 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest"])
     def test_format_rows_prints_percent_17g_to_the_end_of_a_block(self, kernel, last):
-        # every other value of the block takes the most room a value can
-        values = np.full(8 * _CSV_BLOCK_ROWS, self.LONGEST)
+        # every other value of two chunks takes the most room a value can
+        values = np.full(8 * 2 * CSV_CHUNK, self.LONGEST)
         values[-1] = last
         assert len("%.17g" % self.LONGEST) == 24
         self.assert_prints_percent_17g(kernel, *self.percent_17g_case(values))
@@ -1495,9 +1527,9 @@ class TestCsvExport:
         size = rows * module._ROW_BYTES + module._SLACK
         out = np.full(size + 64, 0xAA, dtype=np.uint8)
         written = module._csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                                   0, rows, out.ctypes.data, module._POW10.ctypes.data,
+                                   rows, out.ctypes.data, module._POW10.ctypes.data,
                                    module._POW10_MIN, module._POW10_MAX)
-        assert bytes(out[:written]).decode() == _propagate_py.format_rows(columns, 0, rows)
+        assert bytes(out[:written]).decode() == _propagate_py.format_rows(columns)
         assert (out[size:] == 0xAA).all()
 
     # mul_64x64 in _kick_drift.c takes its product from 32-bit halves where
@@ -1518,9 +1550,9 @@ class TestCsvExport:
             rows = len(columns[0])
             out = np.empty(rows * module._ROW_BYTES + module._SLACK, dtype=np.uint8)
             size = csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                            0, rows, out.ctypes.data, module._POW10.ctypes.data,
+                            rows, out.ctypes.data, module._POW10.ctypes.data,
                             module._POW10_MIN, module._POW10_MAX)
-            assert bytes(out[:size]).decode() == _propagate_py.format_rows(columns, 0, rows)
+            assert bytes(out[:size]).decode() == _propagate_py.format_rows(columns)
 
     @pytest.fixture(scope="class")
     def random_bits_and_ties(self):
@@ -1537,7 +1569,7 @@ class TestCsvExport:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_matches_reference_on_edge_values(self, data):
-        n = data.draw(st.integers(1, 2 * _CSV_BLOCK_ROWS + 3))
+        n = data.draw(st.integers(1, 4 * CSV_CHUNK + 3))
         # A small drawn pool tiled over the 5 x n cells by a drawn seed:
         # drawing every cell would exceed Hypothesis's data budget.
         tie = st.tuples(self.TIES, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
@@ -1553,7 +1585,7 @@ class TestCsvExport:
     def test_ties_round_to_even(self, kernel):
         # The 17th digit of each value is followed by exactly 5.
         assert kernel.format_rows([np.array([1000000000000000.25, 1000000000000000.75,
-                                             -100000000000000.125])] * 8, 0, 3) == (
+                                             -100000000000000.125])] * 8) == (
             ",".join(["1000000000000000.2"] * 8) + "\n"
             + ",".join(["1000000000000000.8"] * 8) + "\n"
             + ",".join(["-100000000000000.12"] * 8) + "\n")
@@ -1577,14 +1609,15 @@ class TestCsvExport:
                                     field=UNIT_FIELD, config=traj.config)
             assert self.written_csv(traj) == self.reference_csv(as_float64)
 
+    # Columns that are views of a longer array, sliced by the caller as
+    # write_csv's chunks are: from past its start, and empty.
     @requires_c
     @pytest.mark.parametrize("start, stop", [
         (0, 3), (0, 1000), (2, 3), (3, 3), (4, 2), (-2, 100), (-100, 1), (7, 9),
     ])
     def test_c_formatter_slices_rows_as_python(self, start, stop):
-        columns = [np.arange(5.0) * (k + 1) / 3 for k in range(8)]
-        assert (c_kernel().format_rows(columns, start, stop)
-                == _propagate_py.format_rows(columns, start, stop))
+        columns = [(np.arange(5.0) * (k + 1) / 3)[start:stop] for k in range(8)]
+        assert c_kernel().format_rows(columns) == _propagate_py.format_rows(columns)
 
     @requires_c
     @pytest.mark.parametrize("columns", [
@@ -1597,4 +1630,4 @@ class TestCsvExport:
     ], ids=["seven", "unequal", "float32", "strided", "2-d", "list"])
     def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
         with pytest.raises(ValueError, match="columns"):
-            c_kernel().format_rows(columns, 0, 3)
+            c_kernel().format_rows(columns)

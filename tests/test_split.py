@@ -36,7 +36,7 @@ from polyorbit.errors import DomainError, NoSuchPointError
 from polyorbit.geometry import ConicShape, _second_focus
 from polyorbit.planar import PlanarVector
 from polyorbit.shell import RingDecomposition, ShellSpec, shell_accel
-from polyorbit.simulator import _CSV_BLOCK_ROWS, SimConfig, Trajectory, integrate
+from polyorbit.simulator import SimConfig, Trajectory, integrate
 
 SHAPES = [(0.5, 0.75), (1.0, 0.75), (1.5, 0.75)]
 SHAPE_IDS = ["ellipse", "parabola", "hyperbola"]
@@ -117,6 +117,9 @@ class TestSplitLoops:
         assert shell_accel(spec, 2.0, rings).hex() == numpy.hex()
         assert len(calls) == workers
 
+    # n = stop samples: one, two and three ranges' thresholds +-1, one
+    # NumPy block, and the geometry-check's samples; and C calls over the
+    # samples [start, stop) of them, whole or from sample 1.
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("start, stop", [
         (0, 50000), (0, _propagate_py._RESIDUAL_BLOCK), (0, 2 * (1 << 14) - 1), (0, 2 * (1 << 14)),
@@ -124,36 +127,38 @@ class TestSplitLoops:
     ])
     def test_conic_residuals_same_bits_as_one_call_and_numpy(self, c_residuals, workers, e, ell,
                                                              start, stop):
-        shape = ConicShape(e, ell)
-        n = max(stop, 50000)
+        # The split loop has the NumPy loop's bits, and one C call over a
+        # range of the samples, as each range of the split makes, has the
+        # bits of the NumPy block over the same samples.
+        shape, n = ConicShape(e, ell), stop
         focus = _second_focus(shape)
-        split = c_residuals.conic_residuals(shape, n, start, stop, *focus)
+        split = c_residuals.conic_residuals(shape, n, *focus)
         with np.errstate(all="ignore"):
-            numpy = _propagate_py.conic_residuals(shape, n, start, stop, *focus)
+            numpy = _propagate_py.conic_residuals(shape, n, *focus)
+            block = _propagate_py._block_residuals(
+                shape, _propagate_py._sample_thetas(shape, n, start, stop), *focus)
         assert residual_bits(split) == residual_bits(numpy)
-        # one C call over the whole range, as conic_residuals made before
         theta0, span, div = geometry._theta_grid(shape, n)
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
         assert c_residuals._conic_residuals(
             e, ell, shape.focal_directrix_distance, shape.conic_class.value, focus[0] or 0.0,
             focus[1] or 0.0, theta0, span, div, start, stop, maxima,
             ctypes.byref(skipped)) == 0
-        assert residual_bits(split) == residual_bits((*maxima, skipped.value))
+        assert residual_bits((*maxima, skipped.value)) == residual_bits(block)
 
     @pytest.mark.parametrize("e, ell", SHAPES, ids=SHAPE_IDS)
     def test_conic_residuals_on_both_sides_of_each_chunk_edge(self, c_residuals, workers,
                                                               monkeypatch, e, ell):
-        # Chunks of 8 samples, and every range of up to 3 chunks + 2 from
-        # the first 10 starts: each chunk edge falls on every sample.
+        # Chunks of at least 8 samples, and every n from 2 to 63: the edges
+        # n j / k of up to 3 ranges fall on every sample.
         monkeypatch.setattr(c_residuals, "_MIN_CHUNK", 8)
-        shape, n = ConicShape(e, ell), 64
+        shape = ConicShape(e, ell)
         focus = _second_focus(shape)
-        for start in range(10):
-            for stop in range(start, start + 27):
-                split = c_residuals.conic_residuals(shape, n, start, stop, *focus)
-                with np.errstate(all="ignore"):
-                    numpy = _propagate_py.conic_residuals(shape, n, start, stop, *focus)
-                assert residual_bits(split) == residual_bits(numpy), (start, stop)
+        for n in range(2, 64):
+            split = c_residuals.conic_residuals(shape, n, *focus)
+            with np.errstate(all="ignore"):
+                numpy = _propagate_py.conic_residuals(shape, n, *focus)
+            assert residual_bits(split) == residual_bits(numpy), n
 
     @pytest.mark.parametrize("nan_focal", [False, True], ids=["last-flags", "all-flag"])
     def test_failing_sample_in_the_last_chunk_raises_the_whole_block_error(
@@ -178,9 +183,9 @@ class TestSplitLoops:
 
         monkeypatch.setattr(c_residuals, "_conic_residuals", recorded)
         with pytest.raises(DomainError) as split:
-            c_residuals.conic_residuals(shape, n, 0, n, *focus)
+            c_residuals.conic_residuals(shape, n, *focus)
         with pytest.raises(DomainError) as numpy, np.errstate(all="ignore"):
-            _propagate_py.conic_residuals(shape, n, 0, n, *focus)
+            _propagate_py.conic_residuals(shape, n, *focus)
         assert type(split.value) is type(numpy.value) is NoSuchPointError
         assert str(split.value) == str(numpy.value)
         clean = 1 if nan_focal else 0
@@ -208,7 +213,7 @@ class TestSplitLoops:
             if loop == "_ring_sum":
                 compiled.ring_sum(*ring_args(n), n)
             else:
-                compiled.conic_residuals(ConicShape(0.5, 0.75), n, 0, n,
+                compiled.conic_residuals(ConicShape(0.5, 0.75), n,
                                          *_second_focus(ConicShape(0.5, 0.75)))
         assert threading.active_count() == started
 
@@ -270,10 +275,11 @@ class TestFork:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
-# The CSV export: blocks of B rows, and _MIN_CHUNK lowered to B, so that
-# every row count from B up runs a thread and each row count below puts a
-# block edge on or next to the last row.
-B = _CSV_BLOCK_ROWS
+# The CSV export: chunks of CHUNK rows in both write_rows, and _MIN_CHUNK
+# lowered to B, two chunks, so that every row count from B up runs a thread
+# and each row count below puts a chunk edge on or next to the last row.
+CHUNK = _propagate_py._CSV_CHUNK_ROWS
+B = 2 * CHUNK
 CANONICAL = OrbitState(PlanarVector(1.0, 0.0),
                        PlanarVector(math.cos(math.pi / 3), math.sin(math.pi / 3)))
 EXPORT_ROWS = 200_001  # simulate_full's rows
@@ -358,8 +364,8 @@ class NullSink:
 
 
 class TestSplitExport:
-    # Each chunk is one block_columns call of _TEXT_ROWS rows, or the rows
-    # left, inside one block of B rows; the chunks cover the rows once.
+    # Each chunk is one block_columns call of CHUNK rows, or the rows left;
+    # the chunks cover the rows once.
     @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
                                    EXPORT_ROWS])
     def test_ranges_are_whole_blocks(self, c_library, export_workers, full_export, n):
@@ -373,11 +379,8 @@ class TestSplitExport:
                 calls.append((start, stop))
             return [col[start:stop] for col in columns]
 
-        c_library.write_rows(block_columns, n, B, NullSink())
-        rows = c_library._TEXT_ROWS
-        assert B % rows == 0
-        assert sorted(calls) == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-        assert all(start // B == (stop - 1) // B for start, stop in calls)
+        c_library.write_rows(block_columns, n, NullSink())
+        assert sorted(calls) == [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
     # 1, B - 1, B, B + 1, and on both sides of the edges of two and three
     # blocks, where the last row ends a block, starts one or ends one short
@@ -552,7 +555,7 @@ class TestSplitExport:
         monkeypatch.setattr(simulator, "_kernel", c_library)
         traj, python_csv = full_export
         threads = formatting_threads(monkeypatch, c_library)
-        assert len(c_library._ranges(0, len(traj))) == 4  # the residual loop's ranges
+        assert len(c_library._ranges(len(traj))) == 4  # the residual loop's ranges
         assert csv_bytes(traj) == python_csv
         assert threading.get_ident() in threads and len(threads) <= 2
 
@@ -610,16 +613,26 @@ class TestSplitExport:
         assert got == [want] * 4
 
     def test_each_range_holds_one_block(self, c_library, export_workers, full_export):
-        # tracemalloc's peak over a 200,001-row export: the _TEXT_BUFFERS
-        # text buffers and the columns of the chunks being formatted
-        traj, _ = full_export
-        tracemalloc.start()
-        try:
-            traj.write_csv(NullSink())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**6
+        # the _TEXT_BUFFERS text buffers and the columns of the chunks being
+        # formatted
+        assert export_peak(full_export[0]) < 10**6
+
+    def test_python_export_holds_one_chunk(self, monkeypatch, full_export):
+        # one chunk's columns, its row tuples and its text
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        assert export_peak(full_export[0]) < 10**6
+
+
+def export_peak(traj):
+    """tracemalloc's peak over the export of traj to a sink that keeps
+    nothing."""
+    tracemalloc.start()
+    try:
+        traj.write_csv(NullSink())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestForkAfterExport:
