@@ -246,7 +246,8 @@ class ResidualReport:
     """Worst-case residuals of the defining geometric properties of a conic.
 
     focal_residual: ellipse focal-sum / hyperbola focal-difference / parabola
-    focus-directrix equidistance, as an absolute length.
+    focus-directrix equidistance, relative: divided by the focal constant 2a
+    (ellipse, hyperbola) or by ell (parabola).
     reflection_residual and right_angle_residual are dimensionless (sines /
     cosines of angles that should vanish).
     """
@@ -303,6 +304,11 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     below the smallest normal double: the tangent's dr/dtheta = e*c*r*r/ell
     would be formed from a subnormal or zero r*r, and its residuals would
     be wrong, not small.
+
+    The loops give the focal residual as a length; its maximum is divided
+    once, by 2a or ell (see ResidualReport).  Rounding is monotonic, so that
+    is the maximum of the quotients.  A scale that is not a normal double
+    > 0 (2a is 0 where e^2 overflows) raises DomainError.
     """
     from . import simulator  # not at the top: simulator imports this module
 
@@ -322,13 +328,17 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     focus2_y, focal_constant = _second_focus(shape)
     if focus2_y is not None and not math.isfinite(focus2_y):
         raise DomainError(f"second focus is not finite: (0.0, {focus2_y})")
+    scale = shape.semi_latus_rectum if focal_constant is None else focal_constant
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"the focal constant 2a = {scale:g} is not a normal double > 0, "
+                          f"so no focal residual can be taken relative to it")
 
     focal, reflection, right, skipped = simulator._kernel.conic_residuals(
         shape, n, focus2_y, focal_constant)
     return ResidualReport(
         conic_class=kind,
         n_samples=n,
-        focal_residual=focal,
+        focal_residual=focal / scale,
         reflection_residual=reflection,
         right_angle_residual=right,
         right_angle_skipped=skipped,

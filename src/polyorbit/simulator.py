@@ -26,17 +26,19 @@ runs both (_propagate_c._in_order): it takes the results in order, with
 the bits and bytes of one call, and a range or chunk that fails stops it
 after the results before it.  The step runs on the caller's thread alone.
 
-The kernel also returns the four states around each step where the radial
-speed changes sign, so diagnostics() reads the turning points of every step
-off them, whatever record_every is, and runs no kernel.
+integrate() runs the kernel with one collision radius, COLLISION_RADIUS,
+and takes its record as the verdict on the run.  The kernel also returns
+the four states around each step where the radial speed changes sign, so
+diagnostics() reads the turning points of every step off them, whatever
+record_every is, and runs no kernel; and the last state the run reached,
+which is finite only if every state of the run was.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import types
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,11 +56,10 @@ MAX_STEPS = 10**8
 #: the kernel returns around a turning point counts as four more samples.
 MAX_SAMPLES = 10**7
 
-#: Default collision radius around the attractor.
-DEFAULT_COLLISION_RADIUS = 1e-9
-
-_LEFT_THE_DOUBLE_RANGE = ("the simulated state left the double range (a recorded t, x, y, vx "
-                          "or vy is not finite)")
+#: Collision radius around the attractor: integrate() raises CollisionError
+#: at the first step that starts closer.  Its cube is far above the smallest
+#: normal double, so the kick's divisor r^3 cannot underflow.
+COLLISION_RADIUS = 1e-9
 
 CSV_HEADER = "t,x,y,vx,vy,r,v,alpha"
 
@@ -101,17 +102,18 @@ def backend() -> str:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step simulation parameters.
+    """Fixed-step simulation parameters: the step dt, the number of steps,
+    and record_every.
 
     record_every > 1 decimates the stored trajectory (disables the exact
     swept-area check, which is defined per elementary step); the turning
-    points still come from every step.
+    points still come from every step.  The collision radius is not a
+    parameter: every run uses COLLISION_RADIUS.
     """
 
     dt: float
     steps: int
     record_every: int = 1
-    collision_radius: float = DEFAULT_COLLISION_RADIUS
 
     def __post_init__(self):
         if not math.isfinite(self.dt) or self.dt <= 0.0:
@@ -125,14 +127,6 @@ class SimConfig:
             raise DomainError(
                 f"{samples} recorded samples exceed the cap of {MAX_SAMPLES}; "
                 f"raise record_every"
-            )
-        # The kernel divides by r^3 for r >= collision_radius: a radius whose
-        # cube underflows would let that divisor reach 0.
-        radius = self.collision_radius
-        if not radius * radius * radius >= sys.float_info.min:
-            raise DomainError(
-                f"collision radius must be > 0 with a cube of at least {sys.float_info.min:g}, "
-                f"got {radius}"
             )
 
 
@@ -232,19 +226,25 @@ class Trajectory:
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:
     """Apply `config.steps` impulse-polygon steps, recording samples.
 
-    Raises CollisionError, DomainError for a recorded value that is not
-    finite, and DomainError past MAX_SAMPLES, counting 4 per window.
+    Raises CollisionError where the body comes within COLLISION_RADIUS of
+    the center, and DomainError past MAX_SAMPLES, counting 4 per window.
+    Raises DomainError too where the last state the run reached is not
+    finite.  A state that is not finite stays so: an infinite coordinate
+    turns into NaN at the next kick (whose f is 0, and 0 * inf is NaN), a
+    NaN stays NaN and an infinite t stays infinite.  So that one state,
+    recorded or not, is finite exactly when every state of the run is.
     """
     max_windows = (MAX_SAMPLES - (config.steps // config.record_every + 1)) // 4
     t, x, y, vx, vy, collided, windows = _kernel.propagate_kernel(
         state.position.x, state.position.y, state.velocity.x, state.velocity.y,
-        field.m, config.dt, config.steps, config.record_every, config.collision_radius,
+        field.m, config.dt, config.steps, config.record_every, COLLISION_RADIUS,
         max_windows=max_windows,
     )
     if collided >= 0:
-        raise CollisionError(collided, config.collision_radius)
-    if not all(np.isfinite(a).all() for a in (t, x, y, vx, vy)):
-        raise DomainError(_LEFT_THE_DOUBLE_RANGE)
+        raise CollisionError(collided, COLLISION_RADIUS)
+    if not np.isfinite(windows[2]).all():
+        raise DomainError("the simulated state left the double range (its t, x, y, vx or vy "
+                          "is not finite)")
     if len(windows[0]) > max_windows:
         raise DomainError(f"{len(t)} recorded samples and over {max_windows} turning-point "
                           f"windows of 4 states exceed the cap of {MAX_SAMPLES} samples")
@@ -288,15 +288,7 @@ class DiagnosticsReport:
     observed_period: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "max_swept_area_deviation": self.max_swept_area_deviation,
-            "Q_drift": self.Q_drift,
-            "C_drift": self.C_drift,
-            "csc2_max_residual": self.csc2_max_residual,
-            "observed_periapsis": self.observed_periapsis,
-            "observed_apoapsis": self.observed_apoapsis,
-            "observed_period": self.observed_period,
-        }
+        return asdict(self)
 
 
 def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, float]:
@@ -321,25 +313,21 @@ def _turning_points(traj: Trajectory) -> tuple[list, list]:
     """(periapsis, apoapsis) lists of the refined (t, r) turning points of
     the full-resolution run, in time order.
 
-    The search on a full record, on the kernel's windows of states k - 1 ..
-    k + 2: the radial speed u = (x vx + y vy) / r turns where u[k] * u[k + 1]
-    < 0, and the vertex j of k and k + 1 is refined when 1 <= j <= steps - 1.
-    Dividing by r > 0 never flips a sign, so each such k has a window.  A run
-    that left the double range after its last recorded state is refused.
+    The kernel gives a window of states k - 1 .. k + 2 for each step k
+    where d = x vx + y vy at k and at k + 1 are non-zero with opposite
+    signs: the radial speed turns between them.  d at state k, the same
+    expression on the values the kernel compared, tells a periapsis (d < 0,
+    falling in) from an apoapsis, and the vertex j of k and k + 1 is refined
+    when 1 <= j <= steps - 1.
     """
-    ks, states, end_state = traj.windows
-    if not np.isfinite(end_state).all():
-        raise DomainError(_LEFT_THE_DOUBLE_RANGE)
+    ks, states, _ = traj.windows
     t, x, y, vx, vy = np.moveaxis(states, 2, 0)
     r = np.hypot(x, y)
-    u = (x * vx + y * vy) / r
+    falling = (x[:, 1] * vx[:, 1] + y[:, 1] * vy[:, 1] < 0.0).tolist()
     last = traj.config.steps
     peri: list[tuple[float, float]] = []
     apo: list[tuple[float, float]] = []
-    for k, tw, rw, uw in zip(ks.tolist(), t, r, u):
-        if not uw[1] * uw[2] < 0.0:
-            continue
-        is_peri = uw[1] < 0.0
+    for k, tw, rw, is_peri in zip(ks.tolist(), t, r, falling):
         if is_peri:
             i = 1 if rw[1] < rw[2] else 2
         else:

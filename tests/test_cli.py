@@ -33,9 +33,9 @@ def run(capsys, argv):
 # prints the versions before the tests run.
 GOLDEN_STDOUT = [
     ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "11a35867c0ad7630"),
-    ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "098a99303fa209c3"),
-    ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "15340902f23c7f5b"),
-    ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "f1bbee9c1b69aa11"),
+    ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "6ed9764a47a51174"),
+    ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "0ad78f99cf4a0680"),
+    ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "ad1f70dc5119c648"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2.0 --rings 1000000", 0, "e4102e584f4afcaa"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2 --rings 3", 1, "db6a193b8e246b0d"),
     ("kepler3 --m 1.0 --count 6", 0, "ca78c11afa2c30a7"),
@@ -811,6 +811,26 @@ class TestGeometryCheck:
         ])
         assert code == cli.EXIT_NUMERIC
         assert out == "" and err.startswith("error: ell must give a periapsis")
+
+    # The focal residual is relative to 2a: as a length, it read 1.14e-5 at
+    # ell = 1e10, a failed check, and 1.0e-25 at ell = 1e-10.
+    @pytest.mark.parametrize("ell", ["1e10", "1e-10"])
+    def test_focal_residual_is_relative(self, capsys, ell):
+        code, out, _ = run(capsys, [
+            "geometry-check", "--e", "0.5", "--ell", ell, "--samples", "1000",
+        ])
+        assert code == cli.EXIT_OK
+        assert 1e-17 < json.loads(out)["focal_residual"] < 1e-15
+
+    # e^2 overflows, so 2a is 0: every residual read 0.0 and every
+    # right-angle sample was skipped
+    def test_zero_focal_constant_numeric_error(self, capsys):
+        code, out, err = run(capsys, [
+            "geometry-check", "--e", "1e155", "--ell", "100", "--samples", "100",
+        ])
+        assert code == cli.EXIT_NUMERIC
+        assert out == "" and err == ("error: the focal constant 2a = 0 is not a normal double "
+                                     "> 0, so no focal residual can be taken relative to it\n")
 
     def test_bad_shape_numeric_error(self, capsys):
         code, _, err = run(capsys, [

@@ -331,6 +331,9 @@ def reference_residuals(shape, n):
     else:
         focus2 = None
         focal_constant = None
+    scale = ell if focal_constant is None else focal_constant  # the focal residual's unit
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError("the focal constant is not a normal double > 0")
 
     focal_res = 0.0
     refl_res = 0.0
@@ -365,7 +368,7 @@ def reference_residuals(shape, n):
     return ResidualReport(
         conic_class=kind,
         n_samples=n,
-        focal_residual=focal_res,
+        focal_residual=focal_res / scale,
         reflection_residual=refl_res,
         right_angle_residual=right_res,
         right_angle_skipped=skipped,
@@ -386,8 +389,12 @@ def assert_matches_reference(shape, n):
     assert got.conic_class is expected.conic_class
     assert got.n_samples == expected.n_samples
     assert got.right_angle_skipped == expected.right_angle_skipped
-    for field in ("focal_residual", "reflection_residual", "right_angle_residual"):
-        assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=0, abs=tol)
+    # the focal residual is a length divided by 2a or ell; tol bounds the length
+    focal_constant = _second_focus(shape)[1]
+    scale = shape.semi_latus_rectum if focal_constant is None else focal_constant
+    for field, bound in (("focal_residual", tol / scale), ("reflection_residual", tol),
+                         ("right_angle_residual", tol)):
+        assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=0, abs=bound)
 
 
 class TestGeometryResiduals:

@@ -66,7 +66,8 @@ def make_state(r0, v0, alpha_deg):
 
 CANONICAL = make_state(1.0, 1.0, 60.0)
 
-# Radii the kernel may be given: SimConfig rejects any whose cube underflows.
+# Radii the kernels are given here: integrate passes COLLISION_RADIUS, and the
+# last is the smallest whose cube does not underflow.
 RADII = [1e-9, 0.05, 0.3, 1.0, math.nextafter(sys.float_info.min ** (1 / 3), math.inf)]
 
 # A launch where a hypot/r*r*r step and the kernel's sqrt(r2)/r2*r step
@@ -77,10 +78,9 @@ ROUNDING_SENSITIVE = OrbitState(
 )
 
 
-def step(state, field, dt, collision_radius=simulator.DEFAULT_COLLISION_RADIUS):
+def step(state, field, dt):
     """The state after one impulse-polygon step of integrate."""
-    config = SimConfig(dt=dt, steps=1, collision_radius=collision_radius)
-    return integrate(state, field, config).state(1)
+    return integrate(state, field, SimConfig(dt=dt, steps=1)).state(1)
 
 
 class TestStep:
@@ -112,14 +112,10 @@ class TestStep:
             step(close, UNIT_FIELD, 1e-3)
         assert exc_info.value.step == 1
 
-    @pytest.mark.parametrize(
-        "dt, collision_radius",
-        [(-1e-3, 1e-9), (0.0, 1e-9), (1e-3, math.nan)],
-        ids=["negative-dt", "zero-dt", "nan-radius"],
-    )
-    def test_bad_inputs_rejected(self, dt, collision_radius):
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0], ids=["negative-dt", "zero-dt"])
+    def test_bad_inputs_rejected(self, dt):
         with pytest.raises(DomainError):
-            step(CANONICAL, UNIT_FIELD, dt, collision_radius=collision_radius)
+            step(CANONICAL, UNIT_FIELD, dt)
 
     @pytest.mark.parametrize(
         "state, m, dt",
@@ -132,7 +128,7 @@ class TestStep:
         out = step(state, CentralField(m), dt)
         _, x, y, vx, vy, _, _ = _propagate_py.propagate_kernel(
             state.position.x, state.position.y, state.velocity.x, state.velocity.y, m, dt, 1,
-            1, simulator.DEFAULT_COLLISION_RADIUS)
+            1, simulator.COLLISION_RADIUS)
         assert (out.position.x, out.position.y, out.velocity.x, out.velocity.y) == (
             x[1], y[1], vx[1], vy[1])
 
@@ -177,12 +173,14 @@ class TestIntegrate:
         assert traj.is_decimated
 
     def test_collision_reports_step(self):
-        # head-on with a slight transverse component so Q > 0; the step
-        # length near r = 0.05 is ~0.012, so the guard disk cannot be skipped
-        state = OrbitState(PlanarVector(1.0, 0.0), PlanarVector(-10.0, 1e-8))
+        # A head-on fall at speed 1 in a field too weak to bend it, in steps
+        # of 2^-32 (2.3e-10), shorter than the 1e-9 disk: step 4092 ends at
+        # x = 4 * 2^-32 = 9.3e-10, inside the disk, so step 4093 collides.
+        state = OrbitState(PlanarVector(2.0**-20, 0.0), PlanarVector(-1.0, 1e-30))
         with pytest.raises(CollisionError) as exc_info:
-            integrate(state, UNIT_FIELD, SimConfig(dt=1e-3, steps=10**4, collision_radius=0.05))
-        assert exc_info.value.step > 0
+            integrate(state, CentralField(1e-40), SimConfig(dt=2.0**-32, steps=2**13))
+        assert exc_info.value.radius == simulator.COLLISION_RADIUS
+        assert exc_info.value.step == 4093
 
     def test_non_finite_state_rejected(self):
         # the first kick m/r^3 * dt overflows to inf, and the state turns to nan
@@ -190,29 +188,9 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="not finite"):
             integrate(state, CentralField(1e300), SimConfig(dt=1e-3, steps=100))
 
-    def test_radius_whose_cube_underflows_rejected(self, kernel):
-        # r^2 * r underflows to 0 at r = 1e-110: the Python kernel raised
-        # ZeroDivisionError there, and the C kernel would divide to inf.
-        launch = OrbitState(PlanarVector(1e-110, 0.0), PlanarVector(0.0, 1e-300))
-        with pytest.raises(DomainError, match="cube"):
-            integrate(launch, UNIT_FIELD, SimConfig(dt=1e-3, steps=10, collision_radius=1e-200))
-        # The smallest radius accepted: that launch collides, and one just
-        # outside it divides by about float_info.min, with the same bits.
-        smallest = RADII[-1]
-        with pytest.raises(CollisionError):
-            integrate(launch, UNIT_FIELD, SimConfig(dt=1e-3, steps=10, collision_radius=smallest))
-        outside = OrbitState(PlanarVector(2 * smallest, 0.0), PlanarVector(0.0, 1e-300))
-        traj = integrate(outside, UNIT_FIELD,
-                         SimConfig(dt=1e-3, steps=10, collision_radius=smallest))
-        want = _propagate_py.propagate_kernel(2 * smallest, 0.0, 0.0, 1e-300, 1.0, 1e-3, 10, 1,
-                                              smallest)
-        assert_same_bits((traj.t, traj.x, traj.y, traj.vx, traj.vy, -1, traj.windows), want)
-
     def test_step_cap(self):
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**9)
-        with pytest.raises(DomainError):
-            SimConfig(dt=1e-3, steps=1, collision_radius=math.nan)
 
     def test_sample_cap(self):
         # only the config is built: integrate would preallocate 5 x 80 MB
@@ -625,6 +603,39 @@ class TestKernelOracle:
         assert_same_bits(without_t(rest), without_t(want))
         assert rest[0].tobytes() == full[0][:steps - k + 1:record_every].tobytes()
 
+    @pytest.mark.parametrize("load", KERNELS)
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(1e-8, 3.0), y=st.floats(-3.0, 3.0),
+           vx=st.floats(-2.0, 2.0), vy=st.floats(0.1, 2.0),
+           m=st.one_of(st.floats(0.1, 10.0), st.floats(1e200, 1e308)),
+           dt=st.one_of(st.floats(1e-4, 1e-2), st.floats(1e100, 1e308)),
+           steps=st.integers(1, 200), record_every=st.integers(1, 7))
+    def test_a_state_that_is_not_finite_stays_so(self, load, x, y, vx, vy, m, dt, steps,
+                                                 record_every):
+        # A huge m at a small r overflows the kick, a huge dt the drift or
+        # t.  The last state the run reaches is finite exactly when every
+        # state of the run is, recorded or not, and integrate refuses
+        # exactly the runs whose last state is not.
+        module = load()
+        every = module.propagate_kernel(x, y, vx, vy, m, dt, steps, 1, 1e-9)
+        got = module.propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, 1e-9)
+        last = got[6][2]
+        assert last.tobytes() == every[6][2].tobytes()
+        state = OrbitState(PlanarVector(x, y), PlanarVector(vx, vy))
+        config = SimConfig(dt=dt, steps=steps, record_every=record_every)
+        with mock.patch.object(simulator, "_kernel", module):
+            if got[5] >= 0:
+                with pytest.raises(CollisionError):
+                    integrate(state, CentralField(m), config)
+                return
+            finite = np.isfinite(last).all()
+            assert finite == np.isfinite(every[:5]).all()
+            if finite:
+                integrate(state, CentralField(m), config)
+            else:
+                with pytest.raises(DomainError, match="left the double range"):
+                    integrate(state, CentralField(m), config)
+
     def test_decimated_times_use_bounded_memory(self, kernel):
         # 10^5 steps recorded every 10^3: a record of every step would take
         # 5 x 8 x 10^5 bytes = 4 MB, the 101 recorded states 4 kB
@@ -840,20 +851,24 @@ class TestDiagnostics:
             diagnostics(traj)
 
     def test_state_leaving_the_double_range_after_the_last_record_rejected(self, kernel):
-        # A straight fall in steps of exactly 2^430 lands on x = 0 at step
-        # 64, where r = 2^-60 makes the kick m / r^3 * dt overflow, so every
-        # state from step 65 on is not finite; recorded every 2nd step, a
-        # run of 65 steps ends one step after its last recorded state.
-        launch = OrbitState(PlanarVector(2.0**436, 2.0**-60), PlanarVector(-(2.0**60), 0.0))
-        field = CentralField(2.0**474)
-        for steps in (64, 65):
-            config = SimConfig(dt=2.0**370, steps=steps, record_every=2, collision_radius=1e-19)
-            traj = integrate(launch, field, config)
-            assert len(traj) == 33 and np.isfinite(traj.x).all()
-            if steps == 64:
-                assert diagnostics(traj).observed_period is None
+        # A straight fall in steps of exactly 2^476, too far out for the
+        # kicks to bend it, lands on x = 0 at step 64.  There r = 2^-29
+        # (1.9e-9) lies outside the collision disk, and the kick m / r^3 * dt
+        # = 2^1024 overflows, so every state from step 65 on is not finite.
+        # Recorded every 2nd step, a run of 65 steps ends one step after its
+        # last recorded state: integrate refuses it on the kernel's last
+        # state, so diagnostics never sees it.
+        launch = (2.0**482, 2.0**-29, -(2.0**40), 0.0)
+        m, dt = 2.0**501, 2.0**436
+        state = OrbitState(PlanarVector(*launch[:2]), PlanarVector(*launch[2:]))
+        traj = integrate(state, CentralField(m), SimConfig(dt=dt, steps=64, record_every=2))
+        assert (traj.x[-1], traj.y[-1]) == (0.0, 2.0**-29)
+        t, x, y, vx, vy, collided, (_, _, last) = kernel.propagate_kernel(
+            *launch, m, dt, 65, 2, simulator.COLLISION_RADIUS)
+        assert collided == -1 and len(t) == len(traj) == 33
+        assert np.isfinite([t, x, y, vx, vy]).all() and not np.isfinite(last).all()
         with pytest.raises(DomainError, match="left the double range"):
-            diagnostics(traj)
+            integrate(state, CentralField(m), SimConfig(dt=dt, steps=65, record_every=2))
 
     @pytest.mark.parametrize("record_every", [7, 400, 5000])
     def test_decimated_report_has_the_full_record_turning_points(self, record_every):
