@@ -28,19 +28,20 @@ MOON_PERIOD = 2_358_720          # s (27.3 days)
 EARTH_SURFACE_GRAVITY = 9.8      # m/s^2
 EARTH_RADIUS = 6.367e6           # m
 
-# kepler3 steps each orbit at T/50,000 for 1.7 periods, 85,000 steps.  The
+# kepler3 steps each orbit at T/25,000 for 1.7 periods, 42,500 steps.  The
 # kick-then-drift step is second order: halving the step cuts the period
-# error about fourfold, and the worst of the six orbits of --count 6 is
-# 1.6e-10, inside a budget of 1e-9 and six orders under the 1e-3 check.
-KEPLER3_STEPS_PER_PERIOD = 50_000
+# error about fourfold.  The worst orbit, of any --count and any m, is
+# 6.3e-10, inside a budget of 1e-9 and six orders under the 1e-3 check;
+# T/20,000 would sit on the budget itself.
+KEPLER3_STEPS_PER_PERIOD = 25_000
 
-# kepler3 records every 200th step, 0.4% of a period; the kernel keeps the
+# kepler3 records every 100th step, 0.4% of a period; the kernel keeps the
 # states around each turning point, so the periods diagnostics reports are
 # those of a full record.
-KEPLER3_RECORD_EVERY = 200
+KEPLER3_RECORD_EVERY = 100
 
-# kepler3 integrates --count orbits of 85,000 steps each: 1000 orbits are
-# 8.5e7 steps, and a larger count is a usage error (exit 2).
+# kepler3 integrates --count orbits of 42,500 steps each: 1000 orbits are
+# 4.25e7 steps, and a larger count is a usage error (exit 2).
 KEPLER3_MAX_COUNT = 1000
 
 EXIT_OK = 0

@@ -82,10 +82,31 @@ class ConservedPair:
 
 
 def conserved_from_state(state: OrbitState, field: CentralField) -> ConservedPair:
-    """Evaluate C = v^2 - 2m/r and Q = cross(position, velocity)^2."""
+    """Evaluate C = v^2 - 2m/r and Q = cross(position, velocity)^2.
+
+    C is within 3k + 1 ulps of its exact value, k = (v^2 + 2m/r) / |C| the
+    condition number of the difference.  Q is within
+    ((1 + (k' + 1)eps)^2 (1 + eps) - 1)/eps ulps, eps = 2^-53 and
+    k' = (|x vy| + |y vx|) / |x vy - y vx|: 2k' + 3 to first order, more
+    where x vy - y vx cancels to a few ulps of its terms and its square
+    doubles their error.  tests/test_oracle.py checks both against 60-digit
+    values.
+
+    Where v^2, 2m or 2m/r is past the largest double, C is infinite or NaN,
+    and where x vy or y vx is, Q is infinite or NaN: ConservedPair refuses a
+    NaN and classify_orbit an infinity.  Raises DomainError where r is
+    infinite (2m/r would be 0), or below the smallest normal double with
+    both coordinates non-zero: math.hypot then rounds r to a subnormal,
+    which has lost bits.
+    """
+    r = state.r
+    position = state.position
+    if not (r < math.inf and (r >= sys.float_info.min or 0.0 in (position.x, position.y))):
+        raise DomainError(f"the distance r = {r:g} of ({position.x:g}, {position.y:g}) has "
+                          f"lost bits, so 2m/r cannot be told in double precision")
     v2 = state.velocity.dot(state.velocity)
-    c = v2 - 2.0 * field.m / state.r
-    h = state.position.cross(state.velocity)
+    c = v2 - 2.0 * field.m / r
+    h = position.cross(state.velocity)
     return ConservedPair(C=c, Q=h * h)
 
 
@@ -148,20 +169,29 @@ def apsides(pair: ConservedPair, field: CentralField) -> tuple[float, float | No
 
 
 def period(pair: ConservedPair, field: CentralField) -> float:
-    """Orbital period T = 2*pi*m / (-C)^(3/2) for bound orbits."""
+    """Orbital period T = 2*pi*m / (-C)^(3/2) for bound orbits.
+
+    T is within 4 ulps of its exact value (tests/test_oracle.py checks it
+    against 60-digit values).  Raises DomainError where 2 pi m or (-C)^1.5
+    is below the smallest normal double or past the largest, or where T is
+    not finite and > 0.
+    """
     if pair.C >= 0.0:
         raise UnboundedOrbitError(f"period requires C < 0, got C={pair.C:g}")
     try:
         power = (-pair.C) ** 1.5
     except OverflowError:
         power = math.inf
-    # A subnormal (-C)^1.5 has lost bits: m = 8.8e-215 gave a period 13% short.
-    t = 2.0 * math.pi * field.m / power if power >= sys.float_info.min else math.nan
+    # A subnormal (-C)^1.5 or 2 pi m has lost bits: m = 8.8e-215 gave a
+    # period 13% short, and m = 5e-324 at C = -1e-200 one 2.4e14 ulps off.
+    scaled_m = 2.0 * math.pi * field.m
+    tiny = sys.float_info.min
+    t = scaled_m / power if power >= tiny and scaled_m >= tiny else math.nan
     if not 0.0 < t < math.inf:
         raise DomainError(
             f"the period 2 pi m / (-C)^1.5 for m = {field.m:g}, C = {pair.C:g} "
-            "is not finite and > 0 in double precision, or (-C)^1.5 is below the "
-            "smallest normal double"
+            "is not finite and > 0 in double precision, or 2 pi m or (-C)^1.5 is "
+            "below the smallest normal double"
         )
     return t
 
@@ -181,13 +211,28 @@ def csc2_predicted(pair: ConservedPair, field: CentralField, r: float) -> float:
 
 
 def speed_at_radius(pair: ConservedPair, field: CentralField, r: float) -> float:
-    """Orbital speed at radius r: v = sqrt(C + 2m/r)."""
+    """Orbital speed at radius r: v = sqrt(C + 2m/r).
+
+    v is within (k + 3)/2 ulps of its exact value, k = (|C| + 2m/r) /
+    (C + 2m/r) the condition number of the sum: 2 ulps where C >= 0
+    (tests/test_oracle.py checks it against 60-digit values).  Raises
+    DomainError where 2m, 2m/r or C + 2m/r is past the largest double, or
+    where 2m/r is below the smallest normal double (it has lost bits) and
+    C + 2m/r is too.
+    """
     if not r > 0.0:
         raise DomainError(f"radius must be > 0, got {r}")
-    v2 = pair.C + 2.0 * field.m / r
+    w = 2.0 * field.m / r
+    v2 = pair.C + w
     if v2 < 0.0:
         raise UnreachableRadiusError(
             f"radius {r:g} is unreachable: C + 2m/r = {v2:g} < 0"
+        )
+    tiny = sys.float_info.min
+    if not (v2 < math.inf and (w >= tiny or v2 >= tiny)):
+        raise DomainError(
+            f"2m/r = {w:g}, C + 2m/r = {v2:g}: m, C and r are outside the range where "
+            "the speed can be told in double precision"
         )
     return math.sqrt(v2)
 

@@ -308,7 +308,9 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     The loops give the focal residual as a length; its maximum is divided
     once, by 2a or ell (see ResidualReport).  Rounding is monotonic, so that
     is the maximum of the quotients.  A scale that is not a normal double
-    > 0 (2a is 0 where e^2 overflows) raises DomainError.
+    > 0 (2a is 0 where e^2 overflows) raises DomainError, and so does a
+    run whose every sample is skipped by the right-angle check: its
+    residual of 0.0 would stand for no sample at all.
     """
     from . import simulator  # not at the top: simulator imports this module
 
@@ -335,6 +337,9 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
 
     focal, reflection, right, skipped = simulator._kernel.conic_residuals(
         shape, n, focus2_y, focal_constant)
+    if skipped == n:
+        raise DomainError(f"every one of the {n} samples has a tangent parallel to the "
+                          f"directrix, so no right angle was checked")
     return ResidualReport(
         conic_class=kind,
         n_samples=n,

@@ -37,6 +37,7 @@ which is finite only if every state of the run was.
 from __future__ import annotations
 
 import math
+import sys
 import types
 from dataclasses import asdict, dataclass
 
@@ -228,15 +229,31 @@ def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Traj
 
     Raises CollisionError where the body comes within COLLISION_RADIUS of
     the center, and DomainError past MAX_SAMPLES, counting 4 per window.
+    Raises DomainError before the run where the first kick f = m/r^3 * dt,
+    the kernel's expression on a launch state outside COLLISION_RADIUS, or
+    its factor m/r^3 is below the smallest normal double: f has lost bits or
+    is 0, and the body would drift in a straight line.
+
     Raises DomainError too where the last state the run reached is not
     finite.  A state that is not finite stays so: an infinite coordinate
     turns into NaN at the next kick (whose f is 0, and 0 * inf is NaN), a
     NaN stays NaN and an infinite t stays infinite.  So that one state,
     recorded or not, is finite exactly when every state of the run is.
     """
+    # A launch inside the collision radius collides at step 1 instead.
+    x, y = state.position.x, state.position.y
+    r2 = x * x + y * y
+    r = math.sqrt(r2)
+    factor = field.m / (r2 * r) if r >= COLLISION_RADIUS else math.inf
+    kick = factor * config.dt
+    if not (factor >= sys.float_info.min and kick >= sys.float_info.min):
+        raise DomainError(
+            f"the first kick m/r^3 * dt = {kick:g} (m/r^3 = {factor:g}) is below the smallest "
+            f"normal double {sys.float_info.min:g}, so the body would drift in a straight line"
+        )
     max_windows = (MAX_SAMPLES - (config.steps // config.record_every + 1)) // 4
     t, x, y, vx, vy, collided, windows = _kernel.propagate_kernel(
-        state.position.x, state.position.y, state.velocity.x, state.velocity.y,
+        x, y, state.velocity.x, state.velocity.y,
         field.m, config.dt, config.steps, config.record_every, COLLISION_RADIUS,
         max_windows=max_windows,
     )

@@ -364,6 +364,8 @@ def reference_residuals(shape, n):
         s = (-aO - p.y) / t_hat.y
         intersection = PlanarVector(p.x + s * t_hat.x, -aO)
         right_res = max(right_res, abs(p.unit().dot(intersection.unit())))
+    if skipped == n:
+        raise DomainError("no right angle was checked")
 
     return ResidualReport(
         conic_class=kind,
@@ -464,6 +466,14 @@ class TestGeometryResiduals:
                                               rf"got ell = {ell} \(periapsis "):
             geometry_residuals(ConicShape(e, ell), 100)
         assert calls == []
+
+    # Every tangent is parallel to the directrix, so the right-angle check
+    # took no sample: the report read a residual of 0.0 with all n skipped.
+    def test_every_right_angle_sample_skipped_rejected(self, residuals_c_and_numpy):
+        got, want = residuals_c_and_numpy(report_outcome, ConicShape(1e12, 1.0), 1000)
+        assert got == want == (DomainError, "every one of the 1000 samples has a tangent "
+                                            "parallel to the directrix, so no right angle "
+                                            "was checked")
 
     # The smallest shapes still accepted keep small residuals on both loops.
     @pytest.mark.parametrize("e, ell", [(0.5, 2.3e-154), (1.0, 3e-154), (1.5, 1e-153)])

@@ -188,6 +188,30 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="not finite"):
             integrate(state, CentralField(1e300), SimConfig(dt=1e-3, steps=100))
 
+    # The first kick f = m/r^3 * dt or its factor m/r^3 is 0 or subnormal:
+    # the body would drift in a straight line, or kick with lost bits.
+    @pytest.mark.parametrize("m, r0, dt", [
+        (1e-300, 1e20, 6.283185307179586e176),  # m/r^3 = 1e-360 rounds to 0
+        (1.0, 1.0, 1e-310),                     # f = 1e-310 is subnormal
+        (1e-300, 1e4, 1e10),                    # m/r^3 = 1e-312 is subnormal, f = 1e-302 is not
+    ], ids=["factor-zero", "kick-subnormal", "factor-subnormal"])
+    def test_underflowing_first_kick_rejected(self, kernel, monkeypatch, m, r0, dt):
+        calls = []
+        monkeypatch.setattr(kernel, "propagate_kernel", lambda *args, **kw: calls.append(args))
+        with pytest.raises(DomainError, match="^the first kick m/r\\^3 \\* dt = "):
+            integrate(make_state(r0, 1e-160, 60.0), CentralField(m), SimConfig(dt=dt, steps=10))
+        assert calls == []
+
+    # The smallest factor and kick that are normal doubles run; so does a
+    # launch inside the collision radius, to its collision at step 1.
+    def test_smallest_normal_first_kick_runs(self, kernel):
+        tiny = sys.float_info.min
+        traj = integrate(CANONICAL, CentralField(tiny), SimConfig(dt=1.0, steps=10))
+        assert len(traj) == 11
+        with pytest.raises(CollisionError) as exc_info:
+            integrate(make_state(1e-200, 1.0, 60.0), UNIT_FIELD, SimConfig(dt=1e-3, steps=10))
+        assert exc_info.value.step == 1
+
     def test_step_cap(self):
         with pytest.raises(DomainError):
             SimConfig(dt=1e-3, steps=10**9)
@@ -851,15 +875,16 @@ class TestDiagnostics:
             diagnostics(traj)
 
     def test_state_leaving_the_double_range_after_the_last_record_rejected(self, kernel):
-        # A straight fall in steps of exactly 2^476, too far out for the
-        # kicks to bend it, lands on x = 0 at step 64.  There r = 2^-29
-        # (1.9e-9) lies outside the collision disk, and the kick m / r^3 * dt
-        # = 2^1024 overflows, so every state from step 65 on is not finite.
-        # Recorded every 2nd step, a run of 65 steps ends one step after its
-        # last recorded state: integrate refuses it on the kernel's last
-        # state, so diagnostics never sees it.
-        launch = (2.0**482, 2.0**-29, -(2.0**40), 0.0)
-        m, dt = 2.0**501, 2.0**436
+        # A straight fall in steps of exactly 2^334, too far out for the
+        # kicks to bend it (the first is 2^-83, a normal double, and none
+        # moves vx or y by half an ulp), lands on x = 0 at step 64.  There
+        # r = 2^-29 (1.9e-9) lies outside the collision disk, and the kick
+        # m / r^3 * dt = 2^1024 overflows, so every state from step 65 on is
+        # not finite.  Recorded every 2nd step, a run of 65 steps ends one
+        # step after its last recorded state: integrate refuses it on the
+        # kernel's last state, so diagnostics never sees it.
+        launch = (2.0**340, 2.0**-29, -(2.0**325), 0.0)
+        m, dt = 2.0**928, 2.0**9
         state = OrbitState(PlanarVector(*launch[:2]), PlanarVector(*launch[2:]))
         traj = integrate(state, CentralField(m), SimConfig(dt=dt, steps=64, record_every=2))
         assert (traj.x[-1], traj.y[-1]) == (0.0, 2.0**-29)
