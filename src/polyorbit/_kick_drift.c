@@ -35,21 +35,20 @@
  * entries and passes record_every <= steps + 1.  Returns the number of
  * recorded states; *collided is the 1-based step at which r fell below
  * collision_radius, or -1.  The windows are those of propagate_kernel: the
- * first window_cap go to window_k and window_states (20 values each), the
- * count of all of them to *windows, and the last state to last.
+ * first window_cap go to window_states (9 values each), the count of all
+ * of them to *windows, and the last state to last.
  */
 int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt,
                    int64_t steps, int64_t record_every, double collision_radius,
                    double *t_out, double *x_out, double *y_out, double *vx_out,
                    double *vy_out, int64_t *collided,
-                   int64_t window_cap, int64_t *window_k, double *window_states,
+                   int64_t window_cap, double *window_states,
                    int64_t *windows, double *last)
 {
     double t = 0.0;
     int64_t n = 1, due = record_every, w = 0;
-    double d = x * vx + y * vy, d1;
-    double before[5], prev[5] = {NAN, NAN, NAN, NAN, NAN};  /* states k - 2 and k - 1 */
-    double *pending = NULL;  /* the slot of state k + 2 in the last window */
+    double r2 = x * x + y * y, rise = 0.0;  /* the last non-zero change of r2 */
+    double before[3], prev[3] = {t, x, y};  /* states k - 2 and k - 1 */
 
     t_out[0] = t;
     x_out[0] = x;
@@ -58,22 +57,20 @@ int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt
     vy_out[0] = vy;
     *collided = -1;
     for (int64_t k = 1; k <= steps; k++) {
-        double r2 = x * x + y * y;
         double r = sqrt(r2);
         if (r < collision_radius) {
             *collided = k;
             break;
         }
-        memcpy(before, prev, sizeof prev);
-        memcpy(prev, (double[5]){t, x, y, vx, vy}, sizeof prev);
-        d1 = d;
         double f = m / (r2 * r) * dt;
         vx = vx - f * x;
         vy = vy - f * y;
         x = x + vx * dt;
         y = y + vy * dt;
         t = t + dt;
-        d = x * vx + y * vy;
+        double r2_before = r2;
+        r2 = x * x + y * y;
+        double change = r2 - r2_before;
         if (k == due) {
             due += record_every;
             t_out[n] = t;
@@ -83,25 +80,22 @@ int64_t kick_drift(double x, double y, double vx, double vy, double m, double dt
             vy_out[n] = vy;
             n++;
         }
-        if (pending) {
-            memcpy(pending, (double[5]){t, x, y, vx, vy}, sizeof prev);
-            pending = NULL;
-        }
-        if ((d1 < 0.0 && d > 0.0) || (d1 > 0.0 && d < 0.0)) {
+        if ((rise < 0.0 && change > 0.0) || (rise > 0.0 && change < 0.0)) {
             if (w < window_cap) {
-                double *s = window_states + 20 * w;
-                window_k[w] = k - 1;
+                double *s = window_states + 9 * w;
                 memcpy(s, before, sizeof before);
-                memcpy(s + 5, prev, sizeof prev);
-                memcpy(s + 10, (double[5]){t, x, y, vx, vy}, sizeof prev);
-                memcpy(s + 15, (double[5]){NAN, NAN, NAN, NAN, NAN}, sizeof prev);
-                pending = s + 15;
+                memcpy(s + 3, prev, sizeof prev);
+                memcpy(s + 6, (double[3]){t, x, y}, sizeof prev);
             }
             w++;
         }
+        if (change != 0.0)
+            rise = change;
+        memcpy(before, prev, sizeof prev);
+        memcpy(prev, (double[3]){t, x, y}, sizeof prev);
     }
     *windows = w;
-    memcpy(last, (double[5]){t, x, y, vx, vy}, sizeof prev);
+    memcpy(last, (double[5]){t, x, y, vx, vy}, sizeof(double[5]));
     return n;
 }
 

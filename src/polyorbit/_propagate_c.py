@@ -59,8 +59,7 @@ _LIBS = ("-lm",)
 # propagate_kernel arguments for the load-time probe: a launch on which a
 # hypot-based step and the kernel's sqrt(r2) / (r2 * r) step differ in the
 # last bit, and on which a fused multiply-add changes the result, with a
-# decimation.  Its one window, at step 13, ends with a NaN state 15 past the
-# last step.
+# decimation.  Its one window is whole: states 12, 13 and 14, the last.
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
           -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 14, 3, 1e-9)
 
@@ -190,7 +189,7 @@ def _load():
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
                            + [ctypes.c_double] + [ctypes.c_void_p] * 5
                            + [ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p,
-                              ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p])
+                              ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p])
     csv_rows.restype = ctypes.c_int64
     csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_int, ctypes.c_int]
@@ -307,15 +306,14 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     kept = steps if max_windows is None else max_windows + 1
     cap = min(steps // 1024 + 16, kept)
     while True:
-        window_k = np.empty(cap, dtype=np.int64)
-        window_states = np.empty((cap, 4, 5))
-        n = _kick_drift(*args, cap, window_k.ctypes.data, window_states.ctypes.data,
-                        ctypes.byref(count), last.ctypes.data)
+        window_states = np.empty((cap, 3, 3))
+        n = _kick_drift(*args, cap, window_states.ctypes.data, ctypes.byref(count),
+                        last.ctypes.data)
         if count.value <= cap or cap == kept:
             break
         cap = min(count.value, kept)  # the repeat has the same bits
-    w = min(count.value, cap)
-    return (*(out[:n] for out in outs), collided.value, (window_k[:w], window_states[:w], last))
+    return (*(out[:n] for out in outs), collided.value,
+            (window_states[:min(count.value, cap)], last))
 
 
 def format_rows_into(columns, out):

@@ -23,7 +23,7 @@ ring total is math.fsum of the terms, so its bits depend on them alone.
 
 from array import array
 from itertools import chain
-from math import fsum, isnan, nan, pi, sqrt
+from math import fsum, isnan, pi, sqrt
 
 import numpy as np
 
@@ -58,26 +58,27 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     `collision_radius` of the center (the arrays then end at the last
     recorded state before it), or -1 if it never did.
 
-    windows = (k, states, last): a window for every step k where
-    d = x*vx + y*vy is non-zero and has the other sign at step k + 1, so the
-    radial speed turns; k as int64, and the (t, x, y, vx, vy) of the states
-    k - 1 .. k + 2 as float64 of shape (len(k), 4, 5), NaN (the bits of C's
-    NAN) for a state before step 0 or after the last step run.  A run with
-    more than `max_windows` windows returns only the first max_windows + 1.
-    last is the (t, x, y, vx, vy) of the last state the run reached.
+    windows = (states, last).  states holds a window for each vertex j of
+    the polygon nearer to or farther from the center than both its
+    neighbours: the state where r2 = x*x + y*y turns, so that the last non-zero change of r2 up to
+    state j and the change from j to j + 1 have opposite signs.  A window is
+    the (t, x, y) of the states j - 1, j and j + 1, which have all run, so
+    1 <= j <= steps - 1; states is float64 of shape (windows, 3, 3).  A run
+    with more than `max_windows` windows returns only the first
+    max_windows + 1.  last is the (t, x, y, vx, vy) of the last state the
+    run reached.
     """
     n_rec = steps // record_every + 1
     outs = [np.empty(n_rec) for _ in range(5)]
     t_out, x_out, y_out, vx_out, vy_out = (memoryview(out) for out in outs)
     kept = steps if max_windows is None else max_windows + 1
-    window_k = array("q")
-    window_states = array("d")  # 20 values a window
+    window_states = array("d")  # 9 values a window
     t = 0.0
     n = 1
     due = record_every
-    d = x * vx + y * vy
-    prev = (nan,) * 5  # state k - 1, then k - 2 in before
-    pending = False  # whether the last window's state k + 2 is to come
+    r2 = x * x + y * y
+    rise = 0.0  # the last non-zero change of r2
+    before = prev = (t, x, y)  # state k - 1, then k - 2 in before
 
     t_out[0] = t
     x_out[0] = x
@@ -86,20 +87,19 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     vy_out[0] = vy
     collided = -1
     for k in range(1, steps + 1):
-        r2 = x * x + y * y
         r = sqrt(r2)
         if r < collision_radius:
             collided = k
             break
-        before, prev = prev, (t, x, y, vx, vy)
-        d1 = d
         f = m / (r2 * r) * dt
         vx = vx - f * x
         vy = vy - f * y
         x = x + vx * dt
         y = y + vy * dt
         t = t + dt
-        d = x * vx + y * vy
+        r2_before = r2
+        r2 = x * x + y * y
+        change = r2 - r2_before
         if k == due:
             due += record_every
             t_out[n] = t
@@ -108,16 +108,13 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
             vx_out[n] = vx
             vy_out[n] = vy
             n += 1
-        if pending:
-            window_states[-5:] = array("d", (t, x, y, vx, vy))
-            pending = False
-        if (d1 < 0.0 and d > 0.0) or (d1 > 0.0 and d < 0.0):
-            if len(window_k) < kept:
-                window_k.append(k - 1)
-                window_states.extend((*before, *prev, t, x, y, vx, vy, nan, nan, nan, nan, nan))
-                pending = True
-    windows = (np.frombuffer(window_k, dtype=np.int64),
-               np.frombuffer(window_states, dtype=np.float64).reshape(-1, 4, 5),
+        if (rise < 0.0 and change > 0.0) or (rise > 0.0 and change < 0.0):
+            if len(window_states) < 9 * kept:
+                window_states.extend((*before, *prev, t, x, y))
+        if change != 0.0:
+            rise = change
+        before, prev = prev, (t, x, y)
+    windows = (np.frombuffer(window_states, dtype=np.float64).reshape(-1, 3, 3),
                np.array([t, x, y, vx, vy]))
     return (*(out[:n] for out in outs), collided, windows)
 

@@ -28,10 +28,11 @@ after the results before it.  The step runs on the caller's thread alone.
 
 integrate() runs the kernel with one collision radius, COLLISION_RADIUS,
 and takes its record as the verdict on the run.  The kernel also returns
-the four states around each step where the radial speed changes sign, so
-diagnostics() reads the turning points of every step off them, whatever
-record_every is, and runs no kernel; and the last state the run reached,
-which is finite only if every state of the run was.
+the turning points of every step: the polygon's vertices nearest to and
+farthest from the center, where r^2 turns from falling to rising or back,
+each with its two neighbours.  So diagnostics() reads the apsides off them, whatever
+record_every is, and runs no kernel.  Last, the kernel returns the last
+state the run reached, which is finite only if every state of the run was.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ MAX_STEPS = 10**8
 
 #: Hard cap on the number of recorded samples (steps // record_every + 1);
 #: the kernel preallocates five float64 arrays of this length.  Each window
-#: the kernel returns around a turning point counts as four more samples.
+#: the kernel returns around a turning point, 9 doubles, counts as two more
+#: samples.
 MAX_SAMPLES = 10**7
 
 #: Collision radius around the attractor: integrate() raises CollisionError
@@ -156,7 +158,7 @@ class Trajectory:
     vy: np.ndarray
     field: CentralField
     config: SimConfig
-    windows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    windows: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -228,7 +230,7 @@ def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Traj
     """Apply `config.steps` impulse-polygon steps, recording samples.
 
     Raises CollisionError where the body comes within COLLISION_RADIUS of
-    the center, and DomainError past MAX_SAMPLES, counting 4 per window.
+    the center, and DomainError past MAX_SAMPLES, counting 2 per window.
     Raises DomainError before the run where the first kick f = m/r^3 * dt,
     the kernel's expression on a launch state outside COLLISION_RADIUS, or
     its factor m/r^3 is below the smallest normal double: f has lost bits or
@@ -251,7 +253,7 @@ def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Traj
             f"the first kick m/r^3 * dt = {kick:g} (m/r^3 = {factor:g}) is below the smallest "
             f"normal double {sys.float_info.min:g}, so the body would drift in a straight line"
         )
-    max_windows = (MAX_SAMPLES - (config.steps // config.record_every + 1)) // 4
+    max_windows = (MAX_SAMPLES - (config.steps // config.record_every + 1)) // 2
     t, x, y, vx, vy, collided, windows = _kernel.propagate_kernel(
         x, y, state.velocity.x, state.velocity.y,
         field.m, config.dt, config.steps, config.record_every, COLLISION_RADIUS,
@@ -259,12 +261,12 @@ def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Traj
     )
     if collided >= 0:
         raise CollisionError(collided, COLLISION_RADIUS)
-    if not np.isfinite(windows[2]).all():
+    if not np.isfinite(windows[1]).all():
         raise DomainError("the simulated state left the double range (its t, x, y, vx or vy "
                           "is not finite)")
     if len(windows[0]) > max_windows:
         raise DomainError(f"{len(t)} recorded samples and over {max_windows} turning-point "
-                          f"windows of 4 states exceed the cap of {MAX_SAMPLES} samples")
+                          f"windows of 2 samples exceed the cap of {MAX_SAMPLES} samples")
     return Trajectory(t=t, x=x, y=y, vx=vx, vy=vy, field=field, config=config,
                       windows=windows)
 
@@ -308,21 +310,22 @@ class DiagnosticsReport:
         return asdict(self)
 
 
-def _parabolic_vertex(t: np.ndarray, r: np.ndarray, j: int) -> tuple[float, float]:
-    # Three-point parabolic refinement of an extremum of r(t) around index j.
-    # The vertex is kept only where it lies between t[j - 1] and t[j + 1] at
-    # a positive radius; elsewhere the parabola extrapolates (on a coarse
-    # orbit, 17 steps away and below r = 0), and the sample itself is
-    # reported.
-    h = t[j] - t[j - 1]
-    denom = r[j - 1] - 2.0 * r[j] + r[j + 1]
+def _parabolic_vertex(t: np.ndarray, r: np.ndarray) -> tuple[float, float]:
+    # Three-point parabolic refinement of the extremum of r(t) at the middle
+    # of three samples, which lies within half a step of it.  The vertex is
+    # kept only where it lies between t[0] and t[2] at a positive radius,
+    # and the middle sample itself is reported elsewhere: on a coarse orbit
+    # the parabola can dip below r = 0, and where r changes by a few ulps a
+    # step (a nearly circular orbit) its curvature is rounding.
+    h = t[1] - t[0]
+    denom = r[0] - 2.0 * r[1] + r[2]
     if denom == 0.0:
-        return float(t[j]), float(r[j])
-    delta = 0.5 * (r[j - 1] - r[j + 1]) / denom
-    t_star = t[j] + delta * h
-    r_star = r[j] - 0.25 * (r[j - 1] - r[j + 1]) * delta
+        return float(t[1]), float(r[1])
+    delta = 0.5 * (r[0] - r[2]) / denom
+    t_star = t[1] + delta * h
+    r_star = r[1] - 0.25 * (r[0] - r[2]) * delta
     if not (abs(delta) <= 1.0 and r_star > 0.0):
-        return float(t[j]), float(r[j])
+        return float(t[1]), float(r[1])
     return float(t_star), float(r_star)
 
 
@@ -330,27 +333,20 @@ def _turning_points(traj: Trajectory) -> tuple[list, list]:
     """(periapsis, apoapsis) lists of the refined (t, r) turning points of
     the full-resolution run, in time order.
 
-    The kernel gives a window of states k - 1 .. k + 2 for each step k
-    where d = x vx + y vy at k and at k + 1 are non-zero with opposite
-    signs: the radial speed turns between them.  d at state k, the same
-    expression on the values the kernel compared, tells a periapsis (d < 0,
-    falling in) from an apoapsis, and the vertex j of k and k + 1 is refined
-    when 1 <= j <= steps - 1.
+    The kernel gives a window for each vertex of the polygon where
+    r^2 = x^2 + y^2 turns, nearer to or farther from the center than both
+    its neighbours, with both of them.  A window whose r^2 rises after its
+    vertex is a periapsis, and each vertex is refined on r = hypot(x, y) of
+    its three states.
     """
-    ks, states, _ = traj.windows
-    t, x, y, vx, vy = np.moveaxis(states, 2, 0)
+    states, _ = traj.windows
+    t, x, y = np.moveaxis(states, 2, 0)
+    r2 = x * x + y * y
     r = np.hypot(x, y)
-    falling = (x[:, 1] * vx[:, 1] + y[:, 1] * vy[:, 1] < 0.0).tolist()
-    last = traj.config.steps
     peri: list[tuple[float, float]] = []
     apo: list[tuple[float, float]] = []
-    for k, tw, rw, is_peri in zip(ks.tolist(), t, r, falling):
-        if is_peri:
-            i = 1 if rw[1] < rw[2] else 2
-        else:
-            i = 1 if rw[1] > rw[2] else 2
-        if 1 <= k - 1 + i <= last - 1:  # window state i is step k - 1 + i
-            (peri if is_peri else apo).append(_parabolic_vertex(tw, rw, i))
+    for tw, rw, rising in zip(t, r, (r2[:, 1] < r2[:, 2]).tolist()):
+        (peri if rising else apo).append(_parabolic_vertex(tw, rw))
     return peri, apo
 
 

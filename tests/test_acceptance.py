@@ -264,3 +264,24 @@ def test_11_conserved_pair_fixes_the_conic():
 
     ok &= timed_under(1.0, started)
     report("conserved-pair-fixes-the-conic", bool(ok))
+
+
+def test_12_period_second_order_half_kick():
+    # The canonical launch with its velocity half a kick back, v0 - a0 dt/2
+    # with a0 = -m p / r^3 at the launch, so that the first kick lands on
+    # the mid-step velocity: the period read off the periapsides, the
+    # polygon's nearest vertices, converges at second order in dt.
+    started = time.perf_counter()
+    x, y = CANONICAL.position.x, CANONICAL.position.y
+    k = UNIT_FIELD.m / math.hypot(x, y) ** 3
+    errors = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        launch = OrbitState(CANONICAL.position,
+                            PlanarVector(CANONICAL.velocity.x + k * x * dt / 2.0,
+                                         CANONICAL.velocity.y + k * y * dt / 2.0))
+        steps = math.ceil(2.2 * 2.0 * math.pi / dt)  # two periapsides
+        d = diagnostics(integrate(launch, UNIT_FIELD, SimConfig(dt=dt, steps=steps)))
+        errors.append(abs(d.observed_period - 2.0 * math.pi))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    ok = all(3.0 < ratio < 5.0 for ratio in ratios) and timed_under(2.0, started)
+    report("period-second-order-half-kick", ok)

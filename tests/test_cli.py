@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyorbit import _propagate_py, cli, geometry, shell, simulator
+from polyorbit import _propagate_py, cli, determination, geometry, shell, simulator
 
 
 def run(capsys, argv):
@@ -43,7 +43,7 @@ GOLDEN_STDOUT = [
 
 # The same for a 200k-step simulate, and the sha256 of the CSV it writes.
 GOLDEN_SIMULATE = ("simulate --m 1 --r0 1 --v0 1 --alpha0 60.0 --dt 1e-4 --steps 200000",
-                   "c5bd2c0451c90c0e",
+                   "a4436c3b5ffbd4e0",
                    "959b3218397ca2939ef5e624f10d0797d6ea8a8f495fa6d60321356f3fcfe224")
 
 # The commands that run the ring sum or the residual loop.
@@ -275,14 +275,14 @@ class TestSimulate:
         assert periods[1] == periods[0] == pytest.approx(6.278, abs=1e-3)
 
     def test_windows_past_the_sample_cap_numeric_error(self, capsys, monkeypatch, tmp_path):
-        # 13 recorded samples and 4 windows of 4 states: 29 samples
+        # 13 recorded samples and 4 windows of 2 samples: 21 samples
         out_path = tmp_path / "traj.csv"
         argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
                 "--dt", "1e-3", "--steps", "12289", "--decimate", "1000", "--out", str(out_path)]
-        monkeypatch.setattr(simulator, "MAX_SAMPLES", 29)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 21)
         assert run(capsys, argv)[0] == cli.EXIT_OK
         out_path.unlink()
-        monkeypatch.setattr(simulator, "MAX_SAMPLES", 28)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 20)
         code, out, err = run(capsys, argv)
         assert code == cli.EXIT_NUMERIC
         assert "over 3 turning-point windows" in err and out == ""
@@ -578,6 +578,34 @@ class TestKepler3:
         halved = _period_errors(capsys, argv)
         for error, halved_error in zip(shipped, halved):
             assert 3.0 < error / halved_error < 5.0
+
+    # The --count 6 scan's orbit X = 8.000000000000002, stepped at the dt of
+    # its smallest orbit, T(X = 0.5) / 25,000: 1,600,000 steps a period, an
+    # integer number per half period, so its apsides fall on vertices.  Its
+    # periapsides are the vertices 799,999 and 2,399,999, the argmins of r;
+    # a turning-point rule that lagged the extremum by up to a step put the
+    # second at 2,399,998, and the period off by one step, -6.25e-7.
+    @pytest.mark.parametrize("on", ["python", "c"])
+    def test_apsis_on_a_vertex_is_not_a_step_late(self, request, monkeypatch, on):
+        module = _propagate_py if on == "python" else request.getfixturevalue("c_library")
+        monkeypatch.setattr(simulator, "_kernel", module)
+        field = determination.CentralField(1.0)
+
+        def ellipse(x):  # kepler3's e = 0.5 ellipse of semi-major axis x, and its period
+            pair = determination.ConservedPair(C=-field.m / x, Q=0.75 * x * field.m)
+            return pair, determination.period(pair, field)
+
+        x = 0.5 * (16.0 / 0.5) ** (4 / 5)
+        assert x == 8.000000000000002
+        pair, t_formula = ellipse(x)
+        dt = ellipse(0.5)[1] / cli.KEPLER3_STEPS_PER_PERIOD
+        steps = math.ceil(1.7 * t_formula / dt)
+        assert steps == 2_720_001
+        r0 = 1.5 * x
+        state = cli._make_state(r0, math.sqrt(pair.C + 2.0 * field.m / r0), 90.0)
+        config = simulator.SimConfig(dt=dt, steps=steps, record_every=cli.KEPLER3_RECORD_EVERY)
+        t_sim = simulator.diagnostics(simulator.integrate(state, field, config)).observed_period
+        assert abs(t_sim / t_formula - 1.0) <= 1e-9
 
     def test_count_guard(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

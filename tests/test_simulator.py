@@ -227,13 +227,13 @@ class TestIntegrate:
 
     def test_windows_past_the_sample_cap_are_not_held(self, kernel, monkeypatch):
         # COARSE turns every 4.5 steps: 200 000 steps hold 44 444 windows,
-        # 7.5 MB, but past a cap of 10 000 samples the kernel keeps 2001.
+        # 3.2 MB, but past a cap of 10 000 samples the kernel keeps 4000.
         monkeypatch.setattr(simulator, "MAX_SAMPLES", 10_000)
         launch = OrbitState(PlanarVector(*COARSE[:2]), PlanarVector(*COARSE[2:4]))
         config = SimConfig(dt=COARSE[5], steps=200_000, record_every=100)
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match="2001 recorded samples and over 1999 "):
+            with pytest.raises(DomainError, match="2001 recorded samples and over 3999 "):
                 integrate(launch, CentralField(COARSE[4]), config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -241,13 +241,13 @@ class TestIntegrate:
         assert peak < 1024 * 1024
 
     def test_windows_count_toward_the_sample_cap(self, kernel, monkeypatch):
-        # 13 recorded samples and 4 windows of 4 states: 29 samples
+        # 13 recorded samples and 4 windows of 2 samples: 21 samples
         config = SimConfig(dt=1e-3, steps=12289, record_every=1000)
         traj = integrate(CANONICAL, UNIT_FIELD, config)
         assert (len(traj), len(traj.windows[0])) == (13, 4)
-        monkeypatch.setattr(simulator, "MAX_SAMPLES", 29)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 21)
         integrate(CANONICAL, UNIT_FIELD, config)
-        monkeypatch.setattr(simulator, "MAX_SAMPLES", 28)
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 20)
         with pytest.raises(DomainError, match="over 3 turning-point windows"):
             integrate(CANONICAL, UNIT_FIELD, config)
 
@@ -389,9 +389,9 @@ class TestBackends:
                 run = compiled.propagate_kernel
 
                 def window_off_by_one_bit(*args, **kwargs):
-                    *rest, (k, states, last) = run(*args, **kwargs)
-                    assert len(k)  # the probe yields a window
-                    return (*rest, (k, np.nextafter(states, np.inf), last))
+                    *rest, (states, last) = run(*args, **kwargs)
+                    assert len(states)  # the probe yields a window
+                    return (*rest, (np.nextafter(states, np.inf), last))
                 patch.setattr(compiled, "propagate_kernel", window_off_by_one_bit)
             if failure == "format-probe-mismatch":
                 format_rows = compiled.format_rows
@@ -451,11 +451,10 @@ def assert_same_bits(got, want):
         assert a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()
     if len(got) > 6 or len(want) > 6:
-        (k, states, last), (want_k, want_states, want_last) = got[6], want[6]
-        assert k.dtype == want_k.dtype == np.int64
-        assert k.tobytes() == want_k.tobytes()
+        (states, last), (want_states, want_last) = got[6], want[6]
         assert states.dtype == want_states.dtype == np.float64
-        assert states.shape == want_states.shape == (len(k), 4, 5)
+        assert states.shape == want_states.shape
+        assert states.shape[1:] == (3, 3)
         assert states.tobytes() == want_states.tobytes()
         assert last.dtype == want_last.dtype == np.float64
         assert last.shape == want_last.shape == (5,)
@@ -463,22 +462,29 @@ def assert_same_bits(got, want):
 
 
 def without_t(result):
-    """A kernel result with every t, recorded or in a window, set to 0 and
-    every NaN state left NaN."""
-    t, x, y, vx, vy, collided, (k, states, last) = result
+    """A kernel result with every t, recorded or in a window, set to 0."""
+    t, x, y, vx, vy, collided, (states, last) = result
     states = states.copy()
-    states[..., 0] = np.where(np.isnan(states[..., 0]), math.nan, 0.0)
-    return (np.zeros_like(t), x, y, vx, vy, collided, (k, states, np.r_[0.0, last[1:]]))
+    states[..., 0] = 0.0
+    return (np.zeros_like(t), x, y, vx, vy, collided, (states, np.r_[0.0, last[1:]]))
+
+
+def r2_turns(r2):
+    """The indices j of the states where r2, their x^2 + y^2, turns: the
+    last non-zero change of r2 up to state j and the change from j to j + 1,
+    non-zero, have opposite signs."""
+    changes = [(j, b - a) for j, (a, b) in enumerate(zip(r2, r2[1:])) if b - a != 0.0]
+    return [j for (_, before), (j, after) in zip(changes, changes[1:])
+            if before < 0.0 < after or before > 0.0 > after]
 
 
 def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
     """The Python kernel's run rebuilt from one-step runs, each from the state
     the one before it reached, with the time summed here as t + dt: the
     oracle for which states a run records, at which step a collision stops
-    it, where its radial speed turns (a window at each k where x vx + y vy
-    at k and at k + 1 are non-zero with opposite signs, holding the states
-    k - 1 .. k + 2 of the run, NaN where the run has none) and which state
-    it reaches last."""
+    it, where r^2 turns (a window at each state j of r2_turns, holding the
+    (t, x, y) of the states j - 1 .. j + 1 of the run) and which state it
+    reaches last."""
     state = (0.0, x, y, vx, vy)
     run = [state]
     recorded = [state]
@@ -492,15 +498,16 @@ def stepwise(x, y, vx, vy, m, dt, steps, record_every, collision_radius):
         run.append(state)
         if k % record_every == 0:
             recorded.append(state)
-    d = [x * vx + y * vy for _, x, y, vx, vy in run]
-    turns = [k for k in range(len(run) - 1)
-             if d[k] < 0.0 < d[k + 1] or d[k] > 0.0 > d[k + 1]]
-    outside = (math.nan,) * 5
-    states = [[run[i] if 0 <= i < len(run) else outside for i in range(k - 1, k + 3)]
-              for k in turns]
-    windows = (np.array(turns, dtype=np.int64),
-               np.array(states, dtype=np.float64).reshape(-1, 4, 5), np.array(run[-1]))
+    states = [[run[i][:3] for i in (j - 1, j, j + 1)]
+              for j in r2_turns([x * x + y * y for _, x, y, _, _ in run])]
+    windows = (np.array(states, dtype=np.float64).reshape(-1, 3, 3), np.array(run[-1]))
     return (*(np.array(values) for values in zip(*recorded)), collided, windows)
+
+
+def window_vertices(result, t):
+    """The indices in t of the vertices, state 1, of a kernel result's
+    windows."""
+    return np.searchsorted(t, result[6][0][:, 1, 0]).tolist()
 
 
 # Run lengths of the grids: the shortest runs, and runs of a few thousand
@@ -515,10 +522,10 @@ INFALL = (1.0, 0.0, -0.05, 0.02, 1.0, 5e-5)
 COLLIDE_AT = [1, 2, 100, 4095, 4096, 4097, 5096, 8193]
 
 
-# A coarse launch whose radial speed turns between steps k and k + 1 for
-# k = 0, 3, 11, 17, 21, 23, 26 and 27: runs of 1 and 28 steps end with a
-# window at their last step, whose state k + 2 is NaN, and 0 starts one
-# whose state k - 1 is NaN; 26 and 27 are adjacent windows.
+# A coarse launch whose r^2 turns at the states j = 3, 11, 18, 21, 24, 26
+# and 28: a run of 28 steps ends on the vertex 28, whose window needs state
+# 29, and a run of 29 steps ends with that window; r^2 falls from the
+# launch, so state 0 is no vertex; the windows at 24 and 26 share a state.
 TURNING = (0.7671199842634375, 0.0, 0.29279256832891765, 1.2182445723937887,
            6.77740972197304, 0.08644851775242246)
 
@@ -530,7 +537,7 @@ TURNING_STEPS = [1, 2, 27, 28, 29, 60]
 MANY_TURNS = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 1.0, 0.03)
 
 
-# A bound orbit about 9 steps long, whose radial speed turns about every 4.5
+# A bound orbit about 9 steps long, whose r^2 turns about every 4.5
 # steps for at least 4 million steps.
 COARSE = (1.0, 0.0, -0.02338395238913534, 0.8385802412427391, 1.0, 0.5077498637989705)
 
@@ -544,7 +551,8 @@ def collision_radius_at(collide_at):
 
 class TestKernelOracle:
     """The Python kernel, the oracle of the C kernel, against its own
-    one-step runs; and a restart and bounded memory on both kernels."""
+    one-step runs; and a restart, the window invariant and bounded memory
+    on both kernels."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -582,26 +590,28 @@ class TestKernelOracle:
         args = TURNING + (steps, record_every, 1e-9)
         got = _propagate_py.propagate_kernel(*args)
         assert_same_bits(got, stepwise(*args))
-        assert got[6][0].tolist() == [k for k in (0, 3, 11, 17, 21, 23, 26, 27) if k < steps]
+        every = _propagate_py.propagate_kernel(*TURNING, steps, 1, 1e-9)
+        assert window_vertices(got, every[0]) == [
+            j for j in (3, 11, 18, 21, 24, 26, 28) if j < steps]
 
-    @pytest.mark.parametrize("max_windows", [0, 3, 7, 8, None])
+    @pytest.mark.parametrize("max_windows", [0, 3, 5, 6, 7, 8, None])
     def test_windows_past_max_windows_keep_one_more(self, max_windows):
         args = TURNING + (60, 7, 1e-9)
         got = _propagate_py.propagate_kernel(*args, max_windows=max_windows)
         want = stepwise(*args)
-        (k, states, last), kept = want[6], 8 if max_windows is None else max_windows + 1
-        assert_same_bits(got, want[:6] + ((k[:kept], states[:kept], last),))
+        (states, last), kept = want[6], 7 if max_windows is None else max_windows + 1
+        assert_same_bits(got, want[:6] + ((states[:kept], last),))
 
     def test_windows_stop_at_a_collision(self):
         # r after step 28 of TURNING is below r at every step before it, so
-        # a radius just above it stops the run on step 29: the window at 27
-        # has no state 29.
+        # a radius just above it stops the run on step 29: the vertex at 28
+        # has no state 29, and no window.
         free = _propagate_py.propagate_kernel(*TURNING, 28, 1, 1e-9)
         radius = math.hypot(free[1][-1], free[2][-1]) * (1.0 + 1e-12)
         args = TURNING + (60, 1, radius)
         got = _propagate_py.propagate_kernel(*args)
         assert got[5] == 29
-        assert got[6][0].tolist()[-1] == 27 and np.isnan(got[6][1][-1, 3]).all()
+        assert window_vertices(got, free[0]) == [3, 11, 18, 21, 24, 26]
         assert_same_bits(got, stepwise(*args))
 
     @pytest.mark.parametrize("load", KERNELS)
@@ -610,19 +620,17 @@ class TestKernelOracle:
            record_every=st.sampled_from([1, 2, 7]))
     def test_restart_from_a_state_continues_the_run(self, load, k, dt, record_every):
         # From the state of step k, the kernel repeats the rest of the run
-        # bit for bit: the states, and the windows from step k on, without
-        # the state before k.  Its t is the running sum from 0 again, and
-        # is left out of the comparison.
+        # bit for bit: the states, and the windows whose three states are
+        # all of step k or later.  Its t is the running sum from 0 again,
+        # and is left out of the comparison.
         propagate = load().propagate_kernel
         steps = 8195
         full = propagate(1.0, 0.0, 0.5, 0.8, 1.0, dt, steps, 1, 1e-9)
         x, y, vx, vy = (float(a[k]) for a in full[1:5])
         rest = propagate(x, y, vx, vy, 1.0, dt, steps - k, record_every, 1e-9)
-        turns, states, last = full[6]
-        later = turns >= k
-        want_states = states[later]
-        want_states[turns[later] == k, 0] = math.nan
-        windows = (turns[later] - k, want_states, last)
+        states, last = full[6]
+        later = np.array(window_vertices(full, full[0]), dtype=np.int64) - 1 >= k
+        windows = (states[later], last)
         want = tuple(a[k::record_every] for a in full[:5]) + (-1, windows)
         assert_same_bits(without_t(rest), without_t(want))
         assert rest[0].tobytes() == full[0][:steps - k + 1:record_every].tobytes()
@@ -643,8 +651,8 @@ class TestKernelOracle:
         module = load()
         every = module.propagate_kernel(x, y, vx, vy, m, dt, steps, 1, 1e-9)
         got = module.propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, 1e-9)
-        last = got[6][2]
-        assert last.tobytes() == every[6][2].tobytes()
+        last = got[6][1]
+        assert last.tobytes() == every[6][1].tobytes()
         state = OrbitState(PlanarVector(x, y), PlanarVector(vx, vy))
         config = SimConfig(dt=dt, steps=steps, record_every=record_every)
         with mock.patch.object(simulator, "_kernel", module):
@@ -659,6 +667,35 @@ class TestKernelOracle:
             else:
                 with pytest.raises(DomainError, match="left the double range"):
                     integrate(state, CentralField(m), config)
+
+    @pytest.mark.parametrize("load", KERNELS)
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.3, 3.0), vx=st.floats(-2.0, 2.0), vy=st.floats(-2.0, 2.0),
+           log_m=st.floats(-1.0, 1.0), log_dt=st.floats(-4.5, -0.5),
+           steps=st.integers(50, 4000), record_every=st.sampled_from([1, 7, 10**4]))
+    def test_windows_hold_the_extremum_and_its_vertex(self, load, x, vx, vy, log_m, log_dt,
+                                                      steps, record_every):
+        # On coarse and fine launches: state 1 of every window has the least
+        # r^2 of its three states at a periapsis and the greatest at an
+        # apoapsis, and every refined vertex lies within half a step of it,
+        # up to the rounding of t.
+        config = SimConfig(dt=10.0**log_dt, steps=steps, record_every=record_every)
+        with mock.patch.object(simulator, "_kernel", load()):
+            try:
+                state = OrbitState(PlanarVector(x, 0.0), PlanarVector(vx, vy))
+                traj = integrate(state, CentralField(10.0**log_m), config)
+            except (CollisionError, DomainError):
+                assume(False)
+        states, _ = traj.windows
+        t, x, y = np.moveaxis(states, 2, 0)
+        r2 = x * x + y * y
+        rising = r2[:, 1] < r2[:, 2]
+        assert (r2[rising, 1] <= r2[rising, 0]).all()
+        assert (r2[~rising, 1] >= r2[~rising, 0]).all() and (r2[~rising, 1] > r2[~rising, 2]).all()
+        peri, apo = (iter(events) for events in _turning_points(traj))
+        for (t0, t1, _), is_peri in zip(t.tolist(), rising.tolist()):
+            t_star, _ = next(peri if is_peri else apo)
+            assert abs(t_star - t1) <= 0.5 * (t1 - t0) + 0.5 * math.ulp(t1)
 
     def test_decimated_times_use_bounded_memory(self, kernel):
         # 10^5 steps recorded every 10^3: a record of every step would take
@@ -719,7 +756,7 @@ class TestCKernelOracle:
         assert got[5] == 29
         assert_same_bits(got, _propagate_py.propagate_kernel(*args))
 
-    @pytest.mark.parametrize("max_windows", [0, 3, 7, 8, None])
+    @pytest.mark.parametrize("max_windows", [0, 3, 5, 6, 7, 8, None])
     def test_windows_past_max_windows_match_python_kernel(self, max_windows):
         args = TURNING + (60, 7, 1e-9)
         assert_same_bits(self.propagate(*args, max_windows=max_windows),
@@ -888,7 +925,7 @@ class TestDiagnostics:
         state = OrbitState(PlanarVector(*launch[:2]), PlanarVector(*launch[2:]))
         traj = integrate(state, CentralField(m), SimConfig(dt=dt, steps=64, record_every=2))
         assert (traj.x[-1], traj.y[-1]) == (0.0, 2.0**-29)
-        t, x, y, vx, vy, collided, (_, _, last) = kernel.propagate_kernel(
+        t, x, y, vx, vy, collided, (_, last) = kernel.propagate_kernel(
             *launch, m, dt, 65, 2, simulator.COLLISION_RADIUS)
         assert collided == -1 and len(t) == len(traj) == 33
         assert np.isfinite([t, x, y, vx, vy]).all() and not np.isfinite(last).all()
@@ -914,8 +951,9 @@ class TestDiagnostics:
         ]
 
     def test_coarse_orbit_periapsis_is_not_negative(self, capsys, tmp_path):
-        # About 9 steps an orbit: the parabola through one window's samples
-        # put its vertex 17 steps away, at r = -0.44387334731944783.
+        # About 9 steps an orbit: the parabola through the samples of a
+        # window around a sign change of x vx + y vy once put its vertex 17
+        # steps away, at r = -0.44387334731944783.
         argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "0.8389062106290952",
                 "--alpha0", "91.59728861639225", "--dt", "0.5077498637989705",
                 "--steps", "20000", "--decimate", "100", "--out", str(tmp_path / "x.csv")]
@@ -937,7 +975,7 @@ class TestDiagnostics:
         ([1.0, 1.0, 1.0], (1.0, 1.0)),
     ])
     def test_parabolic_vertex_does_not_extrapolate(self, r, want):
-        assert _parabolic_vertex(np.array([0.0, 1.0, 2.0]), np.array(r), 1) == want
+        assert _parabolic_vertex(np.array([0.0, 1.0, 2.0]), np.array(r)) == want
 
     def test_trajectories_compare_by_identity(self):
         config = SimConfig(dt=1e-3, steps=100)
@@ -1088,25 +1126,16 @@ class TestBlockedDiagnostics:
         assert peak < 1024 * 1024
 
 
-# The turning-point search on a full record, which reads the sign changes
-# off every recorded sample: the oracle for the turning points that
-# diagnostics reads off the kernel's windows.
-def reference_apsis_events(traj, r):
-    u = (traj.x * traj.vx + traj.y * traj.vy) / r
-    n = len(r)
+# The turning points of a full record: the turns of x^2 + y^2 over every
+# recorded sample, each refined with its two neighbours.  The oracle for
+# the turning points that diagnostics reads off the kernel's windows.
+def reference_apsis_events(traj):
+    r2 = (traj.x * traj.x + traj.y * traj.y).tolist()
     peri = []
     apo = []
-    sign_flip = np.nonzero(u[:-1] * u[1:] < 0.0)[0]
-    for k in sign_flip:
-        is_peri = u[k] < 0.0
-        if is_peri:
-            j = k if r[k] < r[k + 1] else k + 1
-        else:
-            j = k if r[k] > r[k + 1] else k + 1
-        if not (1 <= j <= n - 2):
-            continue
-        event = _parabolic_vertex(traj.t, r, j)
-        (peri if is_peri else apo).append(event)
+    for j in r2_turns(r2):
+        event = _parabolic_vertex(traj.t[j - 1:j + 2], traj.r[j - 1:j + 2])
+        (peri if r2[j] < r2[j + 1] else apo).append(event)
     return peri, apo
 
 
@@ -1116,17 +1145,15 @@ def full_and_decimated(state, field, dt, steps, record_every):
     return full, decimated
 
 
-# CANONICAL with dt = 1e-3 over 12289 steps: the full-record sign changes of
-# the radial speed are at steps (k, k + 1) for k = 2068, 5206, 8347 and 11484,
-# and the refined turning points sit at j = 2068, 5207, 8347 and 11485.  With
-# a quarter of that dt over four times the steps, k = 8281, 20843, 33409 and
-# 45971, and j = 8281, 20844, 33409 and 45972.
+# CANONICAL with dt = 1e-3 over 12289 steps: r^2 turns at the states
+# j = 2068, 5207, 8346 and 11486.  With a quarter of that dt over four times
+# the steps, at j = 8280, 20844, 33408 and 45972.
 EDGE_DT = 1e-3
 EDGE_STEPS = 12289
 
-# A launch whose radial speed, recorded every 3rd step, changes sign twice
-# within one recorded interval: before the kernel recorded windows, the
-# decimated run found 1 of the full record's 2 periapsides.
+# A coarse launch whose r^2 turns three times in six steps, at the states
+# 69, 72 and 75: recorded every 3rd step, before the kernel recorded
+# windows, the decimated run found 1 of the full record's 2 periapsides.
 TWO_TURNS_IN_AN_INTERVAL = (
     OrbitState(PlanarVector(1.2427403968116277, 0.0),
                PlanarVector(0.5251474112177319, 0.2392631544392536)),
@@ -1140,14 +1167,14 @@ class TestDecimatedTurningPoints:
 
     def test_two_turns_in_one_recorded_interval(self):
         full, decimated = full_and_decimated(*TWO_TURNS_IN_AN_INTERVAL)
-        want = reference_apsis_events(full, full.r)
+        want = reference_apsis_events(full)
         assert len(want[0]) == 2
         assert _turning_points(decimated) == want
         assert diagnostics(decimated).observed_period == diagnostics(full).observed_period
 
     def test_simulate_prints_the_full_record_period(self, capsys, tmp_path):
-        # One orbit takes about 73 steps, and the radial speed changes sign
-        # twice within some intervals of 5 steps.
+        # One orbit takes about 73 steps, and r^2 turns twice within some
+        # intervals of 5 steps.
         argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "0.32", "--alpha0", "57",
                 "--dt", "0.03", "--steps", "2000", "--out", str(tmp_path / "x.csv")]
         periods = []
@@ -1169,12 +1196,12 @@ class TestDecimatedTurningPoints:
             full, decimated = full_and_decimated(state, CentralField(m), dt, steps, record_every)
         except (CollisionError, DomainError):
             assume(False)
-        assert _turning_points(decimated) == reference_apsis_events(full, full.r)
+        assert _turning_points(decimated) == reference_apsis_events(full)
 
     def test_full_record_matches_reference(self):
         full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=EDGE_DT, steps=EDGE_STEPS))
-        assert _turning_points(full) == reference_apsis_events(full, full.r)
-        assert [len(events) for events in reference_apsis_events(full, full.r)] == [2, 2]
+        assert _turning_points(full) == reference_apsis_events(full)
+        assert [len(events) for events in reference_apsis_events(full)] == [2, 2]
 
     @pytest.mark.parametrize("record_every", [2, 7, 4096, 4097])
     @pytest.mark.parametrize("extra", [0, 1], ids=["steps%R=0", "steps%R=1"])
@@ -1183,7 +1210,7 @@ class TestDecimatedTurningPoints:
         steps = record_every * -(-4 * EDGE_STEPS // record_every) + extra
         assert steps % record_every == extra
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
-        want = reference_apsis_events(full, full.r)
+        want = reference_apsis_events(full)
         assert [len(events) for events in want] == [2, 2]
         assert _turning_points(decimated) == want
 
@@ -1193,16 +1220,16 @@ class TestDecimatedTurningPoints:
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, EDGE_STEPS,
                                              record_every)
         got = _turning_points(decimated)
-        assert got == reference_apsis_events(full, full.r)
+        assert got == reference_apsis_events(full)
         assert got[1][0][0] < decimated.t[1]
 
     def test_turning_point_in_tail(self):
-        # The apoapsis sign change at step 8347 lies after the last recorded
-        # state (step 8346), in the unrecorded tail.
-        steps, record_every = 8350, 4173
+        # The apoapsis at state 8346 lies after the last recorded state
+        # (state 8344), in the unrecorded tail.
+        steps, record_every = 8350, 4172
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, EDGE_DT, steps, record_every)
         got = _turning_points(decimated)
-        assert got == reference_apsis_events(full, full.r)
+        assert got == reference_apsis_events(full)
         assert got[1][-1][0] > decimated.t[-1]
 
     @pytest.mark.parametrize("record_every, dt, steps", [
@@ -1215,25 +1242,27 @@ class TestDecimatedTurningPoints:
         (2069, EDGE_DT, EDGE_STEPS),
         (2603, EDGE_DT, EDGE_STEPS),
         (2604, EDGE_DT, EDGE_STEPS),
-        # the same at a quarter of the dt, at j = 8281 and 20844
-        (8281, EDGE_DT / 4, 4 * EDGE_STEPS),
+        # the same at a quarter of the dt, at j = 8280 and 20844: on each
+        # turning point, and one step after the first
+        (8280, EDGE_DT / 4, 4 * EDGE_STEPS),
         (10422, EDGE_DT / 4, 4 * EDGE_STEPS),
+        (8281, EDGE_DT / 4, 4 * EDGE_STEPS),
     ])
     def test_turning_point_next_to_a_recorded_state(self, record_every, dt, steps):
         full, decimated = full_and_decimated(CANONICAL, UNIT_FIELD, dt, steps, record_every)
-        assert _turning_points(decimated) == reference_apsis_events(full, full.r)
+        assert _turning_points(decimated) == reference_apsis_events(full)
 
-    @pytest.mark.parametrize("steps", [1, 4, 18, 28])
+    @pytest.mark.parametrize("steps", [1, 4, 18, 19, 28, 29])
     def test_turning_point_at_the_ends_of_the_run(self, steps):
-        # On TURNING the vertex of the window at 0 is step 0 and that of the
-        # window at 17 is step 18, so runs of 1 and 18 steps end on a vertex
-        # with no neighbour on one side, which the full record skips; a run
-        # of 4 steps ends one step after its vertex at 3, and one of 28
-        # steps ends with the adjacent windows at 26 and 27.
+        # On TURNING r^2 turns at the states 3, 11, 18, 21, 24, 26 and 28.
+        # Runs of 18 and 28 steps end on a vertex with no neighbour after
+        # it, which neither the windows nor the full record count; runs of
+        # 4, 19 and 29 steps end one step after a vertex, which both count,
+        # and a run of 1 step has none.
         state = OrbitState(PlanarVector(*TURNING[:2]), PlanarVector(*TURNING[2:4]))
         field, dt = CentralField(TURNING[4]), TURNING[5]
         full = integrate(state, field, SimConfig(dt=dt, steps=steps))
-        assert _turning_points(full) == reference_apsis_events(full, full.r)
+        assert _turning_points(full) == reference_apsis_events(full)
 
     def test_hand_built_trajectory_without_windows_rejected(self):
         traj = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=1e-3, steps=EDGE_STEPS))
@@ -1279,7 +1308,7 @@ class TestDecimatedTurningPoints:
             tracemalloc.stop()
         assert peak < 256 * 1024
         full = integrate(CANONICAL, UNIT_FIELD, SimConfig(dt=dt, steps=steps))
-        want = reference_apsis_events(full, full.r)
+        want = reference_apsis_events(full)
         assert _turning_points(decimated) == want
         assert want[1] and got.observed_apoapsis == max(r for _, r in want[1])
 
