@@ -14,7 +14,9 @@
  * digits come from an integer fast path (digits17); the values it cannot
  * settle, and zeros and infinities, go to snprintf under the "C" numeric
  * locale whatever the process locale is.  A NaN of either sign is written
- * "nan" as CPython writes it.
+ * "nan" as CPython writes it.  derive_columns writes each chunk's r, v and
+ * cos alpha for csv_rows from its x, y, vx and vy, with libm's hypot as
+ * NumPy's float64 hypot calls it.
  *
  * ring_terms and conic_residuals are the NumPy loops of the same names in
  * _propagate_py, written the same way: one C statement per NumPy expression,
@@ -313,6 +315,26 @@ int64_t csv_rows(const double *const *cols, int64_t rows, char *out, const uint6
     uselocale(previous);
     freelocale(c_numeric);
     return p - out;
+}
+
+/* The derived columns of _propagate_py.derive_columns over the first `rows`
+ * rows of csv_rows' eight columns: from x, y, vx and vy in cols[1..4] it
+ * writes r = hypot(x, y) to cols[5], v = hypot(vx, vy) to cols[6] and
+ * cos alpha = (x*vx + y*vy) / (r*v), clipped to [-1, 1] as np.clip clips
+ * (a NaN stays NaN), to cols[7], for the caller to turn into alpha with
+ * NumPy's arccos.  The expressions and their order are NumPy's. */
+void derive_columns(double *const *cols, int64_t rows)
+{
+    const double *x = cols[1], *y = cols[2], *vx = cols[3], *vy = cols[4];
+    double *r = cols[5], *v = cols[6], *cos_alpha = cols[7];
+
+    for (int64_t i = 0; i < rows; i++) {
+        double ri = hypot(x[i], y[i]), vi = hypot(vx[i], vy[i]);
+        double c = (x[i] * vx[i] + y[i] * vy[i]) / (ri * vi);
+        r[i] = ri;
+        v[i] = vi;
+        cos_alpha[i] = c < -1.0 ? -1.0 : c > 1.0 ? 1.0 : c;
+    }
 }
 
 /* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i - start]

@@ -1,8 +1,9 @@
 """The four hot loops compiled from _kick_drift.c and called through ctypes.
 
 One library holds them: kick_drift, the propagation kernel; csv_rows, the
-CSV row formatter; ring_sum, the shell's ring sum; and conic_residuals,
-the conic residual samples.  The first import compiles the C file into this
+CSV row formatter, with derive_columns, which writes each CSV chunk's r, v
+and cos alpha; ring_sum, the shell's ring sum; and conic_residuals, the
+conic residual samples.  The first import compiles the C file into this
 package's __pycache__, the way the interpreter writes bytecode; later
 imports load the cached library.  Its name carries a hash of the source,
 the compiler command, the flags and the platform, so a change to any of
@@ -15,26 +16,31 @@ built or loaded: no compiler, a failed compile, an unwritable cache or a
 load error.  probe() then says, for each loop, whether it gives
 _propagate_py's bits or bytes on short probe inputs, and simulator binds
 each loop that does and _propagate_py's copy of each other one.  The ring
-and residual loops call libm's sin, cos and hypot where NumPy calls its own
-float64 loops, so their probes differ where those give other bits.
+and residual loops and derive_columns call libm's sin, cos and hypot where
+NumPy calls its own float64 loops, so their probes differ where those give
+other bits.  derive_columns leaves the arccos to NumPy, whose float64 loop
+can give other bits than libm's acos, as its AVX-512 loop does.
 
 Each loop here takes the arguments of its copy in _propagate_py.  ring_sum
 and conic_residuals split their rings or samples into contiguous ranges,
 one for each CPU this process may use (_WORKERS), and write_rows its rows
 into the chunks of _propagate_py._CSV_CHUNK_ROWS rows that the Python
-export writes.  One scheduler, _in_order, runs them on the caller
-and on threads started for the call, and the caller takes the results in
-order.  ctypes releases the GIL for each C call.  Every ring term, sample
-and row depends on its index alone, so the maxima have the bits of one call
-and the text its bytes.  Each of ring_sum's ranges adds its terms exactly,
-and the caller rounds the sum of them all once with math.fsum, so the
-total is the correctly rounded sum of the terms however they are split.
-The first range or chunk that raises, on whichever thread, ends the call
-after the results before it.  The kernel runs on the caller alone.
+export writes, each chunk one derive_columns call, one in-place NumPy
+arccos and one csv_rows call on buffers made once per export.  One
+scheduler, _in_order, runs them on the caller and on threads started for
+the call, and the caller takes the results in order.  ctypes releases the
+GIL for each C call.  Every ring term, sample and row depends on its index
+alone, so the maxima have the bits of one call and the text its bytes.
+Each of ring_sum's ranges adds its terms exactly, and the caller rounds the
+sum of them all once with math.fsum, so the total is the correctly rounded
+sum of the terms however they are split.  The first range or chunk that
+raises, on whichever thread, ends the call after the results before it.
+The kernel runs on the caller alone.
 """
 
 import ctypes
 import importlib.util
+import io
 import math
 import os
 import struct
@@ -80,6 +86,21 @@ _PROBE_VALUES = (
     123.0, 1e22, 9.999999999999999e-5, 2.5, -7e-300, 6.02214076e23, 1e-7, 4.35,
     10.0, -0.00012345678901234567, 12345678901234568.0, 1e17, -1e-14, 1e98,
     1.3076622631878654e65, -2.2250738585072014e-308 / 3,
+)
+
+# write_rows states (x, y, vx, vy), at t = 0, for the load-time probe,
+# whose r, v and alpha columns the probe checks against NumPy's: r*v = 0 at
+# rest, and at the center with zeros of both signs; subnormals, whose r*v
+# underflows to 0; inf, and NaN with hypot(NaN, inf) = inf; coordinates
+# near DBL_MAX whose x*x + y*y overflows while hypot does not, and whose
+# products overflow; cosines that round past 1 and -1, so the clip acts;
+# and a state whose v = hypot(vx, vy) differs from sqrt(vx*vx + vy*vy) in
+# the last bit.
+_DERIVE_PROBE = (
+    (1.0, 2.0, 0.0, 0.0), (-0.0, 0.0, 1.0, -0.0), (5e-324, -5e-324, 3e-320, 1e-310),
+    (math.inf, 1.0, 1.0, 0.0), (math.nan, math.inf, 1.0, 1.0), (1e308, 1.2e308, 1.0, 0.5),
+    (1e308, -1.2e308, 1e308, 1e308), (0.7, 0.1, 0.7, 0.1), (0.7, 0.1, -0.7, -0.1),
+    (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723, -0.2561309219401078),
 )
 
 # The powers of ten csv_rows scales by: 10^(16 - k) for the decimal
@@ -183,7 +204,7 @@ def _load():
         lib = ctypes.CDLL(_library_path(cc))
     except OSError as exc:
         raise ImportError(f"the C kernel could not be built or loaded: {exc}") from exc
-    kick_drift, csv_rows = lib.kick_drift, lib.csv_rows
+    kick_drift, csv_rows, derive_columns = lib.kick_drift, lib.csv_rows, lib.derive_columns
     ring_terms, ring_sum, conic_residuals = lib.ring_terms, lib.ring_sum, lib.conic_residuals
     kick_drift.restype = ctypes.c_int64
     kick_drift.argtypes = ([ctypes.c_double] * 6 + [ctypes.c_int64] * 2
@@ -193,6 +214,8 @@ def _load():
     csv_rows.restype = ctypes.c_int64
     csv_rows.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
                          ctypes.c_int, ctypes.c_int]
+    derive_columns.restype = None
+    derive_columns.argtypes = [ctypes.c_void_p * 8, ctypes.c_int64]
     ring_terms.restype = None
     ring_terms.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     ring_sum.restype = ctypes.c_int
@@ -201,11 +224,12 @@ def _load():
     conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_int64] * 2
                                 + [ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)])
-    return kick_drift, csv_rows, ring_terms, ring_sum, conic_residuals
+    return kick_drift, csv_rows, derive_columns, ring_terms, ring_sum, conic_residuals
 
 
-_kick_drift, _csv_rows, _ring_terms, _ring_sum, _conic_residuals = _load()
+_kick_drift, _csv_rows, _derive_columns, _ring_terms, _ring_sum, _conic_residuals = _load()
 _POW10 = _pow10_table()
+_POW10_ADDRESS = _POW10.ctypes.data
 
 
 def _ranges(n):
@@ -316,53 +340,98 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
             (window_states[:min(count.value, cap)], last))
 
 
-def format_rows_into(columns, out):
-    """The rows of the eight columns, as format_rows formats them, written
-    as ASCII to the start of out: a writable contiguous uint8 array of at
-    least len(columns[0]) * _ROW_BYTES + _SLACK bytes, some of which past the
-    text may change.  Returns the number of bytes of text."""
-    # csv_rows reads every row of each column and writes out through pointers
+def _float64_columns(columns, count, rows=None):
+    """The length of the `count` columns: contiguous 1-D float64 arrays of
+    one length, at most `rows`, which the C loops read through pointers."""
     n = len(columns[0])
-    if len(columns) != 8 or not all(
-            isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
-            and col.flags.c_contiguous and len(col) == n for col in columns):
-        raise ValueError("need 8 contiguous 1-D float64 columns of one length")
-    if n == 0:
-        return 0
-    if not (isinstance(out, np.ndarray) and out.dtype == np.uint8 and out.ndim == 1
-            and out.flags.c_contiguous and out.flags.writeable
-            and len(out) >= n * _ROW_BYTES + _SLACK):
-        raise ValueError(f"need a writable contiguous 1-D uint8 array of at least "
-                         f"{n * _ROW_BYTES + _SLACK} bytes for the text")
-    size = _csv_rows((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)),
-                     n, out.ctypes.data, _POW10.ctypes.data, _POW10_MIN, _POW10_MAX)
+    if len(columns) != count or not all(
+            isinstance(col, np.ndarray) and col.dtype == np.float64
+            and col.shape == (n,) and col.flags.c_contiguous for col in columns):
+        raise ValueError(f"need {count} contiguous 1-D float64 columns of one length")
+    if rows is not None and n > rows:
+        raise ValueError(f"need at most {rows} rows, got {n}")
+    return n
+
+
+def _derive(pointers, n, cos_alpha):
+    """derive_columns in C over the first n rows of the eight columns at
+    pointers, then NumPy's arccos in place over the n values of cos_alpha,
+    the array pointers[7] points at."""
+    _derive_columns(pointers, n)
+    np.arccos(cos_alpha[:n], out=cos_alpha[:n])
+
+
+def derive_columns(x, y, vx, vy):
+    """Same arguments, results and bits as _propagate_py.derive_columns, on
+    contiguous 1-D float64 arrays of one length."""
+    n = _float64_columns((x, y, vx, vy), 4)
+    derived = np.empty((3, n))
+    _derive((ctypes.c_void_p * 8)(None, *(col.ctypes.data for col in (x, y, vx, vy, *derived))),
+            n, derived[2])
+    return tuple(derived)
+
+
+def _format(pointers, n, text_address):
+    """csv_rows of the first n rows of the eight columns at pointers, to the
+    text at text_address; the number of bytes of text."""
+    size = _csv_rows(pointers, n, text_address, _POW10_ADDRESS, _POW10_MIN, _POW10_MAX)
     if size < 0:  # newlocale fails for "C" only when out of memory
         raise MemoryError("csv_rows could not make the C numeric locale")
     return size
 
 
 def format_rows(columns):
-    """Same arguments and text as _propagate_py.format_rows."""
-    out = np.empty(len(columns[0]) * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-    return str(out.data[:format_rows_into(columns, out)], "ascii")
+    """Same arguments and text as _propagate_py.format_rows, on eight
+    contiguous 1-D float64 arrays of one length."""
+    n = _float64_columns(columns, 8)
+    out = np.empty(n * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+    size = _format((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)), n,
+                   out.ctypes.data)
+    return str(out.data[:size], "ascii")
+
+
+class _Chunk:
+    """The memory one chunk of write_rows is formatted in: the text, the
+    chunk's r, v and cos alpha, and the eight column pointers of
+    derive_columns and csv_rows, the last three of them at those three."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.text = np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
+        self.text_address = self.text.ctypes.data
+        self.derived = np.empty((3, rows))
+        self.pointers = (ctypes.c_void_p * 8)(
+            *[None] * 5, *(col.ctypes.data for col in self.derived))
+
+
+def _format_chunk(columns, chunk):
+    """The rows of the five columns t, x, y, vx and vy and of their derived
+    r, v and alpha, as _propagate_py.write_rows writes them, formatted in
+    the _Chunk chunk: a memoryview of its text."""
+    n = _float64_columns(columns, 5, chunk.rows)
+    pointers = chunk.pointers
+    for k, col in enumerate(columns):
+        pointers[k] = col.ctypes.data
+    _derive(pointers, n, chunk.derived[2])
+    return chunk.text.data[:_format(pointers, n, chunk.text_address)]
 
 
 def write_rows(block_columns, n, stream):
     """Same arguments and bytes as _propagate_py.write_rows, in its chunks
-    of _CSV_CHUNK_ROWS rows: one block_columns call each, formatted into one
-    of _TEXT_BUFFERS buffers and written to stream in order (_in_order).
+    of _CSV_CHUNK_ROWS rows: one block_columns call each, whose five
+    columns _format_chunk derives and formats, with one call each to
+    derive_columns, NumPy's arccos and csv_rows, in one of _TEXT_BUFFERS
+    _Chunk buffers; the caller writes them to stream in order (_in_order).
     With _WORKERS >= 2 and at least _MIN_CHUNK rows, one thread formats
     chunks beside the caller, so neither CPU idles while the other lags."""
     rows = _propagate_py._CSV_CHUNK_ROWS
     threads = 1 if _WORKERS >= 2 and n >= _MIN_CHUNK else 0
     ahead = _TEXT_BUFFERS if threads else 1
-    buffers = [np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-               for _ in range(ahead)]
+    chunks = [_Chunk(min(rows, n)) for _ in range(ahead)]
 
     def chunk(j):
-        out = buffers[j % ahead]
-        size = format_rows_into(block_columns(j * rows, min(j * rows + rows, n)), out)
-        return out.data[:size]
+        start = j * rows
+        return _format_chunk(block_columns(start, min(start + rows, n)), chunks[j % ahead])
 
     _in_order(chunk, -(-n // rows), threads, ahead, stream.write)
 
@@ -409,16 +478,28 @@ def conic_residuals(shape, n, focus2_y, focal_constant):
     return max(focal), max(reflection), max(right), sum(skipped)
 
 
+def _csv(write_rows, states):
+    """The bytes write_rows writes for the columns of states."""
+    stream = io.BytesIO()
+    write_rows(lambda start, stop: list(states[:, start:stop]), states.shape[1], stream)
+    return stream.getvalue()
+
+
 def probe():
     """{loop: whether it gives _propagate_py's bits or bytes on the probe
-    inputs} for propagate_kernel, write_rows (by format_rows), ring_sum
-    (with its ring_terms) and conic_residuals."""
+    inputs} for propagate_kernel, write_rows (its format_rows and its
+    derived columns), ring_sum (with its ring_terms) and conic_residuals."""
     got, want = propagate_kernel(*_PROBE), _propagate_py.propagate_kernel(*_PROBE)
     kernel = got[5] == want[5] and all(a.tobytes() == b.tobytes() for a, b in
                                        zip((*got[:5], *got[6]), (*want[:5], *want[6])))
     columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
+    states = np.ascontiguousarray(np.transpose([(0.0, *state) for state in _DERIVE_PROBE]))
     try:
-        rows = format_rows(columns) == _propagate_py.format_rows(columns)
+        # a cosine that a broken derive_columns leaves past +-1 is a NaN
+        # alpha, and no warning
+        with np.errstate(invalid="ignore"):
+            rows = (format_rows(columns) == _propagate_py.format_rows(columns)
+                    and _csv(write_rows, states) == _csv(_propagate_py.write_rows, states))
     except UnicodeDecodeError:  # a broken csv_rows can write bytes that are not ASCII
         rows = False
     ring = True

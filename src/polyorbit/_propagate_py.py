@@ -9,8 +9,11 @@ Recorded values are stored through memoryviews of the float64 outputs,
 which take a Python float without a NumPy scalar conversion.
 
 format_rows formats the rows of Trajectory.write_csv, and write_rows writes
-them to its stream _CSV_CHUNK_ROWS rows at a time, or csv_rows in the same C
-library when it loads.  The tests check both C loops against these.
+them to its stream _CSV_CHUNK_ROWS rows at a time, each chunk's r, v and
+alpha derived from its x, y, vx and vy by derive_columns, the one NumPy
+definition of those columns (the Trajectory properties use it too).  In C,
+derive_columns and csv_rows in the same library are their copies, with
+NumPy's arccos between them.  The tests check the C loops against these.
 
 Each loop here and its copy in _propagate_c take the same arguments.
 
@@ -36,8 +39,11 @@ _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 # Rows per chunk of the CSV export, in both write_rows: one block_columns
 # call and one stream.write each.  1024 rows of the seed-0 CSV are 0.15 MB
-# of text; larger chunks save little time and raise peak memory, and
-# 512-row chunks took about 9% longer in C.
+# of text.  The C export of 200,001 rows to a file took a median 34-36 ms
+# in 1024-row chunks, 29-30 ms in 2048 and 28-30 ms in 4096 (15 alternating
+# runs of each, twice, on a shared 2-vCPU host), but its tracemalloc peak
+# grows with the chunk: 0.70, 1.39 and 2.77 MB.  1024 rows keep the export
+# under the 1 MB that test_export_memory_is_one_block holds it to.
 _CSV_CHUNK_ROWS = 1024
 
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
@@ -119,6 +125,22 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
     return (*(out[:n] for out in outs), collided, windows)
 
 
+def derive_columns(x, y, vx, vy):
+    """(r, v, alpha) of the states (x, y, vx, vy), elementwise:
+    r = hypot(x, y), v = hypot(vx, vy) and alpha = arccos((x*vx + y*vy) /
+    (r*v)) in radians, its cosine clipped to [-1, 1], with no warning: r or
+    v is inf where the hypot overflows, and alpha NaN where r*v is 0 (a
+    state at the center or at rest has no angle) and where x*vx + y*vy or
+    r*v is not finite.  The columns of the CSV export and the Trajectory r,
+    speed and alpha properties; derive_columns in _kick_drift.c is its copy
+    in C, all but the arccos."""
+    with np.errstate(all="ignore"):
+        r = np.hypot(x, y)
+        v = np.hypot(vx, vy)
+        cos_alpha = np.clip((x * vx + y * vy) / (r * v), -1.0, 1.0)
+    return r, v, np.arccos(cos_alpha)
+
+
 def format_rows(columns):
     """The rows of the eight equal-length float64 columns as CSV text, each
     value printed with %.17g."""
@@ -128,11 +150,13 @@ def format_rows(columns):
 
 def write_rows(block_columns, n, stream):
     """Write rows [0, n) as ASCII bytes to the binary stream,
-    _CSV_CHUNK_ROWS at a time: the rows of block_columns(start, stop), eight
-    float64 columns, for each chunk [start, stop).  format_rows holds the
-    GIL, so one thread writes every chunk."""
+    _CSV_CHUNK_ROWS at a time: for each chunk [start, stop), the rows of
+    block_columns(start, stop), the five float64 columns t, x, y, vx and vy,
+    followed by their derive_columns.  format_rows holds the GIL, so one
+    thread writes every chunk."""
     for start in range(0, n, _CSV_CHUNK_ROWS):
-        columns = block_columns(start, min(start + _CSV_CHUNK_ROWS, n))
+        t, x, y, vx, vy = block_columns(start, min(start + _CSV_CHUNK_ROWS, n))
+        columns = [t, x, y, vx, vy, *derive_columns(x, y, vx, vy)]
         stream.write(format_rows(columns).encode("ascii"))
 
 

@@ -9,9 +9,9 @@ The per-step swept triangles of this polygon have exactly equal areas
 (equivalently cross(p, v) is exactly conserved), which is what the
 diagnostics here measure, alongside the O(dt) drift of the vis-viva constant.
 
-The four hot loops, the step, the CSV row formatter, the shell's ring sum
-and the conic residual samples, are each written twice, with the same bits
-and bytes: in C (one library built from _kick_drift.c, loaded by
+The four hot loops, the step, the CSV export, the shell's ring sum and the
+conic residual samples, are each written twice, with the same bits and
+bytes: in C (one library built from _kick_drift.c, loaded by
 polyorbit._propagate_c) and in Python (polyorbit._propagate_py, the
 fallback and the oracle; the last two are NumPy loops).  This module binds
 each loop once, at import, by one rule: the C copy where the library builds
@@ -21,10 +21,12 @@ shell.shell_accel and geometry.geometry_residuals call the bound loops,
 _kernel; _backends says where each runs and why not in C.  The two copies
 of each loop take the same arguments.  In C the ring sum and the residual
 samples run in ranges, one per CPU this process may use, and the CSV rows
-in 1024-row chunks on the caller and at most one thread.  One scheduler
-runs both (_propagate_c._in_order): it takes the results in order, with
-the bits and bytes of one call, and a range or chunk that fails stops it
-after the results before it.  The step runs on the caller's thread alone.
+in 1024-row chunks on the caller and at most one thread, each chunk one C
+call that derives its r, v and cos(alpha), one NumPy arccos and one C call
+that formats it.  One scheduler runs both (_propagate_c._in_order): it
+takes the results in order, with the bits and bytes of one call, and a
+range or chunk that fails stops it after the results before it.  The step
+runs on the caller's thread alone.
 
 integrate() runs the kernel with one collision radius, COLLISION_RADIUS,
 and takes its record as the verdict on the run.  The kernel also returns
@@ -133,12 +135,6 @@ class SimConfig:
             )
 
 
-def _alpha(x, y, vx, vy, r, v):
-    # The angle between position and velocity, given r = |p| and v = |v|.
-    cos_a = (x * vx + y * vy) / (r * v)
-    return np.arccos(np.clip(cos_a, -1.0, 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered simulated states with diagnostic accessors.
@@ -176,11 +172,13 @@ class Trajectory:
 
     @property
     def r(self) -> np.ndarray:
-        return np.hypot(self.x, self.y)
+        """Distance from the center per sample, hypot(x, y)."""
+        return _propagate_py.derive_columns(self.x, self.y, self.vx, self.vy)[0]
 
     @property
     def speed(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
+        """Speed per sample, hypot(vx, vy)."""
+        return _propagate_py.derive_columns(self.x, self.y, self.vx, self.vy)[1]
 
     @property
     def angular_momentum(self) -> np.ndarray:
@@ -189,8 +187,10 @@ class Trajectory:
 
     @property
     def alpha(self) -> np.ndarray:
-        """Angle between position and velocity per sample, radians."""
-        return _alpha(self.x, self.y, self.vx, self.vy, self.r, self.speed)
+        """Angle between position and velocity per sample, radians: NaN,
+        with no warning, where r or the speed is 0, or where x*vx + y*vy or
+        r * speed is not finite (_propagate_py.derive_columns)."""
+        return _propagate_py.derive_columns(self.x, self.y, self.vx, self.vy)[2]
 
     def write_csv(self, stream) -> None:
         """Write the trajectory in the t,x,y,vx,vy,r,v,alpha schema, as
@@ -202,10 +202,13 @@ class Trajectory:
 
         Each chunk's r, v and alpha are derived from its float64 x, y, vx
         and vy, so no full-length column is built; on float64 columns they
-        are the bits of the r, speed and alpha properties.  In C the chunks
-        are formatted on the caller and on at most one thread and written to
-        stream in order by the caller (_propagate_c.write_rows); a chunk
-        that fails leaves the rows before it written.
+        are the bits of the r, speed and alpha properties, alpha NaN where
+        r or v is 0 (a state at the center or at rest has no angle) or its
+        products are not finite.  In C a chunk is one derive_columns call,
+        one NumPy arccos and one csv_rows call, on the caller or on at most
+        one thread, and the caller writes the chunks to stream in order
+        (_propagate_c.write_rows); a chunk that fails leaves the rows
+        before it written.
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
         vy are 1-D and of one length."""
@@ -216,11 +219,7 @@ class Trajectory:
                               f"got shapes {shapes}")
 
         def block_columns(start, stop):
-            t, x, y, vx, vy = (np.ascontiguousarray(col[start:stop], dtype=np.float64)
-                               for col in stored)
-            r = np.hypot(x, y)
-            v = np.hypot(vx, vy)
-            return [t, x, y, vx, vy, r, v, _alpha(x, y, vx, vy, r, v)]
+            return [np.ascontiguousarray(col[start:stop], dtype=np.float64) for col in stored]
 
         stream.write(CSV_HEADER.encode("ascii") + b"\n")
         _kernel.write_rows(block_columns, shapes[0][0], stream)

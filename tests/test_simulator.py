@@ -342,15 +342,34 @@ class TestBackends:
         assert ((simulator._backends["conic_residuals"][0] == "c")
                 == (trig_is_libm and hypot_is_libm))
 
+    @requires_c
+    def test_export_runs_in_c_where_numpy_hypot_is_libm(self):
+        # derive_columns in C calls libm's hypot for r and v: the C export is
+        # bound exactly where NumPy's float64 hypot gives libm's bits, on the
+        # probe's states and on drawn pairs.
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        libm.hypot.restype = ctypes.c_double
+        libm.hypot.argtypes = [ctypes.c_double] * 2
+        rng = np.random.default_rng(4)
+        pairs = np.concatenate([
+            np.array(c_kernel()._DERIVE_PROBE).reshape(-1, 2),
+            rng.uniform(-1.0, 1.0, (10000, 2)) * 10.0 ** rng.integers(-300, 300, (10000, 2))])
+        with np.errstate(over="ignore"):
+            numpy_bits = np.hypot(*pairs.T).tobytes()
+        libm_bits = np.array([libm.hypot(x, y) for x, y in pairs.tolist()]).tobytes()
+        assert (simulator._backends["write_rows"][0] == "c") == (numpy_bits == libm_bits)
+
     # A compiler that cannot run, one that fails and a cache that cannot be
     # written to move all four loops to Python, with the ImportError's text.
     # A C kernel whose records or windows, or a C formatter, that differ
     # from _propagate_py's on the probe move that loop alone; a NumPy whose
-    # sin is not libm's moves the ring and residual loops.  Every output is
-    # the Python loops'.
+    # sin is not libm's moves the ring and residual loops, and one whose
+    # hypot is not moves the export (its derived r and v) and the residual
+    # loop.  Every output is the Python loops'.
     @pytest.mark.parametrize("failure", ["no-compiler", "compile-error", "unwritable-cache",
                                          "probe-mismatch", "window-probe-mismatch",
-                                         "format-probe-mismatch", "trig-probe-mismatch"])
+                                         "format-probe-mismatch", "trig-probe-mismatch",
+                                         "hypot-probe-mismatch"])
     def test_failed_load_falls_back_to_python(self, request, monkeypatch, failure):
         on_python, why = {
             "no-compiler": (simulator._LOOPS, "/nonexistent/cc"),
@@ -360,6 +379,7 @@ class TestBackends:
             "window-probe-mismatch": (["propagate_kernel"], "probe mismatch"),
             "format-probe-mismatch": (["write_rows"], "probe mismatch"),
             "trig-probe-mismatch": (["ring_sum", "conic_residuals"], "probe mismatch"),
+            "hypot-probe-mismatch": (["write_rows", "conic_residuals"], "probe mismatch"),
         }[failure]
         with monkeypatch.context() as patch:
             cc = {"no-compiler": "/nonexistent/cc", "compile-error": "false",
@@ -405,6 +425,12 @@ class TestBackends:
                 def sin_off_by_one_bit(x):
                     return np.nextafter(sin(x), np.inf)
                 patch.setattr(np, "sin", sin_off_by_one_bit)
+            if failure == "hypot-probe-mismatch":
+                hypot = np.hypot
+
+                def hypot_off_by_one_bit(x, y):
+                    return np.nextafter(hypot(x, y), np.inf)
+                patch.setattr(np, "hypot", hypot_off_by_one_bit)
             loops, backends = simulator._load_kernel()
             for loop in simulator._LOOPS:
                 assert getattr(loops, loop) is getattr(
@@ -817,8 +843,8 @@ class TestCKernelOracle:
 class TestOneInterface:
     """Each loop's C and Python copies take the same arguments."""
 
-    @pytest.mark.parametrize("loop", ["propagate_kernel", "format_rows", "write_rows",
-                                      "ring_sum", "conic_residuals"])
+    @pytest.mark.parametrize("loop", ["propagate_kernel", "derive_columns", "format_rows",
+                                      "write_rows", "ring_sum", "conic_residuals"])
     def test_both_copies_have_one_signature(self, loop):
         assert (inspect.signature(getattr(c_kernel(), loop))
                 == inspect.signature(getattr(_propagate_py, loop)))
@@ -1700,3 +1726,101 @@ class TestCsvExport:
     def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
         with pytest.raises(ValueError, match="columns"):
             c_kernel().format_rows(columns)
+
+
+# States with r*v = 0: at rest, at the center, both with zeros of both
+# signs, and with subnormal coordinates whose r*v underflows to 0.
+AT_REST_OR_CENTER = [(1.0, 2.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0), (-0.0, 0.0, -0.0, -0.0),
+                     (-3.0, 0.5, -0.0, 0.0), (0.0, -0.0, -2.0, 0.25),
+                     (5e-324, -5e-324, 3e-320, 1e-310)]
+
+# Parallel and antiparallel states whose cosine rounds to 1 + 2^-52 and
+# -(1 + 2^-52) before the clip.
+PAST_ONE = [(0.7, 0.1, 0.7, 0.1), (0.7, 0.1, -0.7, -0.1)]
+
+# Coordinates of every kind derive_columns meets: zeros of both signs,
+# subnormals, the smallest normal, ordinary values, values near DBL_MAX
+# whose squares overflow while their hypot does not, DBL_MAX, +-inf and NaN.
+DERIVE_EDGES = [0.0, -0.0, 5e-324, -3e-320, 2.2250738585072014e-308, 0.7, -0.1, 3.0,
+                1e308, -1.2e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+class TestDeriveColumns:
+    """derive_columns, the r, v and alpha columns of the CSV export: the C
+    copy and NumPy's arccos against the NumPy twin, bit for bit, and NaN
+    alpha with no warning where r*v is 0."""
+
+    @staticmethod
+    def assert_same_bits(x, y, vx, vy):
+        # the C and NumPy columns of the states; a failure shows the first
+        # five states whose r, v or alpha differ
+        states = [np.ascontiguousarray(col, dtype=np.float64) for col in (x, y, vx, vy)]
+        got = c_kernel().derive_columns(*states)
+        want = _propagate_py.derive_columns(*states)
+        differ = np.zeros(len(states[0]), dtype=bool)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            differ |= a.view(np.uint64) != b.view(np.uint64)
+        assert [tuple(col[i] for col in states) for i in np.flatnonzero(differ)[:5]] == []
+
+    @requires_c
+    def test_derive_columns_matches_numpy_on_edge_states(self):
+        # every (x, y, vx, vy) of DERIVE_EDGES, the rows the clip acts on
+        # and the write_rows probe's states
+        grid = np.array(np.meshgrid(*[DERIVE_EDGES] * 4)).reshape(4, -1)
+        self.assert_same_bits(*grid)
+        self.assert_same_bits(*np.transpose(AT_REST_OR_CENTER + PAST_ONE))
+        self.assert_same_bits(*np.transpose(c_kernel()._DERIVE_PROBE))
+
+    def test_derive_columns_clips_cosines_that_round_past_one(self, kernel):
+        x, y, vx, vy = (np.array(col) for col in np.transpose(PAST_ONE))
+        r, v = np.hypot(x, y), np.hypot(vx, vy)
+        assert ((x * vx + y * vy) / (r * v)).tolist() == [1.0 + 2**-52, -1.0 - 2**-52]
+        assert kernel.derive_columns(x, y, vx, vy)[2].tolist() == [0.0, math.pi]
+
+    @requires_c
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(), st.floats(), st.floats(), st.floats()),
+        # parallel and antiparallel states, where the clip acts
+        st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150),
+                  st.floats(-1e150, 1e150).filter(bool)).map(
+            lambda s: (s[0], s[1], s[0] * s[2], s[1] * s[2]))), min_size=1, max_size=40))
+    def test_derive_columns_matches_numpy_on_drawn_states(self, states):
+        self.assert_same_bits(*np.transpose(states))
+
+    # Both kernels run in a fresh interpreter under -W error, so a NumPy
+    # warning from the export, from the alpha property or from the
+    # load-time probe fails it.
+    SCRIPT = """
+import io, sys
+import numpy as np
+from polyorbit import CentralField, SimConfig, simulator, _propagate_py
+from polyorbit.simulator import Trajectory
+if sys.argv[1] == "c":
+    assert simulator._backends["write_rows"] == ("c", None), simulator._backends
+else:
+    simulator._kernel = _propagate_py
+t = np.arange(len(sys.argv) - 2) * 0.1
+x, y, vx, vy = np.array([[float(v) for v in row.split(",")] for row in sys.argv[2:]]).T
+traj = Trajectory(t, x, y, vx, vy, field=CentralField(1.0),
+                  config=SimConfig(dt=0.1, steps=len(t) - 1))
+buf = io.BytesIO()
+traj.write_csv(buf)
+sys.stdout.write(buf.getvalue().decode())
+print(np.isnan(traj.alpha).all(), (traj.r == np.hypot(x, y)).all(),
+      (traj.speed == np.hypot(vx, vy)).all())
+"""
+
+    @pytest.mark.parametrize("backend_name", [
+        "python", pytest.param("c", marks=requires_c)])
+    def test_derive_columns_at_rest_or_at_the_center_is_nan_with_no_warning(self, backend_name):
+        rows = [",".join(repr(v) for v in state) for state in AT_REST_OR_CENTER]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(polyorbit.__file__)))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", self.SCRIPT, backend_name,
+                               *rows], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        *csv, properties = done.stdout.splitlines()
+        assert csv[0] == CSV_HEADER and len(csv) == 1 + len(rows)
+        assert [line.split(",")[7] for line in csv[1:]] == ["nan"] * len(rows)
+        assert properties == "True True True"

@@ -347,14 +347,14 @@ def first_rows(traj, n):
 
 
 def formatting_threads(monkeypatch, c_library):
-    """The idents of the threads that call format_rows_into."""
-    idents, original = set(), c_library.format_rows_into
+    """The idents of the threads that call _format_chunk."""
+    idents, original = set(), c_library._format_chunk
 
     def recorded(*args):
         idents.add(threading.get_ident())
         return original(*args)
 
-    monkeypatch.setattr(c_library, "format_rows_into", recorded)
+    monkeypatch.setattr(c_library, "_format_chunk", recorded)
     return idents
 
 
@@ -364,14 +364,14 @@ class NullSink:
 
 
 class TestSplitExport:
-    # Each chunk is one block_columns call of CHUNK rows, or the rows left;
-    # the chunks cover the rows once.
+    # Each chunk is one block_columns call of CHUNK rows, or the rows left,
+    # which gives the five stored columns; the chunks cover the rows once.
     @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
                                    EXPORT_ROWS])
     def test_ranges_are_whole_blocks(self, c_library, export_workers, full_export, n):
         traj, _ = full_export
-        columns = [np.ascontiguousarray(col[:n], dtype=np.float64) for col in (
-            traj.t, traj.x, traj.y, traj.vx, traj.vy, traj.r, traj.speed, traj.alpha)]
+        columns = [np.ascontiguousarray(col[:n]) for col in (
+            traj.t, traj.x, traj.y, traj.vx, traj.vy)]
         calls, lock = [], threading.Lock()
 
         def block_columns(start, stop):
@@ -446,7 +446,7 @@ class TestSplitExport:
         # every chunk there.
         traj, python_csv = full_export
         started = threading.active_count()
-        caller, original = threading.get_ident(), c_library.format_rows_into
+        caller, original = threading.get_ident(), c_library._format_chunk
         failed = []
 
         def fail_on_the_thread(columns, *args):
@@ -456,7 +456,7 @@ class TestSplitExport:
                 raise MemoryError("a chunk on the thread failed")
             return original(columns, *args)
 
-        monkeypatch.setattr(c_library, "format_rows_into", fail_on_the_thread)
+        monkeypatch.setattr(c_library, "_format_chunk", fail_on_the_thread)
 
         class SlowSink(io.BytesIO):
             def write(self, data):
@@ -479,7 +479,7 @@ class TestSplitExport:
         # formatting an earlier chunk.
         traj, python_csv = full_export
         started = threading.active_count()
-        caller, original = threading.get_ident(), c_library.format_rows_into
+        caller, original = threading.get_ident(), c_library._format_chunk
         slow, failed = [], []  # the first rows of the slow side's chunk, and of the failed one
 
         def fail_on_one_side(columns, *args):
@@ -495,7 +495,7 @@ class TestSplitExport:
                 raise MemoryError(f"a chunk on the {failing} failed")
             return original(columns, *args)
 
-        monkeypatch.setattr(c_library, "format_rows_into", fail_on_one_side)
+        monkeypatch.setattr(c_library, "_format_chunk", fail_on_one_side)
         sink = io.BytesIO()
         with pytest.raises(MemoryError, match=f"a chunk on the {failing} failed"):
             traj.write_csv(sink)
@@ -532,14 +532,14 @@ class TestSplitExport:
             self, c_library, monkeypatch, tmp_path, failure):
         monkeypatch.setattr(c_library, "_WORKERS", 2)
         monkeypatch.setattr(simulator, "_kernel", c_library)
-        caller, original = threading.get_ident(), c_library.format_rows_into
+        caller, original = threading.get_ident(), c_library._format_chunk
 
         def fail_on_a_thread(*args):
             if threading.get_ident() != caller:
                 raise MemoryError("a chunk on the thread failed")
             return original(*args)
 
-        monkeypatch.setattr(c_library, "format_rows_into", fail_on_a_thread)
+        monkeypatch.setattr(c_library, "_format_chunk", fail_on_a_thread)
         out_path = tmp_path / "traj.csv"
         out_path.write_bytes(b"old\n\x00\xff")
         argv = ["simulate", "--m", "1", "--r0", "1", "--v0", "1", "--alpha0", "60",
