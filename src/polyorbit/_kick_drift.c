@@ -22,8 +22,12 @@
  * _propagate_py, written the same way: one C statement per NumPy expression,
  * in its order.  They call libm's sin, cos and hypot, which NumPy's float64
  * loops call too; the load-time probe in _propagate_c checks that, and binds
- * the NumPy loops where it fails.  ring_sum adds ring_terms' terms exactly,
- * without an array of them, for the caller to round once with math.fsum.
+ * the NumPy loops where it fails.  ring_terms calls sin and cos once per
+ * group of RING_GROUP rings and gives each ring's by angle addition, from
+ * those two values and a table of the offsets in a group that is built once
+ * per call.  ring_sum adds ring_terms' terms exactly, one group at a time
+ * with one table for its range and without an array of them, for the
+ * caller to round once with math.fsum.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -337,24 +341,63 @@ void derive_columns(double *const *cols, int64_t rows)
     }
 }
 
-/* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i - start]
- * is the axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta.  A
- * ring's term depends on i alone. */
-void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
-                int64_t stop, double *terms)
+/* Rings per group: each group of ring_terms takes one sin and one cos call,
+ * and ring_sum adds the terms of one group at a time. */
+#define RING_GROUP 128
+
+/* cos_k[k] = cos(k * dtheta) and sin_k[k] = sin(k * dtheta) for the offsets
+ * k = 0 .. RING_GROUP - 1 of a ring in its group. */
+static void ring_table(double dtheta, double *cos_k, double *sin_k)
+{
+    for (int k = 0; k < RING_GROUP; k++) {
+        double phi = (double)k * dtheta;
+        cos_k[k] = cos(phi);
+        sin_k[k] = sin(phi);
+    }
+}
+
+/* The terms of the rings from lo to the end of its group or to stop, hi,
+ * which it returns; g = lo - lo % RING_GROUP is the group's first ring.
+ * terms[i - lo] is that of ring i = g + k at the angle theta_g + k * dtheta,
+ * theta_g = (g + 0.5) * dtheta, whose sine and cosine come by angle addition
+ * from theta_g's and from the table of ring_table, in the order of
+ * _propagate_py.ring_angles and with no fused multiply-add. */
+static int64_t ring_group(double a, double d, double dtheta, double width, double scale,
+                          const double *cos_k, const double *sin_k, int64_t lo, int64_t stop,
+                          double *terms)
 {
     const double two_pi = 2.0 * 3.141592653589793;  /* 2.0 * math.pi */
     const double d2_a2 = d * d + a * a, two_a_d = 2.0 * a * d;
+    int64_t g = lo - lo % RING_GROUP;
+    int64_t hi = g + RING_GROUP < stop ? g + RING_GROUP : stop;
+    double theta_g = ((double)g + 0.5) * dtheta;
+    double sin_g = sin(theta_g), cos_g = cos(theta_g);
 
-    for (int64_t i = start; i < stop; i++) {
-        double theta = ((double)i + 0.5) * dtheta;
-        double area = two_pi * (a * sin(theta)) * width;  /* the thin-ring area */
-        double cos_t = cos(theta);
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t k = i - g;
+        double sin_t = sin_g * cos_k[k] + cos_g * sin_k[k];
+        double cos_t = cos_g * cos_k[k] - sin_g * sin_k[k];
+        double area = two_pi * (a * sin_t) * width;  /* the thin-ring area */
         double s2 = d2_a2 - two_a_d * cos_t;
         double s = sqrt(s2);
         double axial = (d - a * cos_t) / s;
-        terms[i - start] = scale * area / s2 * axial;
+        terms[i - lo] = scale * area / s2 * axial;
     }
+    return hi;
+}
+
+/* _propagate_py.ring_terms over the rings i = start .. stop - 1: terms[i - start]
+ * is the axial pull of ring i, the ring at polar angle (i + 0.5) * dtheta,
+ * made one group at a time with one table for the call.  A ring's term
+ * depends on i alone. */
+void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
+                int64_t stop, double *terms)
+{
+    double cos_k[RING_GROUP], sin_k[RING_GROUP];
+
+    ring_table(dtheta, cos_k, sin_k);
+    for (int64_t lo = start; lo < stop;)
+        lo = ring_group(a, d, dtheta, width, scale, cos_k, sin_k, lo, stop, terms + (lo - start));
 }
 
 /* 32-bit chunks from 2^-1074 up past the top bit of a sum of 2^31 doubles */
@@ -373,12 +416,12 @@ int ring_sum(double a, double d, double dtheta, double width, double scale, int6
              int64_t stop, double *chunks)
 {
     int64_t acc[RING_CHUNKS + 1] = {0};
-    double t[128];
+    double t[RING_GROUP], cos_k[RING_GROUP], sin_k[RING_GROUP];
 
-    for (int64_t lo = start; lo < stop; lo += 128) {
-        int64_t n = stop - lo < 128 ? stop - lo : 128;
-        ring_terms(a, d, dtheta, width, scale, lo, lo + n, t);
-        for (int64_t k = 0; k < n; k++) {
+    ring_table(dtheta, cos_k, sin_k);
+    for (int64_t lo = start, hi; lo < stop; lo = hi) {
+        hi = ring_group(a, d, dtheta, width, scale, cos_k, sin_k, lo, stop, t);
+        for (int64_t k = 0; k < hi - lo; k++) {
             uint64_t bits;
             memcpy(&bits, &t[k], sizeof bits);
             /* |t| = f * 2^(p - 1074) with f < 2^53 */

@@ -22,6 +22,8 @@ and geometry.geometry_residuals, here so that simulator binds all four
 loops from one module and geometry imports no NumPy; ring_sum (over
 ring_terms) and conic_residuals in the C library are their copies.  The
 ring total is math.fsum of the terms, so its bits depend on them alone.
+Both ring loops take one sin and one cos per group of _RING_GROUP rings and
+each ring's by angle addition (ring_angles).
 """
 
 from array import array
@@ -48,6 +50,12 @@ _CSV_CHUNK_ROWS = 1024
 
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
 _RING_BLOCK = 1 << 16
+
+# Rings per group of ring_terms, whose sines and cosines come by angle
+# addition from one np.sin and one np.cos value (RING_GROUP in _kick_drift.c).
+# Blocks of ring_sum start on a group, so each group's value is made once.
+_RING_GROUP = 128
+assert _RING_BLOCK % _RING_GROUP == 0
 
 # Samples evaluated per block of conic_residuals: a block holds a few dozen
 # float64 arrays of this length, so memory is flat in n.
@@ -160,22 +168,47 @@ def write_rows(block_columns, n, stream):
         stream.write(format_rows(columns).encode("ascii"))
 
 
+def ring_angles(dtheta, start, stop, table):
+    """sin and cos of the polar angles (i + 0.5) * dtheta of the rings
+    i = start .. stop - 1, by angle addition.  Ring i = g + k, with g the
+    first ring of its group (a multiple of _RING_GROUP), is at theta_g +
+    k * dtheta, theta_g = (g + 0.5) * dtheta; np.sin and np.cos are taken of
+    theta_g once per group, and table is _ring_table(dtheta).  Each value
+    is within 8 * 2^-53 of sin and cos at the rounded (i + 0.5) * dtheta."""
+    cos_k, sin_k = table
+    g0 = start - start % _RING_GROUP
+    theta_g = (np.arange(g0, stop, _RING_GROUP) + 0.5) * dtheta
+    sin_g, cos_g = np.sin(theta_g)[:, None], np.cos(theta_g)[:, None]
+    # one row per group, from ring g0; ring i is at i - g0
+    sin_t = (sin_g * cos_k + cos_g * sin_k).ravel()[start - g0:stop - g0]
+    cos_t = (cos_g * cos_k - sin_g * sin_k).ravel()[start - g0:stop - g0]
+    return sin_t, cos_t
+
+
+def _ring_table(dtheta):
+    """cos(k * dtheta) and sin(k * dtheta) for the offsets k of a ring in
+    its group, k = 0 .. _RING_GROUP - 1."""
+    phi = np.arange(_RING_GROUP) * dtheta
+    return np.cos(phi), np.sin(phi)
+
+
 def ring_terms(a, d, dtheta, width, scale, terms, first=0):
     """Fills terms[i] with the axial pull of ring first + i, at polar angle
     (first + i + 0.5) * dtheta, _RING_BLOCK rings at a time; returns terms.
+    The angle's sine and cosine are ring_angles', with one table for the call.
 
     The terms of ring_sum: ring_terms in _kick_drift.c is its copy in C.
     """
+    table = _ring_table(dtheta)
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which shell_accel rejects.
     with np.errstate(all="ignore"):
         for start in range(0, len(terms), _RING_BLOCK):
             stop = min(start + _RING_BLOCK, len(terms))
-            theta = (np.arange(first + start, first + stop) + 0.5) * dtheta
+            sin_t, cos_t = ring_angles(dtheta, first + start, first + stop, table)
             # thin-ring areas 2*pi*x*w, x = a*sin(theta) the ring's distance
             # to the axis (with 1 to 3 rings, w is not below a)
-            areas = 2.0 * pi * (a * np.sin(theta)) * width
-            cos_t = np.cos(theta)
+            areas = 2.0 * pi * (a * sin_t) * width
             s2 = d * d + a * a - 2.0 * a * d * cos_t
             s = np.sqrt(s2)
             axial = (d - a * cos_t) / s

@@ -3,7 +3,10 @@ points like a point mass at its center.
 
 The shell is cut into thin rings by uniform polar-angle panels; each ring's
 pull is resolved along the symmetry axis (the transverse parts cancel ring by
-ring by construction) and summed with the midpoint rule.
+ring by construction) and summed with the midpoint rule.  The ring loops
+take the sine and cosine of one angle per group of 128 rings and each ring's
+by angle addition from a table of the 128 offsets, within 8 * 2^-53 of
+libm's at the ring's own angle (_propagate_py.ring_angles).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import simulator
 from .errors import DomainError, OutsideOnlyError
 
 #: Hard cap on the number of rings.  Neither ring sum holds an array of all
-#: the terms: C makes 128 at a time, the NumPy fallback 65536.
+#: the terms: C makes one group of 128 at a time, the NumPy fallback 65536.
 MAX_RINGS = 10**7
 
 

@@ -1,5 +1,6 @@
 """Tests for the ring-sum shell-attraction quadrature."""
 
+import ctypes
 import io
 import math
 import tracemalloc
@@ -21,14 +22,46 @@ from polyorbit import (
     sphere_accel,
 )
 from polyorbit import _propagate_py, cli, shell, simulator
-from polyorbit._propagate_py import _RING_BLOCK
+from polyorbit._propagate_py import _RING_BLOCK, _RING_GROUP
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
 
 
+def addition_angles(n, dtheta):
+    # sin and cos of every ring's angle as ring_terms makes them, by angle
+    # addition: ring i = g + k, g = i - i % 128 the first ring of its group,
+    # at (g + 0.5) * dtheta + k * dtheta
+    i = np.arange(n)
+    k = i % _RING_GROUP
+    theta_g = (i - k + 0.5) * dtheta
+    phi = np.arange(_RING_GROUP) * dtheta
+    sin_g, cos_g = np.sin(theta_g), np.cos(theta_g)
+    cos_k, sin_k = np.cos(phi)[k], np.sin(phi)[k]
+    return sin_g * cos_k + cos_g * sin_k, cos_g * cos_k - sin_g * sin_k
+
+
+def libm_angles(n, dtheta):
+    # sin and cos of every ring's angle (i + 0.5) * dtheta, one call each
+    theta = (np.arange(n) + 0.5) * dtheta
+    return np.sin(theta), np.cos(theta)
+
+
+def reference_terms(a, d, dtheta, width, scale, n, angles=addition_angles):
+    # every ring's term, from one array of all the angles
+    sin_t, cos_t = angles(n, dtheta)
+    with np.errstate(all="ignore"):
+        areas = 2.0 * math.pi * (a * sin_t) * width
+        s2 = d * d + a * a - 2.0 * a * d * cos_t
+        s = np.sqrt(s2)
+        axial = (d - a * cos_t) / s
+        return scale * areas / s2 * axial
+
+
 # The whole-array shell_accel that the blocked one replaced, kept as the
-# bit-for-bit oracle: math.fsum of an array of every ring's term.
-def reference_shell_accel(shell, d, rings):
+# bit-for-bit oracle: math.fsum of an array of every ring's term.  With
+# angles=libm_angles it is the shell_accel that took one sin and one cos
+# per ring.
+def reference_shell_accel(shell, d, rings, angles=addition_angles):
     a = shell.radius
     if d <= a:
         raise OutsideOnlyError(
@@ -36,17 +69,10 @@ def reference_shell_accel(shell, d, rings):
         )
     n = rings.n_rings
     dtheta = math.pi / n
-    theta = (np.arange(n) + 0.5) * dtheta
-    width = a * dtheta
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, or fsum raises, which is rejected below.
-    with np.errstate(all="ignore"):
-        areas = 2.0 * math.pi * (a * np.sin(theta)) * width
-        cos_t = np.cos(theta)
-        s2 = d * d + a * a - 2.0 * a * d * cos_t
-        s = np.sqrt(s2)
-        axial = (d - a * cos_t) / s
-        terms = shell.g * shell.surface_density * areas / s2 * axial
+    terms = reference_terms(a, d, dtheta, a * dtheta, shell.g * shell.surface_density, n,
+                            angles)
     try:
         total = math.fsum(terms.tolist())
     except (OverflowError, ValueError):
@@ -160,6 +186,67 @@ class TestBlockedRingSum:
             assert peak < 8 * 1024 * 1024, n
 
 
+# First rings of ranges that start inside a group of _RING_GROUP rings.
+INSIDE_A_GROUP = [1, 77, _RING_GROUP - 1, _RING_GROUP + 1, _RING_BLOCK - 5,
+                  2 * _RING_BLOCK + 200]
+
+
+class TestRingAngles:
+    """ring_terms takes each ring's sine and cosine by angle addition from
+    one np.sin and one np.cos value per group of _RING_GROUP rings and a
+    table of the offsets in a group: the values against libm's at each
+    ring's own angle, the ring total against the one of those values, and
+    the terms of a range that starts inside a group."""
+
+    # Against math.sin and math.cos at the rounded (i + 0.5) * dtheta, the
+    # absolute error is within 8 * 2^-53.  The three rounded angles (the
+    # group's, the offset's and the ring's own, all below 4) are each within
+    # 2 * 2^-53 of the exact ones; libm's four values and the rounding of
+    # the two products and their sum add a few 2^-53 more.  The errors do
+    # not line up: 5 * 2^-53 is the most measured at these n.
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 65537, 10**6])
+    def test_sin_cos_within_8_units_of_libm(self, n):
+        dtheta = math.pi / n
+        sin_t, cos_t = _propagate_py.ring_angles(dtheta, 0, n, _propagate_py._ring_table(dtheta))
+        theta = ((np.arange(n) + 0.5) * dtheta).tolist()
+        assert np.max(np.abs(sin_t - [math.sin(x) for x in theta])) <= 8 * 2.0**-53
+        assert np.max(np.abs(cos_t - [math.cos(x) for x in theta])) <= 8 * 2.0**-53
+
+    # The total against the one of a sine and a cosine per ring
+    # (libm_angles), relative: within 2^-51 from 1.2a out, where 2.0e-16 is
+    # the most measured and most totals are equal.
+    @pytest.mark.parametrize("n", [3, 10**4, 65537, 10**6])
+    @pytest.mark.parametrize("ratio", [1.2, 1.5, 2.0, 10.0, 1000.0])
+    def test_shell_accel_near_per_angle_libm(self, ratio, n):
+        args = (ShellSpec(1.5, 2.0, 0.7), 1.5 * ratio, RingDecomposition(n))
+        want = reference_shell_accel(*args, libm_angles)
+        assert abs(shell_accel(*args) - want) <= 2.0**-51 * want
+
+    # Near the surface s^2 = d^2 + a^2 - 2ad cos(theta) cancels, and a ring's
+    # change of a few 2^-53 in cos(theta) grows by about 2ad / (d - a)^2:
+    # 3.3e-13 measured at 1.01a and 6.5e-11 at 1.001a.  Both totals are as
+    # far from 40-digit sums of the same terms (at 10^4 rings, up to 9.1e-13
+    # and 1.0e-10), and far closer to them than the midpoint rule is to the
+    # point-mass pull there, where shell-check promises no tolerance.
+    @pytest.mark.parametrize("n", [3, 10**4, 65537, 10**6])
+    @pytest.mark.parametrize("ratio, bound", [(1.01, 1e-12), (1.001, 2e-10)])
+    def test_shell_accel_near_per_angle_libm_at_the_surface(self, ratio, bound, n):
+        args = (ShellSpec(1.5, 2.0, 0.7), 1.5 * ratio, RingDecomposition(n))
+        want = reference_shell_accel(*args, libm_angles)
+        assert abs(shell_accel(*args) - want) <= bound * want
+
+    # Groups are aligned to the ring index, not to the first ring of a call,
+    # so a range from inside a group, across a block's end, has the
+    # whole-array terms' bits.
+    @pytest.mark.parametrize("first", INSIDE_A_GROUP)
+    def test_terms_from_inside_a_group(self, first):
+        n = 4 * _RING_BLOCK
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        got = _propagate_py.ring_terms(*args, np.empty(_RING_BLOCK + 300), first)
+        want = reference_terms(*args, n)[first:first + _RING_BLOCK + 300]
+        assert got.tobytes() == want.tobytes()
+
+
 def shell_check(argv):
     # cli.main's exit code, stdout and stderr
     out, err = io.StringIO(), io.StringIO()
@@ -180,6 +267,17 @@ class TestCompiledRingTerms:
         got, want = np.empty(n), np.empty(n)
         c_ring_sum._ring_terms(*args, 0, n, got.ctypes.data)
         _propagate_py.ring_terms(*args, want)
+        assert got.tobytes() == want.tobytes()
+
+    # Groups are aligned to the ring index in C too, as in the NumPy test of
+    # TestRingAngles.
+    @pytest.mark.parametrize("first", INSIDE_A_GROUP)
+    def test_same_terms_from_inside_a_group(self, c_ring_sum, first):
+        n, m = 4 * _RING_BLOCK, _RING_BLOCK + 300
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        got, want = np.empty(m), np.empty(m)
+        c_ring_sum._ring_terms(*args, first, first + m, got.ctypes.data)
+        _propagate_py.ring_terms(*args, want, first)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [10**6, shell.MAX_RINGS])
@@ -280,6 +378,20 @@ class TestExactRingSum:
         monkeypatch.setattr(c_ring_sum, "_WORKERS", workers)
         c, numpy, want = exact_sums(c_ring_sum, (a, d, math.pi / n, a * math.pi / n, scale), n)
         assert c == numpy == want
+
+
+    # One C range's chunks hold the exact sum of its terms, so a term that
+    # moved by one ulp shows here, where the rounded total would hide it:
+    # ranges that start inside a group, as a split of 10^6 rings in two
+    # does (at ring 500,000).
+    @pytest.mark.parametrize("first", [*INSIDE_A_GROUP, 500_000])
+    def test_range_from_inside_a_group_holds_the_exact_sum(self, c_ring_sum, first):
+        n, m = 10**6, 300
+        args = (1.5, 2.25, math.pi / n, 1.5 * math.pi / n, 0.7)
+        chunks = (ctypes.c_double * c_ring_sum._RING_CHUNKS)()
+        assert c_ring_sum._ring_sum(*args, first, first + m, chunks) == 0
+        terms = _propagate_py.ring_terms(*args, np.empty(m), first)
+        assert sum(map(Fraction, chunks)) == sum(map(Fraction, terms.tolist()))
 
 
 class TestSphereAccel:
