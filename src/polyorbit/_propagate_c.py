@@ -25,8 +25,11 @@ Each loop here takes the arguments of its copy in _propagate_py.  ring_sum
 and conic_residuals split their rings or samples into contiguous ranges,
 one for each CPU this process may use (_WORKERS), and write_rows its rows
 into the chunks of _propagate_py._CSV_CHUNK_ROWS rows that the Python
-export writes, each chunk one derive_columns call, one in-place NumPy
-arccos and one csv_rows call on buffers made once per export.  One
+export writes, each a start row and a row count over the five columns that
+Trajectory.write_csv converts to float64 once (integrate's arrays with no
+copy, any other column by a whole-column copy) and write_rows checks once:
+one derive_columns call, one in-place NumPy arccos and one csv_rows call
+on buffers made once per export.  One
 scheduler, _in_order, runs them on the caller and on threads started for
 the call, and the caller takes the results in order.  ctypes releases the
 GIL for each C call.  Every ring term, sample and row depends on its index
@@ -340,16 +343,14 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
             (window_states[:min(count.value, cap)], last))
 
 
-def _float64_columns(columns, count, rows=None):
+def _float64_columns(columns, count):
     """The length of the `count` columns: contiguous 1-D float64 arrays of
-    one length, at most `rows`, which the C loops read through pointers."""
+    one length, which the C loops read through pointers."""
     n = len(columns[0])
     if len(columns) != count or not all(
             isinstance(col, np.ndarray) and col.dtype == np.float64
             and col.shape == (n,) and col.flags.c_contiguous for col in columns):
         raise ValueError(f"need {count} contiguous 1-D float64 columns of one length")
-    if rows is not None and n > rows:
-        raise ValueError(f"need at most {rows} rows, got {n}")
     return n
 
 
@@ -396,7 +397,6 @@ class _Chunk:
     derive_columns and csv_rows, the last three of them at those three."""
 
     def __init__(self, rows):
-        self.rows = rows
         self.text = np.empty(rows * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
         self.text_address = self.text.ctypes.data
         self.derived = np.empty((3, rows))
@@ -404,36 +404,33 @@ class _Chunk:
             *[None] * 5, *(col.ctypes.data for col in self.derived))
 
 
-def _format_chunk(columns, chunk):
-    """The rows of the five columns t, x, y, vx and vy and of their derived
-    r, v and alpha, as _propagate_py.write_rows writes them, formatted in
-    the _Chunk chunk: a memoryview of its text."""
-    n = _float64_columns(columns, 5, chunk.rows)
+def _format_chunk(addresses, start, n, chunk):
+    """Rows [start, start + n) of the five float64 columns t, x, y, vx and
+    vy at addresses and their r, v and alpha, as _propagate_py.write_rows
+    writes them, in the _Chunk chunk of n rows or more: its text's memoryview."""
     pointers = chunk.pointers
-    for k, col in enumerate(columns):
-        pointers[k] = col.ctypes.data
+    for k, address in enumerate(addresses):
+        pointers[k] = address + 8 * start
     _derive(pointers, n, chunk.derived[2])
     return chunk.text.data[:_format(pointers, n, chunk.text_address)]
 
 
-def write_rows(block_columns, n, stream):
-    """Same arguments and bytes as _propagate_py.write_rows, in its chunks
-    of _CSV_CHUNK_ROWS rows: one block_columns call each, whose five
-    columns _format_chunk derives and formats, with one call each to
-    derive_columns, NumPy's arccos and csv_rows, in one of _TEXT_BUFFERS
-    _Chunk buffers; the caller writes them to stream in order (_in_order).
-    With _WORKERS >= 2 and at least _MIN_CHUNK rows, one thread formats
-    chunks beside the caller, so neither CPU idles while the other lags."""
+def write_rows(columns, stream):
+    """Same arguments and bytes as _propagate_py.write_rows, on five
+    contiguous 1-D float64 columns of one length, checked once: chunks of
+    _CSV_CHUNK_ROWS rows, each _format_chunk in one of _TEXT_BUFFERS _Chunk
+    buffers, which the caller writes to stream in order (_in_order).  With
+    _WORKERS >= 2 and at least _MIN_CHUNK rows, one thread formats chunks
+    beside the caller, so neither CPU idles while the other lags."""
+    n = _float64_columns(columns, 5)
+    addresses = [col.ctypes.data for col in columns]
     rows = _propagate_py._CSV_CHUNK_ROWS
     threads = 1 if _WORKERS >= 2 and n >= _MIN_CHUNK else 0
     ahead = _TEXT_BUFFERS if threads else 1
     chunks = [_Chunk(min(rows, n)) for _ in range(ahead)]
-
-    def chunk(j):
-        start = j * rows
-        return _format_chunk(block_columns(start, min(start + rows, n)), chunks[j % ahead])
-
-    _in_order(chunk, -(-n // rows), threads, ahead, stream.write)
+    _in_order(lambda j: _format_chunk(addresses, j * rows, min(rows, n - j * rows),
+                                      chunks[j % ahead]),
+              -(-n // rows), threads, ahead, stream.write)
 
 
 def ring_sum(a, d, dtheta, width, scale, n):
@@ -481,7 +478,7 @@ def conic_residuals(shape, n, focus2_y, focal_constant):
 def _csv(write_rows, states):
     """The bytes write_rows writes for the columns of states."""
     stream = io.BytesIO()
-    write_rows(lambda start, stop: list(states[:, start:stop]), states.shape[1], stream)
+    write_rows(list(states), stream)
     return stream.getvalue()
 
 

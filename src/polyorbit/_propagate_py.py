@@ -9,8 +9,10 @@ Recorded values are stored through memoryviews of the float64 outputs,
 which take a Python float without a NumPy scalar conversion.
 
 format_rows formats the rows of Trajectory.write_csv, and write_rows writes
-them to its stream _CSV_CHUNK_ROWS rows at a time, each chunk's r, v and
-alpha derived from its x, y, vx and vy by derive_columns, the one NumPy
+them to its stream _CSV_CHUNK_ROWS rows at a time: each chunk slices the
+five columns that write_csv converts to float64 once (integrate's arrays
+with no copy, any other column by a whole-column copy), and derives its r,
+v and alpha from its x, y, vx and vy by derive_columns, the one NumPy
 definition of those columns (the Trajectory properties use it too).  In C,
 derive_columns and csv_rows in the same library are their copies, with
 NumPy's arccos between them.  The tests check the C loops against these.
@@ -39,13 +41,12 @@ from .geometry import ConicClass
 # One CSV row: eight values at 17 significant digits.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
-# Rows per chunk of the CSV export, in both write_rows: one block_columns
-# call and one stream.write each.  1024 rows of the seed-0 CSV are 0.15 MB
-# of text.  The C export of 200,001 rows to a file took a median 34-36 ms
-# in 1024-row chunks, 29-30 ms in 2048 and 28-30 ms in 4096 (15 alternating
-# runs of each, twice, on a shared 2-vCPU host), but its tracemalloc peak
-# grows with the chunk: 0.70, 1.39 and 2.77 MB.  1024 rows keep the export
-# under the 1 MB that test_export_memory_is_one_block holds it to.
+# Rows per chunk of the CSV export, in both write_rows: one stream.write
+# each.  The C export of 200,001 rows to a file took a median 39-43 ms in
+# 1024-row chunks, 36-40 ms in 2048 and 36-41 ms in 4096 (21-31 alternating
+# runs of each, five times, on a shared 2-vCPU host), but its tracemalloc
+# peak grows with the chunk: 0.70, 1.39 and 2.76 MB.  1024 rows keep the
+# export under the 1 MB that test_export_memory_is_one_block holds it to.
 _CSV_CHUNK_ROWS = 1024
 
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
@@ -156,16 +157,14 @@ def format_rows(columns):
     return "".join([_CSV_ROW % row for row in rows])
 
 
-def write_rows(block_columns, n, stream):
-    """Write rows [0, n) as ASCII bytes to the binary stream,
-    _CSV_CHUNK_ROWS at a time: for each chunk [start, stop), the rows of
-    block_columns(start, stop), the five float64 columns t, x, y, vx and vy,
-    followed by their derive_columns.  format_rows holds the GIL, so one
-    thread writes every chunk."""
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        t, x, y, vx, vy = block_columns(start, min(start + _CSV_CHUNK_ROWS, n))
-        columns = [t, x, y, vx, vy, *derive_columns(x, y, vx, vy)]
-        stream.write(format_rows(columns).encode("ascii"))
+def write_rows(columns, stream):
+    """Write the rows of the five float64 columns t, x, y, vx and vy,
+    followed by their derive_columns, as ASCII bytes to the binary stream,
+    _CSV_CHUNK_ROWS at a time, each chunk a slice of every column.
+    format_rows holds the GIL, so one thread writes every chunk."""
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        t, x, y, vx, vy = (col[start:start + _CSV_CHUNK_ROWS] for col in columns)
+        stream.write(format_rows([t, x, y, vx, vy, *derive_columns(x, y, vx, vy)]).encode("ascii"))
 
 
 def ring_angles(dtheta, start, stop, table):

@@ -149,6 +149,8 @@ def _cmd_simulate(args, parser) -> int:
 
     _apply_config(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "decimate", "out"])
     _require(args, parser, ["m", "r0", "v0", "alpha0", "dt", "steps", "out"])
+    if not args.out:  # os.replace would fail only after the whole run
+        parser.error("--out: the path is empty")
     state = _make_state(args.r0, args.v0, args.alpha0)
     record_every = 1 if args.decimate is None else args.decimate
     config = simulator.SimConfig(dt=args.dt, steps=args.steps, record_every=record_every)

@@ -21,12 +21,14 @@ shell.shell_accel and geometry.geometry_residuals call the bound loops,
 _kernel; _backends says where each runs and why not in C.  The two copies
 of each loop take the same arguments.  In C the ring sum and the residual
 samples run in ranges, one per CPU this process may use, and the CSV rows
-in 1024-row chunks on the caller and at most one thread, each chunk one C
-call that derives its r, v and cos(alpha), one NumPy arccos and one C call
-that formats it.  One scheduler runs both (_propagate_c._in_order): it
-takes the results in order, with the bits and bytes of one call, and a
-range or chunk that fails stops it after the results before it.  The step
-runs on the caller's thread alone.
+in 1024-row chunks on the caller and at most one thread.  The export
+converts each column to float64 once (integrate's arrays with no copy, any
+other column by a whole-column copy); a chunk, a start row and a row count
+over them, is one C call that derives its r, v and cos(alpha), one NumPy
+arccos and one C call that formats it.  One scheduler runs both
+(_propagate_c._in_order): it takes the results in order, with the bits and
+bytes of one call, and a range or chunk that fails stops it after the
+results before it.  The step runs on the caller's thread alone.
 
 integrate() runs the kernel with one collision radius, COLLISION_RADIUS,
 and takes its record as the verdict on the run.  The kernel also returns
@@ -200,29 +202,35 @@ class Trajectory:
         change after it returns, so it must write or copy them (a file
         opened with "wb" or an io.BytesIO does).
 
-        Each chunk's r, v and alpha are derived from its float64 x, y, vx
-        and vy, so no full-length column is built; on float64 columns they
-        are the bits of the r, speed and alpha properties, alpha NaN where
-        r or v is 0 (a state at the center or at rest has no angle) or its
-        products are not finite.  In C a chunk is one derive_columns call,
-        one NumPy arccos and one csv_rows call, on the caller or on at most
-        one thread, and the caller writes the chunks to stream in order
+        Each column is converted to contiguous float64 once, before the
+        header: integrate's arrays with no copy, any other column by a
+        whole-column copy.  Each chunk's r, v and alpha are derived from
+        its x, y, vx and vy, so no full-length derived column is built;
+        they are the bits of the r, speed and alpha properties, alpha NaN
+        where r or v is 0 (a state at the center or at rest has no angle)
+        or its products are not finite.  In C a chunk is a start row and a
+        row count over the five columns, one derive_columns call, one NumPy
+        arccos and one csv_rows call, on the caller or on at most one
+        thread, and the caller writes the chunks to stream in order
         (_propagate_c.write_rows); a chunk that fails leaves the rows
         before it written.
 
         Raises DomainError, before writing anything, unless t, x, y, vx and
-        vy are 1-D and of one length."""
+        vy are 1-D, of one length and real numbers that convert to float64:
+        a complex column is refused, not truncated."""
         stored = (self.t, self.x, self.y, self.vx, self.vy)
         shapes = [np.shape(col) for col in stored]
         if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
             raise DomainError(f"t, x, y, vx and vy must be 1-D and of one length, "
                               f"got shapes {shapes}")
-
-        def block_columns(start, stop):
-            return [np.ascontiguousarray(col[start:stop], dtype=np.float64) for col in stored]
-
+        if any(np.iscomplexobj(col) for col in stored):
+            raise DomainError("t, x, y, vx and vy must be real numbers, got a complex column")
+        try:
+            columns = [np.ascontiguousarray(col, dtype=np.float64) for col in stored]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"t, x, y, vx and vy must be real numbers: {exc}") from None
         stream.write(CSV_HEADER.encode("ascii") + b"\n")
-        _kernel.write_rows(block_columns, shapes[0][0], stream)
+        _kernel.write_rows(columns, stream)
 
 
 def integrate(state: OrbitState, field: CentralField, config: SimConfig) -> Trajectory:

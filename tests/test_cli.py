@@ -306,14 +306,34 @@ class TestSimulate:
         assert code == cli.EXIT_OK
         assert len(out_path.read_text().splitlines()) == 12
 
-    @pytest.mark.parametrize("out", ["missing-dir/x.csv", ""], ids=["missing-dir", "empty"])
+    @pytest.mark.parametrize("out", ["missing-dir/x.csv"], ids=["missing-dir"])
     def test_unwritable_out_usage_error(self, capsys, tmp_path, out):
         # exit 4, an output error, with no usage text
-        out_path = tmp_path / out if out else out
+        out_path = tmp_path / out
         code, stdout, err = run(capsys, self._args(out_path))
         assert code == cli.EXIT_OUTPUT
         assert stdout == "" and err.startswith(f"error: --out: cannot write {str(out_path)!r}: ")
         assert len(err.splitlines()) == 1
+
+    # An empty --out is a usage error before the run, from the flag or from
+    # --config: no temporary file is written to the working directory.
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_empty_out_usage_error(self, capsys, monkeypatch, tmp_path, via_config):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(simulator, "integrate", lambda *args: pytest.fail("the run started"))
+        argv = self._args("")
+        if via_config:
+            conf = tmp_path / "run.json"
+            conf.write_text(json.dumps({"out": ""}))
+            argv = [*argv[:-2], "--config", str(conf)]
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == cli.EXIT_USAGE
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "--out: the path is empty" in err
+        assert os.listdir(work) == []
 
     @pytest.mark.parametrize("argv, message", [
         # the state stays finite, but v^2 overflows in diagnostics

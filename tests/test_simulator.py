@@ -1695,6 +1695,19 @@ class TestCsvExport:
             traj.write_csv(buf)
         assert buf.getvalue() == b""
 
+    # A column NumPy cannot convert to float64 is refused before the header;
+    # a complex one is refused rather than cut to its real parts.
+    @pytest.mark.parametrize("column", [
+        np.array(["0.5", "x"]), np.array([0.5, 1 + 2j]), np.array([0.5, 1 + 2j], dtype=object),
+    ], ids=["str", "complex", "object-complex"])
+    def test_columns_that_are_not_real_numbers_rejected_before_writing(self, kernel, column):
+        cols = [np.zeros(2), column, np.ones(2), np.ones(2), np.zeros(2)]
+        traj = Trajectory(*cols, field=UNIT_FIELD, config=SimConfig(dt=1e-3, steps=1))
+        buf = io.BytesIO()
+        with pytest.raises(DomainError, match="real numbers"):
+            traj.write_csv(buf)
+        assert buf.getvalue() == b""
+
     def test_columns_of_other_dtypes_write_their_float64_values(self, kernel):
         cols = [np.array([1, 2**60 + 1]), np.array([0.1, -2.5], dtype=np.float32),
                 np.array([0.5, 0.25])[::-1], np.ones(2), np.zeros(2)]
@@ -1726,6 +1739,27 @@ class TestCsvExport:
     def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
         with pytest.raises(ValueError, match="columns"):
             c_kernel().format_rows(columns)
+
+    # write_rows hands C the columns' addresses, so this check is its memory
+    # guard: a first column longer than another would be read past the end.
+    @requires_c
+    @pytest.mark.parametrize("columns", [
+        [np.ones(3)] * 4,
+        [np.ones(3)] * 6,
+        [np.ones(4)] + [np.ones(3)] * 4,
+        [np.ones(3)] * 4 + [np.ones(4)],
+        [np.ones(3)] * 4 + [np.ones(3, dtype=np.float32)],
+        [np.ones(3)] * 4 + [np.ones(6)[::2]],
+        [np.ones(3)] * 4 + [np.ones(3)[::-1]],
+        [np.ones(3)] * 4 + [np.ones((3, 1))],
+        [np.ones(3)] * 4 + [[1.0, 1.0, 1.0]],
+    ], ids=["four", "six", "first-longer", "unequal", "float32", "strided", "reversed", "2-d",
+            "list"])
+    def test_c_export_rejects_columns_it_cannot_read(self, columns):
+        stream = io.BytesIO()
+        with pytest.raises(ValueError, match="columns"):
+            c_kernel().write_rows(columns, stream)
+        assert stream.getvalue() == b""
 
 
 # States with r*v = 0: at rest, at the center, both with zeros of both

@@ -364,23 +364,42 @@ class NullSink:
 
 
 class TestSplitExport:
-    # Each chunk is one block_columns call of CHUNK rows, or the rows left,
-    # which gives the five stored columns; the chunks cover the rows once.
+    # Each chunk is one _format_chunk call on a start row and CHUNK rows, or
+    # the rows left, of the five columns; the chunks cover the rows once.
     @pytest.mark.parametrize("n", [0, 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 5 * B - 7,
                                    EXPORT_ROWS])
-    def test_ranges_are_whole_blocks(self, c_library, export_workers, full_export, n):
+    def test_ranges_are_whole_blocks(self, c_library, export_workers, monkeypatch, full_export,
+                                     n):
         traj, _ = full_export
-        columns = [np.ascontiguousarray(col[:n]) for col in (
-            traj.t, traj.x, traj.y, traj.vx, traj.vy)]
+        columns = [col[:n] for col in (traj.t, traj.x, traj.y, traj.vx, traj.vy)]
         calls, lock = [], threading.Lock()
+        original = c_library._format_chunk
 
-        def block_columns(start, stop):
+        def recorded(addresses, start, rows, chunk):
             with lock:
-                calls.append((start, stop))
-            return [col[start:stop] for col in columns]
+                calls.append((start, rows))
+            return original(addresses, start, rows, chunk)
 
-        c_library.write_rows(block_columns, n, NullSink())
-        assert sorted(calls) == [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+        monkeypatch.setattr(c_library, "_format_chunk", recorded)
+        c_library.write_rows(columns, NullSink())
+        assert sorted(calls) == [(lo, min(CHUNK, n - lo)) for lo in range(0, n, CHUNK)]
+
+    # Columns that are views starting past row 0, at chunk-edge lengths: a
+    # chunk's pointers are each column's own address plus 8 bytes a row.
+    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("offset", [1, 7, 1023])
+    def test_views_past_row_0_write_the_python_bytes(self, c_library, export_workers,
+                                                     full_export, offset, rows):
+        traj, _ = full_export
+        stored = (traj.t, traj.x, traj.y, traj.vx, traj.vy)
+        columns = [col[offset:offset + rows] for col in stored]
+        assert [col.ctypes.data - whole.ctypes.data
+                for col, whole in zip(columns, stored)] == [8 * offset] * 5
+        want, got = io.BytesIO(), io.BytesIO()
+        _propagate_py.write_rows(columns, want)
+        c_library.write_rows(columns, got)
+        assert got.getvalue() == want.getvalue()
+        assert want.getvalue().count(b"\n") == rows
 
     # 1, B - 1, B, B + 1, and on both sides of the edges of two and three
     # blocks, where the last row ends a block, starts one or ends one short
@@ -449,12 +468,11 @@ class TestSplitExport:
         caller, original = threading.get_ident(), c_library._format_chunk
         failed = []
 
-        def fail_on_the_thread(columns, *args):
-            row = int(np.searchsorted(traj.t, columns[0][0]))
-            if threading.get_ident() != caller and row >= 2 * len(traj) // 3:
-                failed.append(row)
+        def fail_on_the_thread(addresses, start, *args):
+            if threading.get_ident() != caller and start >= 2 * len(traj) // 3:
+                failed.append(start)
                 raise MemoryError("a chunk on the thread failed")
-            return original(columns, *args)
+            return original(addresses, start, *args)
 
         monkeypatch.setattr(c_library, "_format_chunk", fail_on_the_thread)
 
@@ -482,18 +500,17 @@ class TestSplitExport:
         caller, original = threading.get_ident(), c_library._format_chunk
         slow, failed = [], []  # the first rows of the slow side's chunk, and of the failed one
 
-        def fail_on_one_side(columns, *args):
-            row = int(np.searchsorted(traj.t, columns[0][0]))
+        def fail_on_one_side(addresses, start, *args):
             if (threading.get_ident() == caller) != (failing == "caller"):
-                slow.append(row)
+                slow.append(start)
                 try:
                     time.sleep(0.002)
                 finally:
-                    slow.remove(row)
-            elif row >= 2 * len(traj) // 3 and any(earlier < row for earlier in slow):
-                failed.append(row)
+                    slow.remove(start)
+            elif start >= 2 * len(traj) // 3 and any(earlier < start for earlier in slow):
+                failed.append(start)
                 raise MemoryError(f"a chunk on the {failing} failed")
-            return original(columns, *args)
+            return original(addresses, start, *args)
 
         monkeypatch.setattr(c_library, "_format_chunk", fail_on_one_side)
         sink = io.BytesIO()
