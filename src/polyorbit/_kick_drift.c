@@ -459,14 +459,12 @@ int ring_sum(double a, double d, double dtheta, double width, double scale, int6
 /* The values of geometry.ConicClass. */
 enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
 
-/* geometry._PARALLEL_EPS */
-#define PARALLEL_EPS 1e-12
-
 /* _propagate_py._block_residuals over the samples i = start .. stop - 1 at
  * polar angles theta0 + span * i / div (_propagate_py._sample_thetas):
  * writes the focal, reflection and right-angle maxima to maxima[0..2] and
- * the count of samples whose tangent is parallel to the directrix to
- * *skipped, and returns 0.  Returns 1, the block flagged, where any check of
+ * the count of samples whose tangent is parallel to the directrix,
+ * |tangent_y| < parallel_eps (geometry._PARALLEL_EPS), to *skipped, and
+ * returns 0.  Returns 1, the block flagged, where any check of
  * _block_residuals could fail: 1 - e sin(theta) is not > 0, a point,
  * tangent, ray or intersection is not finite, a tangent, ray or
  * intersection norm is zero, or the focal residual is NaN.  Its outputs are
@@ -479,7 +477,8 @@ enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
  */
 int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
                     double focal_constant, double theta0, double span, double div,
-                    int64_t start, int64_t stop, double *maxima, int64_t *skipped)
+                    double parallel_eps, int64_t start, int64_t stop, double *maxima,
+                    int64_t *skipped)
 {
     double focal_max = 0.0, reflection_max = 0.0, right_max = 0.0;
     int64_t skip = 0;
@@ -532,7 +531,7 @@ int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
         if (reflection > reflection_max)
             reflection_max = reflection;
 
-        if (!(fabs(tuy) >= PARALLEL_EPS)) {
+        if (!(fabs(tuy) >= parallel_eps)) {
             skip++;
             continue;
         }

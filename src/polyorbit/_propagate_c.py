@@ -2,24 +2,27 @@
 
 One library holds them: kick_drift, the propagation kernel; csv_rows, the
 CSV row formatter, with derive_columns, which writes each CSV chunk's r, v
-and cos alpha; ring_sum, the shell's ring sum; and conic_residuals, the
-conic residual samples.  The first import compiles the C file into this
-package's __pycache__, the way the interpreter writes bytecode; later
-imports load the cached library.  Its name carries a hash of the source,
-the compiler command, the flags and the platform, so a change to any of
-them builds a new one.  The C file uses no Python headers, so no build step
-or extension module is needed.  csv_rows is passed a table of powers of ten
-that the import builds from exact integers, so no table is committed.
+and cos alpha, both called by write_rows alone; ring_sum, the shell's ring
+sum; and conic_residuals, the conic residual samples.  The first import
+compiles the C file into this package's __pycache__, the way the
+interpreter writes bytecode; later imports load the cached library.  Its
+name carries a hash of the source, the compiler command, the flags and the
+platform, so a change to any of them builds a new one.  The C file uses no
+Python headers, so no build step or extension module is needed.  csv_rows
+is passed a table of powers of ten that the import builds from exact
+integers, so no table is committed.
 
 Importing this module raises ImportError only when the library cannot be
 built or loaded: no compiler, a failed compile, an unwritable cache or a
 load error.  probe() then says, for each loop, whether it gives
 _propagate_py's bits or bytes on short probe inputs, and simulator binds
-each loop that does and _propagate_py's copy of each other one.  The ring
-and residual loops and derive_columns call libm's sin, cos and hypot where
-NumPy calls its own float64 loops, so their probes differ where those give
-other bits.  derive_columns leaves the arccos to NumPy, whose float64 loop
-can give other bits than libm's acos, as its AVX-512 loop does.
+each loop that does and _propagate_py's copy of each other one; csv_rows
+and derive_columns are probed through write_rows, the path every export
+runs.  The ring and residual loops and derive_columns call libm's sin, cos
+and hypot where NumPy calls its own float64 loops, so their probes differ
+where those give other bits.  derive_columns leaves the arccos to NumPy,
+whose float64 loop can give other bits than libm's acos, as its AVX-512
+loop does.
 
 Each loop here takes the arguments of its copy in _propagate_py.  ring_sum
 and conic_residuals split their rings or samples into contiguous ranges,
@@ -29,11 +32,11 @@ export writes, each a start row and a row count over the five columns that
 Trajectory.write_csv converts to float64 once (integrate's arrays with no
 copy, any other column by a whole-column copy) and write_rows checks once:
 one derive_columns call, one in-place NumPy arccos and one csv_rows call
-on buffers made once per export.  One
-scheduler, _in_order, runs them on the caller and on threads started for
-the call, and the caller takes the results in order.  ctypes releases the
-GIL for each C call.  Every ring term, sample and row depends on its index
-alone, so the maxima have the bits of one call and the text its bytes.
+on buffers made once per export.  One scheduler, _in_order, runs them on
+the caller and on threads started for the call, and the caller takes the
+results in order.  ctypes releases the GIL for each C call.  Every ring
+term, sample and row depends on its index alone, so the maxima have the
+bits of one call and the text its bytes.
 Each of ring_sum's ranges adds its terms exactly, and the caller rounds the
 sum of them all once with math.fsum, so the total is the correctly rounded
 sum of the terms however they are split.  The first range or chunk that
@@ -72,12 +75,12 @@ _LIBS = ("-lm",)
 _PROBE = (-0.10255468462619409, 0.28669936474634045, -0.3122066137899723,
           -0.2561309219401078, 3.3562627079848544, 0.007187745212957374, 14, 3, 1e-9)
 
-# format_rows values for the load-time probe, eight columns of five rows:
-# 17th-digit ties that round to even (down, then up, at 1e15 and at 1e14,
-# with both signs), +-0, subnormals, +-inf, NaN of both signs and +-DBL_MAX;
-# then values that csv_rows prints without snprintf, in fixed and exponent
-# notation: 10 (whose exponent is first estimated as 0), 1e-14 and 1e98
-# (whose 17 digits round up to 10^17) and a subnormal; and
+# write_rows values for the load-time probe, eight rows of t, x, y, vx and
+# vy: 17th-digit ties that round to even (down, then up, at 1e15 and at
+# 1e14, with both signs), +-0, subnormals, +-inf, NaN of both signs and
+# +-DBL_MAX; then values that csv_rows prints without snprintf, in fixed
+# and exponent notation: 10 (whose exponent is first estimated as 0), 1e-14
+# and 1e98 (whose 17 digits round up to 10^17) and a subnormal; and
 # 1.3076622631878654e65, 3.7e-20 units past a tie at its 17th digit, which
 # goes to snprintf.
 _PROBE_VALUES = (
@@ -224,7 +227,7 @@ def _load():
     ring_sum.restype = ctypes.c_int
     ring_sum.argtypes = [ctypes.c_double] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_void_p]
     conic_residuals.restype = ctypes.c_int
-    conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 5
+    conic_residuals.argtypes = ([ctypes.c_double] * 3 + [ctypes.c_int] + [ctypes.c_double] * 6
                                 + [ctypes.c_int64] * 2
                                 + [ctypes.c_void_p, ctypes.POINTER(ctypes.c_int64)])
     return kick_drift, csv_rows, derive_columns, ring_terms, ring_sum, conic_residuals
@@ -343,52 +346,15 @@ def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
             (window_states[:min(count.value, cap)], last))
 
 
-def _float64_columns(columns, count):
-    """The length of the `count` columns: contiguous 1-D float64 arrays of
-    one length, which the C loops read through pointers."""
+def _float64_columns(columns):
+    """The length of the columns t, x, y, vx and vy: five contiguous 1-D
+    float64 arrays of one length, which the C loops read through pointers."""
     n = len(columns[0])
-    if len(columns) != count or not all(
+    if len(columns) != 5 or not all(
             isinstance(col, np.ndarray) and col.dtype == np.float64
             and col.shape == (n,) and col.flags.c_contiguous for col in columns):
-        raise ValueError(f"need {count} contiguous 1-D float64 columns of one length")
+        raise ValueError("need 5 contiguous 1-D float64 columns of one length")
     return n
-
-
-def _derive(pointers, n, cos_alpha):
-    """derive_columns in C over the first n rows of the eight columns at
-    pointers, then NumPy's arccos in place over the n values of cos_alpha,
-    the array pointers[7] points at."""
-    _derive_columns(pointers, n)
-    np.arccos(cos_alpha[:n], out=cos_alpha[:n])
-
-
-def derive_columns(x, y, vx, vy):
-    """Same arguments, results and bits as _propagate_py.derive_columns, on
-    contiguous 1-D float64 arrays of one length."""
-    n = _float64_columns((x, y, vx, vy), 4)
-    derived = np.empty((3, n))
-    _derive((ctypes.c_void_p * 8)(None, *(col.ctypes.data for col in (x, y, vx, vy, *derived))),
-            n, derived[2])
-    return tuple(derived)
-
-
-def _format(pointers, n, text_address):
-    """csv_rows of the first n rows of the eight columns at pointers, to the
-    text at text_address; the number of bytes of text."""
-    size = _csv_rows(pointers, n, text_address, _POW10_ADDRESS, _POW10_MIN, _POW10_MAX)
-    if size < 0:  # newlocale fails for "C" only when out of memory
-        raise MemoryError("csv_rows could not make the C numeric locale")
-    return size
-
-
-def format_rows(columns):
-    """Same arguments and text as _propagate_py.format_rows, on eight
-    contiguous 1-D float64 arrays of one length."""
-    n = _float64_columns(columns, 8)
-    out = np.empty(n * _ROW_BYTES + _SLACK, dtype=np.uint8)  # not zeroed
-    size = _format((ctypes.c_void_p * 8)(*(col.ctypes.data for col in columns)), n,
-                   out.ctypes.data)
-    return str(out.data[:size], "ascii")
 
 
 class _Chunk:
@@ -407,12 +373,19 @@ class _Chunk:
 def _format_chunk(addresses, start, n, chunk):
     """Rows [start, start + n) of the five float64 columns t, x, y, vx and
     vy at addresses and their r, v and alpha, as _propagate_py.write_rows
-    writes them, in the _Chunk chunk of n rows or more: its text's memoryview."""
+    writes them, in the _Chunk chunk of n rows or more: derive_columns in
+    C, NumPy's arccos in place over its cosines, then csv_rows to the
+    chunk's text; its text's memoryview."""
     pointers = chunk.pointers
     for k, address in enumerate(addresses):
         pointers[k] = address + 8 * start
-    _derive(pointers, n, chunk.derived[2])
-    return chunk.text.data[:_format(pointers, n, chunk.text_address)]
+    _derive_columns(pointers, n)
+    alpha = chunk.derived[2, :n]
+    np.arccos(alpha, out=alpha)
+    size = _csv_rows(pointers, n, chunk.text_address, _POW10_ADDRESS, _POW10_MIN, _POW10_MAX)
+    if size < 0:  # newlocale fails for "C" only when out of memory
+        raise MemoryError("csv_rows could not make the C numeric locale")
+    return chunk.text.data[:size]
 
 
 def write_rows(columns, stream):
@@ -422,7 +395,7 @@ def write_rows(columns, stream):
     buffers, which the caller writes to stream in order (_in_order).  With
     _WORKERS >= 2 and at least _MIN_CHUNK rows, one thread formats chunks
     beside the caller, so neither CPU idles while the other lags."""
-    n = _float64_columns(columns, 5)
+    n = _float64_columns(columns)
     addresses = [col.ctypes.data for col in columns]
     rows = _propagate_py._CSV_CHUNK_ROWS
     threads = 1 if _WORKERS >= 2 and n >= _MIN_CHUNK else 0
@@ -457,7 +430,8 @@ def conic_residuals(shape, n, focus2_y, focal_constant):
     """
     theta0, span, div = geometry._theta_grid(shape, n)
     args = (shape.eccentricity, shape.semi_latus_rectum, shape.focal_directrix_distance,
-            shape.conic_class.value, focus2_y or 0.0, focal_constant or 0.0, theta0, span, div)
+            shape.conic_class.value, focus2_y or 0.0, focal_constant or 0.0, theta0, span, div,
+            geometry._PARALLEL_EPS)
 
     edges, parts = _ranges(n), []
 
@@ -475,30 +449,27 @@ def conic_residuals(shape, n, focus2_y, focal_constant):
     return max(focal), max(reflection), max(right), sum(skipped)
 
 
-def _csv(write_rows, states):
-    """The bytes write_rows writes for the columns of states."""
+def _csv(write_rows, columns):
+    """The bytes write_rows writes for the columns."""
     stream = io.BytesIO()
-    write_rows(list(states), stream)
+    write_rows(columns, stream)
     return stream.getvalue()
 
 
 def probe():
     """{loop: whether it gives _propagate_py's bits or bytes on the probe
-    inputs} for propagate_kernel, write_rows (its format_rows and its
-    derived columns), ring_sum (with its ring_terms) and conic_residuals."""
+    inputs} for propagate_kernel, write_rows (its formatter on every field
+    and its derived columns), ring_sum (with its ring_terms) and
+    conic_residuals."""
     got, want = propagate_kernel(*_PROBE), _propagate_py.propagate_kernel(*_PROBE)
     kernel = got[5] == want[5] and all(a.tobytes() == b.tobytes() for a, b in
                                        zip((*got[:5], *got[6]), (*want[:5], *want[6])))
-    columns = list(np.array(_PROBE_VALUES).reshape(8, -1))
-    states = np.ascontiguousarray(np.transpose([(0.0, *state) for state in _DERIVE_PROBE]))
-    try:
-        # a cosine that a broken derive_columns leaves past +-1 is a NaN
-        # alpha, and no warning
-        with np.errstate(invalid="ignore"):
-            rows = (format_rows(columns) == _propagate_py.format_rows(columns)
-                    and _csv(write_rows, states) == _csv(_propagate_py.write_rows, states))
-    except UnicodeDecodeError:  # a broken csv_rows can write bytes that are not ASCII
-        rows = False
+    states = [*np.reshape(_PROBE_VALUES, (8, 5)), *((0.0, *state) for state in _DERIVE_PROBE)]
+    columns = list(np.transpose(states).copy())
+    # a cosine that a broken derive_columns leaves past +-1 is a NaN alpha,
+    # and no warning
+    with np.errstate(invalid="ignore"):
+        rows = _csv(write_rows, columns) == _csv(_propagate_py.write_rows, columns)
     ring = True
     for a, d, n in _RING_PROBE:
         args = (a, d, math.pi / n, a * math.pi / n, 0.3)

@@ -197,7 +197,10 @@ def period(pair: ConservedPair, field: CentralField) -> float:
 
 
 def csc2_predicted(pair: ConservedPair, field: CentralField, r: float) -> float:
-    """csc^2(alpha) at radius r from the conserved pair: (C/Q) r^2 + (2m/Q) r."""
+    """csc^2(alpha) at radius r from the conserved pair: (C/Q) r^2 + (2m/Q) r.
+
+    Raises DomainError where r is outside the apsidal range, or where C/Q,
+    2m/Q or the result is past the largest double."""
     if pair.Q <= 0.0:
         raise DegenerateOrbitError("csc^2(alpha) is undefined for a radial trajectory")
     r_min, r_max = apsides(pair, field)
@@ -207,7 +210,11 @@ def csc2_predicted(pair: ConservedPair, field: CentralField, r: float) -> float:
         raise DomainError(
             f"radius {r:g} is outside the apsidal range [{r_min:g}, {hi:g}]"
         )
-    return csc2_quadratic(pair.C / pair.Q, 2.0 * field.m / pair.Q, r)
+    value = csc2_quadratic(pair.C / pair.Q, 2.0 * field.m / pair.Q, r)
+    if not math.isfinite(value):
+        raise DomainError(f"csc^2(alpha) at radius {r:g} for C = {pair.C:g}, Q = {pair.Q:g} "
+                          "is past the largest double")
+    return value
 
 
 def speed_at_radius(pair: ConservedPair, field: CentralField, r: float) -> float:
@@ -238,17 +245,25 @@ def speed_at_radius(pair: ConservedPair, field: CentralField, r: float) -> float
 
 
 def energy_area(field: CentralField, r1: float, r2: float) -> float:
-    """Area under a(r) = m/r^2 between radii r2 and r1: A = m*(1/r2 - 1/r1)."""
+    """Area under a(r) = m/r^2 between radii r2 and r1: A = m*(1/r2 - 1/r1).
+
+    An infinite radius gives 1/r = 0 exactly.  Raises DomainError where
+    1/r1, 1/r2 or the area is past the largest double."""
     if not (r1 > 0.0 and r2 > 0.0):
         raise DomainError(f"radii must be > 0, got r1={r1}, r2={r2}")
-    return field.m * (1.0 / r2 - 1.0 / r1)
+    area = field.m * (1.0 / r2 - 1.0 / r1)
+    if not math.isfinite(area):
+        raise DomainError(f"the area for m = {field.m:g}, r1 = {r1:g}, r2 = {r2:g} "
+                          "is past the largest double")
+    return area
 
 
 def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: int) -> float:
     """Midpoint-rule evaluation of the same area, with the given panel count.
 
     Independent numeric route for energy_area; converges to the closed form
-    at second order.
+    at second order.  Raises DomainError, with no NumPy warning, where a
+    midpoint's m/r^2 or the sum is past the largest double.
     """
     if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
         raise DomainError(f"radii must be finite and > 0, got r1={r1}, r2={r2}")
@@ -260,16 +275,26 @@ def energy_area_quadrature(field: CentralField, r1: float, r2: float, panels: in
 
     h = (r1 - r2) / panels
     mids = r2 + (np.arange(panels) + 0.5) * h
-    return float(np.sum(field.m / (mids * mids)) * h)
+    with np.errstate(over="ignore", divide="ignore"):
+        area = float(np.sum(field.m / (mids * mids)) * h)
+    if not math.isfinite(area):
+        raise DomainError(f"the area for m = {field.m:g}, r1 = {r1:g}, r2 = {r2:g} "
+                          f"with {panels} panels is past the largest double")
+    return area
 
 
 def centripetal_accel(v: float, radius: float) -> float:
-    """Centripetal acceleration of uniform circular motion: v^2 / R."""
+    """Centripetal acceleration of uniform circular motion: v^2 / R.
+
+    Raises DomainError where v^2 or v^2 / R is past the largest double."""
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be finite and > 0, got {radius}")
     if not 0.0 <= v < math.inf:
         raise DomainError(f"speed must be finite and >= 0, got {v}")
-    return v * v / radius
+    accel = v * v / radius
+    if accel == math.inf:
+        raise DomainError(f"v^2 / R for v = {v:g}, R = {radius:g} is past the largest double")
+    return accel
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,9 @@ def csc2_alpha(shape: ConicShape, r: float) -> float:
     """Squared cosecant of the focal-ray/tangent angle at radius r.
 
     csc^2(alpha) = (e^2 - 1)/ell^2 * r^2 + 2r/ell.  Equals 1 exactly at the
-    apsides and exceeds 1 strictly between them.
+    apsides and exceeds 1 strictly between them.  Raises DomainError where
+    r is outside the conic's radial range, or where csc^2(alpha) is past
+    the largest double.
     """
     e, ell = shape.eccentricity, shape.semi_latus_rectum
     if e == 0.0:
@@ -163,6 +165,8 @@ def csc2_alpha(shape: ConicShape, r: float) -> float:
             f"radius {r:g} is outside the conic's radial range "
             f"[{shape.periapsis:g}, {math.inf if hi is None else hi:g}]"
         )
+    if value == math.inf:
+        raise DomainError(f"csc^2(alpha) at radius {r:g} is past the largest double")
     return value
 
 
@@ -206,12 +210,18 @@ def focal_from_axes(axes: EllipseAxes) -> tuple[float, float | None]:
 
 
 def ellipse_area(e: float, aO: float) -> float:
-    """Area of the ellipse: pi * aO^2 * e^2 / (1 - e^2)^(3/2)."""
+    """Area of the ellipse: pi * aO^2 * e^2 / (1 - e^2)^(3/2).
+
+    Raises DomainError where pi * aO^2 or the area is past the largest
+    double."""
     if not (0.0 < e < 1.0):
         raise NotAnEllipseError(f"area is finite only for 0 < e < 1, got e={e}")
     if not aO > 0.0:
         raise DomainError(f"focal-directrix distance must be > 0, got {aO}")
-    return math.pi * aO * aO * e * e / (1.0 - e * e) ** 1.5
+    area = math.pi * aO * aO * e * e / (1.0 - e * e) ** 1.5
+    if area == math.inf:
+        raise DomainError(f"the area for e={e}, aO={aO:g} is past the largest double")
+    return area
 
 
 def _branch_anomaly_limit(shape: ConicShape) -> float:

@@ -1,6 +1,7 @@
 """Tests for conserved quantities and closed-form orbit determination."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import pytest
@@ -359,12 +360,35 @@ def test_no_input_gives_a_silent_nan(call, error):
         call()
 
 
+# Finite inputs whose result, or an intermediate on the way to it, is past
+# the largest double: each returned +-inf, the quadrature with a NumPy
+# overflow warning, before it refused them.
+@pytest.mark.parametrize("call", [
+    lambda: ellipse_area(0.5, 1e200),
+    lambda: energy_area(UNIT_FIELD, 1e-320, 1.0),
+    lambda: energy_area_quadrature(CentralField(1e308), 1e-10, 1.0, 10),
+    lambda: centripetal_accel(1e200, 1e-200),
+    lambda: csc2_alpha(ConicShape(1.5, 1.0), 1e200),
+    lambda: csc2_predicted(ConservedPair(1.0, 1e-300), UNIT_FIELD, 1e200),
+], ids=["ellipse_area", "energy_area", "energy_area_quadrature", "centripetal_accel",
+        "csc2_alpha", "csc2_predicted"])
+def test_result_past_the_largest_double_refused_with_no_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="past the largest double"):
+            call()
+
+
 class TestEnergyArea:
     def test_basic(self):
         assert energy_area(UNIT_FIELD, 2.0, 1.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_empty_interval(self):
         assert energy_area(UNIT_FIELD, 1.5, 1.5) == 0.0
+
+    def test_infinite_radius_is_the_exact_limit(self):
+        # 1/inf = 0: the area out to infinity, m/r2, with no refusal
+        assert energy_area(UNIT_FIELD, math.inf, 0.5) == 2.0
 
     def test_antisymmetry(self):
         assert energy_area(UNIT_FIELD, 1.0, 2.0) == pytest.approx(-0.5, rel=1e-14)

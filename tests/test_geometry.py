@@ -557,6 +557,16 @@ class TestCompiledResiduals:
         assert got == want
         assert issubclass(got[0], DomainError) and error in got[1]
 
+    # The C loop takes its skip threshold from geometry._PARALLEL_EPS, as the
+    # NumPy loop does: at 0.3 both skip the same samples of each shape.
+    @pytest.mark.parametrize("e", [0.5, 1.0, 1.5], ids=["ellipse", "parabola", "hyperbola"])
+    def test_same_skips_at_another_parallel_threshold(self, residuals_c_and_numpy,
+                                                      monkeypatch, e):
+        monkeypatch.setattr(geometry, "_PARALLEL_EPS", 0.3)
+        shape = ConicShape(e, 0.75)
+        got, want = residuals_c_and_numpy(block_outcome, shape, 1000, *_second_focus(shape))
+        assert got == want and got[3] > 0
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(log_e=st.floats(-12.0, 12.0), log_ell=st.floats(-300.0, 300.0),

@@ -346,13 +346,15 @@ class TestBackends:
     def test_export_runs_in_c_where_numpy_hypot_is_libm(self):
         # derive_columns in C calls libm's hypot for r and v: the C export is
         # bound exactly where NumPy's float64 hypot gives libm's bits, on the
-        # probe's states and on drawn pairs.
+        # probe's states, its (x, y) and (vx, vy) of the formatter's values,
+        # and on drawn pairs.
         libm = ctypes.CDLL(ctypes.util.find_library("m"))
         libm.hypot.restype = ctypes.c_double
         libm.hypot.argtypes = [ctypes.c_double] * 2
         rng = np.random.default_rng(4)
         pairs = np.concatenate([
             np.array(c_kernel()._DERIVE_PROBE).reshape(-1, 2),
+            np.reshape(c_kernel()._PROBE_VALUES, (8, 5))[:, 1:].reshape(-1, 2),
             rng.uniform(-1.0, 1.0, (10000, 2)) * 10.0 ** rng.integers(-300, 300, (10000, 2))])
         with np.errstate(over="ignore"):
             numpy_bits = np.hypot(*pairs.T).tobytes()
@@ -414,11 +416,11 @@ class TestBackends:
                     return (*rest, (np.nextafter(states, np.inf), last))
                 patch.setattr(compiled, "propagate_kernel", window_off_by_one_bit)
             if failure == "format-probe-mismatch":
-                format_rows = compiled.format_rows
+                format_chunk = compiled._format_chunk
 
                 def signed_nan(*args):
-                    return format_rows(*args).replace("nan", "-nan")
-                patch.setattr(compiled, "format_rows", signed_nan)
+                    return bytes(format_chunk(*args)).replace(b"nan", b"-nan")
+                patch.setattr(compiled, "_format_chunk", signed_nan)
             if failure == "trig-probe-mismatch":
                 sin = np.sin
 
@@ -843,8 +845,8 @@ class TestCKernelOracle:
 class TestOneInterface:
     """Each loop's C and Python copies take the same arguments."""
 
-    @pytest.mark.parametrize("loop", ["propagate_kernel", "derive_columns", "format_rows",
-                                      "write_rows", "ring_sum", "conic_residuals"])
+    @pytest.mark.parametrize("loop", ["propagate_kernel", "write_rows", "ring_sum",
+                                      "conic_residuals"])
     def test_both_copies_have_one_signature(self, loop):
         assert (inspect.signature(getattr(c_kernel(), loop))
                 == inspect.signature(getattr(_propagate_py, loop)))
@@ -1565,20 +1567,29 @@ class TestCsvExport:
     DIGIT_COUNT_VALUES = [sign * value for sign in (1.0, -1.0) for value in every_digit_count()]
 
     @staticmethod
-    def percent_17g_case(values):
-        """The values, repeated to whole rows of eight, and "%.17g" of each."""
-        values = np.resize(np.array(values, dtype=np.float64), 8 * -(-len(values) // 8))
-        return values, ["%.17g" % value for value in values.tolist()]
+    def rows_text(kernel, columns):
+        """The text kernel.write_rows writes for the five columns."""
+        stream = io.BytesIO()
+        kernel.write_rows(columns, stream)
+        return stream.getvalue().decode()
 
     @staticmethod
-    def assert_prints_percent_17g(kernel, values, want):
-        # format_rows of the values, eight to a row, must print want; a
+    def percent_17g_case(values, width=5):
+        """The values, repeated to whole rows of `width`, and "%.17g" of each."""
+        values = np.resize(np.array(values, dtype=np.float64), width * -(-len(values) // width))
+        return values, ["%.17g" % value for value in values.tolist()]
+
+    def assert_prints_percent_17g(self, kernel, values, want):
+        # write_rows of the values, five to a row in t, x, y, vx and vy,
+        # must print want in those fields and the Python export's text; a
         # failure shows the first five values that differ
-        columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 8).T]
-        text = kernel.format_rows(columns)
-        got = text.replace("\n", ",").split(",")[:-1]
-        assert text.count("\n") == len(columns[0]) and len(got) == len(want)
+        columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 5).T]
+        text = self.rows_text(kernel, columns)
+        rows = text.splitlines()
+        got = [field for row in rows for field in row.split(",")[:5]]
+        assert text.endswith("\n") and len(rows) == len(columns[0]) and len(got) == len(want)
         assert [(w, g) for w, g in zip(want, got) if w != g][:5] == []
+        assert kernel is _propagate_py or text == self.rows_text(_propagate_py, columns)
 
     # Plain cases that fail in seconds where the Hypothesis test below would
     # take minutes to shrink a wrong digit.
@@ -1606,7 +1617,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("last", [LONGEST, FARTHEST], ids=["longest", "farthest"])
     def test_format_rows_prints_percent_17g_to_the_end_of_a_block(self, kernel, last):
         # every other value of two chunks takes the most room a value can
-        values = np.full(8 * 2 * CSV_CHUNK, self.LONGEST)
+        values = np.full(5 * 2 * CSV_CHUNK, self.LONGEST)
         values[-1] = last
         assert len("%.17g" % self.LONGEST) == 24
         self.assert_prints_percent_17g(kernel, *self.percent_17g_case(values))
@@ -1640,7 +1651,7 @@ class TestCsvExport:
         csv_rows = ctypes.CDLL(str(library)).csv_rows
         csv_rows.restype, csv_rows.argtypes = module._csv_rows.restype, module._csv_rows.argtypes
         for values in (module._PROBE_VALUES, self.BRANCH_VALUES, self.EXPONENT_VALUES):
-            values, _ = self.percent_17g_case(values)
+            values, _ = self.percent_17g_case(values, 8)
             columns = [np.ascontiguousarray(col) for col in values.reshape(-1, 8).T]
             rows = len(columns[0])
             out = np.empty(rows * module._ROW_BYTES + module._SLACK, dtype=np.uint8)
@@ -1679,11 +1690,12 @@ class TestCsvExport:
 
     def test_ties_round_to_even(self, kernel):
         # The 17th digit of each value is followed by exactly 5.
-        assert kernel.format_rows([np.array([1000000000000000.25, 1000000000000000.75,
-                                             -100000000000000.125])] * 8) == (
-            ",".join(["1000000000000000.2"] * 8) + "\n"
-            + ",".join(["1000000000000000.8"] * 8) + "\n"
-            + ",".join(["-100000000000000.12"] * 8) + "\n")
+        columns = [np.array([1000000000000000.25, 1000000000000000.75,
+                             -100000000000000.125])] * 5
+        text = self.rows_text(kernel, columns)
+        assert [row.split(",")[:5] for row in text.splitlines()] == [
+            ["1000000000000000.2"] * 5, ["1000000000000000.8"] * 5, ["-100000000000000.12"] * 5]
+        assert text == self.rows_text(_propagate_py, columns)
 
     @pytest.mark.parametrize("t_len, other_len", [(5, 3), (3, 5)])
     def test_columns_of_unequal_length_rejected_before_writing(self, kernel, t_len, other_len):
@@ -1717,28 +1729,15 @@ class TestCsvExport:
                                     field=UNIT_FIELD, config=traj.config)
             assert self.written_csv(traj) == self.reference_csv(as_float64)
 
-    # Columns that are views of a longer array, sliced by the caller as
-    # write_csv's chunks are: from past its start, and empty.
+    # Columns that are views of a longer array, from past its start, and
+    # empty: the C export reads each from its own address.
     @requires_c
     @pytest.mark.parametrize("start, stop", [
         (0, 3), (0, 1000), (2, 3), (3, 3), (4, 2), (-2, 100), (-100, 1), (7, 9),
     ])
     def test_c_formatter_slices_rows_as_python(self, start, stop):
-        columns = [(np.arange(5.0) * (k + 1) / 3)[start:stop] for k in range(8)]
-        assert c_kernel().format_rows(columns) == _propagate_py.format_rows(columns)
-
-    @requires_c
-    @pytest.mark.parametrize("columns", [
-        [np.ones(3)] * 7,
-        [np.ones(3)] * 7 + [np.ones(4)],
-        [np.ones(3)] * 7 + [np.ones(3, dtype=np.float32)],
-        [np.ones(3)] * 7 + [np.ones(6)[::2]],
-        [np.ones(3)] * 7 + [np.ones((3, 1))],
-        [np.ones(3)] * 7 + [[1.0, 1.0, 1.0]],
-    ], ids=["seven", "unequal", "float32", "strided", "2-d", "list"])
-    def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
-        with pytest.raises(ValueError, match="columns"):
-            c_kernel().format_rows(columns)
+        columns = [(np.arange(5.0) * (k + 1) / 3)[start:stop] for k in range(5)]
+        assert self.rows_text(c_kernel(), columns) == self.rows_text(_propagate_py, columns)
 
     # write_rows hands C the columns' addresses, so this check is its memory
     # guard: a first column longer than another would be read past the end.
@@ -1779,38 +1778,42 @@ DERIVE_EDGES = [0.0, -0.0, 5e-324, -3e-320, 2.2250738585072014e-308, 0.7, -0.1, 
                 1e308, -1.2e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
 
 
+def export_rows(kernel, x, y, vx, vy):
+    """The CSV rows kernel.write_rows writes for the states (x, y, vx, vy)
+    at t = 0."""
+    states = [np.ascontiguousarray(col, dtype=np.float64) for col in (x, y, vx, vy)]
+    return TestCsvExport.rows_text(kernel, [np.zeros(len(states[0])), *states]).splitlines()
+
+
 class TestDeriveColumns:
     """derive_columns, the r, v and alpha columns of the CSV export: the C
-    copy and NumPy's arccos against the NumPy twin, bit for bit, and NaN
-    alpha with no warning where r*v is 0."""
+    copy and NumPy's arccos against the NumPy twin, through the bytes of
+    the export they feed, and NaN alpha with no warning where r*v is 0."""
 
     @staticmethod
-    def assert_same_bits(x, y, vx, vy):
-        # the C and NumPy columns of the states; a failure shows the first
-        # five states whose r, v or alpha differ
-        states = [np.ascontiguousarray(col, dtype=np.float64) for col in (x, y, vx, vy)]
-        got = c_kernel().derive_columns(*states)
-        want = _propagate_py.derive_columns(*states)
-        differ = np.zeros(len(states[0]), dtype=bool)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
-            differ |= a.view(np.uint64) != b.view(np.uint64)
-        assert [tuple(col[i] for col in states) for i in np.flatnonzero(differ)[:5]] == []
+    def assert_same_bytes(x, y, vx, vy):
+        # the C and Python export rows of the states at t = 0; a failure
+        # shows the first five states whose rows differ
+        got, want = (export_rows(module, x, y, vx, vy) for module in (c_kernel(), _propagate_py))
+        assert len(got) == len(want) == len(x)
+        assert [(x[i], y[i], vx[i], vy[i])
+                for i, (a, b) in enumerate(zip(got, want)) if a != b][:5] == []
 
     @requires_c
     def test_derive_columns_matches_numpy_on_edge_states(self):
         # every (x, y, vx, vy) of DERIVE_EDGES, the rows the clip acts on
         # and the write_rows probe's states
         grid = np.array(np.meshgrid(*[DERIVE_EDGES] * 4)).reshape(4, -1)
-        self.assert_same_bits(*grid)
-        self.assert_same_bits(*np.transpose(AT_REST_OR_CENTER + PAST_ONE))
-        self.assert_same_bits(*np.transpose(c_kernel()._DERIVE_PROBE))
+        self.assert_same_bytes(*grid)
+        self.assert_same_bytes(*np.transpose(AT_REST_OR_CENTER + PAST_ONE))
+        self.assert_same_bytes(*np.transpose(c_kernel()._DERIVE_PROBE))
 
     def test_derive_columns_clips_cosines_that_round_past_one(self, kernel):
         x, y, vx, vy = (np.array(col) for col in np.transpose(PAST_ONE))
         r, v = np.hypot(x, y), np.hypot(vx, vy)
         assert ((x * vx + y * vy) / (r * v)).tolist() == [1.0 + 2**-52, -1.0 - 2**-52]
-        assert kernel.derive_columns(x, y, vx, vy)[2].tolist() == [0.0, math.pi]
+        assert [row.split(",")[7] for row in export_rows(kernel, x, y, vx, vy)] == [
+            "0", "%.17g" % math.pi]
 
     @requires_c
     @settings(max_examples=200, deadline=None)
@@ -1821,7 +1824,7 @@ class TestDeriveColumns:
                   st.floats(-1e150, 1e150).filter(bool)).map(
             lambda s: (s[0], s[1], s[0] * s[2], s[1] * s[2]))), min_size=1, max_size=40))
     def test_derive_columns_matches_numpy_on_drawn_states(self, states):
-        self.assert_same_bits(*np.transpose(states))
+        self.assert_same_bytes(*np.transpose(states))
 
     # Both kernels run in a fresh interpreter under -W error, so a NumPy
     # warning from the export, from the alpha property or from the

@@ -64,7 +64,7 @@ def spy(monkeypatch, c_library, name):
     calls, original = [], getattr(c_library, name)
 
     def recorded(*args):
-        start, stop = (args[5], args[6]) if name == "_ring_sum" else (args[9], args[10])
+        start, stop = (args[5], args[6]) if name == "_ring_sum" else (args[10], args[11])
         calls.append((start, stop))
         return original(*args)
 
@@ -142,7 +142,7 @@ class TestSplitLoops:
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
         assert c_residuals._conic_residuals(
             e, ell, shape.focal_directrix_distance, shape.conic_class.value, focus[0] or 0.0,
-            focus[1] or 0.0, theta0, span, div, start, stop, maxima,
+            focus[1] or 0.0, theta0, span, div, geometry._PARALLEL_EPS, start, stop, maxima,
             ctypes.byref(skipped)) == 0
         assert residual_bits((*maxima, skipped.value)) == residual_bits(block)
 
@@ -178,7 +178,7 @@ class TestSplitLoops:
 
         def recorded(*args):
             flag = original(*args)
-            flagged.append((args[9], args[10], flag))
+            flagged.append((args[10], args[11], flag))
             return flag
 
         monkeypatch.setattr(c_residuals, "_conic_residuals", recorded)
@@ -200,7 +200,7 @@ class TestSplitLoops:
         started = threading.active_count()
 
         def broken(*args):
-            start = args[5] if loop == "_ring_sum" else args[9]
+            start = args[5] if loop == "_ring_sum" else args[10]
             if start > 0:
                 raise RuntimeError(f"chunk from {start}")
             time.sleep(0.05)  # the caller's chunk ends after the workers
