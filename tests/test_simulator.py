@@ -1739,6 +1739,23 @@ class TestCsvExport:
         columns = [(np.arange(5.0) * (k + 1) / 3)[start:stop] for k in range(5)]
         assert self.rows_text(c_kernel(), columns) == self.rows_text(_propagate_py, columns)
 
+    # The columns the C formatter cannot read, one bad column beside good
+    # ones, or the wrong count: write_rows refuses them before any row.
+    @requires_c
+    @pytest.mark.parametrize("columns", [
+        [np.ones(3)] * 7,
+        [np.ones(3)] * 4 + [np.ones(4)],
+        [np.ones(3)] * 4 + [np.ones(3, dtype=np.float32)],
+        [np.ones(3)] * 4 + [np.ones(6)[::2]],
+        [np.ones(3)] * 4 + [np.ones((3, 1))],
+        [np.ones(3)] * 4 + [[1.0, 1.0, 1.0]],
+    ], ids=["seven", "unequal", "float32", "strided", "2-d", "list"])
+    def test_c_formatter_rejects_columns_it_cannot_read(self, columns):
+        stream = io.BytesIO()
+        with pytest.raises(ValueError, match="columns"):
+            c_kernel().write_rows(columns, stream)
+        assert stream.getvalue() == b""
+
     # write_rows hands C the columns' addresses, so this check is its memory
     # guard: a first column longer than another would be read past the end.
     @requires_c
