@@ -22,12 +22,13 @@
  * _propagate_py, written the same way: one C statement per NumPy expression,
  * in its order.  They call libm's sin, cos and hypot, which NumPy's float64
  * loops call too; the load-time probe in _propagate_c checks that, and binds
- * the NumPy loops where it fails.  ring_terms calls sin and cos once per
- * group of RING_GROUP rings and gives each ring's by angle addition, from
- * those two values and a table of the offsets in a group that is built once
- * per call.  ring_sum adds ring_terms' terms exactly, one group at a time
- * with one table for its range and without an array of them, for the
- * caller to round once with math.fsum.
+ * the NumPy loops where it fails.  Both call sin and cos once per group of
+ * ANGLE_GROUP rings or samples and give each one's by angle addition
+ * (add_angle, _propagate_py.angle_addition), from those two values and a
+ * table of the offsets in a group (angle_table) that is built once per call.
+ * ring_sum adds ring_terms' terms exactly, one group at a time with one
+ * table for its range and without an array of them, for the caller to round
+ * once with math.fsum.
  */
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 
@@ -341,42 +342,52 @@ void derive_columns(double *const *cols, int64_t rows)
     }
 }
 
-/* Rings per group: each group of ring_terms takes one sin and one cos call,
- * and ring_sum adds the terms of one group at a time. */
-#define RING_GROUP 128
+/* Rings or samples per group (_propagate_py._ANGLE_GROUP): each group of
+ * ring_terms and conic_residuals takes one sin and one cos call, and
+ * ring_sum adds the terms of one group at a time. */
+#define ANGLE_GROUP 128
 
-/* cos_k[k] = cos(k * dtheta) and sin_k[k] = sin(k * dtheta) for the offsets
- * k = 0 .. RING_GROUP - 1 of a ring in its group. */
-static void ring_table(double dtheta, double *cos_k, double *sin_k)
+/* cos_k[k] = cos(k * step) and sin_k[k] = sin(k * step) for the offsets
+ * k = 0 .. ANGLE_GROUP - 1 of a ring or sample in its group. */
+static void angle_table(double step, double *cos_k, double *sin_k)
 {
-    for (int k = 0; k < RING_GROUP; k++) {
-        double phi = (double)k * dtheta;
+    for (int k = 0; k < ANGLE_GROUP; k++) {
+        double phi = (double)k * step;
         cos_k[k] = cos(phi);
         sin_k[k] = sin(phi);
     }
 }
 
+/* sin and cos of theta_g + k * step by angle addition, from theta_g's and
+ * the offset's cos_k[k] and sin_k[k] of angle_table, in the order of
+ * _propagate_py.angle_addition and with no fused multiply-add.  At k = 0 they
+ * are sin_g and cos_g. */
+static inline void add_angle(double sin_g, double cos_g, double cos_k, double sin_k,
+                             double *sin_t, double *cos_t)
+{
+    *sin_t = sin_g * cos_k + cos_g * sin_k;
+    *cos_t = cos_g * cos_k - sin_g * sin_k;
+}
+
 /* The terms of the rings from lo to the end of its group or to stop, hi,
- * which it returns; g = lo - lo % RING_GROUP is the group's first ring.
+ * which it returns; g = lo - lo % ANGLE_GROUP is the group's first ring.
  * terms[i - lo] is that of ring i = g + k at the angle theta_g + k * dtheta,
- * theta_g = (g + 0.5) * dtheta, whose sine and cosine come by angle addition
- * from theta_g's and from the table of ring_table, in the order of
- * _propagate_py.ring_angles and with no fused multiply-add. */
+ * theta_g = (g + 0.5) * dtheta, whose sine and cosine come by add_angle
+ * from theta_g's and from angle_table(dtheta). */
 static int64_t ring_group(double a, double d, double dtheta, double width, double scale,
                           const double *cos_k, const double *sin_k, int64_t lo, int64_t stop,
                           double *terms)
 {
     const double two_pi = 2.0 * 3.141592653589793;  /* 2.0 * math.pi */
     const double d2_a2 = d * d + a * a, two_a_d = 2.0 * a * d;
-    int64_t g = lo - lo % RING_GROUP;
-    int64_t hi = g + RING_GROUP < stop ? g + RING_GROUP : stop;
+    int64_t g = lo - lo % ANGLE_GROUP;
+    int64_t hi = g + ANGLE_GROUP < stop ? g + ANGLE_GROUP : stop;
     double theta_g = ((double)g + 0.5) * dtheta;
     double sin_g = sin(theta_g), cos_g = cos(theta_g);
 
     for (int64_t i = lo; i < hi; i++) {
-        int64_t k = i - g;
-        double sin_t = sin_g * cos_k[k] + cos_g * sin_k[k];
-        double cos_t = cos_g * cos_k[k] - sin_g * sin_k[k];
+        double sin_t, cos_t;
+        add_angle(sin_g, cos_g, cos_k[i - g], sin_k[i - g], &sin_t, &cos_t);
         double area = two_pi * (a * sin_t) * width;  /* the thin-ring area */
         double s2 = d2_a2 - two_a_d * cos_t;
         double s = sqrt(s2);
@@ -393,9 +404,9 @@ static int64_t ring_group(double a, double d, double dtheta, double width, doubl
 void ring_terms(double a, double d, double dtheta, double width, double scale, int64_t start,
                 int64_t stop, double *terms)
 {
-    double cos_k[RING_GROUP], sin_k[RING_GROUP];
+    double cos_k[ANGLE_GROUP], sin_k[ANGLE_GROUP];
 
-    ring_table(dtheta, cos_k, sin_k);
+    angle_table(dtheta, cos_k, sin_k);
     for (int64_t lo = start; lo < stop;)
         lo = ring_group(a, d, dtheta, width, scale, cos_k, sin_k, lo, stop, terms + (lo - start));
 }
@@ -416,9 +427,9 @@ int ring_sum(double a, double d, double dtheta, double width, double scale, int6
              int64_t stop, double *chunks)
 {
     int64_t acc[RING_CHUNKS + 1] = {0};
-    double t[RING_GROUP], cos_k[RING_GROUP], sin_k[RING_GROUP];
+    double t[ANGLE_GROUP], cos_k[ANGLE_GROUP], sin_k[ANGLE_GROUP];
 
-    ring_table(dtheta, cos_k, sin_k);
+    angle_table(dtheta, cos_k, sin_k);
     for (int64_t lo = start, hi; lo < stop; lo = hi) {
         hi = ring_group(a, d, dtheta, width, scale, cos_k, sin_k, lo, stop, t);
         for (int64_t k = 0; k < hi - lo; k++) {
@@ -456,15 +467,30 @@ int ring_sum(double a, double d, double dtheta, double width, double scale, int6
     return 0;
 }
 
+/* Whether conic_residuals takes its samples' sines and cosines by angle
+ * addition, as _propagate_py._by_addition, which says why: for a parabola,
+ * and for |1 - e^2| >= 1/2 and e <= 16.  Elsewhere each group is one
+ * sample, whose values are then libm's. */
+static int by_addition(double e)
+{
+    return e <= 16.0 && (e == 1.0 || fabs(1.0 - e * e) >= 0.5);
+}
+
 /* The values of geometry.ConicClass. */
 enum { CONIC_ELLIPSE = 1, CONIC_PARABOLA = 2, CONIC_HYPERBOLA = 3 };
 
 /* _propagate_py._block_residuals over the samples i = start .. stop - 1 at
- * polar angles theta0 + span * i / div (_propagate_py._sample_thetas):
- * writes the focal, reflection and right-angle maxima to maxima[0..2] and
- * the count of samples whose tangent is parallel to the directrix,
- * |tangent_y| < parallel_eps (geometry._PARALLEL_EPS), to *skipped, and
- * returns 0.  Returns 1, the block flagged, where any check of
+ * polar angles theta0 + span * i / div (_propagate_py._sample_thetas),
+ * whose sines and cosines come by add_angle, one group of ANGLE_GROUP
+ * samples at a time where by_addition(e) holds and of one sample
+ * elsewhere: sample i = g + k, g = i - i % group, is at theta_g + k * step,
+ * theta_g = theta0 + span * g / div and step = span / div, with one sin
+ * and one cos of theta_g per group and angle_table(step) for the offsets.
+ * A sample's values depend on i alone, and a group's first sample has
+ * libm's.  It writes the focal, reflection and right-angle maxima to
+ * maxima[0..2] and the count of samples whose tangent is parallel to the
+ * directrix, |tangent_y| < parallel_eps (geometry._PARALLEL_EPS), to
+ * *skipped, and returns 0.  Returns 1, the block flagged, where any check of
  * _block_residuals could fail: 1 - e sin(theta) is not > 0, a point,
  * tangent, ray or intersection is not finite, a tangent, ray or
  * intersection norm is zero, or the focal residual is NaN.  Its outputs are
@@ -481,69 +507,77 @@ int conic_residuals(double e, double ell, double aO, int kind, double focus2_y,
                     int64_t *skipped)
 {
     double focal_max = 0.0, reflection_max = 0.0, right_max = 0.0;
-    int64_t skip = 0;
+    double cos_k[ANGLE_GROUP], sin_k[ANGLE_GROUP];
+    int64_t skip = 0, group = by_addition(e) ? ANGLE_GROUP : 1;
 
-    for (int64_t i = start; i < stop; i++) {
-        double theta = theta0 + span * (double)i / div;
-        double s = sin(theta), c = cos(theta);
-        /* _polar_form */
-        double denom = 1.0 - e * s;
-        if (!(denom > 0.0))
-            return 1;
-        double r = ell / denom;
-        double px = r * c, py = r * s, dr = e * c * r * r / ell;
-        if (!(isfinite(px) && isfinite(py)))
-            return 1;
-        double tx = dr * c - r * s, ty = dr * s + r * c;
-        if (!(isfinite(tx) && isfinite(ty)))
-            return 1;
-        double t_norm = hypot(tx, ty);
-        if (t_norm == 0.0)
-            return 1;
-        double tux = tx / t_norm, tuy = ty / t_norm;
-        double p_norm = hypot(px, py);
-        double pux = px / p_norm, puy = py / p_norm;
-
-        double focal, ray_x = 0.0, ray_y = 1.0;  /* a parabola's beam is parallel to the axis */
-        if (kind == CONIC_PARABOLA) {
-            focal = fabs(p_norm - (py + aO));
-        } else {
-            double dx = 0.0 - px, dy = focus2_y - py;
-            if (!(isfinite(dx) && isfinite(dy)))
+    angle_table(span / div, cos_k, sin_k);
+    for (int64_t g = start - start % group; g < stop; g += group) {
+        double theta_g = theta0 + span * (double)g / div;
+        double sin_g = sin(theta_g), cos_g = cos(theta_g);
+        int64_t hi = g + group < stop ? g + group : stop;
+        for (int64_t i = g < start ? start : g; i < hi; i++) {
+            double s, c;
+            add_angle(sin_g, cos_g, cos_k[i - g], sin_k[i - g], &s, &c);
+            /* _polar_form */
+            double denom = 1.0 - e * s;
+            if (!(denom > 0.0))
                 return 1;
-            double d_norm = hypot(dx, dy);
-            if (d_norm == 0.0)
+            double r = ell / denom;
+            double px = r * c, py = r * s, dr = e * c * r * r / ell;
+            if (!(isfinite(px) && isfinite(py)))
                 return 1;
-            if (kind == CONIC_ELLIPSE)
-                focal = fabs(p_norm + d_norm - focal_constant);
-            else
-                focal = fabs(fabs(d_norm - p_norm) - focal_constant);
-            ray_x = dx / d_norm;
-            ray_y = dy / d_norm;
-        }
-        double sin1 = fabs(tux * puy - tuy * pux);
-        double sin2 = fabs(tux * ray_y - tuy * ray_x);
-        double reflection = fabs(sin1 - sin2);
-        if (isnan(focal))
-            return 1;
-        if (focal > focal_max)
-            focal_max = focal;
-        if (reflection > reflection_max)
-            reflection_max = reflection;
+            double tx = dr * c - r * s, ty = dr * s + r * c;
+            if (!(isfinite(tx) && isfinite(ty)))
+                return 1;
+            double t_norm = hypot(tx, ty);
+            if (t_norm == 0.0)
+                return 1;
+            double tux = tx / t_norm, tuy = ty / t_norm;
+            double p_norm = hypot(px, py);
+            double pux = px / p_norm, puy = py / p_norm;
 
-        if (!(fabs(tuy) >= parallel_eps)) {
-            skip++;
-            continue;
+            /* a parabola's beam is parallel to the axis */
+            double focal, ray_x = 0.0, ray_y = 1.0;
+            if (kind == CONIC_PARABOLA) {
+                focal = fabs(p_norm - (py + aO));
+            } else {
+                double dx = 0.0 - px, dy = focus2_y - py;
+                if (!(isfinite(dx) && isfinite(dy)))
+                    return 1;
+                double d_norm = hypot(dx, dy);
+                if (d_norm == 0.0)
+                    return 1;
+                if (kind == CONIC_ELLIPSE)
+                    focal = fabs(p_norm + d_norm - focal_constant);
+                else
+                    focal = fabs(fabs(d_norm - p_norm) - focal_constant);
+                ray_x = dx / d_norm;
+                ray_y = dy / d_norm;
+            }
+            double sin1 = fabs(tux * puy - tuy * pux);
+            double sin2 = fabs(tux * ray_y - tuy * ray_x);
+            double reflection = fabs(sin1 - sin2);
+            if (isnan(focal))
+                return 1;
+            if (focal > focal_max)
+                focal_max = focal;
+            if (reflection > reflection_max)
+                reflection_max = reflection;
+
+            if (!(fabs(tuy) >= parallel_eps)) {
+                skip++;
+                continue;
+            }
+            double lx = px + (-aO - py) / tuy * tux, ly = -aO;
+            if (!(isfinite(lx) && isfinite(ly)))
+                return 1;
+            double l_norm = hypot(lx, ly);
+            if (l_norm == 0.0)
+                return 1;
+            double right = fabs(pux * (lx / l_norm) + puy * (ly / l_norm));
+            if (right > right_max)
+                right_max = right;
         }
-        double lx = px + (-aO - py) / tuy * tux, ly = -aO;
-        if (!(isfinite(lx) && isfinite(ly)))
-            return 1;
-        double l_norm = hypot(lx, ly);
-        if (l_norm == 0.0)
-            return 1;
-        double right = fabs(pux * (lx / l_norm) + puy * (ly / l_norm));
-        if (right > right_max)
-            right_max = right;
     }
     maxima[0] = focal_max;
     maxima[1] = reflection_max;

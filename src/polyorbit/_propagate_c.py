@@ -123,9 +123,9 @@ _SLACK = 16
 # two shells, 382 angles in all, the second with d < a, whose terms have
 # both signs, so a sign or carry fault shows in its total; and
 # conic_residuals shapes (e, ell) and sample counts for an ellipse, a
-# parabola and a hyperbola, 300 angles in all.
+# parabola and a hyperbola, each over 2 or 3 groups of 128, 629 in all.
 _RING_PROBE = ((1.5, 2.3, 256), (1.648, 1.601, 126))
-_RESIDUAL_PROBE = ((0.5, 0.75, 100), (1.0, 1.3, 100), (1.5, 0.75, 100))
+_RESIDUAL_PROBE = ((0.5, 0.75, 300), (1.0, 1.3, 200), (1.5, 0.75, 129))
 
 # The CPUs this process may use: ring_sum and conic_residuals run at most
 # this many ranges at once, and write_rows starts a thread where it is 2 or

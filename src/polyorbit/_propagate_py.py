@@ -24,8 +24,9 @@ and geometry.geometry_residuals, here so that simulator binds all four
 loops from one module and geometry imports no NumPy; ring_sum (over
 ring_terms) and conic_residuals in the C library are their copies.  The
 ring total is math.fsum of the terms, so its bits depend on them alone.
-Both ring loops take one sin and one cos per group of _RING_GROUP rings and
-each ring's by angle addition (ring_angles).
+The ring and residual loops take one sin and one cos per group of
+_ANGLE_GROUP rings or samples and each one's by angle addition
+(angle_addition, add_angle in C).
 """
 
 from array import array
@@ -52,15 +53,16 @@ _CSV_CHUNK_ROWS = 1024
 # Rings evaluated per block of ring_terms: each temporary of a block is 512 kB.
 _RING_BLOCK = 1 << 16
 
-# Rings per group of ring_terms, whose sines and cosines come by angle
-# addition from one np.sin and one np.cos value (RING_GROUP in _kick_drift.c).
-# Blocks of ring_sum start on a group, so each group's value is made once.
-_RING_GROUP = 128
-assert _RING_BLOCK % _RING_GROUP == 0
-
 # Samples evaluated per block of conic_residuals: a block holds a few dozen
 # float64 arrays of this length, so memory is flat in n.
 _RESIDUAL_BLOCK = 1 << 16
+
+# Rings or samples per group of angle_addition, whose sines and cosines come
+# from one np.sin and one np.cos value (ANGLE_GROUP in _kick_drift.c).
+# Blocks of ring_sum and conic_residuals start on a group, so each group's
+# value is made once.
+_ANGLE_GROUP = 128
+assert _RING_BLOCK % _ANGLE_GROUP == 0 and _RESIDUAL_BLOCK % _ANGLE_GROUP == 0
 
 
 def propagate_kernel(x, y, vx, vy, m, dt, steps, record_every, collision_radius,
@@ -167,51 +169,47 @@ def write_rows(columns, stream):
         stream.write(format_rows([t, x, y, vx, vy, *derive_columns(x, y, vx, vy)]).encode("ascii"))
 
 
-def ring_angles(dtheta, start, stop, table):
-    """sin and cos of the polar angles (i + 0.5) * dtheta of the rings
-    i = start .. stop - 1, by angle addition.  Ring i = g + k, with g the
-    first ring of its group (a multiple of _RING_GROUP), is at theta_g +
-    k * dtheta, theta_g = (g + 0.5) * dtheta; np.sin and np.cos are taken of
-    theta_g once per group, and table is _ring_table(dtheta).  Each value
-    is within 8 * 2^-53 of sin and cos at the rounded (i + 0.5) * dtheta."""
-    cos_k, sin_k = table
-    g0 = start - start % _RING_GROUP
-    theta_g = (np.arange(g0, stop, _RING_GROUP) + 0.5) * dtheta
+def angle_addition(theta_g, step, start, stop):
+    """sin and cos of the angles of the rings or samples i = start .. stop - 1,
+    by angle addition.  Item i = g + k, with g = i - i % _ANGLE_GROUP the
+    first item of its group, is at theta_g + k * step; theta_g holds the
+    angles of the groups from start's to stop - 1's, and np.sin and np.cos
+    are taken of each once.  The offsets' cos(k * step) and sin(k * step)
+    come from one table of the _ANGLE_GROUP offsets.  At k = 0 the values
+    are those of theta_g.  angle_table and add_angle in _kick_drift.c are
+    its copy in C."""
+    phi = np.arange(_ANGLE_GROUP) * step
+    cos_k, sin_k = np.cos(phi), np.sin(phi)
     sin_g, cos_g = np.sin(theta_g)[:, None], np.cos(theta_g)[:, None]
-    # one row per group, from ring g0; ring i is at i - g0
-    sin_t = (sin_g * cos_k + cos_g * sin_k).ravel()[start - g0:stop - g0]
-    cos_t = (cos_g * cos_k - sin_g * sin_k).ravel()[start - g0:stop - g0]
+    # one row per group, from g0 = start - first; item i is at i - g0
+    first = start % _ANGLE_GROUP
+    sin_t = (sin_g * cos_k + cos_g * sin_k).ravel()[first:first + stop - start]
+    cos_t = (cos_g * cos_k - sin_g * sin_k).ravel()[first:first + stop - start]
     return sin_t, cos_t
-
-
-def _ring_table(dtheta):
-    """cos(k * dtheta) and sin(k * dtheta) for the offsets k of a ring in
-    its group, k = 0 .. _RING_GROUP - 1."""
-    phi = np.arange(_RING_GROUP) * dtheta
-    return np.cos(phi), np.sin(phi)
 
 
 def ring_terms(a, d, dtheta, width, scale, terms, first=0):
     """Fills terms[i] with the axial pull of ring first + i, at polar angle
     (first + i + 0.5) * dtheta, _RING_BLOCK rings at a time; returns terms.
-    The angle's sine and cosine are ring_angles', with one table for the call.
+    The angle's sine and cosine are angle_addition's, from the angles
+    (g + 0.5) * dtheta of the groups' first rings g.
 
     The terms of ring_sum: ring_terms in _kick_drift.c is its copy in C.
     """
-    table = _ring_table(dtheta)
     # At extreme scales s2 or the products overflow or underflow; the sum is
     # then inf or nan, which shell_accel rejects.
     with np.errstate(all="ignore"):
-        for start in range(0, len(terms), _RING_BLOCK):
-            stop = min(start + _RING_BLOCK, len(terms))
-            sin_t, cos_t = ring_angles(dtheta, first + start, first + stop, table)
+        for start in range(first, first + len(terms), _RING_BLOCK):
+            stop = min(start + _RING_BLOCK, first + len(terms))
+            g = np.arange(start - start % _ANGLE_GROUP, stop, _ANGLE_GROUP)
+            sin_t, cos_t = angle_addition((g + 0.5) * dtheta, dtheta, start, stop)
             # thin-ring areas 2*pi*x*w, x = a*sin(theta) the ring's distance
             # to the axis (with 1 to 3 rings, w is not below a)
             areas = 2.0 * pi * (a * sin_t) * width
             s2 = d * d + a * a - 2.0 * a * d * cos_t
             s = np.sqrt(s2)
             axial = (d - a * cos_t) / s
-            np.multiply(scale * areas / s2, axial, out=terms[start:stop])
+            np.multiply(scale * areas / s2, axial, out=terms[start - first:stop - first])
     return terms
 
 
@@ -226,10 +224,11 @@ def ring_sum(a, d, dtheta, width, scale, n):
         for first in range(0, n, _RING_BLOCK)))
 
 
-def _sample_thetas(shape, n, start, stop):
-    """Polar angles of samples start..stop-1 of n on the real branch."""
+def _sample_thetas(shape, n, start, stop, every=1):
+    """Polar angles of samples start, start + every, ... below stop, of n on
+    the real branch."""
     theta0, span, div = geometry._theta_grid(shape, n)
-    return theta0 + span * np.arange(start, stop, dtype=np.float64) / div
+    return theta0 + span * np.arange(start, stop, every, dtype=np.float64) / div
 
 
 def _require_finite(what, theta, x, y):
@@ -247,10 +246,39 @@ def _require_nonzero(what, theta, norm):
         raise DomainError(f"cannot normalize the zero {what} at theta={theta[i]:g}")
 
 
-def _block_residuals(shape, theta, focus2_y, focal_constant):
+def _by_addition(e):
+    """Whether the residual loops take the samples' sines and cosines by
+    angle addition: for a parabola, and for an ellipse or hyperbola with
+    |1 - e^2| >= 1/2 (a focal constant 2a of at most 4 ell) and e <= 16.
+    Elsewhere the residuals are rounding noise that grows with 2a / ell or
+    with e: angle addition's few units of 2^-53 in sin and cos moved them by
+    up to 2.2 times 1e-14 ell against one np.sin and np.cos per sample at
+    e = 0.9, and 5.4 times at e = 1000 (inside the bounds 0.34 times at
+    most, over n = 10 to 65537 and ell = 1e-3 to 1e3), so each sample keeps
+    its own there.  by_addition in _kick_drift.c is its copy in C."""
+    return e <= 16.0 and (e == 1.0 or abs(1.0 - e * e) >= 0.5)
+
+
+def _sample_sin_cos(shape, n, start, stop):
+    """sin and cos of the polar angles of samples start .. stop - 1 of n, as
+    the residual loops take them.  Where _by_addition holds, they are
+    angle_addition's, from the angles _sample_thetas gives the groups' first
+    samples and the step span / div of geometry._theta_grid; elsewhere they
+    are np.sin and np.cos of each sample's angle."""
+    if not _by_addition(shape.eccentricity):
+        theta = _sample_thetas(shape, n, start, stop)
+        return np.sin(theta), np.cos(theta)
+    _, span, div = geometry._theta_grid(shape, n)
+    theta_g = _sample_thetas(shape, n, start - start % _ANGLE_GROUP, stop, _ANGLE_GROUP)
+    return angle_addition(theta_g, span / div, start, stop)
+
+
+def _block_residuals(shape, n, start, stop, focus2_y, focal_constant):
     """(focal, reflection, right-angle) maxima and the skipped count over the
-    samples at angles theta; the arithmetic of geometry.conic_point, the
-    analytic tangent dP/dtheta and PlanarVector, elementwise.
+    samples start .. stop - 1 of n; the arithmetic of geometry.conic_point,
+    the analytic tangent dP/dtheta and PlanarVector, elementwise, on the
+    sines and cosines of _sample_sin_cos.  An error names the sample's own
+    angle from _sample_thetas.
 
     Three checks are left out because they cannot fail.  The conic point
     is not zero: max(|c|, |s|) >= 0.7, so r*c and r*s both round to 0 only
@@ -260,7 +288,8 @@ def _block_residuals(shape, theta, focus2_y, focal_constant):
     its non-zero norm, so at most 1 in size.
     """
     aO = shape.focal_directrix_distance
-    s, c = np.sin(theta), np.cos(theta)
+    theta = _sample_thetas(shape, n, start, stop)
+    s, c = _sample_sin_cos(shape, n, start, stop)
     r, px, py, dr = geometry._polar_form(shape, theta, s, c)
     _require_finite("conic point", theta, px, py)
     tx, ty = dr * c - r * s, dr * s + r * c
@@ -321,8 +350,8 @@ def conic_residuals(shape, n, focus2_y, focal_constant):
     skipped = 0
     with np.errstate(all="ignore"):  # non-finite values are tested explicitly
         for lo in range(0, n, _RESIDUAL_BLOCK):
-            theta = _sample_thetas(shape, n, lo, min(lo + _RESIDUAL_BLOCK, n))
-            block = _block_residuals(shape, theta, focus2_y, focal_constant)
+            block = _block_residuals(shape, n, lo, min(lo + _RESIDUAL_BLOCK, n), focus2_y,
+                                     focal_constant)
             focal, reflection, right = (max(focal, block[0]), max(reflection, block[1]),
                                         max(right, block[2]))
             skipped += block[3]

@@ -308,7 +308,11 @@ def geometry_residuals(shape: ConicShape, n: int) -> ResidualReport:
     The samples are evaluated in one call of the residual loop that
     simulator._kernel binds: _propagate_py.conic_residuals, the NumPy loop,
     in blocks of samples, or its C copy, in one range per CPU; both merge
-    their maxima exactly.  Any non-finite point, tangent, ray or
+    their maxima exactly.  Both take each sample's sine and cosine by angle
+    addition, one sin and one cos per group of 128 samples, where the conic
+    is well conditioned (a parabola, or |1 - e^2| >= 1/2 and e <= 16), and
+    one libm sin and cos per sample elsewhere
+    (_propagate_py._sample_sin_cos).  Any non-finite point, tangent, ray or
     intersection, a zero tangent, ray or intersection norm, or a NaN focal
     residual raises DomainError.  So does a periapsis whose square is
     below the smallest normal double: the tangent's dr/dtheta = e*c*r*r/ell

@@ -6,7 +6,7 @@ pull is resolved along the symmetry axis (the transverse parts cancel ring by
 ring by construction) and summed with the midpoint rule.  The ring loops
 take the sine and cosine of one angle per group of 128 rings and each ring's
 by angle addition from a table of the 128 offsets, within 8 * 2^-53 of
-libm's at the ring's own angle (_propagate_py.ring_angles).
+libm's at the ring's own angle (_propagate_py.angle_addition).
 """
 
 from __future__ import annotations

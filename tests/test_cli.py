@@ -33,9 +33,9 @@ def run(capsys, argv):
 # prints the versions before the tests run.
 GOLDEN_STDOUT = [
     ("classify --m 1 --r0 1 --v0 1 --alpha0 60.0", 0, "11a35867c0ad7630"),
-    ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "6ed9764a47a51174"),
-    ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "0ad78f99cf4a0680"),
-    ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "ad1f70dc5119c648"),
+    ("geometry-check --e 0.5 --ell 0.75 --samples 50000", 0, "21ac93a7f4f0df8c"),
+    ("geometry-check --e 1 --ell 0.75 --samples 50000", 0, "69bca2c020300726"),
+    ("geometry-check --e 1.5 --ell 0.75 --samples 50000", 0, "d7da3017daf2ddfc"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2.0 --rings 1000000", 0, "e4102e584f4afcaa"),
     ("shell-check --a 1 --mass 1 --g 1 --d 2 --rings 3", 1, "d0661db469ec34ff"),
     ("kepler3 --m 1.0 --count 6", 0, "98e052f60672fd82"),

@@ -1,5 +1,6 @@
 """Tests for the focus-directrix conic module."""
 
+import ctypes
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -26,7 +27,7 @@ from polyorbit import (
     geometry_residuals,
 )
 from polyorbit import _propagate_py, geometry, simulator
-from polyorbit._propagate_py import _RESIDUAL_BLOCK
+from polyorbit._propagate_py import _ANGLE_GROUP, _RESIDUAL_BLOCK
 from polyorbit.geometry import (
     _PARALLEL_EPS,
     _branch_anomaly_limit,
@@ -433,9 +434,9 @@ class TestGeometryResiduals:
         seen = []
         block_residuals = _propagate_py._block_residuals
 
-        def spy(shape, theta, *args):
-            seen.append(theta.copy())
-            return block_residuals(shape, theta, *args)
+        def spy(shape, n, start, stop, *args):
+            seen.append(_propagate_py._sample_thetas(shape, n, start, stop))
+            return block_residuals(shape, n, start, stop, *args)
 
         monkeypatch.setattr(_propagate_py, "_block_residuals", spy)
         n = 2 * _RESIDUAL_BLOCK + 1
@@ -575,6 +576,125 @@ class TestCompiledResiduals:
         got, want = residuals_c_and_numpy(report_outcome,
                                           ConicShape(10.0**log_e, 10.0**log_ell), n)
         assert got == want
+
+
+# The workload's three shapes, whose samples take their sines and cosines by
+# angle addition, and the first samples of ranges and blocks that start
+# inside a group of _ANGLE_GROUP samples.
+ADDITION_SHAPES = [(0.5, 0.75), (1.0, 0.75), (1.5, 0.75)]
+ADDITION_IDS = ["ellipse", "parabola", "hyperbola"]
+INSIDE_A_GROUP = [1, 77, _ANGLE_GROUP - 1, _ANGLE_GROUP + 1, _RESIDUAL_BLOCK - 5,
+                  _RESIDUAL_BLOCK + 200]
+
+
+def per_angle_sin_cos(shape, n, start, stop):
+    # one np.sin and one np.cos of each sample's own angle
+    theta = _propagate_py._sample_thetas(shape, n, start, stop)
+    return np.sin(theta), np.cos(theta)
+
+
+def bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestResidualAngles:
+    """The residual loops take each sample's sine and cosine by angle
+    addition, from one np.sin and one np.cos value per group of
+    _ANGLE_GROUP samples and a table of the offsets in a group, on the
+    shapes _propagate_py._by_addition admits: the values against libm's at
+    each sample's own angle, a group's first sample, ranges and blocks that
+    start inside a group, the skipped count, and the shapes that keep one
+    sine and cosine per sample, in both loops."""
+
+    # Against math.sin and math.cos at _sample_thetas' rounded angle, the
+    # absolute error is within 16 * 2^-53: 15.5 * 2^-53 is the most
+    # measured, here and at n = 1000, 4099, 65537, 131073 and 10^6.  The
+    # group's angle, the offset's and the sample's own (|theta| < 4.72) are
+    # each rounded up to three times, and libm's four values and the
+    # addition's two products and sum add a few 2^-53 more; the errors do
+    # not line up.
+    @pytest.mark.parametrize("n", [10, 127, 128, 129, 50000])
+    @pytest.mark.parametrize("e, ell", ADDITION_SHAPES, ids=ADDITION_IDS)
+    def test_sin_cos_within_16_units_of_libm(self, e, ell, n):
+        shape = ConicShape(e, ell)
+        sin_t, cos_t = _propagate_py._sample_sin_cos(shape, n, 0, n)
+        theta = sample_thetas(shape, n)
+        assert np.max(np.abs(sin_t - [math.sin(x) for x in theta])) <= 16 * 2.0**-53
+        assert np.max(np.abs(cos_t - [math.cos(x) for x in theta])) <= 16 * 2.0**-53
+
+    # A group's first sample, at offset 0, keeps libm's bits: among them the
+    # ellipse's periapsis, sample 0 at theta = -pi/2.
+    @pytest.mark.parametrize("e, ell", ADDITION_SHAPES, ids=ADDITION_IDS)
+    def test_first_sample_of_each_group_is_libms(self, e, ell):
+        shape, n = ConicShape(e, ell), 50000
+        got = _propagate_py._sample_sin_cos(shape, n, 0, n)
+        want = per_angle_sin_cos(shape, n, 0, n)
+        assert bits(a[::_ANGLE_GROUP] for a in got) == bits(a[::_ANGLE_GROUP] for a in want)
+        if e < 1.0:
+            assert (got[0][0], got[1][0]) == (math.sin(-0.5 * math.pi), math.cos(-0.5 * math.pi))
+
+    # Groups are aligned to the sample index, not to the first sample of a
+    # call, so a range from inside a group, across a block's end, has the
+    # whole grid's bits, and so do the NumPy block and the C range over it.
+    @pytest.mark.parametrize("first", INSIDE_A_GROUP)
+    @pytest.mark.parametrize("e, ell", ADDITION_SHAPES, ids=ADDITION_IDS)
+    def test_values_from_inside_a_group(self, e, ell, first):
+        shape, n = ConicShape(e, ell), 3 * _RESIDUAL_BLOCK
+        stop = first + _RESIDUAL_BLOCK + 300
+        whole = _propagate_py._sample_sin_cos(shape, n, 0, n)
+        got = _propagate_py._sample_sin_cos(shape, n, first, stop)
+        assert bits(got) == bits(a[first:stop] for a in whole)
+
+    @pytest.mark.parametrize("first", INSIDE_A_GROUP)
+    @pytest.mark.parametrize("e, ell", ADDITION_SHAPES, ids=ADDITION_IDS)
+    def test_c_range_from_inside_a_group(self, c_residuals, e, ell, first):
+        shape, n = ConicShape(e, ell), 3 * _RESIDUAL_BLOCK
+        stop = first + _RESIDUAL_BLOCK + 300
+        focus = _second_focus(shape)
+        theta0, span, div = geometry._theta_grid(shape, n)
+        maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
+        assert c_residuals._conic_residuals(
+            shape.eccentricity, shape.semi_latus_rectum, shape.focal_directrix_distance,
+            shape.conic_class.value, focus[0] or 0.0, focus[1] or 0.0, theta0, span, div,
+            _PARALLEL_EPS, first, stop, maxima, ctypes.byref(skipped)) == 0
+        with np.errstate(all="ignore"):
+            want = _propagate_py._block_residuals(shape, n, first, stop, *focus)
+        got = (*maxima, skipped.value)
+        assert [x.hex() for x in got[:3]] + [got[3]] == [x.hex() for x in want[:3]] + [want[3]]
+
+    # The workload's right_angle_skipped, 2, 0 and 0, is that of one np.sin
+    # and one np.cos per sample.
+    @pytest.mark.parametrize("e, ell, skipped", [(*shape, skipped) for shape, skipped
+                                                 in zip(ADDITION_SHAPES, [2, 0, 0])],
+                             ids=ADDITION_IDS)
+    def test_skipped_count_unchanged(self, monkeypatch, e, ell, skipped):
+        shape = ConicShape(e, ell)
+        got = geometry_residuals(shape, 50000).right_angle_skipped
+        monkeypatch.setattr(simulator, "_kernel", _propagate_py)
+        monkeypatch.setattr(_propagate_py, "_sample_sin_cos", per_angle_sin_cos)
+        assert got == geometry_residuals(shape, 50000).right_angle_skipped == skipped
+
+    # Where the residuals are rounding noise that grows with 2a / ell or e,
+    # each sample keeps one np.sin and one np.cos: near-parabolic ellipses
+    # and hyperbolas, and e past 16, as the three commands of large
+    # residuals in ROADMAP.
+    @pytest.mark.parametrize("e", [0.75, 0.9, 0.99999999, 0.9999999999999999, 1.02, 1.2,
+                                   math.nextafter(16.0, math.inf), 1000.0, 3e6])
+    def test_ill_conditioned_shapes_keep_per_angle_libm(self, e):
+        shape, n = ConicShape(e, 1.0), 1000
+        assert not _propagate_py._by_addition(e)
+        got = _propagate_py._sample_sin_cos(shape, n, 0, n)
+        assert bits(got) == bits(per_angle_sin_cos(shape, n, 0, n))
+
+    # On both sides of each bound of _by_addition, |1 - e^2| = 1/2 and
+    # e = 16, the C loop takes the NumPy loop's choice and bits.
+    @pytest.mark.parametrize("bound", [math.sqrt(0.5), math.sqrt(1.5), 16.0])
+    def test_c_takes_the_same_choice_at_each_bound(self, residuals_c_and_numpy, bound):
+        around = [math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)]
+        assert len({_propagate_py._by_addition(e) for e in around}) == 2
+        for e in around:
+            got, want = residuals_c_and_numpy(report_outcome, ConicShape(e, 0.75), 1000)
+            assert got == want, e
 
 
 class TestConicShape:

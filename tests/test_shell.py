@@ -22,7 +22,7 @@ from polyorbit import (
     sphere_accel,
 )
 from polyorbit import _propagate_py, cli, shell, simulator
-from polyorbit._propagate_py import _RING_BLOCK, _RING_GROUP
+from polyorbit._propagate_py import _ANGLE_GROUP, _RING_BLOCK
 
 UNIT_SHELL = ShellSpec(radius=1.0, total_mass=1.0, g=1.0)
 
@@ -32,9 +32,9 @@ def addition_angles(n, dtheta):
     # addition: ring i = g + k, g = i - i % 128 the first ring of its group,
     # at (g + 0.5) * dtheta + k * dtheta
     i = np.arange(n)
-    k = i % _RING_GROUP
+    k = i % _ANGLE_GROUP
     theta_g = (i - k + 0.5) * dtheta
-    phi = np.arange(_RING_GROUP) * dtheta
+    phi = np.arange(_ANGLE_GROUP) * dtheta
     sin_g, cos_g = np.sin(theta_g), np.cos(theta_g)
     cos_k, sin_k = np.cos(phi)[k], np.sin(phi)[k]
     return sin_g * cos_k + cos_g * sin_k, cos_g * cos_k - sin_g * sin_k
@@ -186,14 +186,14 @@ class TestBlockedRingSum:
             assert peak < 8 * 1024 * 1024, n
 
 
-# First rings of ranges that start inside a group of _RING_GROUP rings.
-INSIDE_A_GROUP = [1, 77, _RING_GROUP - 1, _RING_GROUP + 1, _RING_BLOCK - 5,
+# First rings of ranges that start inside a group of _ANGLE_GROUP rings.
+INSIDE_A_GROUP = [1, 77, _ANGLE_GROUP - 1, _ANGLE_GROUP + 1, _RING_BLOCK - 5,
                   2 * _RING_BLOCK + 200]
 
 
 class TestRingAngles:
     """ring_terms takes each ring's sine and cosine by angle addition from
-    one np.sin and one np.cos value per group of _RING_GROUP rings and a
+    one np.sin and one np.cos value per group of _ANGLE_GROUP rings and a
     table of the offsets in a group: the values against libm's at each
     ring's own angle, the ring total against the one of those values, and
     the terms of a range that starts inside a group."""
@@ -207,7 +207,8 @@ class TestRingAngles:
     @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 65537, 10**6])
     def test_sin_cos_within_8_units_of_libm(self, n):
         dtheta = math.pi / n
-        sin_t, cos_t = _propagate_py.ring_angles(dtheta, 0, n, _propagate_py._ring_table(dtheta))
+        theta_g = (np.arange(0, n, _ANGLE_GROUP) + 0.5) * dtheta
+        sin_t, cos_t = _propagate_py.angle_addition(theta_g, dtheta, 0, n)
         theta = ((np.arange(n) + 0.5) * dtheta).tolist()
         assert np.max(np.abs(sin_t - [math.sin(x) for x in theta])) <= 8 * 2.0**-53
         assert np.max(np.abs(cos_t - [math.cos(x) for x in theta])) <= 8 * 2.0**-53

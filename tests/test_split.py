@@ -135,8 +135,7 @@ class TestSplitLoops:
         split = c_residuals.conic_residuals(shape, n, *focus)
         with np.errstate(all="ignore"):
             numpy = _propagate_py.conic_residuals(shape, n, *focus)
-            block = _propagate_py._block_residuals(
-                shape, _propagate_py._sample_thetas(shape, n, start, stop), *focus)
+            block = _propagate_py._block_residuals(shape, n, start, stop, *focus)
         assert residual_bits(split) == residual_bits(numpy)
         theta0, span, div = geometry._theta_grid(shape, n)
         maxima, skipped = (ctypes.c_double * 3)(), ctypes.c_int64()
